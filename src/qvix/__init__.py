@@ -25,6 +25,8 @@ from .vi import (
     ViSolveError,
     check_comparison,
     classify_active,
+    complementarity_residual,
+    multiplier,
     oracle_vi,
     solve_vi,
 )

@@ -17,7 +17,8 @@ import numpy as np
 
 from .fem import DualElement, EllipticOperator, NodalFunction, leq, v_norm
 from .obstacle_maps import ObstacleMap
-from .vi import SolverOptions, ViSolution, oracle_vi, solve_vi
+from .vi import SolverOptions, ViSolution, complementarity_residual, multiplier, \
+    oracle_vi, solve_vi
 
 
 class ExtremalIterationError(RuntimeError):
@@ -42,7 +43,6 @@ class ExtremalRunReport:
 
     iterates: tuple[NodalFunction, ...]
     solution: NodalFunction
-    monotone: bool
     n_iters: int
     final_step_vnorm: float
     qvi_residual: float
@@ -87,10 +87,9 @@ def default_supersolution(A: EllipticOperator, f: DualElement,
 
 
 def fixed_point_step(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                     u: NodalFunction, opts: SolverOptions | None = None,
-                     active0=None) -> ViSolution:
+                     u: NodalFunction, opts: SolverOptions | None = None) -> ViSolution:
     """One application of the solution map: obstacle solve at the obstacle induced by u."""
-    return solve_vi(A, f, omap.evaluate(u), opts, active0=active0)
+    return solve_vi(A, f, omap.evaluate(u), opts)
 
 
 def check_subsolution(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
@@ -107,21 +106,18 @@ def check_supersolution(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     return leq(fixed_point_step(A, f, omap, u, opts).u, u, tol)
 
 
-def _residual_parts(A: EllipticOperator, f: DualElement, u: NodalFunction,
-                    phi: NodalFunction) -> float:
-    lam = (f - A.apply(u)).values.copy()
-    lam[A.boundary_nodes] = 0.0
-    gap = phi.values - u.values
-    feas = float(np.max(np.maximum(-gap, 0.0)))
-    neg = float(np.max(np.maximum(-lam, 0.0)))
-    comp = float(np.max(np.abs(lam * gap)))
-    return max(feas, neg, comp)
+def _obstacle_residual(A: EllipticOperator, f: DualElement, u: NodalFunction,
+                       phi: NodalFunction) -> float:
+    """Complementarity residual with every node an obstacle node."""
+    no_role = np.zeros(A.grid.n_nodes, dtype=bool)
+    return complementarity_residual(u.values, phi.values, multiplier(A, f, u),
+                                    no_role, no_role)
 
 
 def qvi_residual(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
                  u: NodalFunction) -> float:
     """Max of feasibility violation, multiplier negativity, and complementarity defect."""
-    return _residual_parts(A, f, u, omap.evaluate(u))
+    return _obstacle_residual(A, f, u, omap.evaluate(u))
 
 
 def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
@@ -136,7 +132,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     phi = omap.evaluate(u)
     iterates = [u]
     steps: list[float] = []
-    residuals = [_residual_parts(A, f, u, phi)]
+    residuals = [_obstacle_residual(A, f, u, phi)]
     min_deltas: list[float] = []
     active0 = None
     converged = False
@@ -163,10 +159,10 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         step = v_norm(sol.u - u)
         u = sol.u
         phi = omap.evaluate(u)
-        active0 = sol.active_mask
+        active0 = np.isin(np.arange(A.grid.n_nodes), sol.partition.coincidence)
         iterates.append(u)
         steps.append(step)
-        residuals.append(_residual_parts(A, f, u, phi))
+        residuals.append(_obstacle_residual(A, f, u, phi))
         min_deltas.append(min_delta)
         if step <= opts.tol_fp:
             converged = True
@@ -185,7 +181,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
             f"above tolerance {opts.residual_tol:.1e}")
 
     return ExtremalRunReport(
-        iterates=tuple(iterates), solution=u, monotone=True, n_iters=len(steps),
+        iterates=tuple(iterates), solution=u, n_iters=len(steps),
         final_step_vnorm=steps[-1] if steps else 0.0, qvi_residual=final_residual,
         which=which, step_history=tuple(steps), residual_history=tuple(residuals),
         min_delta_history=tuple(min_deltas))

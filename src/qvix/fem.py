@@ -325,12 +325,6 @@ def _h1_matrix(grid: Grid) -> TridiagonalSpd:
     return TridiagonalSpd(diag, upper)
 
 
-def riesz_representative(f: DualElement) -> NodalFunction:
-    """Function z with (z, v)_H1 = <f, v> for all v."""
-    z = _h1_matrix(f.grid).solve(f.grid.mass * f.values)
-    return NodalFunction(f.grid, z)
-
-
 def dual_norm(f: DualElement) -> float:
     """Dual norm via the H1 Riesz representative."""
     z = _h1_matrix(f.grid).solve(f.grid.mass * f.values)

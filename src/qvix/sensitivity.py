@@ -19,11 +19,11 @@ from typing import Callable
 import numpy as np
 
 from .extremal import IntervalBracket, IterateOptions, check_subsolution, \
-    check_supersolution, iterate_max, iterate_min, qvi_residual
+    check_supersolution, iterate_max, iterate_min
 from .fem import DualElement, EllipticOperator, NodalFunction, v_norm
 from .obstacle_maps import ObstacleMap
 from .vi import ActiveSetPartition, SolverOptions, _pdas, classify_active, \
-    default_tol_multiplier
+    complementarity_residual, default_tol_multiplier, multiplier
 
 
 class ConeError(ValueError):
@@ -62,7 +62,6 @@ class DerivativeReport:
 
     alpha: NodalFunction
     alpha_iterates: tuple[NodalFunction, ...]
-    monotone: bool
     which: str
     qvi_residual: float
     fd_table: tuple[tuple[float, float], ...] = ()
@@ -80,13 +79,13 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     be trustworthy, and base points whose multiplier leaks off the strict
     set beyond classification noise.
     """
-    res = qvi_residual(A, f, omap, base)
+    phi = omap.evaluate(base)
+    lam_vals = multiplier(A, f, base)
+    no_role = np.zeros(A.grid.n_nodes, dtype=bool)
+    res = complementarity_residual(base.values, phi.values, lam_vals, no_role, no_role)
     if res > residual_tol:
         raise ConeError(f"base residual {res:.3e} too large to classify the active set")
-    phi = omap.evaluate(base)
     partition = classify_active(A, f, base, phi)
-    lam_vals = (f - A.apply(base)).values.copy()
-    lam_vals[A.boundary_nodes] = 0.0
     tol_lam = default_tol_multiplier(f)
     if partition.inactive.size:
         leak = float(np.max(np.abs(lam_vals[partition.inactive])))
@@ -98,53 +97,39 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
                             operator=A)
 
 
-def _cone_solve(cone: CriticalConeData, load: np.ndarray, shift_vals: np.ndarray,
-                opts: SolverOptions, active0=None):
-    """Obstacle solve over the cone shifted by the given bound values.
+def _cone_roles(cone: CriticalConeData, shift_vals: np.ndarray):
+    """Node roles and target of the cone shifted by the given bound values.
 
-    Strict nodes are pinned to the shift, biactive nodes carry it as an
-    upper bound, inactive nodes are unconstrained.
+    Strict nodes are pinned to the shift and Dirichlet boundary nodes to
+    zero (equality), biactive nodes carry the shift as an upper bound
+    (obstacle), inactive nodes are unconstrained (free).
     """
     A = cone.operator
-    n = A.grid.n_nodes
-    eq_mask = np.zeros(n, dtype=bool)
+    boundary = np.isin(np.arange(A.grid.n_nodes), A.boundary_nodes)
+    eq_mask = boundary.copy()
     eq_mask[cone.partition.strict] = True
-    eq_values = np.where(eq_mask, shift_vals, 0.0)
-    bnd = A.boundary_nodes
-    if bnd.size:
-        eq_mask[bnd] = True
-        eq_values[bnd] = 0.0
-    free_mask = np.zeros(n, dtype=bool)
-    free_mask[cone.partition.inactive] = True
-    free_mask &= ~eq_mask
+    free_mask = np.isin(np.arange(A.grid.n_nodes), cone.partition.inactive) & ~boundary
+    return np.where(boundary, 0.0, shift_vals), eq_mask, free_mask
+
+
+def _cone_solve(cone: CriticalConeData, load: np.ndarray, shift_vals: np.ndarray,
+                opts: SolverOptions) -> NodalFunction:
+    """Obstacle solve over the cone shifted by the given bound values."""
+    A = cone.operator
+    target, eq_mask, free_mask = _cone_roles(cone, shift_vals)
     ld = load.copy()
-    ld[bnd] = 0.0
-    vals, lam, _ = _pdas(A.matrix, A.grid.mass, ld, shift_vals, eq_mask, eq_values,
-                         free_mask, opts, active0=active0)
-    return NodalFunction(A.grid, vals), lam
+    ld[A.boundary_nodes] = 0.0
+    vals, _, _ = _pdas(A.matrix, A.grid.mass, ld, target, eq_mask, free_mask, opts)
+    return NodalFunction(A.grid, vals)
 
 
 def derivative_qvi_residual(cone: CriticalConeData, alpha: NodalFunction,
                             d: DualElement) -> float:
     """Fixed-point residual of the derivative problem at alpha."""
     A = cone.operator
-    shift = cone.deriv_map(alpha).values
-    mu = (d - A.apply(alpha)).values.copy()
-    mu[A.boundary_nodes] = 0.0
-    gap = shift - alpha.values
-
-    p = cone.partition
-    parts = [0.0]
-    if p.strict.size:
-        parts.append(float(np.max(np.abs(gap[p.strict]))))
-    if p.biactive.size:
-        parts.append(float(np.max(np.maximum(-gap[p.biactive], 0.0))))
-        parts.append(float(np.max(np.maximum(-mu[p.biactive], 0.0))))
-        parts.append(float(np.max(np.abs(mu[p.biactive] * gap[p.biactive]))))
-    inactive = np.setdiff1d(p.inactive, A.boundary_nodes, assume_unique=False)
-    if inactive.size:
-        parts.append(float(np.max(np.abs(mu[inactive]))))
-    return max(parts)
+    target, eq_mask, free_mask = _cone_roles(cone, cone.deriv_map(alpha).values)
+    return complementarity_residual(alpha.values, target, multiplier(A, d, alpha),
+                                    eq_mask, free_mask)
 
 
 def solve_derivative_qvi(cone: CriticalConeData, d: DualElement, which: str = "min",
@@ -169,12 +154,12 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement, which: str = "m
     A = cone.operator
     load = A.grid.mass * d.values
     zero_shift = np.zeros(A.grid.n_nodes)
-    alpha, _ = _cone_solve(cone, load, zero_shift, opts.vi)
+    alpha = _cone_solve(cone, load, zero_shift, opts.vi)
     iterates = [alpha]
     converged = False
     for _ in range(opts.max_iter):
         shift = cone.deriv_map(alpha).values
-        alpha_next, _ = _cone_solve(cone, load, shift, opts.vi)
+        alpha_next = _cone_solve(cone, load, shift, opts.vi)
         delta = alpha_next.values - alpha.values
         if which == "min" and float(np.min(delta)) < -opts.monotone_tol:
             raise DerivativeSolveError("derivative iterates lost their increasing order")
@@ -194,7 +179,7 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement, which: str = "m
     if residual > opts.residual_tol:
         raise DerivativeSolveError(
             f"derivative fixed-point residual {residual:.3e} above {opts.residual_tol:.1e}")
-    return DerivativeReport(alpha=alpha, alpha_iterates=tuple(iterates), monotone=True,
+    return DerivativeReport(alpha=alpha, alpha_iterates=tuple(iterates),
                             which=which, qvi_residual=residual, base=cone.base)
 
 
@@ -283,8 +268,7 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
             f"final quotient error {final_err:.3e} above tolerance {fd_tol:.3e}")
 
     return DerivativeReport(alpha=alpha, alpha_iterates=report.alpha_iterates,
-                            monotone=report.monotone, which=which,
-                            qvi_residual=report.qvi_residual,
+                            which=which, qvi_residual=report.qvi_residual,
                             fd_table=tuple(fd_table),
                             observed_order=_observed_order(fd_table, floor),
                             fd_monotone=fd_monotone,

@@ -10,7 +10,7 @@ the independent cross-check for the fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class SolverOptions:
 
     tol: float = 1e-10
     max_iter: int = 200
-    c_pdas: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,6 @@ class ViSolution:
     partition: ActiveSetPartition
     iterations: int
     residual: float
-    active_mask: np.ndarray | None = field(repr=False, default=None)
 
 
 def _partition_from(u_vals, phi_vals, lam_vals, tol_a, tol_lam) -> ActiveSetPartition:
@@ -104,26 +102,44 @@ def default_tol_multiplier(f: DualElement) -> float:
     return 1e-8 * (1.0 + float(np.max(np.abs(f.values))))
 
 
-def classify_active(A: EllipticOperator, f: DualElement, u: NodalFunction,
-                    phi: NodalFunction, tol_a: float | None = None,
-                    tol_lam: float | None = None) -> ActiveSetPartition:
-    """Classify nodes of a feasible point into inactive/strict/biactive."""
-    if tol_a is None:
-        tol_a = default_tol_active(phi)
-    if tol_lam is None:
-        tol_lam = default_tol_multiplier(f)
+def multiplier(A: EllipticOperator, f: DualElement, u: NodalFunction) -> np.ndarray:
+    """Nodal multiplier density f - Au, zero on the Dirichlet boundary nodes."""
     lam = (f - A.apply(u)).values.copy()
     lam[A.boundary_nodes] = 0.0
-    return _partition_from(u.values, phi.values, lam, tol_a, tol_lam)
+    return lam
 
 
-def _pdas(matrix: TridiagonalSpd, mass, load, bound, eq_mask, eq_values,
-          free_mask, opts: SolverOptions, active0=None):
+def complementarity_residual(u, target, lam, eq_mask, free_mask) -> float:
+    """Worst violation of the complementarity system with per-node roles.
+
+    Equality nodes must match the target; obstacle nodes (neither equality
+    nor free) must lie below it with a nonnegative multiplier that vanishes
+    off contact; free nodes must carry no multiplier.  All arguments are
+    nodal arrays; empty role masks check every node against the obstacle.
+    """
+    gap = target - u
+    # obstacle terms everywhere first, then overwritten on the other roles
+    viol = np.maximum(np.maximum(-gap, -lam), 0.0)
+    np.maximum(viol, np.abs(lam * gap), out=viol)
+    viol[free_mask] = np.abs(lam[free_mask])
+    viol[eq_mask] = np.abs(gap[eq_mask])
+    return float(viol.max())
+
+
+def classify_active(A: EllipticOperator, f: DualElement, u: NodalFunction,
+                    phi: NodalFunction) -> ActiveSetPartition:
+    """Classify nodes of a feasible point into inactive/strict/biactive."""
+    return _partition_from(u.values, phi.values, multiplier(A, f, u),
+                           default_tol_active(phi), default_tol_multiplier(f))
+
+
+def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask,
+          opts: SolverOptions, active0=None):
     """Active set loop over nodes split into equality / obstacle / free roles.
 
-    Equality nodes are pinned to prescribed values, free nodes carry the
-    plain equation, obstacle nodes carry the upper bound with the usual
-    complementarity update rule.  Returns nodal values, multiplier
+    Equality nodes are pinned to the target, free nodes carry the plain
+    equation, obstacle nodes carry the target as an upper bound with the
+    usual complementarity update rule.  Returns nodal values, multiplier
     densities (zero on solved rows) and the iteration count.
     """
     n = load.shape[0]
@@ -133,13 +149,12 @@ def _pdas(matrix: TridiagonalSpd, mass, load, bound, eq_mask, eq_values,
     else:
         active = np.asarray(active0, dtype=bool) & obstacle_mask
 
-    pin_values = np.where(eq_mask, eq_values, bound)
     u = np.zeros(n)
     lam = np.zeros(n)
     changed = 0
     for it in range(1, opts.max_iter + 1):
         pinned = eq_mask | active
-        u = np.where(pinned, pin_values, 0.0)
+        u = np.where(pinned, target, 0.0)
         solve_idx = np.flatnonzero(~pinned)
         if solve_idx.size:
             coupling = matrix.matvec(u)
@@ -147,26 +162,20 @@ def _pdas(matrix: TridiagonalSpd, mass, load, bound, eq_mask, eq_values,
             u[solve_idx] = sub.solve(load[solve_idx] - coupling[solve_idx])
         lam = (load - matrix.matvec(u)) / mass
         lam[~pinned] = 0.0
-        new_active = obstacle_mask & (lam + opts.c_pdas * (u - bound) > 0)
+        # pinned rows have u == target and solved rows lam == 0, so any
+        # positive weight on u - target would select the same set
+        new_active = obstacle_mask & (lam + (u - target) > 0)
         if np.array_equal(new_active, active):
             return u, lam, it
         # degenerate nodes (multiplier at roundoff scale) can flip forever;
         # a vanishing KKT residual is just as final as a settled set
-        if _kkt_residual(u, bound, lam, obstacle_mask) <= opts.tol:
+        if complementarity_residual(u, target, lam, eq_mask, free_mask) <= opts.tol:
             return u, lam, it
         changed = int(np.sum(new_active != active))
         active = new_active
     raise ViSolveError(
         f"active set did not settle within {opts.max_iter} iterations "
         f"(last change touched {changed} nodes)")
-
-
-def _kkt_residual(u_vals, phi_vals, lam_vals, obstacle_mask) -> float:
-    gap = phi_vals - u_vals
-    feas = float(np.max(np.maximum(-gap[obstacle_mask], 0.0), initial=0.0))
-    neg = float(np.max(np.maximum(-lam_vals[obstacle_mask], 0.0), initial=0.0))
-    comp = float(np.max(np.abs(lam_vals[obstacle_mask] * gap[obstacle_mask]), initial=0.0))
-    return max(feas, neg, comp)
 
 
 def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction,
@@ -194,23 +203,19 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction,
     load = grid.mass * f.values
     load[eq_mask] = 0.0
 
-    u_vals, lam_vals, iters = _pdas(A.matrix, grid.mass, load, phi.values,
-                                    eq_mask, np.zeros(grid.n_nodes), free_mask,
-                                    opts, active0=active0)
-    lam_vals = lam_vals.copy()
+    target = np.where(eq_mask, 0.0, phi.values)
+    u_vals, lam_vals, iters = _pdas(A.matrix, grid.mass, load, target, eq_mask,
+                                    free_mask, opts, active0=active0)
     lam_vals[eq_mask] = 0.0
-    residual = _kkt_residual(u_vals, phi.values, lam_vals, ~eq_mask)
+    residual = complementarity_residual(u_vals, target, lam_vals, eq_mask, free_mask)
     if residual > opts.tol:
         raise ViSolveError(f"terminal complementarity residual {residual:.3e} exceeds {opts.tol:.1e}")
 
     partition = _partition_from(u_vals, phi.values, lam_vals,
                                 default_tol_active(phi), default_tol_multiplier(f))
-    active_mask = np.zeros(grid.n_nodes, dtype=bool)
-    active_mask[partition.coincidence] = True
     return ViSolution(u=NodalFunction(grid, u_vals),
                       lam=DualElement(grid, lam_vals),
-                      partition=partition, iterations=iters, residual=residual,
-                      active_mask=active_mask)
+                      partition=partition, iterations=iters, residual=residual)
 
 
 def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction,
@@ -267,13 +272,11 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction,
     lam_vals = lam_all[pick]
     partition = _partition_from(u_vals, phi.values, lam_vals,
                                 default_tol_active(phi), default_tol_multiplier(f))
-    residual = _kkt_residual(u_vals, phi.values, lam_vals,
-                             ~np.isin(np.arange(n), A.boundary_nodes))
-    active_mask = np.zeros(n, dtype=bool)
-    active_mask[partition.coincidence] = True
+    eq_mask = np.isin(np.arange(n), A.boundary_nodes)
+    residual = complementarity_residual(u_vals, np.where(eq_mask, 0.0, phi.values), lam_vals,
+                                        eq_mask, np.zeros(n, dtype=bool))
     return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
-                      partition=partition, iterations=pick + 1, residual=residual,
-                      active_mask=active_mask)
+                      partition=partition, iterations=pick + 1, residual=residual)
 
 
 def check_comparison(A: EllipticOperator, f1: DualElement, f2: DualElement,

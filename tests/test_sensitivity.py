@@ -20,7 +20,7 @@ from qvix import (
     solve_vi,
     v_norm,
 )
-from qvix.sensitivity import ConeError
+from qvix.sensitivity import ConeError, derivative_qvi_residual
 
 
 def zero_gain_biactive_instance(n=10, plateau=slice(3, 7)):
@@ -38,6 +38,22 @@ def zero_gain_biactive_instance(n=10, plateau=slice(3, 7)):
     u_star = NodalFunction(g, bump)
     f = A.apply(u_star)
     return g, A, omap, f, u_star
+
+
+def strict_inactive_instance():
+    """Flat map, forcing high on the left half and negative on the right.
+
+    The minimal solution touches the zero obstacle with a positive
+    multiplier on the left and falls below it on the right, so the cone
+    has strict and inactive nodes and no biactive ones.
+    """
+    g = Grid(12)
+    A = assemble_operator(g, 1.0, "neumann")
+    omap = InverseEllipticMap(assemble_operator(g, 1.0, "neumann"),
+                              ScalarNonlinearity("zero"))
+    f = DualElement(g, np.where(np.arange(12) < 6, 2.0, -1.0))
+    base = iterate_min(A, f, omap, solve_vi(A, f, NodalFunction.zeros(g)).u).solution
+    return g, A, f, build_cone(A, f, omap, base)
 
 
 def test_build_cone_toy_all_strict(toy):
@@ -60,7 +76,7 @@ def test_alpha_zero_on_toy(toy):
     cone = build_cone(A, f, omap, base)
     report = solve_derivative_qvi(cone, DualElement.constant(grid, 1.0), "min")
     assert v_norm(report.alpha) <= 1e-12
-    assert report.monotone and alpha_monotonicity_check(report)
+    assert alpha_monotonicity_check(report)
     assert report.qvi_residual <= 1e-9
 
 
@@ -196,14 +212,7 @@ def test_fd_validate_rejects_invalid_bracket_for_max(toy):
 def test_strict_complementarity_collapse_to_reduced_linear_system():
     # flat map, mixed strict/inactive partition: the derivative is the plain
     # equation on the inactive block with zeros pinned on the strict nodes
-    g = Grid(12)
-    A = assemble_operator(g, 1.0, "neumann")
-    omap = InverseEllipticMap(assemble_operator(g, 1.0, "neumann"),
-                              ScalarNonlinearity("zero"))
-    f_vals = np.where(np.arange(12) < 6, 2.0, -1.0)
-    f = DualElement(g, f_vals)
-    base = iterate_min(A, f, omap, solve_vi(A, f, NodalFunction.zeros(g)).u).solution
-    cone = build_cone(A, f, omap, base)
+    g, A, f, cone = strict_inactive_instance()
     assert cone.partition.strict.size > 0 and cone.partition.inactive.size > 0
     assert cone.partition.biactive.size == 0
 
@@ -244,3 +253,21 @@ def test_alpha_iterates_decrease_for_max(toy):
     report = solve_derivative_qvi(cone, DualElement.constant(grid, -1.0), "max")
     assert np.max(np.abs(report.alpha.values + 1.0)) <= 1e-10
     assert alpha_monotonicity_check(report)
+
+
+def test_derivative_residual_vanishes_at_alpha_and_flags_perturbations(toy):
+    grid, A, omap, f = toy
+    base = iterate_min(A, f, omap, NodalFunction.zeros(grid)).solution
+    cone = build_cone(A, f, omap, base)
+    d = DualElement.constant(grid, 1.0)
+    alpha = solve_derivative_qvi(cone, d, "min").alpha
+    assert derivative_qvi_residual(cone, alpha, d) <= 1e-9
+
+    g, A, f, cone = strict_inactive_instance()
+    d = DualElement(g, np.random.default_rng(37).uniform(0.0, 1.0, g.n_nodes))
+    alpha = solve_derivative_qvi(cone, d, "min").alpha
+    assert derivative_qvi_residual(cone, alpha, d) <= 1e-9
+    for node in (cone.partition.strict[2], cone.partition.inactive[2]):
+        bumped = alpha.values.copy()
+        bumped[node] += 1e-3
+        assert derivative_qvi_residual(cone, NodalFunction(g, bumped), d) > 1e-6

@@ -9,6 +9,8 @@ from qvix import (
     assemble_operator,
     check_comparison,
     classify_active,
+    complementarity_residual,
+    multiplier,
     oracle_vi,
     solve_vi,
     v_norm,
@@ -191,3 +193,45 @@ def test_dirichlet_infeasible_boundary_obstacle():
     phi = NodalFunction(g, np.concatenate([[-1.0], np.ones(7), [1.0]]))
     with pytest.raises(ViSolveError):
         solve_vi(A, DualElement.zeros(g), phi)
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_complementarity_residual_vanishes_at_oracle_solutions(bc):
+    rng = np.random.default_rng(61)
+    for n in (5, 9, 12):
+        g = Grid(n)
+        A = assemble_operator(g, 1.0, bc)
+        boundary = np.isin(np.arange(n), A.boundary_nodes)
+        for _ in range(10):
+            f = random_dual(g, rng, -3, 3)
+            phi_vals = rng.uniform(-1, 2, n)
+            phi_vals[boundary] = np.abs(phi_vals[boundary])
+            ref = oracle_vi(A, f, NodalFunction(g, phi_vals))
+            res = complementarity_residual(ref.u.values, np.where(boundary, 0.0, phi_vals),
+                                           multiplier(A, f, ref.u), boundary,
+                                           np.zeros(n, dtype=bool))
+            assert res <= 1e-10
+
+
+# one node per role: equality, obstacle below contact, obstacle in contact, free
+_ROLE_U = [0.0, 0.5, 1.0, 0.2]
+_ROLE_TARGET = [0.0, 1.0, 1.0, 5.0]
+_ROLE_LAM = [0.0, 0.0, 2.0, 0.0]
+
+
+@pytest.mark.parametrize("field, node, value, expected", [
+    ("u", 0, 0.3, 0.3),       # equality node off its target
+    ("u", 1, 1.25, 0.25),     # obstacle node above the obstacle
+    ("lam", 2, -0.5, 0.5),    # negative multiplier on contact
+    ("lam", 1, 0.5, 0.25),    # multiplier times gap off contact
+    ("lam", 3, 0.7, 0.7),     # multiplier on a free node
+])
+def test_complementarity_residual_flags_each_term(field, node, value, expected):
+    eq_mask = np.array([True, False, False, False])
+    free_mask = np.array([False, False, False, True])
+    data = {"u": np.array(_ROLE_U), "lam": np.array(_ROLE_LAM)}
+    target = np.array(_ROLE_TARGET)
+    assert complementarity_residual(data["u"], target, data["lam"], eq_mask, free_mask) == 0.0
+    data[field][node] = value
+    res = complementarity_residual(data["u"], target, data["lam"], eq_mask, free_mask)
+    assert res == pytest.approx(expected, rel=1e-15)
