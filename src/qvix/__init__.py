@@ -20,7 +20,6 @@ from .fem import (
 )
 from .vi import (
     ActiveSetPartition,
-    SolverOptions,
     ViSolution,
     ViSolveError,
     check_comparison,
@@ -47,7 +46,6 @@ from .extremal import (
     ExtremalIterationError,
     ExtremalRunReport,
     IntervalBracket,
-    IterateOptions,
     check_subsolution,
     check_supersolution,
     comparison_in_f,

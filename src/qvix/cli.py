@@ -8,6 +8,7 @@ import os
 import sys
 
 from .experiments import ConfigError, build_problem, load_config, run_experiment
+from .vi import ORACLE_MAX_NODES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,7 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="check a config without running solvers")
     val.add_argument("config", help="path to a JSON experiment config")
 
-    orc = sub.add_parser("oracle", help="run with brute-force cross-checks (<= 14 nodes)")
+    orc = sub.add_parser("oracle", help="run with brute-force cross-checks "
+                                         f"(<= {ORACLE_MAX_NODES} nodes)")
     orc.add_argument("config", help="path to a JSON experiment config")
     orc.add_argument("--out", default=None, help="output directory (overrides the config)")
     orc.add_argument("--seed", type=int, default=0, help="seed for sampled diagnostics")

@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import vi
 from .extremal import (
     ExtremalIterationError,
     ExtremalRunReport,
     IntervalBracket,
-    IterateOptions,
     iterate_max,
     iterate_min,
 )
@@ -295,25 +296,38 @@ class BuiltProblem:
     direction: DualElement
 
 
+@contextmanager
+def _config_block(path: str):
+    """Re-raise a constructor's ValueError as a ConfigError naming the config block."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def build_problem(config: ExperimentConfig) -> BuiltProblem:
     """Instantiate grid, operator, map and nodal data; check the value-level rules."""
     grid = Grid(config.grid_nodes, config.interval)
-    operator = assemble_operator(grid, config.operator_c, config.operator_bc)
+    with _config_block("config.operator"):
+        operator = assemble_operator(grid, config.operator_c, config.operator_bc)
 
     mc = config.map_cfg
     omap: ObstacleMap
-    if mc["kind"] == "plateau":
-        omap = PlateauMap(grid, mc["levels"], mc["half_width"])
-    elif mc["kind"] == "inverse_elliptic":
-        inner = assemble_operator(grid, mc["inner_c"], mc["inner_bc"])
-        gain = ScalarNonlinearity(mc["gain_kind"], mc["gain_scale"], mc["gain_rate"])
-        omap = InverseEllipticMap(inner, gain)
-    else:
-        mould_vals = _eval_expr(mc["mould"], grid.nodes, "config.map.mould")
-        if np.any(mould_vals <= 0):
-            raise ConfigError("config.map.mould: mould shape must be positive everywhere")
-        omap = ThermoformingMap(NodalFunction(grid, mould_vals), mc["reaction"],
-                                mc["heat_max"], mc["expansion"])
+    with _config_block("config.map"):
+        if mc["kind"] == "plateau":
+            omap = PlateauMap(grid, mc["levels"], mc["half_width"])
+        elif mc["kind"] == "inverse_elliptic":
+            inner = assemble_operator(grid, mc["inner_c"], mc["inner_bc"])
+            gain = ScalarNonlinearity(mc["gain_kind"], mc["gain_scale"], mc["gain_rate"])
+            omap = InverseEllipticMap(inner, gain)
+        else:
+            mould_vals = _eval_expr(mc["mould"], grid.nodes, "config.map.mould")
+            if np.any(mould_vals <= 0):
+                raise ConfigError("config.map.mould: mould shape must be positive everywhere")
+            omap = ThermoformingMap(NodalFunction(grid, mould_vals), mc["reaction"],
+                                    mc["heat_max"], mc["expansion"])
 
     f_vals = _eval_expr(config.forcing, grid.nodes, "config.forcing")
     if np.any(f_vals < 0):
@@ -403,8 +417,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
     ``failures``.
     """
     problem = build_problem(config)
-    if oracle_check and problem.grid.n_nodes > 14:
-        raise ConfigError("config.grid.n_nodes: oracle cross-checks need at most 14 nodes")
+    if oracle_check and problem.grid.n_nodes > vi.ORACLE_MAX_NODES:
+        raise ConfigError("config.grid.n_nodes: oracle cross-checks need at most "
+                          f"{vi.ORACLE_MAX_NODES} nodes")
     target = Path(out_dir) if out_dir is not None else Path(config.output_dir or "qvix_out")
     target.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -428,7 +443,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
         summary["thermoforming"] = {"threshold_satisfied": ok, **details}
 
     bracket = IntervalBracket.default(A, f, d)
-    iter_opts = IterateOptions(oracle_check=oracle_check)
     which_list = ["min", "max"] if config.run == "both" else [config.run]
 
     for which in which_list:
@@ -436,9 +450,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
         summary["runs"][which] = run_summary
         try:
             if which == "min":
-                report = iterate_min(A, f, omap, bracket.lower, iter_opts)
+                report = iterate_min(A, f, omap, bracket.lower, oracle_check)
             else:
-                report = iterate_max(A, f, omap, bracket.upper, iter_opts)
+                report = iterate_max(A, f, omap, bracket.upper, oracle_check)
         except (ExtremalIterationError, ViSolveError, InnerSolveError) as exc:
             log.error("extremal run '%s' failed: %s", which, exc)
             artifacts.failures.append(f"{which}: {exc}")
@@ -474,7 +488,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
                 deriv = fd_validate(A, f, d, omap, bracket, which,
                                     s_list=config.sensitivity.s_list,
                                     fd_tol=config.sensitivity.fd_tol,
-                                    iterate_opts=iter_opts)
+                                    oracle_check=oracle_check)
             except (DerivativeSolveError, ValueError, ExtremalIterationError,
                     ViSolveError, InnerSolveError) as exc:
                 log.error("sensitivity run '%s' failed: %s", which, exc)

@@ -11,30 +11,27 @@ signals a bug rather than roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import vi
 from .fem import DualElement, EllipticOperator, NodalFunction, leq, v_norm
 from .obstacle_maps import ObstacleMap
-from .vi import SolverOptions, ViSolution, complementarity_residual, multiplier, \
-    oracle_vi, solve_vi
+from .vi import ViSolution, complementarity_residual, multiplier, oracle_vi, solve_vi
 
 
 class ExtremalIterationError(RuntimeError):
     """The monotone iteration aborted or terminated without a valid solution."""
 
 
-@dataclass(frozen=True)
-class IterateOptions:
-    """Stopping rules for the outer fixed-point loop."""
-
-    tol_fp: float = 1e-10
-    max_outer: int = 500
-    residual_tol: float = 1e-8
-    monotone_tol: float = 1e-10
-    vi: SolverOptions = field(default_factory=SolverOptions)
-    oracle_check: bool = False
+# stopping rules of the outer fixed-point loop: V-norm step that ends it,
+# its safety cap, the residual the limit must reach, and the roundoff
+# slack on the nodal order of consecutive iterates
+TOL_FP = 1e-10
+MAX_OUTER = 500
+RESIDUAL_TOL = 1e-8
+MONOTONE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,11 +68,11 @@ class IntervalBracket:
         return cls(lower=lower, upper=A.solve(load))
 
     def validate(self, A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                 tol: float = 1e-10, opts: SolverOptions | None = None) -> bool:
+                 tol: float = 1e-10) -> bool:
         if not leq(self.lower, self.upper, tol):
             return False
-        return (check_subsolution(A, f, omap, self.lower, tol, opts)
-                and check_supersolution(A, f, omap, self.upper, tol, opts))
+        return (check_subsolution(A, f, omap, self.lower, tol)
+                and check_supersolution(A, f, omap, self.upper, tol))
 
 
 def default_supersolution(A: EllipticOperator, f: DualElement,
@@ -87,23 +84,21 @@ def default_supersolution(A: EllipticOperator, f: DualElement,
 
 
 def fixed_point_step(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                     u: NodalFunction, opts: SolverOptions | None = None) -> ViSolution:
+                     u: NodalFunction) -> ViSolution:
     """One application of the solution map: obstacle solve at the obstacle induced by u."""
-    return solve_vi(A, f, omap.evaluate(u), opts)
+    return solve_vi(A, f, omap.evaluate(u))
 
 
 def check_subsolution(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                      u: NodalFunction, tol: float = 1e-10,
-                      opts: SolverOptions | None = None) -> bool:
+                      u: NodalFunction, tol: float = 1e-10) -> bool:
     """True iff u lies below its own fixed-point image."""
-    return leq(u, fixed_point_step(A, f, omap, u, opts).u, tol)
+    return leq(u, fixed_point_step(A, f, omap, u).u, tol)
 
 
 def check_supersolution(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                        u: NodalFunction, tol: float = 1e-10,
-                        opts: SolverOptions | None = None) -> bool:
+                        u: NodalFunction, tol: float = 1e-10) -> bool:
     """True iff u lies above its own fixed-point image."""
-    return leq(fixed_point_step(A, f, omap, u, opts).u, u, tol)
+    return leq(fixed_point_step(A, f, omap, u).u, u, tol)
 
 
 def _obstacle_residual(A: EllipticOperator, f: DualElement, u: NodalFunction,
@@ -121,12 +116,10 @@ def qvi_residual(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
 
 
 def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-             start: NodalFunction, which: str,
-             opts: IterateOptions | None = None) -> ExtremalRunReport:
-    if opts is None:
-        opts = IterateOptions()
-    if opts.oracle_check and A.grid.n_nodes > 14:
-        raise ValueError("oracle cross-checks need a grid with at most 14 nodes")
+             start: NodalFunction, which: str, oracle_check: bool) -> ExtremalRunReport:
+    if oracle_check and A.grid.n_nodes > vi.ORACLE_MAX_NODES:
+        raise ValueError("oracle cross-checks need a grid with at most "
+                         f"{vi.ORACLE_MAX_NODES} nodes")
 
     u = start
     phi = omap.evaluate(u)
@@ -137,9 +130,9 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     active0 = None
     converged = False
 
-    for _ in range(opts.max_outer):
-        sol = solve_vi(A, f, phi, opts.vi, active0=active0)
-        if opts.oracle_check:
+    for _ in range(MAX_OUTER):
+        sol = solve_vi(A, f, phi, active0=active0)
+        if oracle_check:
             ref = oracle_vi(A, f, phi)
             gap = float(np.max(np.abs(sol.u.values - ref.u.values)))
             if gap > 1e-9:
@@ -148,11 +141,11 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         delta = sol.u.values - u.values
         min_delta = float(np.min(delta))
         max_delta = float(np.max(delta))
-        if which == "min" and min_delta < -opts.monotone_tol:
+        if which == "min" and min_delta < -MONOTONE_TOL:
             raise ExtremalIterationError(
                 f"increasing iteration lost monotonicity (worst step {min_delta:.3e}); "
                 "the comparison principle is broken")
-        if which == "max" and max_delta > opts.monotone_tol:
+        if which == "max" and max_delta > MONOTONE_TOL:
             raise ExtremalIterationError(
                 f"decreasing iteration lost monotonicity (worst step {max_delta:.3e}); "
                 "the comparison principle is broken")
@@ -164,21 +157,21 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         steps.append(step)
         residuals.append(_obstacle_residual(A, f, u, phi))
         min_deltas.append(min_delta)
-        if step <= opts.tol_fp:
+        if step <= TOL_FP:
             converged = True
             break
 
     if not converged:
         tail = steps[-1] / steps[-2] if len(steps) >= 2 and steps[-2] > 0 else float("nan")
         raise ExtremalIterationError(
-            f"no convergence within {opts.max_outer} outer iterations "
+            f"no convergence within {MAX_OUTER} outer iterations "
             f"(last step {steps[-1]:.3e}, tail contraction ratio {tail:.3f})")
 
     final_residual = residuals[-1]
-    if final_residual > opts.residual_tol:
+    if final_residual > RESIDUAL_TOL:
         raise ExtremalIterationError(
             f"converged iterate has residual {final_residual:.3e} "
-            f"above tolerance {opts.residual_tol:.1e}")
+            f"above tolerance {RESIDUAL_TOL:.1e}")
 
     return ExtremalRunReport(
         iterates=tuple(iterates), solution=u, n_iters=len(steps),
@@ -188,20 +181,20 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
 
 
 def iterate_min(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                start: NodalFunction, opts: IterateOptions | None = None) -> ExtremalRunReport:
+                start: NodalFunction, oracle_check: bool = False) -> ExtremalRunReport:
     """Increasing iteration from a subsolution to the minimal solution."""
-    return _iterate(A, f, omap, start, "min", opts)
+    return _iterate(A, f, omap, start, "min", oracle_check)
 
 
 def iterate_max(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                start: NodalFunction, opts: IterateOptions | None = None) -> ExtremalRunReport:
+                start: NodalFunction, oracle_check: bool = False) -> ExtremalRunReport:
     """Decreasing iteration from a supersolution to the maximal solution."""
-    return _iterate(A, f, omap, start, "max", opts)
+    return _iterate(A, f, omap, start, "max", oracle_check)
 
 
 def comparison_in_f(A: EllipticOperator, f: DualElement, d: DualElement, s: float,
                     omap: ObstacleMap, bracket: IntervalBracket, which: str = "min",
-                    opts: IterateOptions | None = None, tol: float = 1e-8) -> bool:
+                    tol: float = 1e-8) -> bool:
     """Order of the extremal solutions under a signed shift of the source.
 
     For the minimal map the direction must be nonnegative and the solution
@@ -213,11 +206,11 @@ def comparison_in_f(A: EllipticOperator, f: DualElement, d: DualElement, s: floa
     if which == "min":
         if np.any(d.values < 0):
             raise ValueError("minimal-map comparison needs a nonnegative direction")
-        base = iterate_min(A, f, omap, bracket.lower, opts).solution
-        pert = iterate_min(A, f + s * d, omap, bracket.lower, opts).solution
+        base = iterate_min(A, f, omap, bracket.lower).solution
+        pert = iterate_min(A, f + s * d, omap, bracket.lower).solution
         return leq(base, pert, tol)
     if np.any(d.values > 0):
         raise ValueError("maximal-map comparison needs a nonpositive direction")
-    base = iterate_max(A, f, omap, bracket.upper, opts).solution
-    pert = iterate_max(A, f + s * d, omap, bracket.upper, opts).solution
+    base = iterate_max(A, f, omap, bracket.upper).solution
+    pert = iterate_max(A, f + s * d, omap, bracket.upper).solution
     return leq(pert, base, tol)

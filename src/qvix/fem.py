@@ -337,9 +337,5 @@ def sup_embedding_constant(grid: Grid) -> float:
     Equals the square root of the largest diagonal entry of the inverse
     H1 matrix; computed densely, so intended for moderate grids.
     """
-    a = _h1_matrix(grid)
-    ab = np.zeros((2, grid.n_nodes))
-    ab[0, 1:] = a.upper
-    ab[1, :] = a.diag
-    inv = solveh_banded(ab, np.eye(grid.n_nodes))
+    inv = _h1_matrix(grid).solve(np.eye(grid.n_nodes))
     return float(np.sqrt(np.max(np.diag(inv))))

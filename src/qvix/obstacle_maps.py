@@ -226,10 +226,6 @@ class InverseEllipticMap(ObstacleMap):
     def grid(self) -> Grid:
         return self._inner.grid
 
-    @property
-    def inner_operator(self) -> EllipticOperator:
-        return self._inner
-
     def evaluate(self, u: NodalFunction) -> NodalFunction:
         self._check_grid(u)
         return self._inner.solve(DualElement(self.grid, self.gain.value(u.values)))

@@ -18,12 +18,23 @@ from typing import Callable
 
 import numpy as np
 
-from .extremal import IntervalBracket, IterateOptions, check_subsolution, \
-    check_supersolution, iterate_max, iterate_min
+from . import extremal
+from .extremal import IntervalBracket, check_subsolution, check_supersolution, \
+    iterate_max, iterate_min
 from .fem import DualElement, EllipticOperator, NodalFunction, v_norm
 from .obstacle_maps import ObstacleMap
-from .vi import ActiveSetPartition, SolverOptions, _pdas, classify_active, \
-    complementarity_residual, default_tol_multiplier, multiplier
+from .vi import ActiveSetPartition, _pdas, classify_active, complementarity_residual, \
+    default_tol_multiplier, multiplier
+
+# stopping rules of the derivative fixed-point loop: V-norm step that ends
+# it, the residual the limit must reach, its safety cap, and the roundoff
+# slack on the nodal order of consecutive iterates
+ALPHA_STEP_TOL = 1e-11
+ALPHA_RESIDUAL_TOL = 1e-9
+ALPHA_MAX_ITER = 100
+ALPHA_MONOTONE_TOL = 1e-10
+# base residual above which the active set is too blurred to build a cone on
+CONE_RESIDUAL_TOL = 1e-8
 
 
 class ConeError(ValueError):
@@ -46,17 +57,6 @@ class CriticalConeData:
 
 
 @dataclass(frozen=True)
-class AlphaOptions:
-    """Stopping rules for the derivative fixed-point iteration."""
-
-    step_tol: float = 1e-11
-    residual_tol: float = 1e-9
-    max_iter: int = 100
-    monotone_tol: float = 1e-10
-    vi: SolverOptions = SolverOptions()
-
-
-@dataclass(frozen=True)
 class DerivativeReport:
     """Derivative iterate history plus the difference-quotient validation table."""
 
@@ -72,7 +72,7 @@ class DerivativeReport:
 
 
 def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-               base: NodalFunction, residual_tol: float = 1e-8) -> CriticalConeData:
+               base: NodalFunction) -> CriticalConeData:
     """Classify the base solution and package the derivative cone data.
 
     Refuses base points whose residual is too large for the active set to
@@ -83,7 +83,7 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     lam_vals = multiplier(A, f, base)
     no_role = np.zeros(A.grid.n_nodes, dtype=bool)
     res = complementarity_residual(base.values, phi.values, lam_vals, no_role, no_role)
-    if res > residual_tol:
+    if res > CONE_RESIDUAL_TOL:
         raise ConeError(f"base residual {res:.3e} too large to classify the active set")
     partition = classify_active(A, f, base, phi)
     tol_lam = default_tol_multiplier(f)
@@ -112,14 +112,14 @@ def _cone_roles(cone: CriticalConeData, shift_vals: np.ndarray):
     return np.where(boundary, 0.0, shift_vals), eq_mask, free_mask
 
 
-def _cone_solve(cone: CriticalConeData, load: np.ndarray, shift_vals: np.ndarray,
-                opts: SolverOptions) -> NodalFunction:
+def _cone_solve(cone: CriticalConeData, load: np.ndarray,
+                shift_vals: np.ndarray) -> NodalFunction:
     """Obstacle solve over the cone shifted by the given bound values."""
     A = cone.operator
     target, eq_mask, free_mask = _cone_roles(cone, shift_vals)
     ld = load.copy()
     ld[A.boundary_nodes] = 0.0
-    vals, _, _ = _pdas(A.matrix, A.grid.mass, ld, target, eq_mask, free_mask, opts)
+    vals, _, _ = _pdas(A.matrix, A.grid.mass, ld, target, eq_mask, free_mask)
     return NodalFunction(A.grid, vals)
 
 
@@ -132,8 +132,8 @@ def derivative_qvi_residual(cone: CriticalConeData, alpha: NodalFunction,
                                     eq_mask, free_mask)
 
 
-def solve_derivative_qvi(cone: CriticalConeData, d: DualElement, which: str = "min",
-                         opts: AlphaOptions | None = None) -> DerivativeReport:
+def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
+                         which: str = "min") -> DerivativeReport:
     """Monotone iteration of cone solves converging to the directional derivative.
 
     The first iterate solves over the unshifted cone; each subsequent one
@@ -142,8 +142,6 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement, which: str = "m
     increase; for the maximal map the direction must be nonpositive and
     they decrease.
     """
-    if opts is None:
-        opts = AlphaOptions()
     if which not in ("min", "max"):
         raise ValueError("which must be 'min' or 'max'")
     if which == "min" and np.any(d.values < 0):
@@ -154,31 +152,31 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement, which: str = "m
     A = cone.operator
     load = A.grid.mass * d.values
     zero_shift = np.zeros(A.grid.n_nodes)
-    alpha = _cone_solve(cone, load, zero_shift, opts.vi)
+    alpha = _cone_solve(cone, load, zero_shift)
     iterates = [alpha]
     converged = False
-    for _ in range(opts.max_iter):
+    for _ in range(ALPHA_MAX_ITER):
         shift = cone.deriv_map(alpha).values
-        alpha_next = _cone_solve(cone, load, shift, opts.vi)
+        alpha_next = _cone_solve(cone, load, shift)
         delta = alpha_next.values - alpha.values
-        if which == "min" and float(np.min(delta)) < -opts.monotone_tol:
+        if which == "min" and float(np.min(delta)) < -ALPHA_MONOTONE_TOL:
             raise DerivativeSolveError("derivative iterates lost their increasing order")
-        if which == "max" and float(np.max(delta)) > opts.monotone_tol:
+        if which == "max" and float(np.max(delta)) > ALPHA_MONOTONE_TOL:
             raise DerivativeSolveError("derivative iterates lost their decreasing order")
         step = v_norm(alpha_next - alpha)
         alpha = alpha_next
         iterates.append(alpha)
-        if step <= opts.step_tol:
+        if step <= ALPHA_STEP_TOL:
             converged = True
             break
     if not converged:
         raise DerivativeSolveError(
-            f"derivative iteration did not settle within {opts.max_iter} rounds")
+            f"derivative iteration did not settle within {ALPHA_MAX_ITER} rounds")
 
     residual = derivative_qvi_residual(cone, alpha, d)
-    if residual > opts.residual_tol:
+    if residual > ALPHA_RESIDUAL_TOL:
         raise DerivativeSolveError(
-            f"derivative fixed-point residual {residual:.3e} above {opts.residual_tol:.1e}")
+            f"derivative fixed-point residual {residual:.3e} above {ALPHA_RESIDUAL_TOL:.1e}")
     return DerivativeReport(alpha=alpha, alpha_iterates=tuple(iterates),
                             which=which, qvi_residual=residual, base=cone.base)
 
@@ -206,8 +204,7 @@ def _observed_order(fd_table, floor) -> float | None:
 def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
                 omap: ObstacleMap, bracket: IntervalBracket, which: str,
                 s_list=(1e-1, 1e-2, 1e-3, 1e-4), fd_tol: float | None = None,
-                iterate_opts: IterateOptions | None = None,
-                alpha_opts: AlphaOptions | None = None) -> DerivativeReport:
+                oracle_check: bool = False) -> DerivativeReport:
     """Compare the derivative against one-sided difference quotients.
 
     Each quotient re-runs the extremal iteration at the shifted source,
@@ -227,31 +224,30 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
         raise ValueError("which must be 'min' or 'max'")
 
     if which == "min":
-        base_report = iterate_min(A, f, omap, bracket.lower, iterate_opts)
+        base_report = iterate_min(A, f, omap, bracket.lower, oracle_check)
         if not check_supersolution(A, f + s_arr[0] * d, omap, bracket.upper):
             raise ValueError("bracket invalid: upper bound is not a supersolution at f + max(s) d")
     else:
-        base_report = iterate_max(A, f, omap, bracket.upper, iterate_opts)
+        base_report = iterate_max(A, f, omap, bracket.upper, oracle_check)
         if not check_subsolution(A, f + s_arr[0] * d, omap, bracket.lower):
             raise ValueError("bracket invalid: lower bound is not a subsolution at f + max(s) d")
     base = base_report.solution
 
     cone = build_cone(A, f, omap, base)
-    report = solve_derivative_qvi(cone, d, which, alpha_opts)
+    report = solve_derivative_qvi(cone, d, which)
     alpha = report.alpha
 
     run = iterate_min if which == "min" else iterate_max
     fd_table = []
     for s in s_arr:
-        pert = run(A, f + s * d, omap, base, iterate_opts).solution
+        pert = run(A, f + s * d, omap, base, oracle_check).solution
         quotient = (1.0 / s) * (pert - base)
         fd_table.append((s, v_norm(quotient - alpha)))
 
     # Entries below the floor carry no information: the quotient of two
-    # solves each accurate to tol_fp cannot resolve errors under
-    # ~tol_fp/s, so such entries neither confirm nor violate the decrease.
-    tol_fp = (iterate_opts or IterateOptions()).tol_fp
-    noise_scale = 10.0 * tol_fp * (1.0 + v_norm(base))
+    # solves each accurate to TOL_FP cannot resolve errors under
+    # ~TOL_FP/s, so such entries neither confirm nor violate the decrease.
+    noise_scale = 10.0 * extremal.TOL_FP * (1.0 + v_norm(base))
     alpha_floor = 1e-9 * (1.0 + v_norm(alpha))
     floor = lambda s: max(alpha_floor, noise_scale / s)
     fd_monotone = all(eb <= max(ea, floor(sb))

@@ -27,12 +27,12 @@ class ViSolveError(RuntimeError):
     """The active set loop failed to deliver a valid complementarity point."""
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tolerances and limits for the active set loop."""
-
-    tol: float = 1e-10
-    max_iter: int = 200
+# KKT residual below which a solve is accepted
+VI_TOL = 1e-10
+# safety net: on M-matrices PDAS settles after finitely many set changes
+PDAS_MAX_ITER = 200
+# the enumeration oracle visits 2^n active sets
+ORACLE_MAX_NODES = 14
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,9 @@ class ViSolution:
     residual: float
 
 
-def _partition_from(u_vals, phi_vals, lam_vals, tol_a, tol_lam) -> ActiveSetPartition:
-    coincidence = (phi_vals - u_vals) <= tol_a
-    strict = coincidence & (lam_vals > tol_lam)
+def _partition_from(u_vals, phi: NodalFunction, lam_vals, f: DualElement) -> ActiveSetPartition:
+    coincidence = (phi.values - u_vals) <= default_tol_active(phi)
+    strict = coincidence & (lam_vals > default_tol_multiplier(f))
     biactive = coincidence & ~strict
     return ActiveSetPartition(
         inactive=np.flatnonzero(~coincidence),
@@ -129,12 +129,10 @@ def complementarity_residual(u, target, lam, eq_mask, free_mask) -> float:
 def classify_active(A: EllipticOperator, f: DualElement, u: NodalFunction,
                     phi: NodalFunction) -> ActiveSetPartition:
     """Classify nodes of a feasible point into inactive/strict/biactive."""
-    return _partition_from(u.values, phi.values, multiplier(A, f, u),
-                           default_tol_active(phi), default_tol_multiplier(f))
+    return _partition_from(u.values, phi, multiplier(A, f, u), f)
 
 
-def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask,
-          opts: SolverOptions, active0=None):
+def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active0=None):
     """Active set loop over nodes split into equality / obstacle / free roles.
 
     Equality nodes are pinned to the target, free nodes carry the plain
@@ -152,7 +150,7 @@ def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask,
     u = np.zeros(n)
     lam = np.zeros(n)
     changed = 0
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, PDAS_MAX_ITER + 1):
         pinned = eq_mask | active
         u = np.where(pinned, target, 0.0)
         solve_idx = np.flatnonzero(~pinned)
@@ -169,17 +167,16 @@ def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask,
             return u, lam, it
         # degenerate nodes (multiplier at roundoff scale) can flip forever;
         # a vanishing KKT residual is just as final as a settled set
-        if complementarity_residual(u, target, lam, eq_mask, free_mask) <= opts.tol:
+        if complementarity_residual(u, target, lam, eq_mask, free_mask) <= VI_TOL:
             return u, lam, it
         changed = int(np.sum(new_active != active))
         active = new_active
     raise ViSolveError(
-        f"active set did not settle within {opts.max_iter} iterations "
+        f"active set did not settle within {PDAS_MAX_ITER} iterations "
         f"(last change touched {changed} nodes)")
 
 
-def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction,
-             opts: SolverOptions | None = None,
+def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
              active0: np.ndarray | None = None) -> ViSolution:
     """Solve the upper-obstacle problem for the given load and obstacle.
 
@@ -188,8 +185,6 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction,
     partition.  A non-converged loop or an invalid terminal point raises,
     never returns silently.
     """
-    if opts is None:
-        opts = SolverOptions()
     grid = A.grid
     if f.grid != grid or phi.grid != grid:
         raise GridMismatchError("load/obstacle grid does not match operator grid")
@@ -197,7 +192,7 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction,
     eq_mask = np.zeros(grid.n_nodes, dtype=bool)
     if A.bc == "dirichlet":
         eq_mask[[0, -1]] = True
-        if np.any(phi.values[[0, -1]] < -opts.tol):
+        if np.any(phi.values[[0, -1]] < -VI_TOL):
             raise ViSolveError("obstacle below zero at a Dirichlet boundary node: empty constraint set")
     free_mask = np.zeros(grid.n_nodes, dtype=bool)
     load = grid.mass * f.values
@@ -205,32 +200,30 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction,
 
     target = np.where(eq_mask, 0.0, phi.values)
     u_vals, lam_vals, iters = _pdas(A.matrix, grid.mass, load, target, eq_mask,
-                                    free_mask, opts, active0=active0)
+                                    free_mask, active0=active0)
     lam_vals[eq_mask] = 0.0
     residual = complementarity_residual(u_vals, target, lam_vals, eq_mask, free_mask)
-    if residual > opts.tol:
-        raise ViSolveError(f"terminal complementarity residual {residual:.3e} exceeds {opts.tol:.1e}")
+    if residual > VI_TOL:
+        raise ViSolveError(f"terminal complementarity residual {residual:.3e} exceeds {VI_TOL:.1e}")
 
-    partition = _partition_from(u_vals, phi.values, lam_vals,
-                                default_tol_active(phi), default_tol_multiplier(f))
+    partition = _partition_from(u_vals, phi, lam_vals, f)
     return ViSolution(u=NodalFunction(grid, u_vals),
                       lam=DualElement(grid, lam_vals),
                       partition=partition, iterations=iters, residual=residual)
 
 
-def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction,
-              max_nodes: int = 14) -> ViSolution:
+def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolution:
     """Brute-force reference solve: enumerate every active set.
 
     For each candidate set the equality system (u = phi on the set, the
     plain equation off it) is solved densely; the unique candidate that is
     feasible with a nonnegative multiplier is returned.  Complexity is
-    2^n, so the grid is capped at ``max_nodes`` nodes.
+    2^n, so the grid is capped at ``ORACLE_MAX_NODES`` nodes.
     """
     grid = A.grid
     n = grid.n_nodes
-    if n > max_nodes:
-        raise ValueError(f"oracle enumeration capped at {max_nodes} nodes, got {n}")
+    if n > ORACLE_MAX_NODES:
+        raise ValueError(f"oracle enumeration capped at {ORACLE_MAX_NODES} nodes, got {n}")
     if f.grid != grid or phi.grid != grid:
         raise GridMismatchError("load/obstacle grid does not match operator grid")
 
@@ -270,8 +263,7 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction,
     pick = int(ok[0])
     u_vals = candidates[pick]
     lam_vals = lam_all[pick]
-    partition = _partition_from(u_vals, phi.values, lam_vals,
-                                default_tol_active(phi), default_tol_multiplier(f))
+    partition = _partition_from(u_vals, phi, lam_vals, f)
     eq_mask = np.isin(np.arange(n), A.boundary_nodes)
     residual = complementarity_residual(u_vals, np.where(eq_mask, 0.0, phi.values), lam_vals,
                                         eq_mask, np.zeros(n, dtype=bool))
@@ -281,7 +273,7 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction,
 
 def check_comparison(A: EllipticOperator, f1: DualElement, f2: DualElement,
                      phi1: NodalFunction, phi2: NodalFunction,
-                     tol: float = 1e-10, opts: SolverOptions | None = None) -> bool:
+                     tol: float = 1e-10) -> bool:
     """Solve both problems and test the comparison ordering of the solutions.
 
     Requires the ordered data f1 <= f2 and phi1 <= phi2; the result should
@@ -291,6 +283,6 @@ def check_comparison(A: EllipticOperator, f1: DualElement, f2: DualElement,
         raise ValueError("precondition violated: f1 <= f2 required")
     if np.any(phi1.values > phi2.values):
         raise ValueError("precondition violated: phi1 <= phi2 required")
-    u1 = solve_vi(A, f1, phi1, opts).u
-    u2 = solve_vi(A, f2, phi2, opts).u
+    u1 = solve_vi(A, f1, phi1).u
+    u2 = solve_vi(A, f2, phi2).u
     return bool(np.all(u1.values <= u2.values + tol))

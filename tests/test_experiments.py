@@ -176,6 +176,22 @@ def test_cli_validate_run_and_error_codes(tmp_path, capsys):
     assert (tmp_path / "run" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("overrides, block", [
+    ({"operator": {"c": 0.0, "bc": "neumann"}}, "config.operator"),
+    ({"grid": {"n_nodes": 2}, "operator": {"c": 1.0, "bc": "dirichlet"}}, "config.operator"),
+    ({"map": {"kind": "plateau", "levels": [1.0, 2.0], "half_width": -0.1}}, "config.map"),
+    ({"map": {"kind": "plateau", "levels": [1.0, 1.3], "half_width": 0.25}}, "config.map"),
+], ids=["neumann-c0", "dirichlet-2-nodes", "negative-half-width", "close-levels"])
+def test_cli_value_errors_exit_2(tmp_path, capsys, overrides, block):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(toy_config_dict(**overrides)))
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "x")]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {block}: ")
+        assert "Traceback" not in err
+
+
 def test_cli_oracle_mode(tmp_path):
     cfg = toy_config_dict()
     cfg["grid"]["n_nodes"] = 9

@@ -7,7 +7,6 @@ from qvix import (
     Grid,
     IntervalBracket,
     InverseEllipticMap,
-    IterateOptions,
     NodalFunction,
     PlateauMap,
     ScalarNonlinearity,
@@ -143,11 +142,11 @@ def test_monotonicity_violation_aborts(toy):
         iterate_min(A, f, omap, NodalFunction.constant(grid, 2.5))
 
 
-def test_max_outer_exhaustion_reports_contraction(toy):
+def test_max_outer_exhaustion_reports_contraction(toy, monkeypatch):
     grid, A, omap, f = toy
+    monkeypatch.setattr("qvix.extremal.MAX_OUTER", 2)
     with pytest.raises(ExtremalIterationError, match="contraction"):
-        iterate_min(A, f, omap, NodalFunction.zeros(grid),
-                    IterateOptions(max_outer=2))
+        iterate_min(A, f, omap, NodalFunction.zeros(grid))
 
 
 def test_bracket_default_and_validate(toy):

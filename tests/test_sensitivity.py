@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qvix import (
+    DerivativeSolveError,
     DualElement,
     Grid,
     IntervalBracket,
@@ -54,6 +55,14 @@ def strict_inactive_instance():
     f = DualElement(g, np.where(np.arange(12) < 6, 2.0, -1.0))
     base = iterate_min(A, f, omap, solve_vi(A, f, NodalFunction.zeros(g)).u).solution
     return g, A, f, build_cone(A, f, omap, base)
+
+
+def test_alpha_cap_reports_unsettled_derivative(toy, monkeypatch):
+    grid, A, omap, f = toy
+    cone = build_cone(A, f, omap, iterate_min(A, f, omap, NodalFunction.zeros(grid)).solution)
+    monkeypatch.setattr("qvix.sensitivity.ALPHA_MAX_ITER", 0)
+    with pytest.raises(DerivativeSolveError, match="did not settle within 0 rounds"):
+        solve_derivative_qvi(cone, DualElement.constant(grid, 1.0), "min")
 
 
 def test_build_cone_toy_all_strict(toy):

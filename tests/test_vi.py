@@ -37,6 +37,16 @@ def test_fully_clamped_constant():
     assert sol.residual <= 1e-10
 
 
+def test_pdas_cap_reports_unsettled_active_set(monkeypatch):
+    # a cold start solves unconstrained first, so a binding obstacle needs a
+    # second round; a cap of one round must raise, not return
+    g = Grid(31)
+    A = assemble_operator(g, 1.0, "neumann")
+    monkeypatch.setattr("qvix.vi.PDAS_MAX_ITER", 1)
+    with pytest.raises(ViSolveError, match="did not settle within 1 iterations"):
+        solve_vi(A, DualElement.constant(g, 2.0), NodalFunction.constant(g, 1.0))
+
+
 def test_matches_oracle_small_instance():
     rng = np.random.default_rng(41)
     g = Grid(6)
