@@ -357,40 +357,49 @@ class RunArtifacts:
         return not self.failures
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _column_text(column) -> list[str]:
+    """Cells of one CSV column.
+
+    A list of strings is written as given; any other column is numeric as
+    a whole, written as ``str(int)`` for an integer dtype and ``repr`` of
+    the float otherwise.
+    """
+    if isinstance(column, list) and column and isinstance(column[0], str):
+        return column
+    values = np.asarray(column)
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return list(map(repr, values.astype(float, copy=False).tolist()))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, columns: dict) -> None:
+    """Write equal-length columns, keyed by their header names."""
+    cells = [_column_text(column) for column in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*cells))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_solution_csv(path: Path, problem: BuiltProblem, u: NodalFunction) -> None:
     phi = problem.omap.evaluate(u)
     lam = multiplier(problem.operator, problem.forcing, u)
     partition = classify_active(problem.operator, problem.forcing, u, phi)
-    labels = partition.labels(problem.grid.n_nodes)
-    rows = [(x, uv, pv, lv, cl) for x, uv, pv, lv, cl in zip(
-        problem.grid.nodes, u.values, phi.values, lam, labels)]
-    _write_csv(path, ["x", "u", "phi_u", "lambda", "class"], rows)
+    _write_csv(path, {"x": problem.grid.nodes, "u": u.values, "phi_u": phi.values,
+                      "lambda": lam, "class": partition.labels(problem.grid.n_nodes)})
 
 
 def write_iterates_csv(path: Path, report: ExtremalRunReport | None) -> None:
-    rows = []
+    steps, residuals, min_deltas = (), (), ()
     if report is not None:
-        for i, (step, min_delta) in enumerate(zip(report.step_history,
-                                                  report.min_delta_history), start=1):
-            rows.append((i, step, report.residual_history[i], min_delta))
-    _write_csv(path, ["iter", "step_vnorm", "qvi_residual", "min_node_delta"], rows)
+        steps, min_deltas = report.step_history, report.min_delta_history
+        residuals = report.residual_history[1:]
+    _write_csv(path, {"iter": np.arange(1, len(steps) + 1), "step_vnorm": steps,
+                      "qvi_residual": residuals, "min_node_delta": min_deltas})
 
 
 def write_sensitivity_csv(path: Path, fd_table) -> None:
-    _write_csv(path, ["s", "quotient_error_vnorm"], list(fd_table))
+    s, err = zip(*fd_table) if fd_table else ((), ())
+    _write_csv(path, {"s": s, "quotient_error_vnorm": err})
 
 
 def _jsonable(obj):

@@ -306,14 +306,16 @@ class ThermoformingMap(ObstacleMap):
         for _ in range(60):
             gap = self.expansion * t_vals + self.mould.values - u.values
             residual_load = mat.matvec(t_vals) - mass * self.heat_rate(gap)
-            if float(np.max(np.abs(residual_load / mass))) <= res_tol:
+            res = float(np.max(np.abs(residual_load / mass)))
+            if res <= res_tol:
                 break
             slope = self.heat_rate_slope(gap)
             jac = TridiagonalSpd(mat.diag - mass * slope * self.expansion, mat.upper)
             t_vals = t_vals - jac.solve(residual_load)
         else:
             raise InnerSolveError(
-                f"temperature solve stalled (contraction factor {self.contraction_factor:.3f})")
+                f"temperature solve stalled at residual {res:.2e} against {res_tol:.1e} "
+                f"(contraction factor {self.contraction_factor:.3f})")
 
         gap = self.expansion * t_vals + self.mould.values - u.values
         final_res = float(np.max(np.abs(mat.matvec(t_vals) - mass * self.heat_rate(gap)) / mass))

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from qvix import ConfigError, load_config, run_experiment
 from qvix.cli import main as cli_main
 from qvix.experiments import (
     _eval_expr,
+    _write_csv,
     build_problem,
     parse_config,
     write_iterates_csv,
@@ -135,6 +137,34 @@ def test_header_only_csv_for_empty_history(tmp_path):
     path = tmp_path / "iterates.csv"
     write_iterates_csv(path, None)
     assert path.read_text() == "iter,step_vnorm,qvi_residual,min_node_delta\n"
+
+
+def test_csv_cells_keep_their_text(tmp_path):
+    path = tmp_path / "table.csv"
+    _write_csv(path, {
+        "iter": [1, np.int64(2), 3],
+        "value": [np.float64(0.1), -0.0, 5e-324],
+        "big": np.array([1e300, -2.5, 1.0]),
+        "class": ["S", "B", "I"],
+    })
+    assert path.read_bytes() == (b"iter,value,big,class\n"
+                                 b"1,0.1,1e+300,S\n"
+                                 b"2,-0.0,-2.5,B\n"
+                                 b"3,5e-324,1.0,I\n")
+
+
+def test_temperature_stall_reports_residual_and_tolerance(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "thermoforming_desk.json").read_text())
+    cfg["grid"]["n_nodes"] = 201
+    cfg["forcing"] = {"const": 1.472}
+    cfg["map"]["mould"] = {"const": 2.727}
+    artifacts = run_experiment(parse_config(cfg), out_dir=tmp_path, seed=0)
+    [failure] = artifacts.failures
+    match = re.search(r"temperature solve stalled at residual (\S+) against (\S+) ", failure)
+    assert match, failure
+    residual, tol = map(float, match.groups())
+    assert tol == 2e-12  # 1e-12 * (1 + heat_max)
+    assert residual > tol
 
 
 def test_byte_determinism(tmp_path):

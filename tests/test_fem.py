@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qvix import (
     sup_embedding_constant,
     v_norm,
 )
+from qvix.fem import _h1_matrix
 from conftest import random_dual, random_nodal
 
 
@@ -213,6 +216,37 @@ def test_sup_embedding_constant_matches_continuum():
     # on (0,1) the sharp constant is sqrt(coth(1)), attained at the endpoints
     k = sup_embedding_constant(Grid(400))
     assert k == pytest.approx(np.sqrt(1.0 / np.tanh(1.0)), abs=5e-3)
+
+
+@pytest.mark.parametrize("span", [(0.0, 1.0), (1.0, 1.5), (-2.0, 0.0)])
+@pytest.mark.parametrize("n", [2, 3, 17, 101, 1601])
+def test_sup_embedding_constant_matches_dense_inverse(n, span):
+    grid = Grid(n, span)
+    h1 = _h1_matrix(grid)
+    dense = np.sqrt(np.max(np.diag(np.linalg.inv(h1.to_dense()))))
+    # a diagonal entry of the inverse is 1/(p + q - a) with pivots p, q of the
+    # size of a, so both sides carry roundoff of about eps * max(a) * K^2; on
+    # (1, 1.5) at n=1601 the dense inverse is itself 3.6e-12 off the exact value
+    rtol = max(1e-12, 16 * np.finfo(float).eps * h1.diag.max() * dense**2)
+    assert sup_embedding_constant(grid) == pytest.approx(dense, rel=rtol, abs=0.0)
+
+
+@pytest.mark.parametrize("length", [0.5, 1.0, 2.0])
+def test_sup_embedding_constant_fine_grid_matches_continuum(length):
+    # on (0, L) the sharp constant is sqrt(coth(L)), attained at the endpoints
+    k = sup_embedding_constant(Grid(25601, (0.0, length)))
+    assert k == pytest.approx(np.sqrt(1.0 / np.tanh(length)), abs=1e-6)
+
+
+def test_sup_embedding_constant_memory_is_linear():
+    grid = Grid(25601)
+    tracemalloc.start()
+    try:
+        sup_embedding_constant(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20  # a dense inverse would need 2 * 8 * n^2 = 10 GB
 
 
 def test_dirichlet_solve_vanishes_on_boundary():
