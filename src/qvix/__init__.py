@@ -49,7 +49,6 @@ from .extremal import (
     check_subsolution,
     check_supersolution,
     comparison_in_f,
-    default_supersolution,
     iterate_max,
     iterate_min,
     qvi_residual,
@@ -58,7 +57,6 @@ from .sensitivity import (
     CriticalConeData,
     DerivativeReport,
     DerivativeSolveError,
-    alpha_monotonicity_check,
     build_cone,
     fd_validate,
     solve_derivative_qvi,

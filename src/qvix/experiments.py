@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,13 +46,12 @@ from .obstacle_maps import (
     lipschitz_estimate,
     lipschitz_threshold_check,
 )
-from .sensitivity import DerivativeSolveError, fd_validate
+from .sensitivity import DEFAULT_S_LIST, DerivativeSolveError, _check_s_list, fd_validate
 from .vi import ViSolveError, classify_active, multiplier
 
 log = logging.getLogger("qvix")
 
 CONFIG_VERSION = 1
-DEFAULT_S_LIST = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 class ConfigError(ValueError):
@@ -80,12 +80,26 @@ def _no_extras(d: dict, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number")
+    return number
 
 
 def _eval_expr(expr, nodes: np.ndarray, path: str) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _expr_values(expr, nodes, path)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path}: values are not finite at every node")
+    return values
+
+
+def _expr_values(expr, nodes: np.ndarray, path: str) -> np.ndarray:
     if isinstance(expr, (int, float)) and not isinstance(expr, bool):
-        return np.full(nodes.shape, float(expr))
+        return np.full(nodes.shape, _number(expr, path))
     d = _as_mapping(expr, path)
     if len(d) != 1:
         raise ConfigError(f"{path}: expected exactly one of const/poly/sine")
@@ -255,8 +269,12 @@ def parse_config(raw: dict, path: str = "config") -> ExperimentConfig:
         if not isinstance(s_raw, list) or not s_raw:
             raise ConfigError(f"{path}.sensitivity.s_list: expected a nonempty list")
         s_vals = tuple(_number(s, f"{path}.sensitivity.s_list[{i}]") for i, s in enumerate(s_raw))
+        with _config_block(f"{path}.sensitivity.s_list"):
+            _check_s_list(s_vals)
         fd_tol_raw = _take(sb, "fd_tol", f"{path}.sensitivity", False)
         fd_tol = None if fd_tol_raw is None else _number(fd_tol_raw, f"{path}.sensitivity.fd_tol")
+        if fd_tol is not None and fd_tol <= 0:
+            raise ConfigError(f"{path}.sensitivity.fd_tol: must be positive")
         _no_extras(sb, f"{path}.sensitivity")
         sensitivity = SensitivitySettings(enabled=enabled, s_list=s_vals, fd_tol=fd_tol)
 
@@ -457,11 +475,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
     for which in which_list:
         run_summary: dict = {}
         summary["runs"][which] = run_summary
+        run, start = (iterate_min, bracket.lower) if which == "min" else (iterate_max, bracket.upper)
         try:
-            if which == "min":
-                report = iterate_min(A, f, omap, bracket.lower, oracle_check)
-            else:
-                report = iterate_max(A, f, omap, bracket.upper, oracle_check)
+            report = run(A, f, omap, start, oracle_check)
         except (ExtremalIterationError, ViSolveError, InnerSolveError) as exc:
             log.error("extremal run '%s' failed: %s", which, exc)
             artifacts.failures.append(f"{which}: {exc}")

@@ -27,26 +27,44 @@ class ExtremalIterationError(RuntimeError):
 
 # stopping rules of the outer fixed-point loop: V-norm step that ends it,
 # its safety cap, the residual the limit must reach, and the roundoff
-# slack on the nodal order of consecutive iterates
+# slack on the nodal order of consecutive iterates and of the bracket checks
 TOL_FP = 1e-10
 MAX_OUTER = 500
 RESIDUAL_TOL = 1e-8
 MONOTONE_TOL = 1e-10
+# slack on the order of two extremal solutions in comparison_in_f
+COMPARISON_TOL = 1e-8
+
+
+def _sign(which: str) -> float:
+    """Direction of the order a run keeps: +1 up to the minimal solution, -1 down to the maximal."""
+    if which not in ("min", "max"):
+        raise ValueError("which must be 'min' or 'max'")
+    return 1.0 if which == "min" else -1.0
+
+
+def _check_direction(d: DualElement, which: str, what: str) -> float:
+    """Sign of the run; raises unless d points along it (nonnegative for min, nonpositive for max)."""
+    sign = _sign(which)
+    if np.any(sign * d.values < 0):
+        kind, wanted = ("minimal", "nonnegative") if sign > 0 else ("maximal", "nonpositive")
+        raise ValueError(f"{kind}-map {what} needs a {wanted} direction")
+    return sign
 
 
 @dataclass(frozen=True)
 class ExtremalRunReport:
-    """History and diagnostics of one monotone run."""
+    """History and diagnostics of one monotone run; the delta histories hold
+    the smallest and largest nodal change of each outer step."""
 
-    iterates: tuple[NodalFunction, ...]
     solution: NodalFunction
     n_iters: int
     final_step_vnorm: float
     qvi_residual: float
-    which: str
     step_history: tuple[float, ...]
     residual_history: tuple[float, ...]
     min_delta_history: tuple[float, ...]
+    max_delta_history: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -67,20 +85,11 @@ class IntervalBracket:
             load = f + DualElement(grid, np.maximum(d.values, 0.0))
         return cls(lower=lower, upper=A.solve(load))
 
-    def validate(self, A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                 tol: float = 1e-10) -> bool:
-        if not leq(self.lower, self.upper, tol):
+    def validate(self, A: EllipticOperator, f: DualElement, omap: ObstacleMap) -> bool:
+        if not leq(self.lower, self.upper, MONOTONE_TOL):
             return False
-        return (check_subsolution(A, f, omap, self.lower, tol)
-                and check_supersolution(A, f, omap, self.upper, tol))
-
-
-def default_supersolution(A: EllipticOperator, f: DualElement,
-                          d: DualElement) -> NodalFunction:
-    """Linear solve of f + d; a supersolution for every source between f and f + d."""
-    if np.any(d.values < 0):
-        raise ValueError("direction must be nonnegative for the default supersolution")
-    return A.solve(f + d)
+        return (check_subsolution(A, f, omap, self.lower)
+                and check_supersolution(A, f, omap, self.upper))
 
 
 def fixed_point_step(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
@@ -90,15 +99,15 @@ def fixed_point_step(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
 
 
 def check_subsolution(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                      u: NodalFunction, tol: float = 1e-10) -> bool:
+                      u: NodalFunction) -> bool:
     """True iff u lies below its own fixed-point image."""
-    return leq(u, fixed_point_step(A, f, omap, u).u, tol)
+    return leq(u, fixed_point_step(A, f, omap, u).u, MONOTONE_TOL)
 
 
 def check_supersolution(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                        u: NodalFunction, tol: float = 1e-10) -> bool:
+                        u: NodalFunction) -> bool:
     """True iff u lies above its own fixed-point image."""
-    return leq(fixed_point_step(A, f, omap, u).u, u, tol)
+    return leq(fixed_point_step(A, f, omap, u).u, u, MONOTONE_TOL)
 
 
 def _obstacle_residual(A: EllipticOperator, f: DualElement, u: NodalFunction,
@@ -117,16 +126,17 @@ def qvi_residual(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
 
 def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
              start: NodalFunction, which: str, oracle_check: bool) -> ExtremalRunReport:
+    sign = _sign(which)
     if oracle_check and A.grid.n_nodes > vi.ORACLE_MAX_NODES:
         raise ValueError("oracle cross-checks need a grid with at most "
                          f"{vi.ORACLE_MAX_NODES} nodes")
 
     u = start
     phi = omap.evaluate(u)
-    iterates = [u]
     steps: list[float] = []
     residuals = [_obstacle_residual(A, f, u, phi)]
     min_deltas: list[float] = []
+    max_deltas: list[float] = []
     active0 = None
     converged = False
 
@@ -141,22 +151,20 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         delta = sol.u.values - u.values
         min_delta = float(np.min(delta))
         max_delta = float(np.max(delta))
-        if which == "min" and min_delta < -MONOTONE_TOL:
+        worst = min_delta if sign > 0 else max_delta
+        if sign * worst < -MONOTONE_TOL:
+            order = "increasing" if sign > 0 else "decreasing"
             raise ExtremalIterationError(
-                f"increasing iteration lost monotonicity (worst step {min_delta:.3e}); "
-                "the comparison principle is broken")
-        if which == "max" and max_delta > MONOTONE_TOL:
-            raise ExtremalIterationError(
-                f"decreasing iteration lost monotonicity (worst step {max_delta:.3e}); "
+                f"{order} iteration lost monotonicity (worst step {worst:.3e}); "
                 "the comparison principle is broken")
         step = v_norm(sol.u - u)
         u = sol.u
         phi = omap.evaluate(u)
         active0 = np.isin(np.arange(A.grid.n_nodes), sol.partition.coincidence)
-        iterates.append(u)
         steps.append(step)
         residuals.append(_obstacle_residual(A, f, u, phi))
         min_deltas.append(min_delta)
+        max_deltas.append(max_delta)
         if step <= TOL_FP:
             converged = True
             break
@@ -174,10 +182,10 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
             f"above tolerance {RESIDUAL_TOL:.1e}")
 
     return ExtremalRunReport(
-        iterates=tuple(iterates), solution=u, n_iters=len(steps),
+        solution=u, n_iters=len(steps),
         final_step_vnorm=steps[-1] if steps else 0.0, qvi_residual=final_residual,
-        which=which, step_history=tuple(steps), residual_history=tuple(residuals),
-        min_delta_history=tuple(min_deltas))
+        step_history=tuple(steps), residual_history=tuple(residuals),
+        min_delta_history=tuple(min_deltas), max_delta_history=tuple(max_deltas))
 
 
 def iterate_min(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
@@ -193,24 +201,16 @@ def iterate_max(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
 
 
 def comparison_in_f(A: EllipticOperator, f: DualElement, d: DualElement, s: float,
-                    omap: ObstacleMap, bracket: IntervalBracket, which: str = "min",
-                    tol: float = 1e-8) -> bool:
+                    omap: ObstacleMap, bracket: IntervalBracket, which: str = "min") -> bool:
     """Order of the extremal solutions under a signed shift of the source.
 
     For the minimal map the direction must be nonnegative and the solution
     can only move up; for the maximal map the direction must be nonpositive
     and the solution can only move down.
     """
-    if which not in ("min", "max"):
-        raise ValueError("which must be 'min' or 'max'")
-    if which == "min":
-        if np.any(d.values < 0):
-            raise ValueError("minimal-map comparison needs a nonnegative direction")
-        base = iterate_min(A, f, omap, bracket.lower).solution
-        pert = iterate_min(A, f + s * d, omap, bracket.lower).solution
-        return leq(base, pert, tol)
-    if np.any(d.values > 0):
-        raise ValueError("maximal-map comparison needs a nonpositive direction")
-    base = iterate_max(A, f, omap, bracket.upper).solution
-    pert = iterate_max(A, f + s * d, omap, bracket.upper).solution
-    return leq(pert, base, tol)
+    sign = _check_direction(d, which, "comparison")
+    run, start = (iterate_min, bracket.lower) if sign > 0 else (iterate_max, bracket.upper)
+    base = run(A, f, omap, start).solution
+    pert = run(A, f + s * d, omap, start).solution
+    low, high = (base, pert) if sign > 0 else (pert, base)
+    return leq(low, high, COMPARISON_TOL)

@@ -36,6 +36,10 @@ class InnerSolveError(RuntimeError):
     """The auxiliary equation inside a map evaluation failed to converge."""
 
 
+# slack on the sampled order checks of check_increasing
+INCREASING_TOL = 1e-9
+
+
 def smoothstep(r):
     """Quintic smoothstep clamped to [0, 1]; C2 with flat ends."""
     r = np.clip(r, 0.0, 1.0)
@@ -345,7 +349,7 @@ class ThermoformingMap(ObstacleMap):
 
 
 def check_increasing(omap: ObstacleMap, trials: int, rng: np.random.Generator | None = None,
-                     tol: float = 1e-9, center: float = 0.0, spread: float = 1.0) -> bool:
+                     *, center: float = 0.0, spread: float = 1.0) -> bool:
     """Sample ordered pairs u <= v and verify the map preserves the order.
 
     Also checks that the map is nonnegative at zero.  Sampling-based, so a
@@ -355,14 +359,14 @@ def check_increasing(omap: ObstacleMap, trials: int, rng: np.random.Generator | 
         rng = np.random.default_rng(0)
     grid = omap.grid
     zero = NodalFunction.zeros(grid)
-    if np.any(omap.evaluate(zero).values < -tol):
+    if np.any(omap.evaluate(zero).values < -INCREASING_TOL):
         return False
     for _ in range(trials):
         base = center + spread * rng.standard_normal(grid.n_nodes)
         bump = np.abs(rng.standard_normal(grid.n_nodes)) * spread
         u = NodalFunction(grid, base)
         v = NodalFunction(grid, base + bump)
-        if np.any(omap.evaluate(u).values > omap.evaluate(v).values + tol):
+        if np.any(omap.evaluate(u).values > omap.evaluate(v).values + INCREASING_TOL):
             return False
     return True
 

@@ -13,14 +13,14 @@ the underlying selection mechanism prescribes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import extremal
-from .extremal import IntervalBracket, check_subsolution, check_supersolution, \
-    iterate_max, iterate_min
+from .extremal import IntervalBracket, _check_direction, _sign, check_subsolution, \
+    check_supersolution, iterate_max, iterate_min
 from .fem import DualElement, EllipticOperator, NodalFunction, v_norm
 from .obstacle_maps import ObstacleMap
 from .vi import ActiveSetPartition, _pdas, classify_active, complementarity_residual, \
@@ -35,6 +35,8 @@ ALPHA_MAX_ITER = 100
 ALPHA_MONOTONE_TOL = 1e-10
 # base residual above which the active set is too blurred to build a cone on
 CONE_RESIDUAL_TOL = 1e-8
+# difference-quotient steps used when a caller names none
+DEFAULT_S_LIST = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 class ConeError(ValueError):
@@ -62,7 +64,6 @@ class DerivativeReport:
 
     alpha: NodalFunction
     alpha_iterates: tuple[NodalFunction, ...]
-    which: str
     qvi_residual: float
     fd_table: tuple[tuple[float, float], ...] = ()
     observed_order: float | None = None
@@ -142,13 +143,7 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
     increase; for the maximal map the direction must be nonpositive and
     they decrease.
     """
-    if which not in ("min", "max"):
-        raise ValueError("which must be 'min' or 'max'")
-    if which == "min" and np.any(d.values < 0):
-        raise ValueError("minimal-map derivative needs a nonnegative direction")
-    if which == "max" and np.any(d.values > 0):
-        raise ValueError("maximal-map derivative needs a nonpositive direction")
-
+    sign = _check_direction(d, which, "derivative")
     A = cone.operator
     load = A.grid.mass * d.values
     zero_shift = np.zeros(A.grid.n_nodes)
@@ -158,11 +153,9 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
     for _ in range(ALPHA_MAX_ITER):
         shift = cone.deriv_map(alpha).values
         alpha_next = _cone_solve(cone, load, shift)
-        delta = alpha_next.values - alpha.values
-        if which == "min" and float(np.min(delta)) < -ALPHA_MONOTONE_TOL:
-            raise DerivativeSolveError("derivative iterates lost their increasing order")
-        if which == "max" and float(np.max(delta)) > ALPHA_MONOTONE_TOL:
-            raise DerivativeSolveError("derivative iterates lost their decreasing order")
+        if float(np.min(sign * (alpha_next.values - alpha.values))) < -ALPHA_MONOTONE_TOL:
+            order = "increasing" if sign > 0 else "decreasing"
+            raise DerivativeSolveError(f"derivative iterates lost their {order} order")
         step = v_norm(alpha_next - alpha)
         alpha = alpha_next
         iterates.append(alpha)
@@ -178,18 +171,7 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
         raise DerivativeSolveError(
             f"derivative fixed-point residual {residual:.3e} above {ALPHA_RESIDUAL_TOL:.1e}")
     return DerivativeReport(alpha=alpha, alpha_iterates=tuple(iterates),
-                            which=which, qvi_residual=residual, base=cone.base)
-
-
-def alpha_monotonicity_check(report: DerivativeReport, tol: float = 1e-10) -> bool:
-    """Recheck the nodal ordering of the derivative iterates from the report."""
-    for prev, curr in zip(report.alpha_iterates, report.alpha_iterates[1:]):
-        delta = curr.values - prev.values
-        if report.which == "min" and float(np.min(delta)) < -tol:
-            return False
-        if report.which == "max" and float(np.max(delta)) > tol:
-            return False
-    return True
+                            qvi_residual=residual, base=cone.base)
 
 
 def _observed_order(fd_table, floor) -> float | None:
@@ -201,9 +183,21 @@ def _observed_order(fd_table, floor) -> float | None:
     return float(np.polyfit(ss, ee, 1)[0])
 
 
+def _check_s_list(s_list) -> list[float]:
+    """The quotient steps as floats; raises unless positive, strictly decreasing and >= 1e-5."""
+    s_arr = [float(s) for s in s_list]
+    if not s_arr or any(s <= 0 for s in s_arr):
+        raise ValueError("s_list must contain positive steps")
+    if any(b >= a for a, b in zip(s_arr, s_arr[1:])):
+        raise ValueError("s_list must be strictly decreasing")
+    if min(s_arr) < 1e-5:
+        raise ValueError("steps below 1e-5 drown in solver noise; raise the smallest step")
+    return s_arr
+
+
 def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
                 omap: ObstacleMap, bracket: IntervalBracket, which: str,
-                s_list=(1e-1, 1e-2, 1e-3, 1e-4), fd_tol: float | None = None,
+                s_list=DEFAULT_S_LIST, fd_tol: float | None = None,
                 oracle_check: bool = False) -> DerivativeReport:
     """Compare the derivative against one-sided difference quotients.
 
@@ -213,31 +207,20 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     floor on instances where the remainder vanishes identically; on
     biactive instances a non-shrinking table is flagged instead of raised.
     """
-    s_arr = [float(s) for s in s_list]
-    if not s_arr or any(s <= 0 for s in s_arr):
-        raise ValueError("s_list must contain positive steps")
-    if any(b >= a for a, b in zip(s_arr, s_arr[1:])):
-        raise ValueError("s_list must be strictly decreasing")
-    if min(s_arr) < 1e-5:
-        raise ValueError("steps below 1e-5 drown in solver noise; raise the smallest step")
-    if which not in ("min", "max"):
-        raise ValueError("which must be 'min' or 'max'")
-
-    if which == "min":
-        base_report = iterate_min(A, f, omap, bracket.lower, oracle_check)
-        if not check_supersolution(A, f + s_arr[0] * d, omap, bracket.upper):
-            raise ValueError("bracket invalid: upper bound is not a supersolution at f + max(s) d")
-    else:
-        base_report = iterate_max(A, f, omap, bracket.upper, oracle_check)
-        if not check_subsolution(A, f + s_arr[0] * d, omap, bracket.lower):
-            raise ValueError("bracket invalid: lower bound is not a subsolution at f + max(s) d")
-    base = base_report.solution
+    s_arr = _check_s_list(s_list)
+    sign = _sign(which)
+    run, start = (iterate_min, bracket.lower) if sign > 0 else (iterate_max, bracket.upper)
+    base = run(A, f, omap, start, oracle_check).solution
+    far = f + s_arr[0] * d
+    if sign > 0 and not check_supersolution(A, far, omap, bracket.upper):
+        raise ValueError("bracket invalid: upper bound is not a supersolution at f + max(s) d")
+    if sign < 0 and not check_subsolution(A, far, omap, bracket.lower):
+        raise ValueError("bracket invalid: lower bound is not a subsolution at f + max(s) d")
 
     cone = build_cone(A, f, omap, base)
     report = solve_derivative_qvi(cone, d, which)
     alpha = report.alpha
 
-    run = iterate_min if which == "min" else iterate_max
     fd_table = []
     for s in s_arr:
         pert = run(A, f + s * d, omap, base, oracle_check).solution
@@ -263,10 +246,7 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
         raise DerivativeSolveError(
             f"final quotient error {final_err:.3e} above tolerance {fd_tol:.3e}")
 
-    return DerivativeReport(alpha=alpha, alpha_iterates=report.alpha_iterates,
-                            which=which, qvi_residual=report.qvi_residual,
-                            fd_table=tuple(fd_table),
-                            observed_order=_observed_order(fd_table, floor),
-                            fd_monotone=fd_monotone,
-                            biactive_warning=(not fd_monotone and biactive),
-                            base=base)
+    return replace(report, fd_table=tuple(fd_table),
+                   observed_order=_observed_order(fd_table, floor),
+                   fd_monotone=fd_monotone,
+                   biactive_warning=(not fd_monotone and biactive))

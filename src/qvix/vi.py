@@ -27,7 +27,7 @@ class ViSolveError(RuntimeError):
     """The active set loop failed to deliver a valid complementarity point."""
 
 
-# KKT residual below which a solve is accepted
+# KKT residual below which a solve is accepted; also the slack of check_comparison
 VI_TOL = 1e-10
 # safety net: on M-matrices PDAS settles after finitely many set changes
 PDAS_MAX_ITER = 200
@@ -272,8 +272,7 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolu
 
 
 def check_comparison(A: EllipticOperator, f1: DualElement, f2: DualElement,
-                     phi1: NodalFunction, phi2: NodalFunction,
-                     tol: float = 1e-10) -> bool:
+                     phi1: NodalFunction, phi2: NodalFunction) -> bool:
     """Solve both problems and test the comparison ordering of the solutions.
 
     Requires the ordered data f1 <= f2 and phi1 <= phi2; the result should
@@ -285,4 +284,4 @@ def check_comparison(A: EllipticOperator, f1: DualElement, f2: DualElement,
         raise ValueError("precondition violated: phi1 <= phi2 required")
     u1 = solve_vi(A, f1, phi1).u
     u2 = solve_vi(A, f2, phi2).u
-    return bool(np.all(u1.values <= u2.values + tol))
+    return bool(np.all(u1.values <= u2.values + VI_TOL))

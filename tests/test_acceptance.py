@@ -82,16 +82,14 @@ def test_criterion_01_toy_extremal_runs():
     rmin = iterate_min(A, f, omap, NodalFunction.zeros(grid))
     assert rmin.n_iters <= 100
     assert np.max(np.abs(rmin.solution.values - 1.0)) <= 1e-8
-    assert all(np.min(b.values - a.values) >= -1e-10
-               for a, b in zip(rmin.iterates, rmin.iterates[1:]))
+    assert min(rmin.min_delta_history) >= -1e-10
 
     start = A.solve(f + DualElement.constant(grid, 1.0))
     assert np.max(np.abs(start.values - 3.0)) <= 1e-10
     rmax = iterate_max(A, f, omap, start)
     assert rmax.n_iters <= 100
     assert np.max(np.abs(rmax.solution.values - 2.0)) <= 1e-8
-    assert all(np.max(b.values - a.values) <= 1e-10
-               for a, b in zip(rmax.iterates, rmax.iterates[1:]))
+    assert max(rmax.max_delta_history) <= 1e-10
     assert time.perf_counter() - t0 < 1.0
     _report(1, "toy minimal and maximal runs")
 
@@ -163,14 +161,10 @@ def test_criterion_05_monotone_iterates_on_bundled_configs():
         for which in runs:
             if which == "min":
                 rep = iterate_min(A, f, omap, bracket.lower)
-                deltas = [np.min(b.values - a.values)
-                          for a, b in zip(rep.iterates, rep.iterates[1:])]
-                assert min(deltas) >= -1e-10, name
+                assert min(rep.min_delta_history) >= -1e-10, name
             else:
                 rep = iterate_max(A, f, omap, bracket.upper)
-                deltas = [np.max(b.values - a.values)
-                          for a, b in zip(rep.iterates, rep.iterates[1:])]
-                assert max(deltas) <= 1e-10, name
+                assert max(rep.max_delta_history) <= 1e-10, name
             assert rep.qvi_residual <= 1e-8, name
     _report(5, "monotone iterates and residuals across bundled configs")
 
@@ -202,7 +196,7 @@ def test_criterion_07_thermoforming_map_properties():
         u = NodalFunction(grid, rng.uniform(-1.0, 4.5, grid.n_nodes))
         assert v_norm(omap.temperature(u)) <= bound + 1e-9
 
-    assert check_increasing(omap, 200, rng, tol=1e-9, center=2.5, spread=0.8)
+    assert check_increasing(omap, 200, rng, center=2.5, spread=0.8)
 
     # derivative vs quotients at bases whose gap sweeps the transition zone
     orders = []

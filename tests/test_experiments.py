@@ -211,7 +211,23 @@ def test_cli_validate_run_and_error_codes(tmp_path, capsys):
     ({"grid": {"n_nodes": 2}, "operator": {"c": 1.0, "bc": "dirichlet"}}, "config.operator"),
     ({"map": {"kind": "plateau", "levels": [1.0, 2.0], "half_width": -0.1}}, "config.map"),
     ({"map": {"kind": "plateau", "levels": [1.0, 1.3], "half_width": 0.25}}, "config.map"),
-], ids=["neumann-c0", "dirichlet-2-nodes", "negative-half-width", "close-levels"])
+    ({"sensitivity": {"enabled": True, "s_list": [0.1, 0.2]}}, "config.sensitivity.s_list"),
+    ({"sensitivity": {"enabled": True, "s_list": [0.1, 1e-6]}}, "config.sensitivity.s_list"),
+    ({"sensitivity": {"enabled": True, "s_list": [-0.1]}}, "config.sensitivity.s_list"),
+    ({"sensitivity": {"enabled": True, "fd_tol": -1}}, "config.sensitivity.fd_tol"),
+    ({"grid": {"n_nodes": 21, "interval": [0.0, float("inf")]}}, "config.grid.interval[1]"),
+    ({"forcing": {"const": float("nan")}}, "config.forcing.const"),
+    ({"operator": {"c": float("nan"), "bc": "neumann"}}, "config.operator.c"),
+    ({"operator": {"c": 10**400, "bc": "neumann"}}, "config.operator.c"),
+    ({"forcing": {"poly": [1e308, 1e308]}}, "config.forcing"),
+    ({"direction": {"expr": {"sine": {"amplitude": 1e308, "frequency": 1e308}},
+                    "sign": "nonneg"}}, "config.direction.expr"),
+    ({"map": {"kind": "thermoforming", "reaction": 1.0, "heat_max": 1.0, "expansion": 0.1,
+              "mould": {"poly": [1e308, 1e308]}}}, "config.map.mould"),
+], ids=["neumann-c0", "dirichlet-2-nodes", "negative-half-width", "close-levels",
+        "s-list-increasing", "s-list-below-1e-5", "s-list-negative", "fd-tol-negative",
+        "interval-infinite", "forcing-nan", "operator-c-nan", "operator-c-huge-int", "forcing-overflow",
+        "direction-overflow", "mould-overflow"])
 def test_cli_value_errors_exit_2(tmp_path, capsys, overrides, block):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(toy_config_dict(**overrides)))

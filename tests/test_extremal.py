@@ -15,7 +15,6 @@ from qvix import (
     check_subsolution,
     check_supersolution,
     comparison_in_f,
-    default_supersolution,
     iterate_max,
     iterate_min,
     leq,
@@ -27,15 +26,13 @@ from qvix import (
 
 def test_default_supersolution_constants(toy):
     grid, A, omap, f = toy
-    up0 = default_supersolution(A, f, DualElement.zeros(grid))
+    up0 = IntervalBracket.default(A, f, DualElement.zeros(grid)).upper
     assert np.max(np.abs(up0.values - 2.0)) <= 1e-11
-    up1 = default_supersolution(A, f, DualElement.constant(grid, 1.0))
+    up1 = IntervalBracket.default(A, f, DualElement.constant(grid, 1.0)).upper
     assert np.max(np.abs(up1.values - 3.0)) <= 1e-11
     for s in (0.0, 0.5, 1.0):
         shifted = f + DualElement.constant(grid, s)
         assert check_supersolution(A, shifted, omap, up1)
-    with pytest.raises(ValueError):
-        default_supersolution(A, f, DualElement.constant(grid, -1.0))
 
 
 def test_default_supersolution_dominates_plain_solve():
@@ -45,7 +42,7 @@ def test_default_supersolution_dominates_plain_solve():
     for _ in range(20):
         f = DualElement(g, rng.uniform(-1, 2, g.n_nodes))
         d = DualElement(g, rng.uniform(0, 1, g.n_nodes))
-        assert leq(A.solve(f), default_supersolution(A, f, d), 1e-11)
+        assert leq(A.solve(f), IntervalBracket.default(A, f, d).upper, 1e-11)
 
 
 def test_toy_forcing_equals_max_of_operator_images(toy):
@@ -76,19 +73,15 @@ def test_iterate_min_toy(toy):
     assert np.max(np.abs(report.solution.values - 1.0)) <= 1e-8
     assert report.n_iters <= 100
     assert report.qvi_residual <= 1e-8
-    deltas = [np.min(b.values - a.values)
-              for a, b in zip(report.iterates, report.iterates[1:])]
-    assert min(deltas) >= -1e-10
+    assert min(report.min_delta_history) >= -1e-10
 
 
 def test_iterate_max_toy(toy):
     grid, A, omap, f = toy
-    start = default_supersolution(A, f, DualElement.constant(grid, 1.0))
+    start = IntervalBracket.default(A, f, DualElement.constant(grid, 1.0)).upper
     report = iterate_max(A, f, omap, start)
     assert np.max(np.abs(report.solution.values - 2.0)) <= 1e-8
-    deltas = [np.max(b.values - a.values)
-              for a, b in zip(report.iterates, report.iterates[1:])]
-    assert max(deltas) <= 1e-10
+    assert max(report.max_delta_history) <= 1e-10
 
 
 def test_iterate_from_fixed_point_stops_immediately(toy):
@@ -118,7 +111,7 @@ def test_thermoforming_unconstrained_regime():
     A = assemble_operator(g, 1.0, "neumann")
     omap = ThermoformingMap(NodalFunction.constant(g, 5.0), 1.0, 1.0, 0.1)
     f = DualElement.constant(g, 1.0)
-    report = iterate_max(A, f, omap, default_supersolution(A, f, DualElement.zeros(g)))
+    report = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
     assert leq(report.solution, A.solve(f), 1e-9)
     assert report.qvi_residual <= 1e-8
 
@@ -140,6 +133,18 @@ def test_monotonicity_violation_aborts(toy):
     # immediately step down and abort
     with pytest.raises(ExtremalIterationError):
         iterate_min(A, f, omap, NodalFunction.constant(grid, 2.5))
+
+
+def test_order_violations_name_the_worst_step(toy):
+    # 3 lies above the maximal solution and zero below the minimal one, so
+    # each run's first step goes against its order
+    grid, A, omap, f = toy
+    with pytest.raises(ExtremalIterationError, match=r"^increasing iteration lost "
+                       r"monotonicity \(worst step -1\.000e\+00\); the comparison"):
+        iterate_min(A, f, omap, NodalFunction.constant(grid, 3.0))
+    with pytest.raises(ExtremalIterationError, match=r"^decreasing iteration lost "
+                       r"monotonicity \(worst step 3\.750e-01\); the comparison"):
+        iterate_max(A, f, omap, NodalFunction.zeros(grid))
 
 
 def test_max_outer_exhaustion_reports_contraction(toy, monkeypatch):

@@ -150,8 +150,8 @@ def test_check_comparison_identical_and_bumped():
         f2 = f1 + DualElement(g, rng.uniform(0, 1, g.n_nodes))
         phi1 = random_nodal(g, rng, -0.5, 1.0)
         phi2 = NodalFunction(g, phi1.values + rng.uniform(0, 1, g.n_nodes))
-        assert check_comparison(A, f1, f2, phi1, phi1, tol=1e-10)
-        assert check_comparison(A, f1, f1, phi1, phi2, tol=1e-10)
+        assert check_comparison(A, f1, f2, phi1, phi1)
+        assert check_comparison(A, f1, f1, phi1, phi2)
 
 
 def test_check_comparison_rejects_unordered_input():
