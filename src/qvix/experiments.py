@@ -145,38 +145,6 @@ class ExperimentConfig:
     sensitivity: SensitivitySettings
     output_dir: str | None
 
-    def to_dict(self) -> dict:
-        """Serialize back to the JSON schema; parse(to_dict()) is the identity."""
-        mc = dict(self.map_cfg)
-        kind = mc.pop("kind")
-        if kind == "plateau":
-            map_block = {"kind": kind, "levels": mc["levels"],
-                         "half_width": mc["half_width"]}
-        elif kind == "inverse_elliptic":
-            map_block = {"kind": kind,
-                         "operator": {"c": mc["inner_c"], "bc": mc["inner_bc"]},
-                         "gain": {"kind": mc["gain_kind"], "scale": mc["gain_scale"],
-                                  "rate": mc["gain_rate"]}}
-        else:
-            map_block = {"kind": kind, "reaction": mc["reaction"],
-                         "heat_max": mc["heat_max"], "expansion": mc["expansion"],
-                         "mould": mc["mould"]}
-        out = {
-            "version": self.version,
-            "grid": {"n_nodes": self.grid_nodes, "interval": list(self.interval)},
-            "operator": {"c": self.operator_c, "bc": self.operator_bc},
-            "map": map_block,
-            "forcing": self.forcing,
-            "direction": {"expr": self.direction, "sign": self.direction_sign},
-            "run": self.run,
-            "sensitivity": {"enabled": self.sensitivity.enabled,
-                            "s_list": list(self.sensitivity.s_list),
-                            "fd_tol": self.sensitivity.fd_tol},
-        }
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
-        return out
-
 
 def parse_config(raw: dict, path: str = "config") -> ExperimentConfig:
     d = _as_mapping(raw, path)

@@ -12,6 +12,7 @@ signals a bug rather than roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +42,40 @@ def _sign(which: str) -> float:
     if which not in ("min", "max"):
         raise ValueError("which must be 'min' or 'max'")
     return 1.0 if which == "min" else -1.0
+
+
+def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: NodalFunction,
+                    sign: float, step_tol: float, max_iter: int, error: type[Exception],
+                    order_text: str, cap_text: str):
+    """Limit of u <- step(u) from start; each step must move every node along sign.
+
+    Stops at the first step whose V-norm is at most step_tol.  Raises error
+    with order_text, formatted with the order's name and the worst nodal
+    change, when a step goes against sign by more than MONOTONE_TOL, and
+    with cap_text plus the last step and the tail contraction ratio when
+    max_iter steps do not settle.  Returns the limit and, per step, its
+    V-norm and its smallest and largest nodal change.
+    """
+    u = start
+    steps: list[float] = []
+    min_deltas: list[float] = []
+    max_deltas: list[float] = []
+    for _ in range(max_iter):
+        nxt = step(u)
+        delta = nxt.values - u.values
+        min_deltas.append(float(np.min(delta)))
+        max_deltas.append(float(np.max(delta)))
+        worst = min_deltas[-1] if sign > 0 else max_deltas[-1]
+        if sign * worst < -MONOTONE_TOL:
+            order = "increasing" if sign > 0 else "decreasing"
+            raise error(order_text.format(order=order, worst=worst))
+        steps.append(v_norm(nxt - u))
+        u = nxt
+        if steps[-1] <= step_tol:
+            return u, tuple(steps), tuple(min_deltas), tuple(max_deltas)
+    last = steps[-1] if steps else float("nan")
+    tail = steps[-1] / steps[-2] if len(steps) >= 2 and steps[-2] > 0 else float("nan")
+    raise error(f"{cap_text} (last step {last:.3e}, tail contraction ratio {tail:.3f})")
 
 
 def _check_direction(d: DualElement, which: str, what: str) -> float:
@@ -130,17 +165,15 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     if oracle_check and A.grid.n_nodes > vi.ORACLE_MAX_NODES:
         raise ValueError("oracle cross-checks need a grid with at most "
                          f"{vi.ORACLE_MAX_NODES} nodes")
+    residuals: list[float] = []
+    active0 = None  # PDAS warm start: the coincidence set of the last solve
 
-    u = start
-    phi = omap.evaluate(u)
-    steps: list[float] = []
-    residuals = [_obstacle_residual(A, f, u, phi)]
-    min_deltas: list[float] = []
-    max_deltas: list[float] = []
-    active0 = None
-    converged = False
-
-    for _ in range(MAX_OUTER):
+    # evaluates the obstacle of each accepted iterate once, at the start of
+    # the step that leaves it; the limit's obstacle is evaluated below
+    def step(u: NodalFunction) -> NodalFunction:
+        nonlocal active0
+        phi = omap.evaluate(u)
+        residuals.append(_obstacle_residual(A, f, u, phi))
         sol = solve_vi(A, f, phi, active0=active0)
         if oracle_check:
             ref = oracle_vi(A, f, phi)
@@ -148,44 +181,23 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
             if gap > 1e-9:
                 raise ExtremalIterationError(
                     f"fast solve disagrees with the enumeration oracle by {gap:.3e}")
-        delta = sol.u.values - u.values
-        min_delta = float(np.min(delta))
-        max_delta = float(np.max(delta))
-        worst = min_delta if sign > 0 else max_delta
-        if sign * worst < -MONOTONE_TOL:
-            order = "increasing" if sign > 0 else "decreasing"
-            raise ExtremalIterationError(
-                f"{order} iteration lost monotonicity (worst step {worst:.3e}); "
-                "the comparison principle is broken")
-        step = v_norm(sol.u - u)
-        u = sol.u
-        phi = omap.evaluate(u)
         active0 = np.isin(np.arange(A.grid.n_nodes), sol.partition.coincidence)
-        steps.append(step)
-        residuals.append(_obstacle_residual(A, f, u, phi))
-        min_deltas.append(min_delta)
-        max_deltas.append(max_delta)
-        if step <= TOL_FP:
-            converged = True
-            break
+        return sol.u
 
-    if not converged:
-        tail = steps[-1] / steps[-2] if len(steps) >= 2 and steps[-2] > 0 else float("nan")
+    u, steps, min_deltas, max_deltas = _monotone_limit(
+        step, start, sign, TOL_FP, MAX_OUTER, ExtremalIterationError,
+        "{order} iteration lost monotonicity (worst step {worst:.3e}); "
+        "the comparison principle is broken",
+        f"no convergence within {MAX_OUTER} outer iterations")
+    residuals.append(_obstacle_residual(A, f, u, omap.evaluate(u)))
+    if residuals[-1] > RESIDUAL_TOL:
         raise ExtremalIterationError(
-            f"no convergence within {MAX_OUTER} outer iterations "
-            f"(last step {steps[-1]:.3e}, tail contraction ratio {tail:.3f})")
-
-    final_residual = residuals[-1]
-    if final_residual > RESIDUAL_TOL:
-        raise ExtremalIterationError(
-            f"converged iterate has residual {final_residual:.3e} "
+            f"converged iterate has residual {residuals[-1]:.3e} "
             f"above tolerance {RESIDUAL_TOL:.1e}")
-
     return ExtremalRunReport(
-        solution=u, n_iters=len(steps),
-        final_step_vnorm=steps[-1] if steps else 0.0, qvi_residual=final_residual,
-        step_history=tuple(steps), residual_history=tuple(residuals),
-        min_delta_history=tuple(min_deltas), max_delta_history=tuple(max_deltas))
+        solution=u, n_iters=len(steps), final_step_vnorm=steps[-1],
+        qvi_residual=residuals[-1], step_history=steps, residual_history=tuple(residuals),
+        min_delta_history=min_deltas, max_delta_history=max_deltas)
 
 
 def iterate_min(A: EllipticOperator, f: DualElement, omap: ObstacleMap,

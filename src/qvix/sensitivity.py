@@ -19,20 +19,19 @@ from typing import Callable
 import numpy as np
 
 from . import extremal
-from .extremal import IntervalBracket, _check_direction, _sign, check_subsolution, \
-    check_supersolution, iterate_max, iterate_min
+from .extremal import IntervalBracket, _check_direction, _monotone_limit, _obstacle_residual, \
+    _sign, check_subsolution, check_supersolution, iterate_max, iterate_min
 from .fem import DualElement, EllipticOperator, NodalFunction, v_norm
 from .obstacle_maps import ObstacleMap
 from .vi import ActiveSetPartition, _pdas, classify_active, complementarity_residual, \
     default_tol_multiplier, multiplier
 
 # stopping rules of the derivative fixed-point loop: V-norm step that ends
-# it, the residual the limit must reach, its safety cap, and the roundoff
-# slack on the nodal order of consecutive iterates
+# it, the residual the limit must reach, and its safety cap; the slack on
+# the nodal order of consecutive iterates is extremal.MONOTONE_TOL
 ALPHA_STEP_TOL = 1e-11
 ALPHA_RESIDUAL_TOL = 1e-9
 ALPHA_MAX_ITER = 100
-ALPHA_MONOTONE_TOL = 1e-10
 # base residual above which the active set is too blurred to build a cone on
 CONE_RESIDUAL_TOL = 1e-8
 # difference-quotient steps used when a caller names none
@@ -82,8 +81,7 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     """
     phi = omap.evaluate(base)
     lam_vals = multiplier(A, f, base)
-    no_role = np.zeros(A.grid.n_nodes, dtype=bool)
-    res = complementarity_residual(base.values, phi.values, lam_vals, no_role, no_role)
+    res = _obstacle_residual(A, f, base, phi)
     if res > CONE_RESIDUAL_TOL:
         raise ConeError(f"base residual {res:.3e} too large to classify the active set")
     partition = classify_active(A, f, base, phi)
@@ -146,26 +144,16 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
     sign = _check_direction(d, which, "derivative")
     A = cone.operator
     load = A.grid.mass * d.values
-    zero_shift = np.zeros(A.grid.n_nodes)
-    alpha = _cone_solve(cone, load, zero_shift)
-    iterates = [alpha]
-    converged = False
-    for _ in range(ALPHA_MAX_ITER):
-        shift = cone.deriv_map(alpha).values
-        alpha_next = _cone_solve(cone, load, shift)
-        if float(np.min(sign * (alpha_next.values - alpha.values))) < -ALPHA_MONOTONE_TOL:
-            order = "increasing" if sign > 0 else "decreasing"
-            raise DerivativeSolveError(f"derivative iterates lost their {order} order")
-        step = v_norm(alpha_next - alpha)
-        alpha = alpha_next
-        iterates.append(alpha)
-        if step <= ALPHA_STEP_TOL:
-            converged = True
-            break
-    if not converged:
-        raise DerivativeSolveError(
-            f"derivative iteration did not settle within {ALPHA_MAX_ITER} rounds")
+    iterates = [_cone_solve(cone, load, np.zeros(A.grid.n_nodes))]
 
+    def step(alpha: NodalFunction) -> NodalFunction:
+        iterates.append(_cone_solve(cone, load, cone.deriv_map(alpha).values))
+        return iterates[-1]
+
+    alpha, _, _, _ = _monotone_limit(
+        step, iterates[0], sign, ALPHA_STEP_TOL, ALPHA_MAX_ITER, DerivativeSolveError,
+        "derivative iterates lost their {order} order",
+        f"derivative iteration did not settle within {ALPHA_MAX_ITER} rounds")
     residual = derivative_qvi_residual(cone, alpha, d)
     if residual > ALPHA_RESIDUAL_TOL:
         raise DerivativeSolveError(

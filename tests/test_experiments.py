@@ -39,13 +39,6 @@ def test_bundled_configs_parse():
         build_problem(cfg)
 
 
-def test_config_round_trips_through_serialization():
-    for name in ("toy_min", "inverse_elliptic_max", "thermoforming_desk"):
-        cfg = load_config(CONFIG_DIR / f"{name}.json")
-        again = parse_config(json.loads(json.dumps(cfg.to_dict())))
-        assert again == cfg
-
-
 def test_expressions():
     nodes = np.linspace(0.0, 1.0, 5)
     assert np.allclose(_eval_expr(2.5, nodes, "p"), 2.5)

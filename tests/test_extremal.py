@@ -149,9 +149,10 @@ def test_order_violations_name_the_worst_step(toy):
 
 def test_max_outer_exhaustion_reports_contraction(toy, monkeypatch):
     grid, A, omap, f = toy
-    monkeypatch.setattr("qvix.extremal.MAX_OUTER", 2)
-    with pytest.raises(ExtremalIterationError, match="contraction"):
-        iterate_min(A, f, omap, NodalFunction.zeros(grid))
+    for cap in (2, 0):
+        monkeypatch.setattr("qvix.extremal.MAX_OUTER", cap)
+        with pytest.raises(ExtremalIterationError, match="contraction"):
+            iterate_min(A, f, omap, NodalFunction.zeros(grid))
 
 
 def test_bracket_default_and_validate(toy):

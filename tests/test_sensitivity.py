@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,18 @@ def test_alpha_cap_reports_unsettled_derivative(toy, monkeypatch):
     monkeypatch.setattr("qvix.sensitivity.ALPHA_MAX_ITER", 0)
     with pytest.raises(DerivativeSolveError, match="did not settle within 0 rounds"):
         solve_derivative_qvi(cone, DualElement.constant(grid, 1.0), "min")
+
+
+def test_derivative_order_violations_raise(toy):
+    # the toy cone pins every node to the shift, so a map derivative that
+    # points against the run's order drags the second iterate back
+    grid, A, omap, f = toy
+    cone = build_cone(A, f, omap, iterate_min(A, f, omap, NodalFunction.zeros(grid)).solution)
+    for which, level, order in (("min", -1.0, "increasing"), ("max", 1.0, "decreasing")):
+        against = replace(cone, deriv_map=lambda w, level=level: NodalFunction.constant(grid, level))
+        with pytest.raises(DerivativeSolveError,
+                           match=f"^derivative iterates lost their {order} order$"):
+            solve_derivative_qvi(against, DualElement.constant(grid, -level), which)
 
 
 def test_build_cone_toy_all_strict(toy):
