@@ -15,8 +15,7 @@ from functools import cached_property
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import solveh_banded
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 BoundaryCondition = Literal["neumann", "dirichlet"]
 
@@ -136,9 +135,15 @@ class DualElement(_GridVector):
 
 
 class TridiagonalSpd:
-    """Symmetric positive-definite tridiagonal matrix in banded storage."""
+    """Symmetric positive-definite tridiagonal matrix in banded storage.
 
-    __slots__ = ("diag", "upper")
+    The bands are read-only, so the LDL^T factor (LAPACK ``dpttrf``) is
+    computed on the first solve and kept; each solve is then one
+    ``dpttrs`` sweep.  That is the ``ptsv`` arithmetic ``solveh_banded``
+    runs for a two-row band, so results keep their bits.
+    """
+
+    __slots__ = ("diag", "upper", "_factor")
 
     def __init__(self, diag, upper):
         d = np.array(diag, dtype=float, copy=True)
@@ -149,6 +154,7 @@ class TridiagonalSpd:
         u.flags.writeable = False
         self.diag = d
         self.upper = u
+        self._factor = None
 
     @property
     def n(self) -> int:
@@ -163,13 +169,14 @@ class TridiagonalSpd:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.n == 1:  # banded LAPACK drivers reject 1x1 systems
             return np.asarray(rhs) / self.diag
-        ab = np.zeros((2, self.n))
-        ab[0, 1:] = self.upper
-        ab[1, :] = self.diag
-        try:
-            return solveh_banded(ab, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded at assembly
-            raise SingularOperatorError(str(exc)) from exc
+        if self._factor is None:
+            d, e, info = dpttrf(self.diag, self.upper)
+            if info:
+                raise SingularOperatorError(
+                    f"matrix is not positive definite (leading minor {info})")
+            self._factor = (d, e)
+        x, _ = dpttrs(*self._factor, rhs)
+        return x
 
     def submatrix(self, idx: np.ndarray) -> "TridiagonalSpd":
         """Principal submatrix on a sorted index set (still tridiagonal)."""

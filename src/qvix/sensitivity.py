@@ -104,10 +104,14 @@ def _cone_roles(cone: CriticalConeData, shift_vals: np.ndarray):
     (obstacle), inactive nodes are unconstrained (free).
     """
     A = cone.operator
-    boundary = np.isin(np.arange(A.grid.n_nodes), A.boundary_nodes)
+    n = A.grid.n_nodes
+    boundary = np.zeros(n, dtype=bool)
+    boundary[A.boundary_nodes] = True
     eq_mask = boundary.copy()
     eq_mask[cone.partition.strict] = True
-    free_mask = np.isin(np.arange(A.grid.n_nodes), cone.partition.inactive) & ~boundary
+    free_mask = np.zeros(n, dtype=bool)
+    free_mask[cone.partition.inactive] = True
+    free_mask &= ~boundary
     return np.where(boundary, 0.0, shift_vals), eq_mask, free_mask
 
 

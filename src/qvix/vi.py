@@ -6,6 +6,23 @@ finitely many set changes and the returned active set is exact, which is
 what the sensitivity machinery relies on.  ``oracle_vi`` re-derives the
 same solution by brute force over all active sets on small grids and is
 the independent cross-check for the fast path.
+
+A cold loop needs more set changes the finer the grid, because the front
+of the active set moves a few nodes per round.  So the loop starts from
+a nested-iteration guess (Hintermüller-Ulbrich, Math. Program. 101,
+2004; Kornhuber, Numer. Math. 69, 1994): the same problem is solved on
+every other node, with the Galerkin matrix P^T A P of linear
+interpolation P, the load and mass restricted by P^T and the target and
+role masks injected, recursively down to a grid of about
+``NESTED_MIN_NODES`` nodes, where the caller's warm start (injected)
+seeds the loop.  The settled coarse set is prolongated: an even node
+takes its coarse flag, an odd node is active when both coarse
+neighbours are.  Coarsening also stops at an even node count and where
+the Galerkin matrix would couple two unknowns positively, so every level
+is an M-matrix.  The start changes only the path of the loop, never its
+stopping rules or the reduced solve at its end, so a solve ends on the
+same settled set with the same bits.  ``ViSolution.iterations`` counts
+the rounds of every level.
 """
 
 from __future__ import annotations
@@ -31,6 +48,8 @@ class ViSolveError(RuntimeError):
 VI_TOL = 1e-10
 # safety net: on M-matrices PDAS settles after finitely many set changes
 PDAS_MAX_ITER = 200
+# the nested start coarsens while the coarse grid keeps at least this many nodes
+NESTED_MIN_NODES = 64
 # the enumeration oracle visits 2^n active sets
 ORACLE_MAX_NODES = 14
 
@@ -54,9 +73,8 @@ class ActiveSetPartition:
             arr = np.asarray(getattr(self, name), dtype=int)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        n_total = self.inactive.size + self.strict.size + self.biactive.size
         merged = np.concatenate([self.inactive, self.strict, self.biactive])
-        if np.unique(merged).size != n_total:
+        if np.any(np.bincount(merged) > 1):
             raise ValueError("partition sets overlap")
 
     @property
@@ -74,7 +92,10 @@ class ActiveSetPartition:
 
 @dataclass(frozen=True)
 class ViSolution:
-    """Solution, multiplier and diagnostics of one obstacle solve."""
+    """Solution, multiplier and diagnostics of one obstacle solve.
+
+    ``iterations`` counts the active set rounds of every nested level.
+    """
 
     u: NodalFunction
     lam: DualElement
@@ -132,24 +153,78 @@ def classify_active(A: EllipticOperator, f: DualElement, u: NodalFunction,
     return _partition_from(u.values, phi, multiplier(A, f, u), f)
 
 
+def _coarse_problem(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask):
+    """Galerkin problem on every other node, or None where coarsening stops.
+
+    P interpolates linearly from the even nodes, so P^T A P is again
+    tridiagonal.  Coarsening stops at an even node count, at fewer than
+    ``NESTED_MIN_NODES`` coarse nodes, and where the coarse matrix would
+    couple two non-equality nodes positively: the reduced systems of the
+    loop then stay M-matrices.  Couplings to equality nodes only move
+    pinned values to the right side, so their sign does not matter.
+    """
+    n = matrix.n
+    if n % 2 == 0 or (n + 1) // 2 < NESTED_MIN_NODES:
+        return None
+    d_odd = matrix.diag[1::2]
+    e_left, e_right = matrix.upper[0::2], matrix.upper[1::2]
+    diag = matrix.diag[0::2].copy()
+    diag[:-1] += 0.25 * d_odd + e_left
+    diag[1:] += 0.25 * d_odd + e_right
+    upper = 0.25 * d_odd + 0.5 * (e_left + e_right)
+    eq_c = eq_mask[0::2]
+    if np.any((upper > 0) & ~eq_c[:-1] & ~eq_c[1:]):
+        return None
+
+    def restrict(x):
+        out = x[0::2].copy()
+        out[:-1] += 0.5 * x[1::2]
+        out[1:] += 0.5 * x[1::2]
+        return out
+
+    return (TridiagonalSpd(diag, upper), restrict(mass), restrict(load),
+            target[0::2], eq_c, free_mask[0::2])
+
+
+def _nested_start(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active0):
+    """Start set of the loop from the coarse solve, and the coarse rounds spent.
+
+    Returns ``active0`` itself (and no rounds) where coarsening stops.
+    """
+    coarse = _coarse_problem(matrix, mass, load, target, eq_mask, free_mask)
+    if coarse is None:
+        return active0, 0
+    _, _, _, target_c, eq_c, free_c = coarse
+    u_c, lam_c, iters = _pdas(*coarse, active0=active0[0::2])
+    # the set the coarse loop settled on (its last update rule)
+    settled = ~(eq_c | free_c) & (lam_c + (u_c - target_c) > 0)
+    active = np.empty(matrix.n, dtype=bool)
+    active[0::2] = settled
+    active[1::2] = settled[:-1] & settled[1:]
+    return active, iters
+
+
 def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active0=None):
     """Active set loop over nodes split into equality / obstacle / free roles.
 
     Equality nodes are pinned to the target, free nodes carry the plain
     equation, obstacle nodes carry the target as an upper bound with the
-    usual complementarity update rule.  Returns nodal values, multiplier
-    densities (zero on solved rows) and the iteration count.
+    usual complementarity update rule.  The loop starts from the nested
+    coarse solve (see the module docstring).  Returns nodal values,
+    multiplier densities (zero on solved rows) and the rounds of every
+    level.
     """
     n = load.shape[0]
     obstacle_mask = ~(eq_mask | free_mask)
-    if active0 is None:
-        active = np.zeros(n, dtype=bool)
-    else:
-        active = np.asarray(active0, dtype=bool) & obstacle_mask
+    active0 = np.zeros(n, dtype=bool) if active0 is None else np.asarray(active0, dtype=bool)
+    start, coarse_iters = _nested_start(matrix, mass, load, target, eq_mask, free_mask,
+                                        active0)
+    active = start & obstacle_mask
 
     u = np.zeros(n)
     lam = np.zeros(n)
     changed = 0
+    sizes: list[int] = []
     for it in range(1, PDAS_MAX_ITER + 1):
         pinned = eq_mask | active
         u = np.where(pinned, target, 0.0)
@@ -164,16 +239,20 @@ def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active
         # positive weight on u - target would select the same set
         new_active = obstacle_mask & (lam + (u - target) > 0)
         if np.array_equal(new_active, active):
-            return u, lam, it
+            return u, lam, coarse_iters + it
         # degenerate nodes (multiplier at roundoff scale) can flip forever;
         # a vanishing KKT residual is just as final as a settled set
         if complementarity_residual(u, target, lam, eq_mask, free_mask) <= VI_TOL:
-            return u, lam, it
-        changed = int(np.sum(new_active != active))
+            return u, lam, coarse_iters + it
+        changed = int(np.count_nonzero(new_active != active))
         active = new_active
+        sizes.append(int(np.count_nonzero(active)))
+    # a monotone tail is a moving front, a repeating one a cycling set
+    tail = sizes[-5:]
     raise ViSolveError(
         f"active set did not settle within {PDAS_MAX_ITER} iterations "
-        f"(last change touched {changed} nodes)")
+        f"(last change touched {changed} nodes; active-set sizes of the last "
+        f"{len(tail)} rounds, out of {n} nodes: {', '.join(map(str, tail))})")
 
 
 def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,

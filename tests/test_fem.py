@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from qvix import (
     DualElement,
@@ -19,7 +20,7 @@ from qvix import (
     sup_embedding_constant,
     v_norm,
 )
-from qvix.fem import _h1_matrix
+from qvix.fem import TridiagonalSpd, _h1_matrix
 from conftest import random_dual, random_nodal
 
 
@@ -255,3 +256,38 @@ def test_dirichlet_solve_vanishes_on_boundary():
     u = A.solve(DualElement.constant(g, 1.0))
     assert u.values[0] == 0.0 and u.values[-1] == 0.0
     assert np.all(u.values >= 0.0)
+
+
+def _banded_reference(matrix, rhs):
+    ab = np.zeros((2, matrix.n))
+    ab[0, 1:] = matrix.upper
+    ab[1, :] = matrix.diag
+    return solveh_banded(ab, rhs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 101, 1601])
+def test_tridiagonal_solve_matches_solveh_banded_bitwise(n):
+    rng = np.random.default_rng(n)
+    upper = -rng.uniform(0.1, 1.0, n - 1)
+    diag = rng.uniform(0.5, 1.5, n) + 2.0
+    matrix = TridiagonalSpd(diag, upper)
+    # repeated solves on one object reuse its cached factor
+    for rhs in (rng.normal(size=n), rng.normal(size=(n, 3)), rng.normal(size=n)):
+        x = matrix.solve(rhs)
+        # banded LAPACK rejects a 1x1 system; that case divides
+        ref = rhs / diag if n == 1 else _banded_reference(matrix, rhs)
+        assert x.shape == rhs.shape
+        assert np.array_equal(x, ref)
+    if n >= 3:
+        idx = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
+        sub = matrix.submatrix(idx)
+        rhs = rng.normal(size=idx.size)
+        assert np.array_equal(sub.solve(rhs), _banded_reference(sub, rhs))
+
+
+def test_tridiagonal_solve_rejects_indefinite_matrix():
+    matrix = TridiagonalSpd([1.0, 1.0, 1.0], [-2.0, 0.0])
+    with pytest.raises(SingularOperatorError, match="not positive definite"):
+        matrix.solve(np.ones(3))
+    with pytest.raises(SingularOperatorError):  # the failed factor is not cached
+        matrix.solve(np.ones(3))

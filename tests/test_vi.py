@@ -1,7 +1,13 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qvix import (
+    ActiveSetPartition,
+    IntervalBracket,
     DualElement,
     Grid,
     NodalFunction,
@@ -15,7 +21,11 @@ from qvix import (
     solve_vi,
     v_norm,
 )
+from qvix.experiments import build_problem, parse_config
+from qvix.vi import _coarse_problem
 from conftest import random_dual, random_nodal
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_unconstrained_constant():
@@ -45,6 +55,102 @@ def test_pdas_cap_reports_unsettled_active_set(monkeypatch):
     monkeypatch.setattr("qvix.vi.PDAS_MAX_ITER", 1)
     with pytest.raises(ViSolveError, match="did not settle within 1 iterations"):
         solve_vi(A, DualElement.constant(g, 2.0), NodalFunction.constant(g, 1.0))
+
+
+def test_pdas_cap_reports_active_set_history(monkeypatch):
+    # a rising load under a sloped obstacle: a cold start takes 26 rounds
+    # while the front moves; 41 nodes are too few for a nested start
+    g = Grid(41)
+    A = assemble_operator(g, 1.0, "neumann")
+    f = DualElement(g, 4.0 * g.nodes)
+    phi = NodalFunction(g, 0.5 + g.nodes)
+    assert solve_vi(A, f, phi).iterations > 3
+    monkeypatch.setattr("qvix.vi.PDAS_MAX_ITER", 3)
+    with pytest.raises(ViSolveError, match=r"^active set did not settle within 3 iterations") \
+            as err:
+        solve_vi(A, f, phi)
+    tail = re.search(r"sizes of the last 3 rounds, out of 41 nodes: ([\d, ]+)\)$",
+                     str(err.value))
+    sizes = [int(k) for k in tail.group(1).split(", ")]
+    assert len(sizes) == 3 and sizes == sorted(sizes, reverse=True)
+    assert len(set(sizes)) == 3  # the front moved in every round
+
+
+def _first_obstacle_solve_data(n, bc):
+    """Operator, load and obstacle of the first solve of a maximal run.
+
+    The Neumann case is ``configs/inverse_elliptic_max.json`` on n nodes.
+    The Dirichlet variant raises the forcing offset to 20 so that the
+    contact set is an interior interval with two fronts.
+    """
+    raw = json.loads(CONFIG_DIR.joinpath("inverse_elliptic_max.json").read_text())
+    raw["grid"]["n_nodes"] = n
+    if bc == "dirichlet":
+        raw["operator"]["bc"] = "dirichlet"
+        raw["forcing"]["sine"]["offset"] = 20.0
+    problem = build_problem(parse_config(raw))
+    A, f = problem.operator, problem.forcing
+    start = IntervalBracket.default(A, f, problem.direction).upper
+    return A, f, problem.omap.evaluate(start)
+
+
+# rounds of all levels of a cold solve, measured at most 33 (Dirichlet at
+# 25601 nodes); a cold loop without the nested start needed 708 at 6401
+NESTED_ROUNDS_BOUND = 40
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("n", [101, 401, 1601, 6401, 25601])
+def test_cold_solve_rounds_do_not_grow_with_the_grid(bc, n):
+    A, f, phi = _first_obstacle_solve_data(n, bc)
+    cold = solve_vi(A, f, phi)
+    assert cold.iterations <= NESTED_ROUNDS_BOUND
+    assert 0 < cold.partition.coincidence.size < n
+    warm0 = np.ones(n, dtype=bool)
+    warm0[cold.partition.inactive] = False
+    warm = solve_vi(A, f, phi, active0=warm0)
+    assert np.array_equal(warm.u.values, cold.u.values)
+    assert np.array_equal(warm.lam.values, cold.lam.values)
+
+
+def test_nested_start_skips_levels_that_lose_the_m_matrix_sign(monkeypatch):
+    # the first Galerkin off-diagonal is c h / 4 - 1 / (2 h), positive once
+    # c h^2 > 2: with c = 4e5 on 401 nodes the loop runs on the fine grid only
+    g = Grid(401)
+    x = g.nodes
+    for c, coarsens in ((1.0, True), (4e5, False)):
+        A = assemble_operator(g, c, "neumann")
+        f = DualElement(g, c * (1.0 + 0.5 * np.sin(2 * np.pi * x)))
+        phi = NodalFunction(g, 1.0 + 0.25 * np.cos(2 * np.pi * x))
+        nested = solve_vi(A, f, phi)
+        with monkeypatch.context() as m:
+            m.setattr("qvix.vi.NESTED_MIN_NODES", g.n_nodes)  # no coarse grid is large enough
+            fine_only = solve_vi(A, f, phi)
+        assert np.array_equal(nested.u.values, fine_only.u.values)
+        assert (nested.iterations != fine_only.iterations) == coarsens
+        assert nested.residual <= 1e-10
+
+
+def test_galerkin_coarse_matrix_matches_dense_product():
+    g = Grid(129)
+    A = assemble_operator(g, 1.0, "dirichlet")
+    n, m = g.n_nodes, (g.n_nodes + 1) // 2
+    prolong = np.zeros((n, m))
+    prolong[0::2, :] = np.eye(m)
+    prolong[1::2, :] = 0.5 * (np.eye(m)[:-1] + np.eye(m)[1:])
+    eq_mask = np.zeros(n, dtype=bool)
+    eq_mask[[0, -1]] = True
+    load = np.linspace(1.0, 2.0, n)
+    coarse = _coarse_problem(A.matrix, g.mass, load, np.zeros(n), eq_mask,
+                             np.zeros(n, dtype=bool))
+    matrix_c, mass_c, load_c, _, eq_c, _ = coarse
+    dense = prolong.T @ A.matrix.to_dense() @ prolong
+    assert np.allclose(matrix_c.to_dense(), dense, rtol=1e-14, atol=1e-12)
+    assert np.allclose(mass_c, prolong.T @ g.mass, rtol=1e-14)
+    assert np.allclose(load_c, prolong.T @ load, rtol=1e-14)
+    assert eq_c.tolist() == [True] + [False] * (m - 2) + [True]
+    # the Dirichlet rows couple positively only to the pinned boundary nodes
+    assert np.all(matrix_c.upper[1:-1] <= 0.0)
 
 
 def test_matches_oracle_small_instance():
@@ -106,6 +212,15 @@ def test_oracle_rejects_large_grids():
     A = assemble_operator(g, 1.0, "neumann")
     with pytest.raises(ValueError):
         oracle_vi(A, DualElement.zeros(g), NodalFunction.zeros(g))
+
+
+def test_partition_rejects_overlapping_sets():
+    part = ActiveSetPartition(inactive=[0, 3], strict=[1], biactive=[])
+    assert part.coincidence.tolist() == [1]
+    assert part.labels(4) == ["I", "S", "I", "I"]
+    for sets in (([0, 1], [1], []), ([0], [2], [2]), ([0, 0], [], [])):
+        with pytest.raises(ValueError, match="partition sets overlap"):
+            ActiveSetPartition(*sets)
 
 
 def test_classify_trivial_cases():
