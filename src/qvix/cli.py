@@ -35,9 +35,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("QVIX_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    # only a level name is a level: logging.BASIC_FORMAT, say, is a string
+    level = getattr(logging, os.environ.get("QVIX_LOG", "WARNING").upper(), None)
+    if not isinstance(level, int):
+        level = logging.WARNING
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
 
     try:

@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -183,6 +184,21 @@ def test_failed_sensitivity_recorded_with_partial_artifacts(tmp_path):
     assert (tmp_path / "out" / "solution_max.csv").exists()
     assert "error" in artifacts.summary["runs"]["max"]["sensitivity"]
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out2")]) == 1
+
+
+@pytest.mark.parametrize("name, level", [("BASIC_FORMAT", logging.WARNING),
+                                         ("no_such_level", logging.WARNING),
+                                         ("info", logging.INFO)])
+def test_cli_log_level_from_environment(monkeypatch, name, level):
+    # basicConfig acts only on a root logger without handlers; pytest adds its own
+    monkeypatch.setattr(logging.root, "handlers", [])
+    monkeypatch.setenv("QVIX_LOG", name)
+    old_level = logging.root.level
+    try:
+        assert cli_main(["validate", str(CONFIG_DIR / "toy_min.json")]) == 0
+        assert logging.root.level == level
+    finally:
+        logging.root.setLevel(old_level)
 
 
 def test_cli_validate_run_and_error_codes(tmp_path, capsys):

@@ -278,6 +278,9 @@ def test_tridiagonal_solve_matches_solveh_banded_bitwise(n):
         ref = rhs / diag if n == 1 else _banded_reference(matrix, rhs)
         assert x.shape == rhs.shape
         assert np.array_equal(x, ref)
+        # each column of a multi-column solve is its own 1-D solve
+        for j in range(rhs.shape[1] if rhs.ndim == 2 else 0):
+            assert np.array_equal(x[:, j], matrix.solve(np.ascontiguousarray(rhs[:, j])))
     if n >= 3:
         idx = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
         sub = matrix.submatrix(idx)

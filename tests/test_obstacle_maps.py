@@ -4,6 +4,7 @@ import pytest
 from qvix import (
     DualElement,
     Grid,
+    InnerSolveError,
     InverseEllipticMap,
     NodalFunction,
     PlateauMap,
@@ -235,3 +236,117 @@ def test_lipschitz_threshold_fails_for_large_forcing():
     tmap = ThermoformingMap(NodalFunction.constant(g, 3.0), 1.0, 1.0, 0.1)
     ok, _ = lipschitz_threshold_check(tmap, A, DualElement.constant(g, 5.0))
     assert not ok
+
+
+def _lipschitz_reference(omap, center, radius, n_samples, rng):
+    """The per-pair sampling loop that ``lipschitz_estimate`` runs in blocks."""
+    grid = omap.grid
+
+    def sample():
+        z = rng.standard_normal(grid.n_nodes)
+        z_fun = NodalFunction(grid, z)
+        return center + (radius * rng.uniform() / v_norm(z_fun)) * z_fun
+
+    worst = 0.0
+    for _ in range(n_samples):
+        u, v = sample(), sample()
+        denom = v_norm(u - v)
+        if denom < 1e-12:
+            continue
+        worst = max(worst, v_norm(omap.evaluate(u) - omap.evaluate(v)) / denom)
+    return worst
+
+
+def _sampled_map(kind, n):
+    """A map and a center where the sampled quotients are nonzero (a far mould gives 0)."""
+    g = Grid(n)
+    x = g.nodes
+    if kind == "plateau":
+        return PlateauMap(g, [1.0, 2.0], 0.25), 1.5 + 0.3 * np.sin(3 * x)
+    if kind == "neumann":
+        return (InverseEllipticMap(assemble_operator(g, 1.0, "neumann"),
+                                   ScalarNonlinearity("tanh", 2.0)), 0.5 + x)
+    if kind == "dirichlet":
+        return (InverseEllipticMap(assemble_operator(g, 2.0, "dirichlet"),
+                                   ScalarNonlinearity("linear", 0.7)), x * (1.0 - x))
+    if kind == "thermoforming":
+        return ThermoformingMap(NodalFunction.constant(g, 3.0), 1.0, 1.0, 0.1), 2.3 + 0.2 * x
+    assert kind == "far_mould"
+    return ThermoformingMap(NodalFunction.constant(g, 3.0), 1.0, 1.0, 0.1), 1.0 + 0.2 * x
+
+
+# pairs per block are 2**15 // (2 n): all 32 pairs in one block at n = 101,
+# 10 + 10 + 10 + 2 at n = 1601, one pair per block at n = 16401, and
+# 162 + 8 for 170 pairs at n = 101
+@pytest.mark.parametrize("kind, n, n_samples", [
+    ("plateau", 101, 32), ("plateau", 1601, 32), ("plateau", 16401, 3),
+    ("neumann", 1601, 32), ("neumann", 16401, 3),
+    ("dirichlet", 101, 32), ("dirichlet", 1601, 32), ("dirichlet", 16401, 3),
+    ("thermoforming", 101, 32), ("thermoforming", 101, 170), ("far_mould", 16401, 2),
+    ("plateau", 101, 0), ("thermoforming", 1601, 0),
+])
+def test_lipschitz_estimate_matches_per_pair_loop_bitwise(kind, n, n_samples):
+    omap, center_vals = _sampled_map(kind, n)
+    center = NodalFunction(omap.grid, center_vals)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    est = lipschitz_estimate(omap, center, 0.3, n_samples, rng)
+    ref = _lipschitz_reference(omap, center, 0.3, n_samples, ref_rng)
+    assert est == ref
+    assert (est > 0.0) == (n_samples > 0 and kind != "far_mould")
+    # run_experiment shares the generator between the min and max runs
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_lipschitz_estimate_raises_the_per_pair_stall():
+    # a mould close enough that some sampled temperature stalls
+    omap, _ = _sampled_map("thermoforming", 101)
+    center = NodalFunction(omap.grid, 2.6 + 0.2 * omap.grid.nodes)
+    with pytest.raises(InnerSolveError) as ref:
+        _lipschitz_reference(omap, center, 0.3, 32, np.random.default_rng(7))
+    with pytest.raises(InnerSolveError) as got:
+        lipschitz_estimate(omap, center, 0.3, 32, np.random.default_rng(7))
+    assert str(got.value) == str(ref.value)
+
+
+def _block_cases():
+    g = Grid(101)
+    x = g.nodes
+    rng = np.random.default_rng(23)
+    smooth = np.stack([1.2 + 0.8 * np.sin((j + 1) * x) for j in range(4)])
+    yield PlateauMap(g, [1.0, 2.0], 0.25), np.vstack([smooth, rng.uniform(0.0, 3.0, (3, 101))])
+    for bc, gain in (("neumann", ScalarNonlinearity("tanh", 2.0)),
+                     ("dirichlet", ScalarNonlinearity("linear", 0.7))):
+        yield (InverseEllipticMap(assemble_operator(g, 1.5, bc), gain),
+               np.vstack([smooth, rng.standard_normal((3, 101))]))
+    # Picard stops these rows after 1 (no heat), 14, 17 and 18 steps
+    mould = NodalFunction.constant(g, 3.0)
+    membranes = np.stack([np.full(101, 1.0), 2.0 + 0.5 * x, 2.3 + 0.2 * x, 2.4 + 0.2 * x])
+    yield ThermoformingMap(mould, 1.0, 1.0, 0.1), membranes
+    # contraction factor >= 0.9: Newton from zero, no Picard steps
+    yield ThermoformingMap(mould, 1.0, 1.0, 0.6), membranes
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_evaluate_rows_matches_per_row_evaluate_bitwise(case):
+    omap, rows = list(_block_cases())[case]
+    block = omap._evaluate_rows(rows)
+    assert block.shape == rows.shape
+    for row, image in zip(rows, block):
+        assert np.array_equal(image, omap.evaluate(NodalFunction(omap.grid, row)).values)
+    if isinstance(omap, ThermoformingMap):
+        for row, temp in zip(rows, omap._temperature_rows(rows)):
+            assert np.array_equal(temp, omap.temperature(NodalFunction(omap.grid, row)).values)
+
+
+def test_block_with_a_stalling_row_raises_its_error():
+    # the thermoforming_desk map at n = 201 stalls on this membrane
+    g = Grid(201)
+    omap = ThermoformingMap(NodalFunction.constant(g, 3.0), 1.0, 1.0, 0.1)
+    stall = 2.2 + 0.3 * np.sin(3 * g.nodes)
+    with pytest.raises(InnerSolveError) as alone:
+        omap.evaluate(NodalFunction(g, stall))
+    assert "stalled" in str(alone.value)
+    rows = np.stack([np.full(201, 1.0), stall, np.full(201, 50.0)])
+    with pytest.raises(InnerSolveError) as in_block:
+        omap._evaluate_rows(rows)
+    assert str(in_block.value) == str(alone.value)
