@@ -1,7 +1,7 @@
 """Print the SHA-256 of every output file of the bundled configs.
 
 For each config in ``configs/`` and each grid size (the config's own,
-401 and 1601 nodes), runs ``run_experiment`` with seed 0 into a
+401, 1601 and 6401 nodes), runs ``run_experiment`` with seed 0 into a
 temporary directory and prints one line ``<config>@<n>/<file> <sha256>``
 per written file, sorted.  Running it on two checkouts and diffing the
 outputs shows whether a change kept the outputs byte-identical:
@@ -23,7 +23,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-GRID_SIZES = (None, 401, 1601)  # None: the config's own grid
+GRID_SIZES = (None, 401, 1601, 6401)  # None: the config's own grid
 
 
 def digests(root: Path) -> list[str]:

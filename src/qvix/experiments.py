@@ -366,8 +366,8 @@ def _write_csv(path: Path, columns: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_solution_csv(path: Path, problem: BuiltProblem, u: NodalFunction) -> None:
-    phi = problem.omap.evaluate(u)
+def write_solution_csv(path: Path, problem: BuiltProblem, report: ExtremalRunReport) -> None:
+    u, phi = report.solution, report.obstacle
     lam = multiplier(problem.operator, problem.forcing, u)
     partition = classify_active(problem.operator, problem.forcing, u, phi)
     _write_csv(path, {"x": problem.grid.nodes, "u": u.values, "phi_u": phi.values,
@@ -444,8 +444,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
         run_summary: dict = {}
         summary["runs"][which] = run_summary
         run, start = (iterate_min, bracket.lower) if which == "min" else (iterate_max, bracket.upper)
+        # the sampled map evaluations and the temperature solve can stall
+        # like the run's own, and fail the run the same way
         try:
             report = run(A, f, omap, start, oracle_check)
+            u = report.solution
+            c_phi = lipschitz_estimate(omap, u, 0.1 * (1.0 + v_norm(u)), 32, rng)
+            if isinstance(omap, ThermoformingMap):
+                temperature_vnorm = v_norm(omap.temperature(u))
         except (ExtremalIterationError, ViSolveError, InnerSolveError) as exc:
             log.error("extremal run '%s' failed: %s", which, exc)
             artifacts.failures.append(f"{which}: {exc}")
@@ -454,13 +460,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
 
         sol_path = target / f"solution_{which}.csv"
         it_path = target / f"iterates_{which}.csv"
-        write_solution_csv(sol_path, problem, report.solution)
+        write_solution_csv(sol_path, problem, report)
         write_iterates_csv(it_path, report)
         artifacts.files[f"solution_{which}"] = sol_path
         artifacts.files[f"iterates_{which}"] = it_path
 
-        u = report.solution
-        c_phi = lipschitz_estimate(omap, u, 0.1 * (1.0 + v_norm(u)), 32, rng)
         run_summary.update({
             "n_iters": report.n_iters,
             "final_step_vnorm": report.final_step_vnorm,
@@ -473,7 +477,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
             "c_phi_estimate": c_phi,
         })
         if isinstance(omap, ThermoformingMap):
-            run_summary["temperature_vnorm"] = v_norm(omap.temperature(u))
+            run_summary["temperature_vnorm"] = temperature_vnorm
             run_summary["temperature_bound"] = omap.temperature_bound()
 
         if config.sensitivity.enabled:

@@ -89,10 +89,12 @@ def _check_direction(d: DualElement, which: str, what: str) -> float:
 
 @dataclass(frozen=True)
 class ExtremalRunReport:
-    """History and diagnostics of one monotone run; the delta histories hold
-    the smallest and largest nodal change of each outer step."""
+    """History and diagnostics of one monotone run; ``obstacle`` is the map
+    evaluated at the solution, and the delta histories hold the smallest
+    and largest nodal change of each outer step."""
 
     solution: NodalFunction
+    obstacle: NodalFunction
     n_iters: int
     final_step_vnorm: float
     qvi_residual: float
@@ -160,13 +162,14 @@ def qvi_residual(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
 
 
 def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-             start: NodalFunction, which: str, oracle_check: bool) -> ExtremalRunReport:
+             start: NodalFunction, which: str, oracle_check: bool,
+             active0: np.ndarray | None) -> ExtremalRunReport:
     sign = _sign(which)
     if oracle_check and A.grid.n_nodes > vi.ORACLE_MAX_NODES:
         raise ValueError("oracle cross-checks need a grid with at most "
                          f"{vi.ORACLE_MAX_NODES} nodes")
     residuals: list[float] = []
-    active0 = None  # PDAS warm start: the coincidence set of the last solve
+    # PDAS warm start: the caller's set, then the coincidence set of the last solve
 
     # evaluates the obstacle of each accepted iterate once, at the start of
     # the step that leaves it; the limit's obstacle is evaluated below
@@ -190,27 +193,37 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         "{order} iteration lost monotonicity (worst step {worst:.3e}); "
         "the comparison principle is broken",
         f"no convergence within {MAX_OUTER} outer iterations")
-    residuals.append(_obstacle_residual(A, f, u, omap.evaluate(u)))
+    phi = omap.evaluate(u)
+    residuals.append(_obstacle_residual(A, f, u, phi))
     if residuals[-1] > RESIDUAL_TOL:
         raise ExtremalIterationError(
             f"converged iterate has residual {residuals[-1]:.3e} "
             f"above tolerance {RESIDUAL_TOL:.1e}")
     return ExtremalRunReport(
-        solution=u, n_iters=len(steps), final_step_vnorm=steps[-1],
+        solution=u, obstacle=phi, n_iters=len(steps), final_step_vnorm=steps[-1],
         qvi_residual=residuals[-1], step_history=steps, residual_history=tuple(residuals),
         min_delta_history=min_deltas, max_delta_history=max_deltas)
 
 
 def iterate_min(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                start: NodalFunction, oracle_check: bool = False) -> ExtremalRunReport:
-    """Increasing iteration from a subsolution to the minimal solution."""
-    return _iterate(A, f, omap, start, "min", oracle_check)
+                start: NodalFunction, oracle_check: bool = False, *,
+                active0: np.ndarray | None = None) -> ExtremalRunReport:
+    """Increasing iteration from a subsolution to the minimal solution.
+
+    ``active0`` is the likely coincidence set of the first obstacle solve,
+    a warm start as in ``solve_vi`` that cannot change the result.
+    """
+    return _iterate(A, f, omap, start, "min", oracle_check, active0)
 
 
 def iterate_max(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                start: NodalFunction, oracle_check: bool = False) -> ExtremalRunReport:
-    """Decreasing iteration from a supersolution to the maximal solution."""
-    return _iterate(A, f, omap, start, "max", oracle_check)
+                start: NodalFunction, oracle_check: bool = False, *,
+                active0: np.ndarray | None = None) -> ExtremalRunReport:
+    """Decreasing iteration from a supersolution to the maximal solution.
+
+    ``active0`` is as in ``iterate_min``.
+    """
+    return _iterate(A, f, omap, start, "max", oracle_check, active0)
 
 
 def comparison_in_f(A: EllipticOperator, f: DualElement, d: DualElement, s: float,

@@ -19,10 +19,19 @@ seeds the loop.  The settled coarse set is prolongated: an even node
 takes its coarse flag, an odd node is active when both coarse
 neighbours are.  Coarsening also stops at an even node count and where
 the Galerkin matrix would couple two unknowns positively, so every level
-is an M-matrix.  The start changes only the path of the loop, never its
-stopping rules or the reduced solve at its end, so a solve ends on the
-same settled set with the same bits.  ``ViSolution.iterations`` counts
-the rounds of every level.
+is an M-matrix.
+
+A warm solve, one whose caller passes a likely active set ``active0``,
+first spends one round on the fine grid with that set.  If the update
+rule returns the same set, the solve ends there: consecutive solves of a
+monotone iteration mostly share their set, and then cost one round.
+Otherwise the nested start runs as for a cold solve, seeded with
+``active0``, at the price of that one extra round; the coarse levels
+never take such a round.  Only a settled set ends the first round, never
+the residual test.  The starts change only the path of the loop, never
+its stopping rules or the reduced solve at its end, so a solve ends on
+the same settled set with the same bits.  ``ViSolution.iterations``
+counts the rounds of every level, the first fine round included.
 """
 
 from __future__ import annotations
@@ -94,7 +103,9 @@ class ActiveSetPartition:
 class ViSolution:
     """Solution, multiplier and diagnostics of one obstacle solve.
 
-    ``iterations`` counts the active set rounds of every nested level.
+    ``iterations`` counts the active set rounds of every nested level and
+    the first fine round of a warm solve; it is 1 when the warm set was
+    already settled.
     """
 
     u: NodalFunction
@@ -186,6 +197,29 @@ def _coarse_problem(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_ma
             target[0::2], eq_c, free_mask[0::2])
 
 
+def _update_rule(u, lam, target, obstacle_mask):
+    """The next active set of the loop: obstacle nodes with lam + (u - target) > 0.
+
+    Pinned rows have u == target and solved rows lam == 0, so any positive
+    weight on u - target would select the same set.
+    """
+    return obstacle_mask & (lam + (u - target) > 0)
+
+
+def _solve_pinned(matrix: TridiagonalSpd, mass, load, target, pinned):
+    """Values with the pinned nodes at the target and the equation elsewhere,
+    and the multiplier densities (zero on solved rows)."""
+    u = np.where(pinned, target, 0.0)
+    solve_idx = np.flatnonzero(~pinned)
+    if solve_idx.size:
+        coupling = matrix.matvec(u)
+        sub = matrix.submatrix(solve_idx)
+        u[solve_idx] = sub.solve(load[solve_idx] - coupling[solve_idx])
+    lam = (load - matrix.matvec(u)) / mass
+    lam[~pinned] = 0.0
+    return u, lam
+
+
 def _nested_start(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active0):
     """Start set of the loop from the coarse solve, and the coarse rounds spent.
 
@@ -194,56 +228,36 @@ def _nested_start(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask
     coarse = _coarse_problem(matrix, mass, load, target, eq_mask, free_mask)
     if coarse is None:
         return active0, 0
-    _, _, _, target_c, eq_c, free_c = coarse
-    u_c, lam_c, iters = _pdas(*coarse, active0=active0[0::2])
-    # the set the coarse loop settled on (its last update rule)
-    settled = ~(eq_c | free_c) & (lam_c + (u_c - target_c) > 0)
+    _, _, settled, iters = _nested_pdas(*coarse, active0[0::2])
     active = np.empty(matrix.n, dtype=bool)
     active[0::2] = settled
     active[1::2] = settled[:-1] & settled[1:]
     return active, iters
 
 
-def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active0=None):
-    """Active set loop over nodes split into equality / obstacle / free roles.
+def _nested_pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active0):
+    """The loop from the nested coarse start seeded with ``active0``.
 
-    Equality nodes are pinned to the target, free nodes carry the plain
-    equation, obstacle nodes carry the target as an upper bound with the
-    usual complementarity update rule.  The loop starts from the nested
-    coarse solve (see the module docstring).  Returns nodal values,
-    multiplier densities (zero on solved rows) and the rounds of every
-    level.
+    Returns nodal values, multiplier densities, the set the last round's
+    update rule selected and the rounds of every level.
     """
     n = load.shape[0]
     obstacle_mask = ~(eq_mask | free_mask)
-    active0 = np.zeros(n, dtype=bool) if active0 is None else np.asarray(active0, dtype=bool)
     start, coarse_iters = _nested_start(matrix, mass, load, target, eq_mask, free_mask,
                                         active0)
     active = start & obstacle_mask
 
-    u = np.zeros(n)
-    lam = np.zeros(n)
     changed = 0
     sizes: list[int] = []
     for it in range(1, PDAS_MAX_ITER + 1):
-        pinned = eq_mask | active
-        u = np.where(pinned, target, 0.0)
-        solve_idx = np.flatnonzero(~pinned)
-        if solve_idx.size:
-            coupling = matrix.matvec(u)
-            sub = matrix.submatrix(solve_idx)
-            u[solve_idx] = sub.solve(load[solve_idx] - coupling[solve_idx])
-        lam = (load - matrix.matvec(u)) / mass
-        lam[~pinned] = 0.0
-        # pinned rows have u == target and solved rows lam == 0, so any
-        # positive weight on u - target would select the same set
-        new_active = obstacle_mask & (lam + (u - target) > 0)
+        u, lam = _solve_pinned(matrix, mass, load, target, eq_mask | active)
+        new_active = _update_rule(u, lam, target, obstacle_mask)
         if np.array_equal(new_active, active):
-            return u, lam, coarse_iters + it
+            return u, lam, new_active, coarse_iters + it
         # degenerate nodes (multiplier at roundoff scale) can flip forever;
         # a vanishing KKT residual is just as final as a settled set
         if complementarity_residual(u, target, lam, eq_mask, free_mask) <= VI_TOL:
-            return u, lam, coarse_iters + it
+            return u, lam, new_active, coarse_iters + it
         changed = int(np.count_nonzero(new_active != active))
         active = new_active
         sizes.append(int(np.count_nonzero(active)))
@@ -255,14 +269,44 @@ def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active
         f"{len(tail)} rounds, out of {n} nodes: {', '.join(map(str, tail))})")
 
 
+def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active0=None):
+    """Active set loop over nodes split into equality / obstacle / free roles.
+
+    Equality nodes are pinned to the target, free nodes carry the plain
+    equation, obstacle nodes carry the target as an upper bound with the
+    usual complementarity update rule.  A warm set ``active0`` is tried
+    on this grid first and kept if the update rule returns it; otherwise,
+    and for a cold solve, the loop starts from the nested coarse solve
+    (see the module docstring).  Returns nodal values, multiplier
+    densities (zero on solved rows), the set the last round's update rule
+    selected and the rounds of every level.
+    """
+    n = load.shape[0]
+    if active0 is None:
+        return _nested_pdas(matrix, mass, load, target, eq_mask, free_mask,
+                            np.zeros(n, dtype=bool))
+    active0 = np.asarray(active0, dtype=bool)
+    obstacle_mask = ~(eq_mask | free_mask)
+    active = active0 & obstacle_mask
+    u, lam = _solve_pinned(matrix, mass, load, target, eq_mask | active)
+    # only a settled set ends this round: stopping on a small residual here
+    # could keep another set than the loop settles on, and so other bits
+    if np.array_equal(_update_rule(u, lam, target, obstacle_mask), active):
+        return u, lam, active, 1
+    u, lam, settled, iters = _nested_pdas(matrix, mass, load, target, eq_mask, free_mask,
+                                          active0)
+    return u, lam, settled, iters + 1
+
+
 def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
              active0: np.ndarray | None = None) -> ViSolution:
     """Solve the upper-obstacle problem for the given load and obstacle.
 
     Returns the unique nodal solution of the complementarity system
     together with the multiplier density f - Au and the active set
-    partition.  A non-converged loop or an invalid terminal point raises,
-    never returns silently.
+    partition.  ``active0`` marks a likely active set, a warm start that
+    changes the rounds spent but not the result.  A non-converged loop or
+    an invalid terminal point raises, never returns silently.
     """
     grid = A.grid
     if f.grid != grid or phi.grid != grid:
@@ -278,8 +322,8 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     load[eq_mask] = 0.0
 
     target = np.where(eq_mask, 0.0, phi.values)
-    u_vals, lam_vals, iters = _pdas(A.matrix, grid.mass, load, target, eq_mask,
-                                    free_mask, active0=active0)
+    u_vals, lam_vals, _, iters = _pdas(A.matrix, grid.mass, load, target, eq_mask,
+                                       free_mask, active0=active0)
     lam_vals[eq_mask] = 0.0
     residual = complementarity_residual(u_vals, target, lam_vals, eq_mask, free_mask)
     if residual > VI_TOL:

@@ -161,6 +161,22 @@ def test_temperature_stall_reports_residual_and_tolerance(tmp_path):
     assert residual > tol
 
 
+def test_stall_after_the_run_is_recorded_as_its_failure(tmp_path):
+    # the run converges; a temperature solve at a sampled Lipschitz point
+    # stalls, which fails the run instead of escaping the runner
+    cfg = json.loads((CONFIG_DIR / "thermoforming_desk.json").read_text())
+    cfg["grid"]["n_nodes"] = 401
+    cfg["map"]["mould"] = {"const": 1.85}
+    cfg["sensitivity"]["enabled"] = False
+    artifacts = run_experiment(parse_config(cfg), out_dir=tmp_path, seed=0)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    [failure] = summary["failures"]
+    assert failure.startswith("min: temperature solve stalled at residual ")
+    assert summary["runs"]["min"] == {"error": failure[len("min: "):]}
+    assert artifacts.failures == [failure]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+
+
 def test_byte_determinism(tmp_path):
     cfg = load_config(CONFIG_DIR / "inverse_elliptic_max.json")
     a1 = run_experiment(cfg, out_dir=tmp_path / "r1", seed=7)

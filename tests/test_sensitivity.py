@@ -1,8 +1,12 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qvix.sensitivity
+import qvix.vi
 from qvix import (
     DerivativeSolveError,
     DualElement,
@@ -22,7 +26,10 @@ from qvix import (
     solve_vi,
     v_norm,
 )
+from qvix.experiments import build_problem, parse_config
 from qvix.sensitivity import ConeError, derivative_qvi_residual
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def zero_gain_biactive_instance(n=10, plateau=slice(3, 7)):
@@ -295,3 +302,70 @@ def test_derivative_residual_vanishes_at_alpha_and_flags_perturbations(toy):
         bumped = alpha.values.copy()
         bumped[node] += 1e-3
         assert derivative_qvi_residual(cone, NodalFunction(g, bumped), d) > 1e-6
+
+
+def _bundled(name, n):
+    """Operator, forcing, direction and map of a bundled config on n nodes."""
+    raw = json.loads(CONFIG_DIR.joinpath(f"{name}.json").read_text())
+    raw["grid"]["n_nodes"] = n
+    problem = build_problem(parse_config(raw))
+    return problem.operator, problem.forcing, problem.direction, problem.omap
+
+
+def _thermoforming_partial_contact():
+    g = Grid(48)
+    A = assemble_operator(g, 1.0, "neumann")
+    omap = ThermoformingMap(NodalFunction.constant(g, 3.0), 1.0, 1.0, 0.1)
+    f = DualElement(g, 2.6 + 0.8 * np.sin(np.pi * g.nodes))
+    return A, f, DualElement.constant(g, 1.0), omap
+
+
+@pytest.mark.parametrize("instance, which, partition", [
+    (_thermoforming_partial_contact, "min", (4, 0, 44)),
+    (lambda: _bundled("toy_max", 129), "max", (0, 129, 0)),
+    (lambda: _bundled("inverse_elliptic_max", 201), "max", (121, 0, 80)),
+], ids=["thermoforming-min", "toy_max-biactive", "inverse_elliptic_max"])
+def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, instance, which,
+                                                                 partition):
+    A, f, d, omap = instance()
+    bracket = IntervalBracket.default(A, f, d)
+    run_name = f"iterate_{which}"
+    run = getattr(qvix.sensitivity, run_name)
+    seeds = []
+
+    def recording_run(*args, **kwargs):
+        seeds.append(kwargs.get("active0"))
+        return run(*args, **kwargs)
+
+    pdas = qvix.vi._pdas
+    rounds = []  # of each cone solve
+
+    def recording_pdas(*args, active0=None):
+        out = pdas(*args, active0=active0)
+        rounds.append(out[-1])
+        return out
+
+    monkeypatch.setattr(f"qvix.sensitivity.{run_name}", recording_run)
+    monkeypatch.setattr("qvix.sensitivity._pdas", recording_pdas)
+    warm = fd_validate(A, f, d, omap, bracket, which)
+    cone = build_cone(A, f, omap, warm.base)
+    assert (cone.partition.strict.size, cone.partition.biactive.size,
+            cone.partition.inactive.size) == partition
+    # the base run starts cold, the four reruns at the base's coincidence set
+    assert seeds[0] is None and len(seeds) == 5
+    for seed in seeds[1:]:
+        assert np.array_equal(np.flatnonzero(seed), cone.partition.coincidence)
+    # each cone solve after the first starts from its predecessor's settled set
+    assert len(rounds) == len(warm.alpha_iterates)
+    assert rounds[1:] == [1] * (len(rounds) - 1)
+
+    # every obstacle and cone solve cold
+    cold_pdas = lambda *args, active0=None: pdas(*args)
+    monkeypatch.setattr("qvix.vi._pdas", cold_pdas)
+    monkeypatch.setattr("qvix.sensitivity._pdas", cold_pdas)
+    cold = fd_validate(A, f, d, omap, bracket, which)
+
+    assert np.array_equal(warm.base.values, cold.base.values)
+    assert np.array_equal(warm.alpha.values, cold.alpha.values)
+    assert warm.fd_table == cold.fd_table
+

@@ -97,6 +97,9 @@ def _first_obstacle_solve_data(n, bc):
 # rounds of all levels of a cold solve, measured at most 33 (Dirichlet at
 # 25601 nodes); a cold loop without the nested start needed 708 at 6401
 NESTED_ROUNDS_BOUND = 40
+# rounds of the first cold solve of the Neumann case; a first fine round
+# taken on the coarse levels as well would add one per level
+NEUMANN_COLD_ROUNDS = {101: 14, 401: 18, 1601: 21, 6401: 25, 25601: 29}
 
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
@@ -105,12 +108,60 @@ def test_cold_solve_rounds_do_not_grow_with_the_grid(bc, n):
     A, f, phi = _first_obstacle_solve_data(n, bc)
     cold = solve_vi(A, f, phi)
     assert cold.iterations <= NESTED_ROUNDS_BOUND
+    if bc == "neumann":
+        assert cold.iterations == NEUMANN_COLD_ROUNDS[n]
     assert 0 < cold.partition.coincidence.size < n
-    warm0 = np.ones(n, dtype=bool)
-    warm0[cold.partition.inactive] = False
-    warm = solve_vi(A, f, phi, active0=warm0)
-    assert np.array_equal(warm.u.values, cold.u.values)
-    assert np.array_equal(warm.lam.values, cold.lam.values)
+
+    def assert_cold_bits(sol):
+        assert np.array_equal(sol.u.values, cold.u.values)
+        assert np.array_equal(sol.lam.values, cold.lam.values)
+
+    # the set the loop settled on: pinned rows carry the multiplier, solved rows none
+    settled = cold.lam.values > 0
+    warm = solve_vi(A, f, phi, active0=settled)
+    assert warm.iterations == 1
+    assert_cold_bits(warm)
+    # the coincidence set holds nodes within the active tolerance of the
+    # obstacle, which the settled set lacks at n >= 6401
+    coincident = np.ones(n, dtype=bool)
+    coincident[cold.partition.inactive] = False
+    assert_cold_bits(solve_vi(A, f, phi, active0=coincident))
+
+    # a wrong set costs its fine round and then starts the nested loop from itself
+    none = solve_vi(A, f, phi, active0=np.zeros(n, dtype=bool))
+    assert_cold_bits(none)
+    assert none.iterations == cold.iterations + 1
+    for shift in (3, -3):
+        shifted = solve_vi(A, f, phi, active0=np.roll(settled, shift))
+        assert_cold_bits(shifted)
+        assert shifted.iterations <= cold.iterations + 1
+    every = solve_vi(A, f, phi, active0=np.ones(n, dtype=bool))
+    assert_cold_bits(every)
+    if bc == "neumann":
+        assert every.iterations <= cold.iterations + 1
+    else:
+        # from every node active, the coarsest loop releases the two fronts
+        # of the interior contact set a node per round: about 20 rounds
+        # more than cold, as with the nested start alone
+        assert every.iterations <= cold.iterations + 21
+
+
+def test_first_fine_round_ends_only_on_a_settled_set():
+    # toy_max's obstacle at the upper bracket touches the solution with a
+    # vanishing multiplier at every node: pinning them all leaves a residual
+    # at roundoff, yet the update rule drops the nodes whose multiplier
+    # rounds to a negative value, so the solve goes on and keeps the cold bits
+    raw = json.loads(CONFIG_DIR.joinpath("toy_max.json").read_text())
+    for n in (129, 401):
+        raw["grid"]["n_nodes"] = n
+        problem = build_problem(parse_config(raw))
+        A, f = problem.operator, problem.forcing
+        phi = problem.omap.evaluate(IntervalBracket.default(A, f, problem.direction).upper)
+        cold = solve_vi(A, f, phi)
+        every = solve_vi(A, f, phi, active0=np.ones(n, dtype=bool))
+        assert every.iterations == cold.iterations + 1
+        assert np.array_equal(every.u.values, cold.u.values)
+        assert np.array_equal(every.lam.values, cold.lam.values)
 
 
 def test_nested_start_skips_levels_that_lose_the_m_matrix_sign(monkeypatch):
