@@ -1,9 +1,10 @@
 """Print the SHA-256 of every output file of the bundled configs.
 
-For each config in ``configs/`` and each grid size (the config's own,
-401, 1601 and 6401 nodes), runs ``run_experiment`` with seed 0 into a
-temporary directory and prints one line ``<config>@<n>/<file> <sha256>``
-per written file, sorted.  Running it on two checkouts and diffing the
+For each config in ``configs/``, as bundled and with Dirichlet boundary
+conditions (``operator.bc = "dirichlet"``), and each grid size (the
+config's own, 401, 1601 and 6401 nodes), runs ``run_experiment`` with
+seed 0 into a temporary directory and prints one line
+``<config>[-dirichlet]@<n>/<file> <sha256>`` per written file, sorted.  Running it on two checkouts and diffing the
 outputs shows whether a change kept the outputs byte-identical:
 
     python scripts/output_digests.py > after.txt
@@ -24,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 GRID_SIZES = (None, 401, 1601, 6401)  # None: the config's own grid
+BOUNDARY_VARIANTS = (None, "dirichlet")  # None: the config's own condition
 
 
 def digests(root: Path) -> list[str]:
@@ -31,17 +33,22 @@ def digests(root: Path) -> list[str]:
     from qvix.experiments import parse_config, run_experiment
 
     lines = []
-    for cfg_path in sorted((root / "configs").glob("*.json")):
-        raw = json.loads(cfg_path.read_text(encoding="utf-8"))
-        for n in GRID_SIZES:
-            if n is not None:
-                raw["grid"]["n_nodes"] = n
-            label = f"{cfg_path.stem}@{raw['grid']['n_nodes']}"
-            with tempfile.TemporaryDirectory() as tmp:
-                run_experiment(parse_config(raw), out_dir=tmp, seed=0)
-                for path in sorted(Path(tmp).iterdir()):
-                    sha = hashlib.sha256(path.read_bytes()).hexdigest()
-                    lines.append(f"{label}/{path.name} {sha}")
+    for bc in BOUNDARY_VARIANTS:
+        for cfg_path in sorted((root / "configs").glob("*.json")):
+            raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+            name = cfg_path.stem
+            if bc is not None:
+                raw["operator"]["bc"] = bc
+                name += f"-{bc}"
+            for n in GRID_SIZES:
+                if n is not None:
+                    raw["grid"]["n_nodes"] = n
+                label = f"{name}@{raw['grid']['n_nodes']}"
+                with tempfile.TemporaryDirectory() as tmp:
+                    run_experiment(parse_config(raw), out_dir=tmp, seed=0)
+                    for path in sorted(Path(tmp).iterdir()):
+                        sha = hashlib.sha256(path.read_bytes()).hexdigest()
+                        lines.append(f"{label}/{path.name} {sha}")
     return lines
 
 

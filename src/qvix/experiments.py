@@ -501,7 +501,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
                 "derivative_residual": deriv.qvi_residual,
                 "observed_order": deriv.observed_order,
                 "fd_monotone": deriv.fd_monotone,
-                "biactive_warning": deriv.biactive_warning,
+                "biactive_warning": not deriv.fd_monotone,
                 "final_quotient_error": deriv.fd_table[-1][1],
             }
 

@@ -211,7 +211,8 @@ def iterate_min(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     """Increasing iteration from a subsolution to the minimal solution.
 
     ``active0`` is the likely coincidence set of the first obstacle solve,
-    a warm start as in ``solve_vi`` that cannot change the result.
+    a warm start as in ``solve_vi``: it changes the rounds spent, and the
+    result at most by roundoff inside ``vi.VI_TOL``.
     """
     return _iterate(A, f, omap, start, "min", oracle_check, active0)
 

@@ -323,19 +323,9 @@ def pair(f: DualElement, v: NodalFunction) -> float:
     return float(np.dot(f.grid.mass * f.values, v.values))
 
 
-def _h1_matrix(grid: Grid) -> TridiagonalSpd:
-    """Stiffness plus lumped mass: the Riesz matrix of the discrete H1 product."""
-    h = grid.h
-    diag = np.full(grid.n_nodes, 2.0 / h)
-    diag[0] = diag[-1] = 1.0 / h
-    diag += grid.mass
-    upper = np.full(grid.n_nodes - 1, -1.0 / h)
-    return TridiagonalSpd(diag, upper)
-
-
 def dual_norm(f: DualElement) -> float:
-    """Dual norm via the H1 Riesz representative."""
-    z = _h1_matrix(f.grid).solve(f.grid.mass * f.values)
+    """Dual norm via the H1 Riesz representative (Neumann operator, c = 1)."""
+    z = assemble_operator(f.grid, 1.0, "neumann").matrix.solve(f.grid.mass * f.values)
     return float(np.sqrt(np.dot(f.grid.mass * f.values, z)))
 
 
@@ -347,7 +337,7 @@ def sup_embedding_constant(grid: Grid) -> float:
     pivots of the forward and backward LDL^T factorisations (Meurant,
     SIAM J. Matrix Anal. Appl. 13, 1992): ``1 / (p_i + q_i - a_i)``.
     """
-    h1 = _h1_matrix(grid)
+    h1 = assemble_operator(grid, 1.0, "neumann").matrix
     forward, _, info_fwd = dpttrf(h1.diag, h1.upper)
     backward, _, info_bwd = dpttrf(h1.diag[::-1], h1.upper[::-1])
     if info_fwd or info_bwd:  # pragma: no cover - the H1 matrix is SPD

@@ -67,7 +67,6 @@ class DerivativeReport:
     fd_table: tuple[tuple[float, float], ...] = ()
     observed_order: float | None = None
     fd_monotone: bool | None = None
-    biactive_warning: bool = False
     base: NodalFunction | None = None
 
 
@@ -205,10 +204,10 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     Each quotient re-runs the extremal iteration at the shifted source,
     warm-started at the base solution (the selection the derivative
     describes); its obstacle solves start from the base's coincidence
-    set, which changes no result.  Quotient errors must shrink with the
-    step, up to a noise floor on instances where the remainder vanishes
-    identically; on biactive instances a non-shrinking table is flagged
-    instead of raised.
+    set, a warm start as in ``solve_vi``.  Quotient errors must shrink
+    with the step, up to a noise floor on instances where the remainder
+    vanishes identically; on biactive instances a non-shrinking table is
+    flagged (``fd_monotone`` False) instead of raised.
     """
     s_arr = _check_s_list(s_list)
     sign = _sign(which)
@@ -240,8 +239,7 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     floor = lambda s: max(alpha_floor, noise_scale / s)
     fd_monotone = all(eb <= max(ea, floor(sb))
                       for (_, ea), (sb, eb) in zip(fd_table, fd_table[1:]))
-    biactive = cone.partition.biactive.size > 0
-    if not fd_monotone and not biactive:
+    if not fd_monotone and cone.partition.biactive.size == 0:
         raise DerivativeSolveError(
             "quotient error table does not shrink on a strictly complementary instance")
     if fd_tol is None:
@@ -253,5 +251,4 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
 
     return replace(report, fd_table=tuple(fd_table),
                    observed_order=_observed_order(fd_table, floor),
-                   fd_monotone=fd_monotone,
-                   biactive_warning=(not fd_monotone and biactive))
+                   fd_monotone=fd_monotone)

@@ -8,30 +8,33 @@ same solution by brute force over all active sets on small grids and is
 the independent cross-check for the fast path.
 
 A cold loop needs more set changes the finer the grid, because the front
-of the active set moves a few nodes per round.  So the loop starts from
-a nested-iteration guess (Hintermüller-Ulbrich, Math. Program. 101,
-2004; Kornhuber, Numer. Math. 69, 1994): the same problem is solved on
-every other node, with the Galerkin matrix P^T A P of linear
-interpolation P, the load and mass restricted by P^T and the target and
-role masks injected, recursively down to a grid of about
-``NESTED_MIN_NODES`` nodes, where the caller's warm start (injected)
-seeds the loop.  The settled coarse set is prolongated: an even node
-takes its coarse flag, an odd node is active when both coarse
-neighbours are.  Coarsening also stops at an even node count and where
-the Galerkin matrix would couple two unknowns positively, so every level
-is an M-matrix.
+of the active set moves a few nodes per round.  So the loop takes its
+second round from a nested-iteration guess (Hintermüller-Ulbrich, Math.
+Program. 101, 2004; Kornhuber, Numer. Math. 69, 1994), by one rule on
+every level:
 
-A warm solve, one whose caller passes a likely active set ``active0``,
-first spends one round on the fine grid with that set.  If the update
-rule returns the same set, the solve ends there: consecutive solves of a
-monotone iteration mostly share their set, and then cost one round.
-Otherwise the nested start runs as for a cold solve, seeded with
-``active0``, at the price of that one extra round; the coarse levels
-never take such a round.  Only a settled set ends the first round, never
-the residual test.  The starts change only the path of the loop, never
-its stopping rules or the reduced solve at its end, so a solve ends on
-the same settled set with the same bits.  ``ViSolution.iterations``
-counts the rounds of every level, the first fine round included.
+- Round 1 pins the caller's likely active set ``active0`` (none for a
+  cold solve).  If the update rule selects that set again, the solve
+  ends: consecutive solves of a monotone iteration mostly share their
+  set, and then cost one round.  A cold round 1 may also end on the
+  residual test, a handed set's round 1 only on a settled set.
+- Otherwise the same problem is solved on every other node, with the
+  Galerkin matrix P^T A P of linear interpolation P, the load and mass
+  restricted by P^T, the target and role masks injected, and round 1's
+  selection injected as that level's ``active0``.  Round 2 pins the
+  prolongated settled coarse set: an even node takes its coarse flag, an
+  odd node is active when both coarse neighbours are.  Coarsening stops
+  below ``NESTED_MIN_NODES`` coarse nodes, at an even node count and
+  where the Galerkin matrix would couple two unknowns positively, so
+  every level is an M-matrix; there round 2 pins round 1's selection.
+
+Rounds 2 onwards end on a settled set or on the residual test.  The
+result is that of the set the last round pins, so starts whose loops
+settle on the same set give the same bits.  A loop that ends on the
+residual test pins a set the update rule would still change, and
+another start may end elsewhere: the two results pass the ``VI_TOL``
+residual gate and differ by roundoff.  ``PDAS_MAX_ITER`` counts round 1;
+``ViSolution.iterations`` counts the rounds of every level.
 """
 
 from __future__ import annotations
@@ -103,9 +106,8 @@ class ActiveSetPartition:
 class ViSolution:
     """Solution, multiplier and diagnostics of one obstacle solve.
 
-    ``iterations`` counts the active set rounds of every nested level and
-    the first fine round of a warm solve; it is 1 when the warm set was
-    already settled.
+    ``iterations`` counts the active set rounds of every nested level; it
+    is 1 when the first round already ended the solve.
     """
 
     u: NodalFunction
@@ -220,33 +222,22 @@ def _solve_pinned(matrix: TridiagonalSpd, mass, load, target, pinned):
     return u, lam
 
 
-def _nested_start(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active0):
-    """Start set of the loop from the coarse solve, and the coarse rounds spent.
+def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active0=None):
+    """Active set loop over nodes split into equality / obstacle / free roles.
 
-    Returns ``active0`` itself (and no rounds) where coarsening stops.
-    """
-    coarse = _coarse_problem(matrix, mass, load, target, eq_mask, free_mask)
-    if coarse is None:
-        return active0, 0
-    _, _, settled, iters = _nested_pdas(*coarse, active0[0::2])
-    active = np.empty(matrix.n, dtype=bool)
-    active[0::2] = settled
-    active[1::2] = settled[:-1] & settled[1:]
-    return active, iters
-
-
-def _nested_pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active0):
-    """The loop from the nested coarse start seeded with ``active0``.
-
-    Returns nodal values, multiplier densities, the set the last round's
+    Equality nodes are pinned to the target, free nodes carry the plain
+    equation, obstacle nodes carry the target as an upper bound with the
+    usual complementarity update rule.  Round 1 pins ``active0`` (none
+    when it is None); round 2 starts from the coarse solve seeded with
+    round 1's selection (see the module docstring).  Returns nodal values,
+    multiplier densities (zero on solved rows), the set the last round's
     update rule selected and the rounds of every level.
     """
     n = load.shape[0]
     obstacle_mask = ~(eq_mask | free_mask)
-    start, coarse_iters = _nested_start(matrix, mass, load, target, eq_mask, free_mask,
-                                        active0)
-    active = start & obstacle_mask
-
+    cold = active0 is None
+    active = np.zeros(n, dtype=bool) if cold else np.asarray(active0, dtype=bool) & obstacle_mask
+    coarse_iters = 0
     changed = 0
     sizes: list[int] = []
     for it in range(1, PDAS_MAX_ITER + 1):
@@ -255,11 +246,22 @@ def _nested_pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask,
         if np.array_equal(new_active, active):
             return u, lam, new_active, coarse_iters + it
         # degenerate nodes (multiplier at roundoff scale) can flip forever;
-        # a vanishing KKT residual is just as final as a settled set
-        if complementarity_residual(u, target, lam, eq_mask, free_mask) <= VI_TOL:
+        # a vanishing KKT residual is just as final as a settled set.  A
+        # handed set's first round ends only on a settled set: ending on
+        # the residual would keep pinned values where the loop goes on
+        if (it > 1 or cold) and \
+                complementarity_residual(u, target, lam, eq_mask, free_mask) <= VI_TOL:
             return u, lam, new_active, coarse_iters + it
         changed = int(np.count_nonzero(new_active != active))
         active = new_active
+        coarse = _coarse_problem(matrix, mass, load, target, eq_mask, free_mask) \
+            if it == 1 else None
+        if coarse is not None:
+            _, _, settled, coarse_iters = _pdas(*coarse, active[0::2])
+            active = np.empty(n, dtype=bool)
+            active[0::2] = settled
+            active[1::2] = settled[:-1] & settled[1:]
+            active &= obstacle_mask
         sizes.append(int(np.count_nonzero(active)))
     # a monotone tail is a moving front, a repeating one a cycling set
     tail = sizes[-5:]
@@ -269,35 +271,6 @@ def _nested_pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask,
         f"{len(tail)} rounds, out of {n} nodes: {', '.join(map(str, tail))})")
 
 
-def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active0=None):
-    """Active set loop over nodes split into equality / obstacle / free roles.
-
-    Equality nodes are pinned to the target, free nodes carry the plain
-    equation, obstacle nodes carry the target as an upper bound with the
-    usual complementarity update rule.  A warm set ``active0`` is tried
-    on this grid first and kept if the update rule returns it; otherwise,
-    and for a cold solve, the loop starts from the nested coarse solve
-    (see the module docstring).  Returns nodal values, multiplier
-    densities (zero on solved rows), the set the last round's update rule
-    selected and the rounds of every level.
-    """
-    n = load.shape[0]
-    if active0 is None:
-        return _nested_pdas(matrix, mass, load, target, eq_mask, free_mask,
-                            np.zeros(n, dtype=bool))
-    active0 = np.asarray(active0, dtype=bool)
-    obstacle_mask = ~(eq_mask | free_mask)
-    active = active0 & obstacle_mask
-    u, lam = _solve_pinned(matrix, mass, load, target, eq_mask | active)
-    # only a settled set ends this round: stopping on a small residual here
-    # could keep another set than the loop settles on, and so other bits
-    if np.array_equal(_update_rule(u, lam, target, obstacle_mask), active):
-        return u, lam, active, 1
-    u, lam, settled, iters = _nested_pdas(matrix, mass, load, target, eq_mask, free_mask,
-                                          active0)
-    return u, lam, settled, iters + 1
-
-
 def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
              active0: np.ndarray | None = None) -> ViSolution:
     """Solve the upper-obstacle problem for the given load and obstacle.
@@ -305,8 +278,11 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     Returns the unique nodal solution of the complementarity system
     together with the multiplier density f - Au and the active set
     partition.  ``active0`` marks a likely active set, a warm start that
-    changes the rounds spent but not the result.  A non-converged loop or
-    an invalid terminal point raises, never returns silently.
+    changes the rounds spent.  It keeps the bits of a loop that settles
+    on the same set; a loop that ends on the residual test can move by
+    roundoff, inside ``VI_TOL`` (see the module docstring).  A
+    non-converged loop or an invalid terminal point raises, never returns
+    silently.
     """
     grid = A.grid
     if f.grid != grid or phi.grid != grid:

@@ -186,6 +186,19 @@ def test_byte_determinism(tmp_path):
         assert p1.read_bytes() == a2.files[key].read_bytes(), key
 
 
+@pytest.mark.parametrize("name", ["toy_min", "toy_max", "inverse_elliptic_max",
+                                  "thermoforming_desk"])
+def test_biactive_warning_is_a_non_shrinking_table(tmp_path, name):
+    # a table that fails to shrink raises on a strictly complementary
+    # instance, so every written one that fails to shrink is biactive
+    artifacts = run_experiment(load_config(CONFIG_DIR / f"{name}.json"),
+                               out_dir=tmp_path, seed=0)
+    assert artifacts.ok
+    for run in artifacts.summary["runs"].values():
+        sens = run["sensitivity"]
+        assert sens["biactive_warning"] is (not sens["fd_monotone"])
+
+
 def test_failed_sensitivity_recorded_with_partial_artifacts(tmp_path):
     # direction so strongly negative that zero stops being a subsolution at
     # the largest quotient step: the run itself succeeds, the validation is

@@ -20,7 +20,7 @@ from qvix import (
     sup_embedding_constant,
     v_norm,
 )
-from qvix.fem import TridiagonalSpd, _h1_matrix
+from qvix.fem import TridiagonalSpd
 from conftest import random_dual, random_nodal
 
 
@@ -223,7 +223,7 @@ def test_sup_embedding_constant_matches_continuum():
 @pytest.mark.parametrize("n", [2, 3, 17, 101, 1601])
 def test_sup_embedding_constant_matches_dense_inverse(n, span):
     grid = Grid(n, span)
-    h1 = _h1_matrix(grid)
+    h1 = assemble_operator(grid, 1.0, "neumann").matrix
     dense = np.sqrt(np.max(np.diag(np.linalg.inv(h1.to_dense()))))
     # a diagonal entry of the inverse is 1/(p + q - a) with pivots p, q of the
     # size of a, so both sides carry roundoff of about eps * max(a) * K^2; on

@@ -187,7 +187,7 @@ def test_fd_validate_toy_quotients_vanish(toy):
     assert v_norm(report.alpha) <= 1e-10
     for _, err in report.fd_table:
         assert err <= 1e-12
-    assert report.fd_monotone and not report.biactive_warning
+    assert report.fd_monotone
 
 
 def test_fd_validate_unconstrained_quotients_are_exact():
