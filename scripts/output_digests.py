@@ -2,7 +2,7 @@
 
 For each config in ``configs/``, as bundled and with Dirichlet boundary
 conditions (``operator.bc = "dirichlet"``), and each grid size (the
-config's own, 401, 1601 and 6401 nodes), runs ``run_experiment`` with
+config's own, 401, 1601, 6401 and 25601 nodes), runs ``run_experiment`` with
 seed 0 into a temporary directory and prints one line
 ``<config>[-dirichlet]@<n>/<file> <sha256>`` per written file, sorted.  Running it on two checkouts and diffing the
 outputs shows whether a change kept the outputs byte-identical:
@@ -24,7 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-GRID_SIZES = (None, 401, 1601, 6401)  # None: the config's own grid
+GRID_SIZES = (None, 401, 1601, 6401, 25601)  # None: the config's own grid
 BOUNDARY_VARIANTS = (None, "dirichlet")  # None: the config's own condition
 
 

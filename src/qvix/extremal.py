@@ -11,13 +11,14 @@ signals a bug rather than roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import vi
-from .fem import DualElement, EllipticOperator, NodalFunction, leq, v_norm
+from .fem import DualElement, EllipticOperator, NodalFunction, _v_norm_values, leq
 from .obstacle_maps import ObstacleMap
 from .vi import ViSolution, complementarity_residual, multiplier, oracle_vi, solve_vi
 
@@ -63,13 +64,17 @@ def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: Nodal
     for _ in range(max_iter):
         nxt = step(u)
         delta = nxt.values - u.values
-        min_deltas.append(float(np.min(delta)))
-        max_deltas.append(float(np.max(delta)))
+        min_deltas.append(float(delta.min()))
+        max_deltas.append(float(delta.max()))
         worst = min_deltas[-1] if sign > 0 else max_deltas[-1]
         if sign * worst < -MONOTONE_TOL:
             order = "increasing" if sign > 0 else "decreasing"
             raise error(order_text.format(order=order, worst=worst))
-        steps.append(v_norm(nxt - u))
+        # v_norm(nxt - u) on the delta at hand, with the checks of nxt - u
+        nxt._check_same(u)
+        steps.append(_v_norm_values(u.grid, delta))
+        if not math.isfinite(steps[-1]) and not np.isfinite(delta).all():
+            raise ValueError("non-finite nodal values")
         u = nxt
         if steps[-1] <= step_tol:
             return u, tuple(steps), tuple(min_deltas), tuple(max_deltas)
@@ -169,13 +174,16 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         raise ValueError("oracle cross-checks need a grid with at most "
                          f"{vi.ORACLE_MAX_NODES} nodes")
     residuals: list[float] = []
-    # PDAS warm start: the caller's set, then the coincidence set of the last solve
+    last_step = None  # input and obstacle of the latest step
 
-    # evaluates the obstacle of each accepted iterate once, at the start of
-    # the step that leaves it; the limit's obstacle is evaluated below
+    # Evaluates the obstacle of each accepted iterate once, at the start of
+    # the step that leaves it; the limit reuses the last step's obstacle
+    # when that step moved no bit, and evaluates its own otherwise.  PDAS
+    # warm start: the caller's set, then the coincidence set of the last solve.
     def step(u: NodalFunction) -> NodalFunction:
-        nonlocal active0
+        nonlocal active0, last_step
         phi = omap.evaluate(u)
+        last_step = (u, phi)
         residuals.append(_obstacle_residual(A, f, u, phi))
         sol = solve_vi(A, f, phi, active0=active0)
         if oracle_check:
@@ -193,7 +201,10 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         "{order} iteration lost monotonicity (worst step {worst:.3e}); "
         "the comparison principle is broken",
         f"no convergence within {MAX_OUTER} outer iterations")
-    phi = omap.evaluate(u)
+    # bytes, not ==: -0.0 and 0.0 compare equal but may map apart
+    prev, phi = last_step
+    if u.values.tobytes() != prev.values.tobytes():
+        phi = omap.evaluate(u)
     residuals.append(_obstacle_residual(A, f, u, phi))
     if residuals[-1] > RESIDUAL_TOL:
         raise ExtremalIterationError(

@@ -78,7 +78,7 @@ class _GridVector:
         v = np.array(values, dtype=float, copy=True).reshape(-1)
         if v.shape != (grid.n_nodes,):
             raise ValueError(f"expected {grid.n_nodes} values, got {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("non-finite nodal values")
         v.flags.writeable = False
         self._grid = grid
@@ -141,9 +141,14 @@ class TridiagonalSpd:
     computed on the first solve and kept; each solve is then one
     ``dpttrs`` sweep.  That is the ``ptsv`` arithmetic ``solveh_banded``
     runs for a two-row band, so results keep their bits.
+
+    The reduced system of the last pinned set is kept as well, keyed by
+    the bytes of the pinned mask (``_pinned_reduction``): obstacle solves
+    that pin the same set in consecutive rounds build and factor its
+    principal submatrix once.
     """
 
-    __slots__ = ("diag", "upper", "_factor")
+    __slots__ = ("diag", "upper", "_factor", "_reduced")
 
     def __init__(self, diag, upper):
         d = np.array(diag, dtype=float, copy=True)
@@ -155,6 +160,7 @@ class TridiagonalSpd:
         self.diag = d
         self.upper = u
         self._factor = None
+        self._reduced = None
 
     @property
     def n(self) -> int:
@@ -177,6 +183,20 @@ class TridiagonalSpd:
             self._factor = (d, e)
         x, _ = dpttrs(*self._factor, rhs)
         return x
+
+    def _pinned_reduction(self, pinned: np.ndarray):
+        """Unpinned indices of a boolean mask and their principal submatrix.
+
+        The submatrix is None when every node is pinned.  One entry is
+        kept, for the last mask seen, so a repeated mask reuses the
+        submatrix together with the factor its first solve computed.
+        """
+        key = pinned.tobytes()
+        if self._reduced is None or self._reduced[0] != key:
+            idx = np.flatnonzero(~pinned)
+            idx.flags.writeable = False
+            self._reduced = (key, idx, self.submatrix(idx) if idx.size else None)
+        return self._reduced[1], self._reduced[2]
 
     def submatrix(self, idx: np.ndarray) -> "TridiagonalSpd":
         """Principal submatrix on a sorted index set (still tridiagonal)."""
@@ -235,11 +255,13 @@ class EllipticOperator:
             rhs[-1] = 0.0
         return NodalFunction(self.grid, self.matrix.solve(rhs))
 
-    @property
+    @cached_property
     def boundary_nodes(self) -> np.ndarray:
-        if self.bc == "dirichlet":
-            return np.array([0, self.grid.n_nodes - 1])
-        return np.array([], dtype=int)
+        """Indices of the Dirichlet boundary nodes (none for Neumann), read-only."""
+        nodes = np.array([0, self.grid.n_nodes - 1] if self.bc == "dirichlet" else [],
+                         dtype=int)
+        nodes.flags.writeable = False
+        return nodes
 
 
 def assemble_operator(grid: Grid, c: float, bc: BoundaryCondition) -> EllipticOperator:
@@ -310,10 +332,15 @@ def seminorm(u: NodalFunction) -> float:
     return float(np.sqrt(np.dot(d, d) / u.grid.h))
 
 
+def _v_norm_values(grid: Grid, values: np.ndarray) -> float:
+    """``v_norm`` of a nodal array on the grid, without wrapping it."""
+    d = np.diff(values)
+    return float(np.sqrt(np.dot(grid.mass, values**2) + np.dot(d, d) / grid.h))
+
+
 def v_norm(u: NodalFunction) -> float:
     """Discrete H1 norm: sqrt(h_norm^2 + seminorm^2)."""
-    d = np.diff(u.values)
-    return float(np.sqrt(np.dot(u.grid.mass, u.values**2) + np.dot(d, d) / u.grid.h))
+    return _v_norm_values(u.grid, u.values)
 
 
 def pair(f: DualElement, v: NodalFunction) -> float:

@@ -71,14 +71,17 @@ class DerivativeReport:
 
 
 def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-               base: NodalFunction) -> CriticalConeData:
+               base: NodalFunction, phi: NodalFunction | None = None) -> CriticalConeData:
     """Classify the base solution and package the derivative cone data.
 
-    Refuses base points whose residual is too large for the active set to
-    be trustworthy, and base points whose multiplier leaks off the strict
-    set beyond classification noise.
+    ``phi`` is the obstacle ``omap.evaluate(base)`` when the caller holds
+    it already, as ``ExtremalRunReport.obstacle``; it is evaluated when
+    None.  Refuses base points whose residual is too large for the active
+    set to be trustworthy, and base points whose multiplier leaks off the
+    strict set beyond classification noise.
     """
-    phi = omap.evaluate(base)
+    if phi is None:
+        phi = omap.evaluate(base)
     lam_vals = multiplier(A, f, base)
     res = _obstacle_residual(A, f, base, phi)
     if res > CONE_RESIDUAL_TOL:
@@ -212,14 +215,15 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     s_arr = _check_s_list(s_list)
     sign = _sign(which)
     run, start = (iterate_min, bracket.lower) if sign > 0 else (iterate_max, bracket.upper)
-    base = run(A, f, omap, start, oracle_check).solution
+    base_run = run(A, f, omap, start, oracle_check)
+    base = base_run.solution
     far = f + s_arr[0] * d
     if sign > 0 and not check_supersolution(A, far, omap, bracket.upper):
         raise ValueError("bracket invalid: upper bound is not a supersolution at f + max(s) d")
     if sign < 0 and not check_subsolution(A, far, omap, bracket.lower):
         raise ValueError("bracket invalid: lower bound is not a subsolution at f + max(s) d")
 
-    cone = build_cone(A, f, omap, base)
+    cone = build_cone(A, f, omap, base, base_run.obstacle)
     report = solve_derivative_qvi(cone, d, which)
     alpha = report.alpha
 

@@ -86,7 +86,7 @@ class ActiveSetPartition:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         merged = np.concatenate([self.inactive, self.strict, self.biactive])
-        if np.any(np.bincount(merged) > 1):
+        if (np.bincount(merged) > 1).any():
             raise ValueError("partition sets overlap")
 
     @property
@@ -122,23 +122,37 @@ def _partition_from(u_vals, phi: NodalFunction, lam_vals, f: DualElement) -> Act
     strict = coincidence & (lam_vals > default_tol_multiplier(f))
     biactive = coincidence & ~strict
     return ActiveSetPartition(
-        inactive=np.flatnonzero(~coincidence),
-        strict=np.flatnonzero(strict),
-        biactive=np.flatnonzero(biactive),
+        inactive=(~coincidence).nonzero()[0],
+        strict=strict.nonzero()[0],
+        biactive=biactive.nonzero()[0],
     )
 
 
 def default_tol_active(phi: NodalFunction) -> float:
-    return 1e-8 * (1.0 + float(np.max(np.abs(phi.values))))
+    return 1e-8 * (1.0 + float(np.abs(phi.values).max()))
 
 
 def default_tol_multiplier(f: DualElement) -> float:
-    return 1e-8 * (1.0 + float(np.max(np.abs(f.values))))
+    return 1e-8 * (1.0 + float(np.abs(f.values).max()))
 
 
 def multiplier(A: EllipticOperator, f: DualElement, u: NodalFunction) -> np.ndarray:
-    """Nodal multiplier density f - Au, zero on the Dirichlet boundary nodes."""
-    lam = (f - A.apply(u)).values.copy()
+    """Nodal multiplier density f - Au, zero on the Dirichlet boundary nodes.
+
+    Formed on the nodal arrays, with the bits and the checks of
+    ``f - A.apply(u)``: common grids, a ``DualElement`` load and finite
+    values.
+    """
+    grid = A.grid
+    if u.grid != grid:
+        raise GridMismatchError("function grid does not match operator grid")
+    if type(f) is not DualElement:
+        raise TypeError(f"cannot combine {type(f).__name__} with DualElement")
+    if f.grid != grid:
+        raise GridMismatchError("operands live on different grids")
+    lam = f.values - A.matrix.matvec(u.values) / grid.mass
+    if not np.isfinite(lam).all():
+        raise ValueError("non-finite nodal values")
     lam[A.boundary_nodes] = 0.0
     return lam
 
@@ -210,15 +224,19 @@ def _update_rule(u, lam, target, obstacle_mask):
 
 def _solve_pinned(matrix: TridiagonalSpd, mass, load, target, pinned):
     """Values with the pinned nodes at the target and the equation elsewhere,
-    and the multiplier densities (zero on solved rows)."""
+    and the multiplier densities (zero on solved rows).
+
+    The reduced system comes from the matrix's kept reduction of its last
+    pinned set, so rounds and solves that pin one set in a row build and
+    factor it once: a settled warm step, the cone solves over one cone.
+    """
     u = np.where(pinned, target, 0.0)
-    solve_idx = np.flatnonzero(~pinned)
+    solve_idx, sub = matrix._pinned_reduction(pinned)
     if solve_idx.size:
         coupling = matrix.matvec(u)
-        sub = matrix.submatrix(solve_idx)
         u[solve_idx] = sub.solve(load[solve_idx] - coupling[solve_idx])
     lam = (load - matrix.matvec(u)) / mass
-    lam[~pinned] = 0.0
+    lam[solve_idx] = 0.0
     return u, lam
 
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from qvix import (
     DualElement,
     ExtremalIterationError,
     Grid,
+    GridMismatchError,
     IntervalBracket,
     InverseEllipticMap,
     NodalFunction,
@@ -22,6 +26,12 @@ from qvix import (
     solve_vi,
     v_norm,
 )
+from qvix import vi
+from qvix.experiments import build_problem, parse_config
+from qvix.extremal import _monotone_limit, _obstacle_residual
+from qvix.fem import TridiagonalSpd
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_default_supersolution_constants(toy):
@@ -240,3 +250,90 @@ def test_minimality_against_multistart_enumeration():
     for u in found:
         assert leq(rmin.solution, u, 1e-8)
         assert leq(u, rmax.solution, 1e-8)
+
+
+def _bundled_problem(name, n_nodes=None):
+    raw = json.loads(CONFIG_DIR.joinpath(f"{name}.json").read_text())
+    if n_nodes is not None:
+        raw["grid"]["n_nodes"] = n_nodes
+    return build_problem(parse_config(raw))
+
+
+def test_monotone_limit_step_norms_keep_the_bits_of_v_norm():
+    g = Grid(51)
+    rng = np.random.default_rng(8)
+    path = [NodalFunction(g, v) for v in np.cumsum(rng.uniform(0.0, 1.0, (6, g.n_nodes)),
+                                                   axis=0)]
+    path.append(path[-1])  # an exactly-zero last step ends the loop
+    feed = iter(path[1:])
+    u, steps, mins, maxs = _monotone_limit(lambda _: next(feed), path[0], 1.0, 0.0, 10,
+                                           ExtremalIterationError, "{order}", "cap")
+    assert u is path[-1]
+    assert steps == tuple(v_norm(b - a) for a, b in zip(path, path[1:]))
+    assert mins == tuple(float(np.min(b.values - a.values)) for a, b in zip(path, path[1:]))
+    assert maxs == tuple(float(np.max(b.values - a.values)) for a, b in zip(path, path[1:]))
+
+
+@pytest.mark.parametrize("nxt, error, match", [
+    (NodalFunction.constant(Grid(11), 1e308), ValueError, "non-finite nodal values"),
+    (NodalFunction.constant(Grid(11, (0.0, 2.0)), 1.0), GridMismatchError, "different grids"),
+    (DualElement.constant(Grid(11), 1.0), TypeError, "cannot combine DualElement"),
+])
+def test_monotone_limit_keeps_the_checks_of_the_step_difference(nxt, error, match):
+    start = NodalFunction.constant(Grid(11), -1e308)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
+        _monotone_limit(lambda _: nxt, start, 1.0, 0.0, 10, ExtremalIterationError,
+                        "{order}", "cap")
+
+
+def test_warm_steps_reuse_the_reduced_factor(monkeypatch):
+    problem = _bundled_problem("inverse_elliptic_max", 401)
+    A, f, omap = problem.operator, problem.forcing, problem.omap
+    start = IntervalBracket.default(A, f, problem.direction).upper
+    first = solve_vi(A, f, omap.evaluate(start))
+    active0 = np.ones(A.grid.n_nodes, dtype=bool)
+    active0[first.partition.inactive] = False
+
+    counts = {"submatrix": 0, "rounds": 0}
+    submatrix, solve = TridiagonalSpd.submatrix, vi.solve_vi
+
+    def counting_submatrix(self, idx):
+        counts["submatrix"] += 1
+        return submatrix(self, idx)
+
+    def counting_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        counts["rounds"] += sol.iterations
+        return sol
+
+    monkeypatch.setattr(TridiagonalSpd, "submatrix", counting_submatrix)
+    monkeypatch.setattr("qvix.extremal.solve_vi", counting_solve)
+    report = iterate_max(A, f, omap, start, active0=active0)
+    assert report.n_iters > 10
+    assert 0 < counts["submatrix"] < counts["rounds"]
+
+
+@pytest.mark.parametrize("name", ["toy_min", "toy_max", "thermoforming_desk"])
+def test_limit_of_a_zero_last_step_reuses_its_obstacle(name, monkeypatch):
+    problem = _bundled_problem(name)
+    A, f, omap = problem.operator, problem.forcing, problem.omap
+    bracket = IntervalBracket.default(A, f, problem.direction)
+    run, start = (iterate_min, bracket.lower) if problem.config.run == "min" \
+        else (iterate_max, bracket.upper)
+    evaluate = type(omap).evaluate
+    calls = []
+
+    def counting_evaluate(self, u):
+        calls.append(u)
+        return evaluate(self, u)
+
+    monkeypatch.setattr(type(omap), "evaluate", counting_evaluate)
+    report = run(A, f, omap, start)
+    monkeypatch.undo()
+    assert report.final_step_vnorm == 0.0
+    assert len(calls) == report.n_iters  # one per step, none for the limit
+    # what evaluating the limit's obstacle anew would have reported
+    phi = omap.evaluate(report.solution)
+    assert report.obstacle.values.tobytes() == phi.values.tobytes()
+    assert report.residual_history[-1] == _obstacle_residual(A, f, report.solution, phi)
+    assert report.qvi_residual == report.residual_history[-1]

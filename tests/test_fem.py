@@ -294,3 +294,24 @@ def test_tridiagonal_solve_rejects_indefinite_matrix():
         matrix.solve(np.ones(3))
     with pytest.raises(SingularOperatorError):  # the failed factor is not cached
         matrix.solve(np.ones(3))
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_pinned_reduction_is_kept_per_mask_and_never_stale(bc):
+    n = 201
+    matrix = assemble_operator(Grid(n), 1.0, bc).matrix
+    rng = np.random.default_rng(5)
+    mask_a = rng.uniform(size=n) < 0.3
+    mask_b = mask_a.copy()
+    mask_b[n // 2] = not mask_b[n // 2]  # one node apart: a stale factor would show
+    rhs_full = rng.normal(size=n)
+    seen = []
+    for mask in (mask_a, mask_b, mask_a, mask_a):
+        idx, sub = matrix._pinned_reduction(mask)
+        assert np.array_equal(idx, np.flatnonzero(~mask))
+        rhs = rhs_full[idx]
+        assert np.array_equal(sub.solve(rhs), matrix.submatrix(idx).solve(rhs))
+        seen.append(sub)
+    assert seen[3] is seen[2] and seen[2] is not seen[0]  # only the last mask is kept
+    idx, sub = matrix._pinned_reduction(np.ones(n, dtype=bool))
+    assert idx.size == 0 and sub is None

@@ -87,16 +87,23 @@ def test_derivative_order_violations_raise(toy):
 
 def test_build_cone_toy_all_strict(toy):
     grid, A, omap, f = toy
-    base = iterate_min(A, f, omap, NodalFunction.zeros(grid)).solution
+    run = iterate_min(A, f, omap, NodalFunction.zeros(grid))
+    base = run.solution
     cone = build_cone(A, f, omap, base)
     assert cone.partition.strict.size == grid.n_nodes
     assert np.max(np.abs(cone.lam.values - 1.0)) <= 1e-10
+    # the run's obstacle in place of a fresh evaluation gives the same cone
+    held = build_cone(A, f, omap, base, run.obstacle)
+    assert np.array_equal(held.partition.strict, cone.partition.strict)
+    assert held.lam.values.tobytes() == cone.lam.values.tobytes()
 
 
 def test_build_cone_refuses_sloppy_base(toy):
     grid, A, omap, f = toy
-    with pytest.raises(ConeError):
-        build_cone(A, f, omap, NodalFunction.constant(grid, 1.2))
+    sloppy = NodalFunction.constant(grid, 1.2)
+    for phi in (None, omap.evaluate(sloppy)):
+        with pytest.raises(ConeError):
+            build_cone(A, f, omap, sloppy, phi)
 
 
 def test_alpha_zero_on_toy(toy):

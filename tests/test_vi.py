@@ -10,6 +10,7 @@ from qvix import (
     IntervalBracket,
     DualElement,
     Grid,
+    GridMismatchError,
     NodalFunction,
     ViSolveError,
     assemble_operator,
@@ -22,7 +23,7 @@ from qvix import (
     v_norm,
 )
 from qvix.experiments import build_problem, parse_config
-from qvix.vi import VI_TOL, _coarse_problem
+from qvix.vi import VI_TOL, _coarse_problem, _solve_pinned
 from conftest import random_dual, random_nodal
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -420,3 +421,51 @@ def test_complementarity_residual_flags_each_term(field, node, value, expected):
     data[field][node] = value
     res = complementarity_residual(data["u"], target, data["lam"], eq_mask, free_mask)
     assert res == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_multiplier_keeps_the_bits_and_checks_of_f_minus_au(bc):
+    g = Grid(64)
+    A = assemble_operator(g, 1.0, bc)
+    rng = np.random.default_rng(12)
+    u, f = random_nodal(g, rng, bc=bc), random_dual(g, rng)
+    ref = (f - A.apply(u)).values.copy()
+    ref[A.boundary_nodes] = 0.0
+    assert np.array_equal(multiplier(A, f, u), ref)
+    assert ref.tobytes() == multiplier(A, f, u).tobytes()  # signed zeros too
+
+    other = Grid(65)
+    with pytest.raises(GridMismatchError, match="function grid does not match"):
+        multiplier(A, f, random_nodal(other, rng))
+    with pytest.raises(GridMismatchError, match="operands live on different grids"):
+        multiplier(A, random_dual(other, rng), u)
+    with pytest.raises(TypeError, match="cannot combine NodalFunction with DualElement"):
+        multiplier(A, NodalFunction(g, f.values), u)
+    huge = NodalFunction(g, np.where(np.arange(g.n_nodes) % 2, 1e308, -1e308))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite nodal values"):
+        multiplier(A, f, huge)
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_solve_pinned_keeps_its_bits_across_changing_masks(bc):
+    A, f, phi = _first_obstacle_solve_data(401, bc)
+    n = A.grid.n_nodes
+    mass, load, target = A.grid.mass, A.grid.mass * f.values, phi.values
+    rng = np.random.default_rng(3)
+    mask_a = rng.uniform(size=n) < 0.4
+    mask_b = mask_a.copy()
+    mask_b[:n // 3] = False
+
+    def uncached(pinned):
+        u = np.where(pinned, target, 0.0)
+        idx = np.flatnonzero(~pinned)
+        u[idx] = A.matrix.submatrix(idx).solve(load[idx] - A.matrix.matvec(u)[idx])
+        lam = (load - A.matrix.matvec(u)) / mass
+        lam[~pinned] = 0.0
+        return u, lam
+
+    for pinned in (mask_a, mask_b, mask_a):
+        u, lam = _solve_pinned(A.matrix, mass, load, target, pinned)
+        u_ref, lam_ref = uncached(pinned)
+        assert u.tobytes() == u_ref.tobytes() and lam.tobytes() == lam_ref.tobytes()
