@@ -21,7 +21,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an experiment config")
     run.add_argument("config", help="path to a JSON experiment config")
     run.add_argument("--out", default=None, help="output directory (overrides the config)")
-    run.add_argument("--seed", type=int, default=0, help="seed for sampled diagnostics")
+    run.add_argument("--seed", type=int, default=0, help="recorded in summary.json; changes no result")
 
     val = sub.add_parser("validate", help="check a config without running solvers")
     val.add_argument("config", help="path to a JSON experiment config")
@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                          f"(<= {ORACLE_MAX_NODES} nodes)")
     orc.add_argument("config", help="path to a JSON experiment config")
     orc.add_argument("--out", default=None, help="output directory (overrides the config)")
-    orc.add_argument("--seed", type=int, default=0, help="seed for sampled diagnostics")
+    orc.add_argument("--seed", type=int, default=0, help="recorded in summary.json; changes no result")
     return parser
 
 

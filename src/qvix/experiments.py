@@ -5,7 +5,7 @@ forcing and an optional signed direction; the runner constructs the
 default bracket, runs the requested extremal iterations and, if asked,
 the difference-quotient validation of the derivative, and writes CSV
 tables plus a JSON summary.  Outputs are byte-deterministic for a fixed
-config and seed.  Unknown config fields are rejected so typos cannot
+config.  Unknown config fields are rejected so typos cannot
 silently change an experiment.
 """
 
@@ -409,7 +409,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
 
     Solver failures are recorded in the summary next to whatever partial
     artifacts were produced; the caller decides the exit status from
-    ``failures``.
+    ``failures``.  ``seed`` is inert: it is only written to the summary.
     """
     problem = build_problem(config)
     if oracle_check and problem.grid.n_nodes > vi.ORACLE_MAX_NODES:
@@ -417,7 +417,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
                           f"{vi.ORACLE_MAX_NODES} nodes")
     target = Path(out_dir) if out_dir is not None else Path(config.output_dir or "qvix_out")
     target.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
 
     A, f, d, omap = problem.operator, problem.forcing, problem.direction, problem.omap
     artifacts = RunArtifacts(out_dir=target)
@@ -444,12 +443,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
         run_summary: dict = {}
         summary["runs"][which] = run_summary
         run, start = (iterate_min, bracket.lower) if which == "min" else (iterate_max, bracket.upper)
-        # the sampled map evaluations and the temperature solve can stall
-        # like the run's own, and fail the run the same way
+        # the temperature solves of the derivative actions and of the
+        # report can stall like the run's own, and fail the run the same way
         try:
             report = run(A, f, omap, start, oracle_check)
             u = report.solution
-            c_phi = lipschitz_estimate(omap, u, 0.1 * (1.0 + v_norm(u)), 32, rng)
+            c_phi = lipschitz_estimate(omap, u, A.bc)
             if isinstance(omap, ThermoformingMap):
                 temperature_vnorm = v_norm(omap.temperature(u))
         except (ExtremalIterationError, ViSolveError, InnerSolveError) as exc:

@@ -192,8 +192,8 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
             if gap > 1e-9:
                 raise ExtremalIterationError(
                     f"fast solve disagrees with the enumeration oracle by {gap:.3e}")
-        active0 = np.ones(A.grid.n_nodes, dtype=bool)
-        active0[sol.partition.inactive] = False
+        # the coincidence set of sol.partition, without building it
+        active0 = (phi.values - sol.u.values) <= vi.default_tol_active(phi)
         return sol.u
 
     u, steps, min_deltas, max_deltas = _monotone_limit(

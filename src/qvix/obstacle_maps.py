@@ -10,11 +10,9 @@ differentiable, with derivative actions implemented directly (solving the
 linearised equations where needed) so they can be validated against
 finite differences.
 
-Each map evaluates a (k, n) block of states at once (``_evaluate_rows``);
-``evaluate`` is that block evaluation on one row.  ``lipschitz_estimate``
-feeds it blocks of sampled points, so the reported ``c_phi_estimate`` costs
-one batched evaluation per block and is bit-identical to evaluating the
-pairs one by one.
+``lipschitz_estimate`` sizes the derivative at a state through those
+actions: the largest V-norm gain of Phi'(u) over the lowest modes of the
+H1/lumped-mass pencil, reported as ``c_phi_estimate``.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import (
+    BoundaryCondition,
     DualElement,
     EllipticOperator,
     Grid,
@@ -93,10 +92,6 @@ class ObstacleMap(abc.ABC):
     @abc.abstractmethod
     def evaluate(self, u: NodalFunction) -> NodalFunction:
         """Obstacle induced by the state u."""
-
-    @abc.abstractmethod
-    def _evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Obstacles of a (k, n) block of nodal states, each row bitwise as ``evaluate``."""
 
     @abc.abstractmethod
     def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
@@ -175,12 +170,9 @@ class PlateauMap(ObstacleMap):
             out[mid] = (y[j + 1] - y[j]) / (hi - lo) * smoothstep_deriv(r)
         return out
 
-    def _evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
-        return self.scalar(rows)
-
     def evaluate(self, u: NodalFunction) -> NodalFunction:
         self._check_grid(u)
-        return NodalFunction(self.grid, self._evaluate_rows(u.values[None])[0])
+        return NodalFunction(self.grid, self.scalar(u.values))
 
     def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
         self._check_grid(u)
@@ -243,15 +235,9 @@ class InverseEllipticMap(ObstacleMap):
     def grid(self) -> Grid:
         return self._inner.grid
 
-    def _evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
-        # the arithmetic of EllipticOperator.solve, one column per row
-        rhs = self.grid.mass * self.gain.value(rows)
-        rhs[:, self._inner.boundary_nodes] = 0.0
-        return self._inner.matrix.solve(rhs.T).T
-
     def evaluate(self, u: NodalFunction) -> NodalFunction:
         self._check_grid(u)
-        return NodalFunction(self.grid, self._evaluate_rows(u.values[None])[0])
+        return self._inner.solve(DualElement(self.grid, self.gain.value(u.values)))
 
     def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
         self._check_grid(u)
@@ -308,61 +294,44 @@ class ThermoformingMap(ObstacleMap):
         return (self.heat_max / min(1.0, self.reaction)
                 * np.sqrt(max(1.0, self.grid.measure)))
 
-    def _temperature_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Temperatures of a (k, n) block of membrane states.
+    def temperature(self, u: NodalFunction) -> NodalFunction:
+        """Solve the semilinear temperature equation for the given membrane state.
 
-        The Picard steps advance every row that has not stopped with one
-        multi-column solve; each row stops at its own step.  Newton and the
-        a priori bound then run row by row, in row order, so the first
-        failing row raises what ``temperature`` raises on it alone.
+        Picard steps while they contract, then Newton to the residual tolerance.
         """
+        self._check_grid(u)
         mass = self.grid.mass
         mat = self._op.matrix
-        temps = np.zeros(rows.shape)
+        t_vals = np.zeros(self.grid.n_nodes)
 
         if self.contraction_factor < 0.9:
-            live = np.arange(len(rows))
             for _ in range(200):
-                if not live.size:
+                gap = self.expansion * t_vals + self.mould.values - u.values
+                t_next = mat.solve(mass * self.heat_rate(gap))
+                step = np.max(np.abs(t_next - t_vals))
+                t_vals = t_next
+                if step <= 1e-13 * (1.0 + np.max(np.abs(t_vals))):
                     break
-                t_vals = temps[live]
-                gap = self.expansion * t_vals + self.mould.values - rows[live]
-                t_next = mat.solve((mass * self.heat_rate(gap)).T).T
-                temps[live] = t_next
-                step = np.max(np.abs(t_next - t_vals), axis=1)
-                stopped = step <= 1e-13 * (1.0 + np.max(np.abs(t_next), axis=1))
-                live = live[~stopped]
 
         res_tol = 1e-12 * (1.0 + self.heat_max)
-        bound = self.temperature_bound() + 1e-9
-        for i, u_vals in enumerate(rows):
-            t_vals = temps[i]
-            for _ in range(60):
-                gap = self.expansion * t_vals + self.mould.values - u_vals
-                residual_load = mat.matvec(t_vals) - mass * self.heat_rate(gap)
-                res = float(np.max(np.abs(residual_load / mass)))
-                if res <= res_tol:
-                    break
-                slope = self.heat_rate_slope(gap)
-                jac = TridiagonalSpd(mat.diag - mass * slope * self.expansion, mat.upper)
-                t_vals = t_vals - jac.solve(residual_load)
-            else:
-                raise InnerSolveError(
-                    f"temperature solve stalled at residual {res:.2e} against {res_tol:.1e} "
-                    f"(contraction factor {self.contraction_factor:.3f})")
-            if v_norm(NodalFunction(self.grid, t_vals)) > bound:
-                raise InnerSolveError(
-                    "temperature violates its a priori bound; assembly is suspect")
-            temps[i] = t_vals
-        return temps
-
-    def temperature(self, u: NodalFunction) -> NodalFunction:
-        """Solve the semilinear temperature equation for the given membrane state."""
-        self._check_grid(u)
-        return NodalFunction(self.grid, self._temperature_rows(u.values[None])[0])
-
-    def _evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
-        return self.mould.values + self.expansion * self._temperature_rows(rows)
+        for _ in range(60):
+            gap = self.expansion * t_vals + self.mould.values - u.values
+            residual_load = mat.matvec(t_vals) - mass * self.heat_rate(gap)
+            res = float(np.max(np.abs(residual_load / mass)))
+            if res <= res_tol:
+                break
+            slope = self.heat_rate_slope(gap)
+            jac = TridiagonalSpd(mat.diag - mass * slope * self.expansion, mat.upper)
+            t_vals = t_vals - jac.solve(residual_load)
+        else:
+            raise InnerSolveError(
+                f"temperature solve stalled at residual {res:.2e} against {res_tol:.1e} "
+                f"(contraction factor {self.contraction_factor:.3f})")
+        temp = NodalFunction(self.grid, t_vals)
+        if v_norm(temp) > self.temperature_bound() + 1e-9:
+            raise InnerSolveError(
+                "temperature violates its a priori bound; assembly is suspect")
+        return temp
 
     def evaluate(self, u: NodalFunction) -> NodalFunction:
         return self.mould + self.expansion * self.temperature(u)
@@ -403,67 +372,35 @@ def check_increasing(omap: ObstacleMap, trials: int, rng: np.random.Generator | 
     return True
 
 
-def _row_v_norms(grid: Grid, rows: np.ndarray) -> np.ndarray:
-    """``v_norm`` of each row of a (k, n) block, with its per-row dot products.
+# modes of the H1/lumped-mass pencil on which lipschitz_estimate measures the derivative
+LIPSCHITZ_MODES = 5
 
-    A matrix product would sum in another order; one ``np.dot`` per row
-    keeps the bits of ``v_norm``.
+
+def lipschitz_estimate(omap: ObstacleMap, center: NodalFunction, bc: BoundaryCondition) -> float:
+    """Largest ratio |Phi'(center) w|_V / |w|_V over the lowest modes w.
+
+    On the uniform grid the nodal cosines cos(k pi (x - a) / L) (Neumann)
+    and sines sin(k pi (x - a) / L) (Dirichlet) are exact eigenvectors of
+    the H1 stiffness against the lumped mass.  The modes are k = 1 ...
+    ``LIPSCHITZ_MODES`` (the constant left out; fewer on grids that hold
+    fewer) under the run operator's boundary condition ``bc``.  Smooth
+    modes are what a smoothing map passes, so the value does not fade as
+    the grid refines.  A lower bound on the norm of Phi'(center).
     """
-    squares = rows**2
-    diffs = np.diff(rows, axis=1)
-    return np.array([np.sqrt(np.dot(grid.mass, sq) + np.dot(d, d) / grid.h)
-                     for sq, d in zip(squares, diffs)])
-
-
-# Nodal values per block of sampled points (256 KiB of doubles).  A block
-# this size stays in cache through the passes a map makes over it; a whole
-# 64-point block at n >= 6401 ran slower than sampling one pair at a time.
-_BLOCK_VALUES = 2**15
-
-
-def lipschitz_estimate(omap: ObstacleMap, center: NodalFunction, radius: float,
-                       n_samples: int, rng: np.random.Generator | None = None) -> float:
-    """Sampled lower bound on the local Lipschitz constant in the H1 norm.
-
-    Draws pairs from the H1 ball of the given radius around the center and
-    returns the largest difference quotient of the map.  Pairs are drawn
-    and mapped in blocks of about ``_BLOCK_VALUES`` nodal values, one
-    ``_evaluate_rows`` call per block; draws, arithmetic and result are
-    those of sampling and evaluating the pairs one at a time.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    grid = omap.grid
+    if bc not in ("neumann", "dirichlet"):
+        raise ValueError(f"unknown boundary condition {bc!r}")
     omap._check_grid(center)
+    grid = omap.grid
     n = grid.n_nodes
-    pairs_per_block = max(1, _BLOCK_VALUES // (2 * n))
-
+    wave, highest = (np.cos, n - 1) if bc == "neumann" else (np.sin, n - 2)
+    angles = np.pi * np.arange(n) / (n - 1)
     worst = 0.0
-    for first in range(0, n_samples, pairs_per_block):
-        # rows u_0, v_0, u_1, v_1, ...: each a standard normal direction,
-        # then a uniform draw for its radius
-        points = np.empty((2 * min(pairs_per_block, n_samples - first), n))
-        radii = np.empty(len(points))
-        for row, point in enumerate(points):
-            rng.standard_normal(out=point)
-            radii[row] = radius * rng.uniform()
-        points *= (radii / _row_v_norms(grid, points))[:, None]
-        points += center.values
-        if not np.all(np.isfinite(points)):
-            raise ValueError("non-finite nodal values")
-
-        denoms = _row_v_norms(grid, points[0::2] - points[1::2])
-        kept = np.flatnonzero(~(denoms < 1e-12))
-        if not kept.size:
-            continue
-        images = omap._evaluate_rows(points.reshape(-1, 2, n)[kept].reshape(-1, n))
-        if not np.all(np.isfinite(images)):
-            raise ValueError("non-finite nodal values")
-        quotients = _row_v_norms(grid, images[0::2] - images[1::2]) / denoms[kept]
-        for quotient in quotients:
-            worst = max(worst, float(quotient))
+    for k in range(1, min(LIPSCHITZ_MODES, highest) + 1):
+        vals = wave(k * angles)
+        if bc == "dirichlet":
+            vals[-1] = 0.0  # sin(k pi) is roundoff, not zero
+        mode = NodalFunction(grid, vals)
+        worst = max(worst, v_norm(omap.derivative_action(center, mode)) / v_norm(mode))
     return worst
 
 

@@ -40,6 +40,7 @@ residual gate and differ by roundoff.  ``PDAS_MAX_ITER`` counts round 1;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,14 +108,21 @@ class ViSolution:
     """Solution, multiplier and diagnostics of one obstacle solve.
 
     ``iterations`` counts the active set rounds of every nested level; it
-    is 1 when the first round already ended the solve.
+    is 1 when the first round already ended the solve.  ``phi`` and ``f``
+    are the solve's obstacle and load; ``partition`` is built from them on
+    its first read.
     """
 
     u: NodalFunction
     lam: DualElement
-    partition: ActiveSetPartition
     iterations: int
     residual: float
+    phi: NodalFunction
+    f: DualElement
+
+    @cached_property
+    def partition(self) -> ActiveSetPartition:
+        return _partition_from(self.u.values, self.phi, self.lam.values, self.f)
 
 
 def _partition_from(u_vals, phi: NodalFunction, lam_vals, f: DualElement) -> ActiveSetPartition:
@@ -323,10 +331,8 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     if residual > VI_TOL:
         raise ViSolveError(f"terminal complementarity residual {residual:.3e} exceeds {VI_TOL:.1e}")
 
-    partition = _partition_from(u_vals, phi, lam_vals, f)
-    return ViSolution(u=NodalFunction(grid, u_vals),
-                      lam=DualElement(grid, lam_vals),
-                      partition=partition, iterations=iters, residual=residual)
+    return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
+                      iterations=iters, residual=residual, phi=phi, f=f)
 
 
 def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolution:
@@ -380,12 +386,11 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolu
     pick = int(ok[0])
     u_vals = candidates[pick]
     lam_vals = lam_all[pick]
-    partition = _partition_from(u_vals, phi, lam_vals, f)
     eq_mask = np.isin(np.arange(n), A.boundary_nodes)
     residual = complementarity_residual(u_vals, np.where(eq_mask, 0.0, phi.values), lam_vals,
                                         eq_mask, np.zeros(n, dtype=bool))
     return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
-                      partition=partition, iterations=pick + 1, residual=residual)
+                      iterations=pick + 1, residual=residual, phi=phi, f=f)
 
 
 def check_comparison(A: EllipticOperator, f1: DualElement, f2: DualElement,

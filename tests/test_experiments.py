@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qvix import ConfigError, load_config, run_experiment
+from qvix import ConfigError, InnerSolveError, load_config, run_experiment
 from qvix.cli import main as cli_main
 from qvix.experiments import (
     _eval_expr,
@@ -161,9 +161,14 @@ def test_temperature_stall_reports_residual_and_tolerance(tmp_path):
     assert residual > tol
 
 
-def test_stall_after_the_run_is_recorded_as_its_failure(tmp_path):
-    # the run converges; a temperature solve at a sampled Lipschitz point
+def test_stall_after_the_run_is_recorded_as_its_failure(tmp_path, monkeypatch):
+    # the run converges; a temperature solve inside the Lipschitz estimate
     # stalls, which fails the run instead of escaping the runner
+    def stalling(omap, center, bc):
+        raise InnerSolveError("temperature solve stalled at residual 2.58e-12 against 2.0e-12 "
+                              "(contraction factor 0.188)")
+
+    monkeypatch.setattr("qvix.experiments.lipschitz_estimate", stalling)
     cfg = json.loads((CONFIG_DIR / "thermoforming_desk.json").read_text())
     cfg["grid"]["n_nodes"] = 401
     cfg["map"]["mould"] = {"const": 1.85}
@@ -175,6 +180,29 @@ def test_stall_after_the_run_is_recorded_as_its_failure(tmp_path):
     assert summary["runs"]["min"] == {"error": failure[len("min: "):]}
     assert artifacts.failures == [failure]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+
+
+def _c_phi_estimates(tmp_path, name, **grid_and_bc):
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    raw["grid"]["n_nodes"] = grid_and_bc.get("n_nodes", raw["grid"]["n_nodes"])
+    raw["operator"]["bc"] = grid_and_bc.get("bc", raw["operator"]["bc"])
+    raw["sensitivity"]["enabled"] = False
+    artifacts = run_experiment(parse_config(raw), out_dir=tmp_path, seed=0)
+    assert artifacts.ok
+    return [run["c_phi_estimate"] for run in artifacts.summary["runs"].values()]
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_c_phi_estimate_does_not_fade_with_the_grid(tmp_path, bc):
+    values = [_c_phi_estimates(tmp_path / str(n), "inverse_elliptic_max", n_nodes=n, bc=bc)[0]
+              for n in (101, 401, 1601)]
+    assert min(values) > 0.0
+    assert max(values) <= (1.0 + 1e-3) * min(values)
+
+
+@pytest.mark.parametrize("name", ["toy_min", "toy_max", "thermoforming_desk"])
+def test_c_phi_estimate_is_zero_where_the_map_is_locally_flat(tmp_path, name):
+    assert _c_phi_estimates(tmp_path, name) == [0.0]
 
 
 def test_byte_determinism(tmp_path):

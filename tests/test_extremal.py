@@ -337,3 +337,33 @@ def test_limit_of_a_zero_last_step_reuses_its_obstacle(name, monkeypatch):
     assert report.obstacle.values.tobytes() == phi.values.tobytes()
     assert report.residual_history[-1] == _obstacle_residual(A, f, report.solution, phi)
     assert report.qvi_residual == report.residual_history[-1]
+
+
+def test_warm_sets_come_from_the_step_without_a_partition(monkeypatch):
+    problem = _bundled_problem("inverse_elliptic_max")
+    A, f, omap = problem.operator, problem.forcing, problem.omap
+    start = IntervalBracket.default(A, f, problem.direction).upper
+    built, solves = [], []
+    partition_from, solve = vi._partition_from, vi.solve_vi
+
+    def counting_partition_from(*args):
+        built.append(args)
+        return partition_from(*args)
+
+    def recording_solve(A, f, phi, *, active0=None):
+        sol = solve(A, f, phi, active0=active0)
+        solves.append((active0, sol))
+        return sol
+
+    monkeypatch.setattr(vi, "_partition_from", counting_partition_from)
+    monkeypatch.setattr("qvix.extremal.solve_vi", recording_solve)
+    report = iterate_max(A, f, omap, start)
+    assert not built
+    assert len(solves) == report.n_iters > 1
+    assert solves[0][0] is None
+    # each handed-on set is the coincidence set of the partition of the solve before
+    for (_, sol), (active0, _) in zip(solves, solves[1:]):
+        old = np.ones(A.grid.n_nodes, dtype=bool)
+        old[sol.partition.inactive] = False
+        assert active0.dtype == bool and np.array_equal(active0, old)
+    assert len(built) == len(solves) - 1
