@@ -468,8 +468,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
             "n_iters": report.n_iters,
             "final_step_vnorm": report.final_step_vnorm,
             "qvi_residual": report.qvi_residual,
-            # the iteration raises on any order violation, so a returned run is monotone
-            "monotone": True,
             "solution_vnorm": v_norm(u),
             "solution_min": float(np.min(u.values)),
             "solution_max": float(np.max(u.values)),
@@ -500,7 +498,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
                 "derivative_residual": deriv.qvi_residual,
                 "observed_order": deriv.observed_order,
                 "fd_monotone": deriv.fd_monotone,
-                "biactive_warning": not deriv.fd_monotone,
                 "final_quotient_error": deriv.fd_table[-1][1],
             }
 

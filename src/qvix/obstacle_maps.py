@@ -213,14 +213,6 @@ class ScalarNonlinearity:
         t = np.tanh(self.rate * r)
         return self.scale * self.rate * (1.0 - t * t)
 
-    @property
-    def max_slope(self) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "linear":
-            return self.scale
-        return self.scale * self.rate
-
 
 class InverseEllipticMap(ObstacleMap):
     """Obstacle as the solution of a second elliptic problem loaded by a gain of u."""
@@ -285,7 +277,7 @@ class ThermoformingMap(ObstacleMap):
 
     @property
     def contraction_factor(self) -> float:
-        """Bound on the inner fixed-point contraction rate."""
+        """Bound on the coupling of temperature and gap; the stall message quotes it."""
         return (self.expansion * self.heat_max * _SMOOTHSTEP_MAX_SLOPE
                 / min(1.0, self.reaction))
 
@@ -294,34 +286,25 @@ class ThermoformingMap(ObstacleMap):
         return (self.heat_max / min(1.0, self.reaction)
                 * np.sqrt(max(1.0, self.grid.measure)))
 
-    def temperature(self, u: NodalFunction) -> NodalFunction:
-        """Solve the semilinear temperature equation for the given membrane state.
+    def _newton(self, u: NodalFunction):
+        """Newton from zero on the semilinear temperature equation.
 
-        Picard steps while they contract, then Newton to the residual tolerance.
+        Returns the temperature with the heat-rate slope and the Jacobian
+        built at it, which the derivative action solves with.
         """
         self._check_grid(u)
         mass = self.grid.mass
         mat = self._op.matrix
         t_vals = np.zeros(self.grid.n_nodes)
-
-        if self.contraction_factor < 0.9:
-            for _ in range(200):
-                gap = self.expansion * t_vals + self.mould.values - u.values
-                t_next = mat.solve(mass * self.heat_rate(gap))
-                step = np.max(np.abs(t_next - t_vals))
-                t_vals = t_next
-                if step <= 1e-13 * (1.0 + np.max(np.abs(t_vals))):
-                    break
-
         res_tol = 1e-12 * (1.0 + self.heat_max)
         for _ in range(60):
             gap = self.expansion * t_vals + self.mould.values - u.values
+            slope = self.heat_rate_slope(gap)
+            jac = TridiagonalSpd(mat.diag - mass * slope * self.expansion, mat.upper)
             residual_load = mat.matvec(t_vals) - mass * self.heat_rate(gap)
             res = float(np.max(np.abs(residual_load / mass)))
             if res <= res_tol:
                 break
-            slope = self.heat_rate_slope(gap)
-            jac = TridiagonalSpd(mat.diag - mass * slope * self.expansion, mat.upper)
             t_vals = t_vals - jac.solve(residual_load)
         else:
             raise InnerSolveError(
@@ -331,21 +314,19 @@ class ThermoformingMap(ObstacleMap):
         if v_norm(temp) > self.temperature_bound() + 1e-9:
             raise InnerSolveError(
                 "temperature violates its a priori bound; assembly is suspect")
-        return temp
+        return temp, slope, jac
+
+    def temperature(self, u: NodalFunction) -> NodalFunction:
+        """Solve the semilinear temperature equation for the given membrane state."""
+        return self._newton(u)[0]
 
     def evaluate(self, u: NodalFunction) -> NodalFunction:
         return self.mould + self.expansion * self.temperature(u)
 
     def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
-        self._check_grid(u)
         self._check_grid(h)
-        temp = self.temperature(u)
-        gap = self.expansion * temp.values + self.mould.values - u.values
-        slope = self.heat_rate_slope(gap)
-        mass = self.grid.mass
-        mat = self._op.matrix
-        jac = TridiagonalSpd(mat.diag - mass * slope * self.expansion, mat.upper)
-        delta = jac.solve(mass * slope * h.values)
+        _, slope, jac = self._newton(u)
+        delta = jac.solve(self.grid.mass * slope * h.values)
         return NodalFunction(self.grid, -self.expansion * delta)
 
 

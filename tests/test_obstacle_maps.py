@@ -18,6 +18,7 @@ from qvix import (
     smoothstep_deriv,
     v_norm,
 )
+from qvix.fem import TridiagonalSpd
 
 
 def fd_order(omap, u, h, ts=(1e-2, 1e-3, 1e-4), floor=1e-11):
@@ -85,7 +86,6 @@ def test_plateau_derivative_vanishes_on_plateau(toy):
 def test_scalar_nonlinearity_contract():
     g = ScalarNonlinearity("tanh", 2.0, 1.5)
     assert g.value(0.0) == 0.0
-    assert g.max_slope == pytest.approx(3.0)
     with pytest.raises(ValueError):
         ScalarNonlinearity("exp")
     with pytest.raises(ValueError):
@@ -136,8 +136,9 @@ def test_thermoforming_a_priori_bound():
 
 
 def test_thermoforming_newton_path_when_not_contractive():
-    # expansion large enough that the fixed-point bound exceeds 0.9: the
-    # solver goes straight to Newton; the problem stays monotone and unique
+    # expansion large enough that the coupling bound exceeds 0.9, where a
+    # fixed-point iteration need not contract: Newton from zero still
+    # converges, and the problem stays monotone and unique
     g = Grid(30)
     tmap = ThermoformingMap(NodalFunction.constant(g, 3.0), 1.0, 1.0, 0.6)
     assert tmap.contraction_factor >= 0.9
@@ -357,11 +358,11 @@ def _evaluate_cases():
                      ("dirichlet", ScalarNonlinearity("linear", 0.7))):
         yield (InverseEllipticMap(assemble_operator(g, 1.5, bc), gain),
                np.vstack([smooth, rng.standard_normal((3, 101))]))
-    # Picard stops these rows after 1 (no heat), 14, 17 and 18 steps
+    # Newton from zero: no step on the unheated row, at most 4 on the others
     mould = NodalFunction.constant(g, 3.0)
     membranes = np.stack([np.full(101, 1.0), 2.0 + 0.5 * x, 2.3 + 0.2 * x, 2.4 + 0.2 * x])
     yield ThermoformingMap(mould, 1.0, 1.0, 0.1), membranes
-    # contraction factor >= 0.9: Newton from zero, no Picard steps
+    # contraction factor >= 0.9: the same Newton loop, more strongly coupled
     yield ThermoformingMap(mould, 1.0, 1.0, 0.6), membranes
 
 
@@ -386,3 +387,51 @@ def test_evaluate_solves_the_map_equation(case):
             heat = omap.heat_rate(omap.expansion * temp + omap.mould.values - row)
             res = (omap._op.matrix.matvec(temp) - g.mass * heat) / g.mass
             assert np.max(np.abs(res)) <= 1e-12 * (1.0 + omap.heat_max)
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    solve = TridiagonalSpd.solve
+
+    def counted(self, rhs):
+        calls.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(TridiagonalSpd, "solve", counted)
+    return calls
+
+
+def test_temperature_is_newton_from_zero(monkeypatch):
+    omap, rows = list(_evaluate_cases())[3]
+    g = omap.grid
+    calls = _counting_solves(monkeypatch)
+    for row, heated in zip(rows, (False, True, True, True)):
+        u = NodalFunction(g, row)
+        calls.clear()
+        # temperature raises unless it reaches the residual test
+        temp = omap.temperature(u).values
+        assert len(calls) <= 4 if heated else not calls
+        assert bool(np.any(temp != 0.0)) is heated
+
+
+@pytest.mark.parametrize("case", [3, 4])
+def test_thermoforming_derivative_solves_at_the_temperature(case, monkeypatch):
+    omap, rows = list(_evaluate_cases())[case]
+    g = omap.grid
+    mass, mat = g.mass, omap._op.matrix
+    directions = [np.ones(g.n_nodes), np.cos(3.0 * g.nodes)]
+    calls = _counting_solves(monkeypatch)
+    newton_steps = []
+    for row in rows:
+        u = NodalFunction(g, row)
+        calls.clear()
+        temp = omap.temperature(u)
+        newton_steps.append(len(calls))
+        gap = omap.expansion * temp.values + omap.mould.values - row
+        slope = omap.heat_rate_slope(gap)
+        jac = TridiagonalSpd(mat.diag - mass * slope * omap.expansion, mat.upper)
+        for h in directions:
+            want = -omap.expansion * jac.solve(mass * slope * h)
+            got = omap.derivative_action(u, NodalFunction(g, h)).values
+            assert np.array_equal(got, want)
+    assert newton_steps[0] == 0 and max(newton_steps) > 1
