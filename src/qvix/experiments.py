@@ -374,17 +374,15 @@ def write_solution_csv(path: Path, problem: BuiltProblem, report: ExtremalRunRep
                       "lambda": lam, "class": partition.labels(problem.grid.n_nodes)})
 
 
-def write_iterates_csv(path: Path, report: ExtremalRunReport | None) -> None:
-    steps, residuals, min_deltas = (), (), ()
-    if report is not None:
-        steps, min_deltas = report.step_history, report.min_delta_history
-        residuals = report.residual_history[1:]
+def write_iterates_csv(path: Path, report: ExtremalRunReport) -> None:
+    steps = report.step_history
     _write_csv(path, {"iter": np.arange(1, len(steps) + 1), "step_vnorm": steps,
-                      "qvi_residual": residuals, "min_node_delta": min_deltas})
+                      "qvi_residual": report.residual_history[1:],
+                      "min_node_delta": report.min_delta_history})
 
 
 def write_sensitivity_csv(path: Path, fd_table) -> None:
-    s, err = zip(*fd_table) if fd_table else ((), ())
+    s, err = zip(*fd_table)
     _write_csv(path, {"s": s, "quotient_error_vnorm": err})
 
 

@@ -95,7 +95,8 @@ def _check_direction(d: DualElement, which: str, what: str) -> float:
 @dataclass(frozen=True)
 class ExtremalRunReport:
     """History and diagnostics of one monotone run; ``obstacle`` is the map
-    evaluated at the solution, and the delta histories hold the smallest
+    evaluated at the solution, ``active`` the read-only set the last
+    obstacle solve settled on, and the delta histories hold the smallest
     and largest nodal change of each outer step."""
 
     solution: NodalFunction
@@ -107,6 +108,7 @@ class ExtremalRunReport:
     residual_history: tuple[float, ...]
     min_delta_history: tuple[float, ...]
     max_delta_history: tuple[float, ...]
+    active: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     # Evaluates the obstacle of each accepted iterate once, at the start of
     # the step that leaves it; the limit reuses the last step's obstacle
     # when that step moved no bit, and evaluates its own otherwise.  PDAS
-    # warm start: the caller's set, then the coincidence set of the last solve.
+    # warm start: the caller's set, then the set the last solve settled on.
     def step(u: NodalFunction) -> NodalFunction:
         nonlocal active0, last_step
         phi = omap.evaluate(u)
@@ -192,8 +194,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
             if gap > 1e-9:
                 raise ExtremalIterationError(
                     f"fast solve disagrees with the enumeration oracle by {gap:.3e}")
-        # the coincidence set of sol.partition, without building it
-        active0 = (phi.values - sol.u.values) <= vi.default_tol_active(phi)
+        active0 = sol.active
         return sol.u
 
     u, steps, min_deltas, max_deltas = _monotone_limit(
@@ -213,7 +214,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     return ExtremalRunReport(
         solution=u, obstacle=phi, n_iters=len(steps), final_step_vnorm=steps[-1],
         qvi_residual=residuals[-1], step_history=steps, residual_history=tuple(residuals),
-        min_delta_history=min_deltas, max_delta_history=max_deltas)
+        min_delta_history=min_deltas, max_delta_history=max_deltas, active=active0)
 
 
 def iterate_min(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
@@ -221,9 +222,11 @@ def iterate_min(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
                 active0: np.ndarray | None = None) -> ExtremalRunReport:
     """Increasing iteration from a subsolution to the minimal solution.
 
-    ``active0`` is the likely coincidence set of the first obstacle solve,
-    a warm start as in ``solve_vi``: it changes the rounds spent, and the
-    result at most by roundoff inside ``vi.VI_TOL``.
+    ``active0`` is the set the first obstacle solve starts from, as
+    ``ViSolution.active`` or ``ExtremalRunReport.active`` of a nearby
+    problem; each later solve starts from the set its predecessor settled
+    on.  A warm start as in ``solve_vi``: it changes the rounds spent, and
+    the result at most by roundoff inside ``vi.VI_TOL``.
     """
     return _iterate(A, f, omap, start, "min", oracle_check, active0)
 

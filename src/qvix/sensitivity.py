@@ -206,11 +206,12 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
 
     Each quotient re-runs the extremal iteration at the shifted source,
     warm-started at the base solution (the selection the derivative
-    describes); its obstacle solves start from the base's coincidence
-    set, a warm start as in ``solve_vi``.  Quotient errors must shrink
-    with the step, up to a noise floor on instances where the remainder
-    vanishes identically; on biactive instances a non-shrinking table is
-    flagged (``fd_monotone`` False) instead of raised.
+    describes); its first obstacle solve starts from the set the base
+    run's last solve settled on, a warm start as in ``solve_vi``.
+    Quotient errors must shrink with the step, up to a noise floor on
+    instances where the remainder vanishes identically; on biactive
+    instances a non-shrinking table is flagged (``fd_monotone`` False)
+    instead of raised.
     """
     s_arr = _check_s_list(s_list)
     sign = _sign(which)
@@ -227,11 +228,9 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     report = solve_derivative_qvi(cone, d, which)
     alpha = report.alpha
 
-    active0 = np.ones(A.grid.n_nodes, dtype=bool)
-    active0[cone.partition.inactive] = False
     fd_table = []
     for s in s_arr:
-        pert = run(A, f + s * d, omap, base, oracle_check, active0=active0).solution
+        pert = run(A, f + s * d, omap, base, oracle_check, active0=base_run.active).solution
         quotient = (1.0 / s) * (pert - base)
         fd_table.append((s, v_norm(quotient - alpha)))
 

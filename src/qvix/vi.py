@@ -2,10 +2,14 @@
 
 ``solve_vi`` finds u <= phi with a nonnegative complementary multiplier
 via a primal-dual active set loop.  On M-matrices the loop terminates in
-finitely many set changes and the returned active set is exact, which is
-what the sensitivity machinery relies on.  ``oracle_vi`` re-derives the
-same solution by brute force over all active sets on small grids and is
-the independent cross-check for the fast path.
+finitely many set changes.  The set it settled on is returned as
+``ViSolution.active``, and it is the one warm start of the library: every
+solve of a sequence (an extremal run, a derivative iteration, a quotient
+rerun) starts from the set of the solve before.  ``classify_active``
+splits a solution's coincidence set by its multiplier f - Au.
+``oracle_vi`` re-derives the same solution by brute force over all
+active sets on small grids and is the independent cross-check for the
+fast path.
 
 A cold loop needs more set changes the finer the grid, because the front
 of the active set moves a few nodes per round.  So the loop takes its
@@ -13,11 +17,12 @@ second round from a nested-iteration guess (Hintermüller-Ulbrich, Math.
 Program. 101, 2004; Kornhuber, Numer. Math. 69, 1994), by one rule on
 every level:
 
-- Round 1 pins the caller's likely active set ``active0`` (none for a
-  cold solve).  If the update rule selects that set again, the solve
-  ends: consecutive solves of a monotone iteration mostly share their
-  set, and then cost one round.  A cold round 1 may also end on the
-  residual test, a handed set's round 1 only on a settled set.
+- Round 1 pins the caller's set ``active0``, the settled set of the
+  solve before (none for a cold solve).  If the update rule selects that
+  set again, the solve ends: consecutive solves of a monotone iteration
+  mostly share their set, and then cost one round.  A cold round 1 may
+  also end on the residual test, a handed set's round 1 only on a
+  settled set.
 - Otherwise the same problem is solved on every other node, with the
   Galerkin matrix P^T A P of linear interpolation P, the load and mass
   restricted by P^T, the target and role masks injected, and round 1's
@@ -40,7 +45,6 @@ residual gate and differ by roundoff.  ``PDAS_MAX_ITER`` counts round 1;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -108,32 +112,19 @@ class ViSolution:
     """Solution, multiplier and diagnostics of one obstacle solve.
 
     ``iterations`` counts the active set rounds of every nested level; it
-    is 1 when the first round already ended the solve.  ``phi`` and ``f``
-    are the solve's obstacle and load; ``partition`` is built from them on
-    its first read.
+    is 1 when the first round already ended the solve.  ``active`` is the
+    read-only set the loop settled on, the warm start of the next solve of
+    a sequence.  ``classify_active`` splits a solution's coincidence set.
     """
 
     u: NodalFunction
     lam: DualElement
     iterations: int
     residual: float
-    phi: NodalFunction
-    f: DualElement
+    active: np.ndarray
 
-    @cached_property
-    def partition(self) -> ActiveSetPartition:
-        return _partition_from(self.u.values, self.phi, self.lam.values, self.f)
-
-
-def _partition_from(u_vals, phi: NodalFunction, lam_vals, f: DualElement) -> ActiveSetPartition:
-    coincidence = (phi.values - u_vals) <= default_tol_active(phi)
-    strict = coincidence & (lam_vals > default_tol_multiplier(f))
-    biactive = coincidence & ~strict
-    return ActiveSetPartition(
-        inactive=(~coincidence).nonzero()[0],
-        strict=strict.nonzero()[0],
-        biactive=biactive.nonzero()[0],
-    )
+    def __post_init__(self):
+        self.active.flags.writeable = False
 
 
 def default_tol_active(phi: NodalFunction) -> float:
@@ -185,7 +176,14 @@ def complementarity_residual(u, target, lam, eq_mask, free_mask) -> float:
 def classify_active(A: EllipticOperator, f: DualElement, u: NodalFunction,
                     phi: NodalFunction) -> ActiveSetPartition:
     """Classify nodes of a feasible point into inactive/strict/biactive."""
-    return _partition_from(u.values, phi, multiplier(A, f, u), f)
+    coincidence = (phi.values - u.values) <= default_tol_active(phi)
+    strict = coincidence & (multiplier(A, f, u) > default_tol_multiplier(f))
+    biactive = coincidence & ~strict
+    return ActiveSetPartition(
+        inactive=(~coincidence).nonzero()[0],
+        strict=strict.nonzero()[0],
+        biactive=biactive.nonzero()[0],
+    )
 
 
 def _coarse_problem(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask):
@@ -302,13 +300,13 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     """Solve the upper-obstacle problem for the given load and obstacle.
 
     Returns the unique nodal solution of the complementarity system
-    together with the multiplier density f - Au and the active set
-    partition.  ``active0`` marks a likely active set, a warm start that
-    changes the rounds spent.  It keeps the bits of a loop that settles
-    on the same set; a loop that ends on the residual test can move by
-    roundoff, inside ``VI_TOL`` (see the module docstring).  A
-    non-converged loop or an invalid terminal point raises, never returns
-    silently.
+    together with the multiplier density f - Au and the set the loop
+    settled on.  ``active0`` is the set round 1 pins, mostly the
+    ``active`` of the solve before, a warm start that changes the rounds
+    spent.  It keeps the bits of a loop that settles on the same set; a
+    loop that ends on the residual test can move by roundoff, inside
+    ``VI_TOL`` (see the module docstring).  A non-converged loop or an
+    invalid terminal point raises, never returns silently.
     """
     grid = A.grid
     if f.grid != grid or phi.grid != grid:
@@ -324,15 +322,15 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     load[eq_mask] = 0.0
 
     target = np.where(eq_mask, 0.0, phi.values)
-    u_vals, lam_vals, _, iters = _pdas(A.matrix, grid.mass, load, target, eq_mask,
-                                       free_mask, active0=active0)
+    u_vals, lam_vals, active, iters = _pdas(A.matrix, grid.mass, load, target, eq_mask,
+                                            free_mask, active0=active0)
     lam_vals[eq_mask] = 0.0
     residual = complementarity_residual(u_vals, target, lam_vals, eq_mask, free_mask)
     if residual > VI_TOL:
         raise ViSolveError(f"terminal complementarity residual {residual:.3e} exceeds {VI_TOL:.1e}")
 
     return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
-                      iterations=iters, residual=residual, phi=phi, f=f)
+                      iterations=iters, residual=residual, active=active)
 
 
 def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolution:
@@ -390,7 +388,7 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolu
     residual = complementarity_residual(u_vals, np.where(eq_mask, 0.0, phi.values), lam_vals,
                                         eq_mask, np.zeros(n, dtype=bool))
     return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
-                      iterations=pick + 1, residual=residual, phi=phi, f=f)
+                      iterations=pick + 1, residual=residual, active=active_full[pick])
 
 
 def check_comparison(A: EllipticOperator, f1: DualElement, f2: DualElement,

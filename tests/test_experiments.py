@@ -13,7 +13,6 @@ from qvix.experiments import (
     _write_csv,
     build_problem,
     parse_config,
-    write_iterates_csv,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -125,12 +124,6 @@ def test_solution_csv_class_column_matches_partition(tmp_path):
     assert rows[0] == "x,u,phi_u,lambda,class"
     classes = {row.split(",")[4] for row in rows[1:]}
     assert classes == {"S"}  # toy minimal solution is strictly active everywhere
-
-
-def test_header_only_csv_for_empty_history(tmp_path):
-    path = tmp_path / "iterates.csv"
-    write_iterates_csv(path, None)
-    assert path.read_text() == "iter,step_vnorm,qvi_residual,min_node_delta\n"
 
 
 def test_csv_cells_keep_their_text(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qvix import (
+    ActiveSetPartition,
     DualElement,
     ExtremalIterationError,
     Grid,
@@ -18,6 +19,7 @@ from qvix import (
     assemble_operator,
     check_subsolution,
     check_supersolution,
+    classify_active,
     comparison_in_f,
     iterate_max,
     iterate_min,
@@ -290,9 +292,10 @@ def test_warm_steps_reuse_the_reduced_factor(monkeypatch):
     problem = _bundled_problem("inverse_elliptic_max", 401)
     A, f, omap = problem.operator, problem.forcing, problem.omap
     start = IntervalBracket.default(A, f, problem.direction).upper
-    first = solve_vi(A, f, omap.evaluate(start))
+    phi = omap.evaluate(start)
+    first = solve_vi(A, f, phi)
     active0 = np.ones(A.grid.n_nodes, dtype=bool)
-    active0[first.partition.inactive] = False
+    active0[classify_active(A, f, first.u, phi).inactive] = False
 
     counts = {"submatrix": 0, "rounds": 0}
     submatrix, solve = TridiagonalSpd.submatrix, vi.solve_vi
@@ -343,27 +346,36 @@ def test_warm_sets_come_from_the_step_without_a_partition(monkeypatch):
     problem = _bundled_problem("inverse_elliptic_max")
     A, f, omap = problem.operator, problem.forcing, problem.omap
     start = IntervalBracket.default(A, f, problem.direction).upper
-    built, solves = [], []
-    partition_from, solve = vi._partition_from, vi.solve_vi
+    classified, solves = [], []
+    tol_active, post_init, solve = vi.default_tol_active, ActiveSetPartition.__post_init__, \
+        vi.solve_vi
 
-    def counting_partition_from(*args):
-        built.append(args)
-        return partition_from(*args)
+    def counting_tol_active(phi):
+        classified.append(phi)
+        return tol_active(phi)
+
+    def counting_post_init(self):
+        classified.append(self)
+        post_init(self)
 
     def recording_solve(A, f, phi, *, active0=None):
         sol = solve(A, f, phi, active0=active0)
         solves.append((active0, sol))
         return sol
 
-    monkeypatch.setattr(vi, "_partition_from", counting_partition_from)
+    monkeypatch.setattr(vi, "default_tol_active", counting_tol_active)
+    monkeypatch.setattr(ActiveSetPartition, "__post_init__", counting_post_init)
     monkeypatch.setattr("qvix.extremal.solve_vi", recording_solve)
     report = iterate_max(A, f, omap, start)
-    assert not built
+    assert not classified
     assert len(solves) == report.n_iters > 1
     assert solves[0][0] is None
-    # each handed-on set is the coincidence set of the partition of the solve before
+    # each solve after the first is handed the set the solve before settled on
     for (_, sol), (active0, _) in zip(solves, solves[1:]):
-        old = np.ones(A.grid.n_nodes, dtype=bool)
-        old[sol.partition.inactive] = False
-        assert active0.dtype == bool and np.array_equal(active0, old)
-    assert len(built) == len(solves) - 1
+        assert active0.dtype == bool and np.array_equal(active0, sol.active)
+    assert np.array_equal(report.active, solves[-1][1].active)
+    # the handed-on sets are read-only
+    for _, sol in solves:
+        assert not sol.active.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        report.active[0] = not report.active[0]

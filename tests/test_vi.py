@@ -32,19 +32,21 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 def test_unconstrained_constant():
     g = Grid(31)
     A = assemble_operator(g, 1.0, "neumann")
-    sol = solve_vi(A, DualElement.constant(g, 1.5), NodalFunction.constant(g, 1e6))
+    f, phi = DualElement.constant(g, 1.5), NodalFunction.constant(g, 1e6)
+    sol = solve_vi(A, f, phi)
     assert np.max(np.abs(sol.u.values - 1.5)) <= 1e-10
-    assert sol.partition.inactive.size == g.n_nodes
+    assert classify_active(A, f, sol.u, phi).inactive.size == g.n_nodes
     assert np.all(sol.lam.values == 0.0)
 
 
 def test_fully_clamped_constant():
     g = Grid(31)
     A = assemble_operator(g, 1.0, "neumann")
-    sol = solve_vi(A, DualElement.constant(g, 2.0), NodalFunction.constant(g, 1.0))
+    f, phi = DualElement.constant(g, 2.0), NodalFunction.constant(g, 1.0)
+    sol = solve_vi(A, f, phi)
     assert np.all(sol.u.values == 1.0)
     assert np.max(np.abs(sol.lam.values - 1.0)) <= 1e-10
-    assert sol.partition.strict.size == g.n_nodes
+    assert classify_active(A, f, sol.u, phi).strict.size == g.n_nodes
     assert sol.residual <= 1e-10
 
 
@@ -111,21 +113,24 @@ def test_cold_solve_rounds_do_not_grow_with_the_grid(bc, n):
     assert cold.iterations <= NESTED_ROUNDS_BOUND
     if bc == "neumann":
         assert cold.iterations == NEUMANN_COLD_ROUNDS[n]
-    assert 0 < cold.partition.coincidence.size < n
+    partition = classify_active(A, f, cold.u, phi)
+    assert 0 < partition.coincidence.size < n
 
     def assert_cold_bits(sol):
         assert np.array_equal(sol.u.values, cold.u.values)
         assert np.array_equal(sol.lam.values, cold.lam.values)
 
     # the set the loop settled on: pinned rows carry the multiplier, solved rows none
-    settled = cold.lam.values > 0
+    settled = cold.active
+    assert np.array_equal(settled, cold.lam.values > 0)
     warm = solve_vi(A, f, phi, active0=settled)
     assert warm.iterations == 1
     assert_cold_bits(warm)
+    assert np.array_equal(warm.active, settled)
     # the coincidence set holds nodes within the active tolerance of the
     # obstacle, which the settled set lacks at n >= 6401
     coincident = np.ones(n, dtype=bool)
-    coincident[cold.partition.inactive] = False
+    coincident[partition.inactive] = False
     assert_cold_bits(solve_vi(A, f, phi, active0=coincident))
 
     # a wrong set's first round selects the seed of the coarse levels; an
@@ -262,10 +267,14 @@ def test_oracle_two_node_instance_by_hand():
 def test_oracle_active_set_extremes():
     g = Grid(6)
     A = assemble_operator(g, 1.0, "neumann")
-    free = oracle_vi(A, DualElement.constant(g, 0.5), NodalFunction.constant(g, 10.0))
-    assert free.partition.coincidence.size == 0
-    clamped = oracle_vi(A, DualElement.constant(g, 50.0), NodalFunction.constant(g, 1.0))
-    assert clamped.partition.strict.size == g.n_nodes
+    f, phi = DualElement.constant(g, 0.5), NodalFunction.constant(g, 10.0)
+    free = oracle_vi(A, f, phi)
+    assert classify_active(A, f, free.u, phi).coincidence.size == 0
+    f, phi = DualElement.constant(g, 50.0), NodalFunction.constant(g, 1.0)
+    clamped = oracle_vi(A, f, phi)
+    assert classify_active(A, f, clamped.u, phi).strict.size == g.n_nodes
+    # the oracle's set is the pinned set of the candidate it picked
+    assert not free.active.any() and clamped.active.all()
 
 
 def test_oracle_rejects_large_grids():
