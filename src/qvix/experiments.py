@@ -343,19 +343,33 @@ class RunArtifacts:
         return not self.failures
 
 
+# below this many cells the fixed cost of np.unique (about 20 µs) exceeds
+# the repr calls it can save; the short tables hold distinct values anyway
+_SHARED_TEXT_MIN_CELLS = 64
+
+
 def _column_text(column) -> list[str]:
     """Cells of one CSV column.
 
     A list of strings is written as given; any other column is numeric as
     a whole, written as ``str(int)`` for an integer dtype and ``repr`` of
-    the float otherwise.
+    the float otherwise.  ``repr`` is the costly part, so each distinct
+    float of a column of ``_SHARED_TEXT_MIN_CELLS`` or more is formatted
+    once, keyed by its bit pattern: keying by value would merge ``-0.0``
+    with ``0.0`` and lose the sign.
     """
     if isinstance(column, list) and column and isinstance(column[0], str):
         return column
     values = np.asarray(column)
     if values.dtype.kind in "iu":
         return list(map(str, values.tolist()))
-    return list(map(repr, values.astype(float, copy=False).tolist()))
+    values = values.astype(float, copy=False)
+    if values.size < _SHARED_TEXT_MIN_CELLS:
+        return list(map(repr, values.tolist()))
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _write_csv(path: Path, columns: dict) -> None:
@@ -366,12 +380,21 @@ def _write_csv(path: Path, columns: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_solution_csv(path: Path, problem: BuiltProblem, report: ExtremalRunReport) -> None:
+def write_solution_csv(path: Path, problem: BuiltProblem, report: ExtremalRunReport,
+                       x_cells: list[str] | None = None) -> list[str]:
+    """Write the solution table; return the node cells for the next table of the grid.
+
+    ``x_cells`` are node cells an earlier call returned; without them the
+    nodes are formatted here.
+    """
+    if x_cells is None:
+        x_cells = _column_text(problem.grid.nodes)
     u, phi = report.solution, report.obstacle
     lam = multiplier(problem.operator, problem.forcing, u)
     partition = classify_active(problem.operator, problem.forcing, u, phi)
-    _write_csv(path, {"x": problem.grid.nodes, "u": u.values, "phi_u": phi.values,
+    _write_csv(path, {"x": x_cells, "u": u.values, "phi_u": phi.values,
                       "lambda": lam, "class": partition.labels(problem.grid.n_nodes)})
+    return x_cells
 
 
 def write_iterates_csv(path: Path, report: ExtremalRunReport) -> None:
@@ -436,6 +459,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
 
     bracket = IntervalBracket.default(A, f, d)
     which_list = ["min", "max"] if config.run == "both" else [config.run]
+    x_cells = None  # node cells, formatted by the first solution table written
 
     for which in which_list:
         run_summary: dict = {}
@@ -457,7 +481,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
 
         sol_path = target / f"solution_{which}.csv"
         it_path = target / f"iterates_{which}.csv"
-        write_solution_csv(sol_path, problem, report)
+        x_cells = write_solution_csv(sol_path, problem, report, x_cells)
         write_iterates_csv(it_path, report)
         artifacts.files[f"solution_{which}"] = sol_path
         artifacts.files[f"iterates_{which}"] = it_path

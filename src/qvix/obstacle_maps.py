@@ -264,6 +264,7 @@ class ThermoformingMap(ObstacleMap):
         self.heat_max = float(heat_max)
         self.expansion = float(expansion)
         self._op = assemble_operator(mould.grid, self.reaction, "neumann")
+        self._solved = None  # (state bytes, _newton result) of the last solve
 
     @property
     def grid(self) -> Grid:
@@ -290,9 +291,16 @@ class ThermoformingMap(ObstacleMap):
         """Newton from zero on the semilinear temperature equation.
 
         Returns the temperature with the heat-rate slope and the Jacobian
-        built at it, which the derivative action solves with.
+        built at it, which the derivative action solves with.  The result
+        of the last solve is kept, keyed by a copy of the state's bytes, so
+        repeated calls at one state (the derivative actions at a solution,
+        then its temperature) solve once and share the Jacobian's factor.
+        A stall raises and is never kept.
         """
         self._check_grid(u)
+        key = u.values.tobytes()
+        if self._solved is not None and self._solved[0] == key:
+            return self._solved[1]
         mass = self.grid.mass
         mat = self._op.matrix
         t_vals = np.zeros(self.grid.n_nodes)
@@ -314,6 +322,8 @@ class ThermoformingMap(ObstacleMap):
         if v_norm(temp) > self.temperature_bound() + 1e-9:
             raise InnerSolveError(
                 "temperature violates its a priori bound; assembly is suspect")
+        slope.flags.writeable = False
+        self._solved = (key, (temp, slope, jac))
         return temp, slope, jac
 
     def temperature(self, u: NodalFunction) -> NodalFunction:

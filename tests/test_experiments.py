@@ -9,6 +9,8 @@ import pytest
 from qvix import ConfigError, InnerSolveError, load_config, run_experiment
 from qvix.cli import main as cli_main
 from qvix.experiments import (
+    _SHARED_TEXT_MIN_CELLS,
+    _column_text,
     _eval_expr,
     _write_csv,
     build_problem,
@@ -138,6 +140,58 @@ def test_csv_cells_keep_their_text(tmp_path):
                                  b"1,0.1,1e+300,S\n"
                                  b"2,-0.0,-2.5,B\n"
                                  b"3,5e-324,1.0,I\n")
+
+
+def _column_texts(values):
+    """The column as drawn, and tiled long enough that equal cells share their text."""
+    return values, np.tile(values, _SHARED_TEXT_MIN_CELLS)
+
+
+def test_column_text_is_repr_of_every_cell():
+    # each bit pattern is formatted once, so 0.0 and -0.0 keep their own text
+    third = 1.0 / 3.0
+    values = np.array([0.0, -0.0, 5e-324, third, -0.0, np.inf, 0.0, -np.inf, np.nan,
+                       third, -0.0, 0.0, 0.1 + 0.2, -np.inf, 0.1 + 0.2, 5e-324])
+    for column in (*_column_texts(values), np.array([])):
+        assert _column_text(column) == [repr(v) for v in column.tolist()]
+
+
+def test_column_text_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    # any double, with the signed zeros and the other specials drawn often
+    floats = st.one_of(st.floats(width=64),
+                       st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]))
+    pooled = st.lists(floats, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=40)).map(np.array)
+    any_array = hnp.arrays(np.float64, st.integers(0, 40), elements=floats)
+
+    @hypothesis.settings(database=None, deadline=None)
+    @hypothesis.given(st.one_of(pooled, any_array))
+    def check(values):
+        for column in _column_texts(values.astype(float)):
+            assert _column_text(column) == [repr(v) for v in column.tolist()]
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["toy_min", "toy_max", "inverse_elliptic_max",
+                                  "thermoforming_desk"])
+def test_run_both_writes_the_bytes_of_separate_runs(tmp_path, name):
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    raw["grid"]["n_nodes"] = 401
+    raw["sensitivity"]["enabled"] = False
+    files = {}
+    for run in ("min", "max", "both"):
+        raw["run"] = run
+        artifacts = run_experiment(parse_config(raw), out_dir=tmp_path / run, seed=0)
+        assert artifacts.ok, artifacts.failures
+        files[run] = artifacts.files
+    for which in ("min", "max"):
+        for table in ("solution", "iterates"):
+            key = f"{table}_{which}"
+            assert files["both"][key].read_bytes() == files[which][key].read_bytes(), key
 
 
 def test_temperature_stall_reports_residual_and_tolerance(tmp_path):

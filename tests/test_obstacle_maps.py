@@ -401,6 +401,46 @@ def _counting_solves(monkeypatch):
     return calls
 
 
+def test_one_temperature_solve_per_membrane_state(monkeypatch):
+    omap, rows = list(_evaluate_cases())[3]
+    g = omap.grid
+    h = NodalFunction(g, np.cos(3.0 * g.nodes))
+    calls = _counting_solves(monkeypatch)
+    u = NodalFunction(g, rows[2])
+    first = omap.derivative_action(u, h).values
+    assert len(calls) > 2  # the Newton steps, then the action's own solve
+    calls.clear()
+    assert np.array_equal(omap.derivative_action(u, h).values, first)
+    assert omap.temperature(u) is omap.temperature(NodalFunction(g, rows[2]))
+    assert len(calls) == 1
+    # the state is keyed by its bytes: an array changed in place is solved anew
+    u.values.flags.writeable = True
+    u.values[:] = rows[3]
+    calls.clear()
+    got = omap.derivative_action(u, h).values
+    assert len(calls) > 2
+    fresh = ThermoformingMap(omap.mould, omap.reaction, omap.heat_max, omap.expansion)
+    assert np.array_equal(got, fresh.derivative_action(NodalFunction(g, rows[3]), h).values)
+    calls.clear()
+    assert np.array_equal(omap.derivative_action(NodalFunction(g, rows[2]), h).values, first)
+    assert len(calls) > 2
+
+
+def test_a_temperature_stall_is_not_kept(monkeypatch):
+    omap, rows = list(_evaluate_cases())[3]
+    u = NodalFunction(omap.grid, rows[2])
+    calls = _counting_solves(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(omap, "heat_rate", lambda gap: np.full_like(gap, np.nan))
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(InnerSolveError, match="temperature solve stalled"):
+                omap.temperature(u)
+            assert len(calls) == 60
+    calls.clear()
+    assert np.any(omap.temperature(u).values != 0.0) and calls
+
+
 def test_temperature_is_newton_from_zero(monkeypatch):
     omap, rows = list(_evaluate_cases())[3]
     g = omap.grid
