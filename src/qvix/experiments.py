@@ -393,7 +393,7 @@ def write_solution_csv(path: Path, problem: BuiltProblem, report: ExtremalRunRep
     lam = multiplier(problem.operator, problem.forcing, u)
     partition = classify_active(problem.operator, problem.forcing, u, phi)
     _write_csv(path, {"x": x_cells, "u": u.values, "phi_u": phi.values,
-                      "lambda": lam, "class": partition.labels(problem.grid.n_nodes)})
+                      "lambda": lam, "class": partition.labels()})
     return x_cells
 
 

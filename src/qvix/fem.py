@@ -250,18 +250,17 @@ class EllipticOperator:
         if f.grid != self.grid:
             raise GridMismatchError("load grid does not match operator grid")
         rhs = self.grid.mass * f.values
-        if self.bc == "dirichlet":
-            rhs[0] = 0.0
-            rhs[-1] = 0.0
+        rhs[self.boundary] = 0.0
         return NodalFunction(self.grid, self.matrix.solve(rhs))
 
     @cached_property
-    def boundary_nodes(self) -> np.ndarray:
-        """Indices of the Dirichlet boundary nodes (none for Neumann), read-only."""
-        nodes = np.array([0, self.grid.n_nodes - 1] if self.bc == "dirichlet" else [],
-                         dtype=int)
-        nodes.flags.writeable = False
-        return nodes
+    def boundary(self) -> np.ndarray:
+        """Read-only mask of the Dirichlet boundary nodes (all False for Neumann)."""
+        mask = np.zeros(self.grid.n_nodes, dtype=bool)
+        if self.bc == "dirichlet":
+            mask[[0, -1]] = True
+        mask.flags.writeable = False
+        return mask
 
 
 def assemble_operator(grid: Grid, c: float, bc: BoundaryCondition) -> EllipticOperator:

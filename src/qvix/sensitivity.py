@@ -23,17 +23,16 @@ from .extremal import IntervalBracket, _check_direction, _monotone_limit, _obsta
     _sign, check_subsolution, check_supersolution, iterate_max, iterate_min
 from .fem import DualElement, EllipticOperator, NodalFunction, v_norm
 from .obstacle_maps import ObstacleMap
-from .vi import ActiveSetPartition, _pdas, classify_active, complementarity_residual, \
+from .vi import ActiveSetPartition, _pdas, _pose, classify_active, complementarity_residual, \
     default_tol_multiplier, multiplier
 
 # stopping rules of the derivative fixed-point loop: V-norm step that ends
-# it, the residual the limit must reach, and its safety cap; the slack on
-# the nodal order of consecutive iterates is extremal.MONOTONE_TOL
+# it and the residual the limit must reach.  It linearises the fixed point
+# of the outer loop and contracts at its rate, so it shares that loop's
+# iteration budget extremal.MAX_OUTER; the slack on the nodal order of
+# consecutive iterates is extremal.MONOTONE_TOL
 ALPHA_STEP_TOL = 1e-11
 ALPHA_RESIDUAL_TOL = 1e-9
-ALPHA_MAX_ITER = 100
-# base residual above which the active set is too blurred to build a cone on
-CONE_RESIDUAL_TOL = 1e-8
 # difference-quotient steps used when a caller names none
 DEFAULT_S_LIST = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -77,18 +76,19 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     ``phi`` is the obstacle ``omap.evaluate(base)`` when the caller holds
     it already, as ``ExtremalRunReport.obstacle``; it is evaluated when
     None.  Refuses base points whose residual is too large for the active
-    set to be trustworthy, and base points whose multiplier leaks off the
-    strict set beyond classification noise.
+    set to be trustworthy (the ``extremal.RESIDUAL_TOL`` gate of the
+    extremal runs), and base points whose multiplier leaks off the strict
+    set beyond classification noise.
     """
     if phi is None:
         phi = omap.evaluate(base)
     lam_vals = multiplier(A, f, base)
     res = _obstacle_residual(A, f, base, phi)
-    if res > CONE_RESIDUAL_TOL:
+    if res > extremal.RESIDUAL_TOL:
         raise ConeError(f"base residual {res:.3e} too large to classify the active set")
     partition = classify_active(A, f, base, phi)
     tol_lam = default_tol_multiplier(f)
-    if partition.inactive.size:
+    if partition.inactive.any():
         leak = float(np.max(np.abs(lam_vals[partition.inactive])))
         if leak > 10 * tol_lam:
             raise ConeError(f"multiplier of size {leak:.3e} off the coincidence set")
@@ -98,46 +98,27 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
                             operator=A)
 
 
-def _cone_roles(cone: CriticalConeData, shift_vals: np.ndarray):
-    """Node roles and target of the cone shifted by the given bound values.
-
-    Strict nodes are pinned to the shift and Dirichlet boundary nodes to
-    zero (equality), biactive nodes carry the shift as an upper bound
-    (obstacle), inactive nodes are unconstrained (free).
-    """
-    A = cone.operator
-    n = A.grid.n_nodes
-    boundary = np.zeros(n, dtype=bool)
-    boundary[A.boundary_nodes] = True
-    eq_mask = boundary.copy()
-    eq_mask[cone.partition.strict] = True
-    free_mask = np.zeros(n, dtype=bool)
-    free_mask[cone.partition.inactive] = True
-    free_mask &= ~boundary
-    return np.where(boundary, 0.0, shift_vals), eq_mask, free_mask
-
-
-def _cone_solve(cone: CriticalConeData, load: np.ndarray, shift_vals: np.ndarray,
+def _cone_solve(cone: CriticalConeData, d_vals: np.ndarray, shift_vals: np.ndarray,
                 active0: np.ndarray | None = None) -> tuple[NodalFunction, np.ndarray]:
-    """Obstacle solve over the cone shifted by the given bound values.
+    """Obstacle solve for the direction's nodal values over the shifted cone.
 
-    Returns the solution and the settled set of its loop, the warm start
-    of the next solve over the same cone.
+    Strict nodes are pinned to the shift, biactive nodes carry it as an
+    upper bound, inactive nodes are unconstrained.  Returns the solution
+    and the settled set of its loop, the warm start of the next solve over
+    the same cone.
     """
-    A = cone.operator
-    target, eq_mask, free_mask = _cone_roles(cone, shift_vals)
-    ld = load.copy()
-    ld[A.boundary_nodes] = 0.0
-    vals, _, settled, _ = _pdas(A.matrix, A.grid.mass, ld, target, eq_mask, free_mask,
-                                active0=active0)
+    A, partition = cone.operator, cone.partition
+    problem = _pose(A, d_vals, shift_vals, partition.strict, partition.inactive)
+    vals, _, settled, _ = _pdas(A.matrix, A.grid.mass, *problem, active0=active0)
     return NodalFunction(A.grid, vals), settled
 
 
 def derivative_qvi_residual(cone: CriticalConeData, alpha: NodalFunction,
                             d: DualElement) -> float:
     """Fixed-point residual of the derivative problem at alpha."""
-    A = cone.operator
-    target, eq_mask, free_mask = _cone_roles(cone, cone.deriv_map(alpha).values)
+    A, partition = cone.operator, cone.partition
+    _, target, eq_mask, free_mask = _pose(A, d.values, cone.deriv_map(alpha).values,
+                                          partition.strict, partition.inactive)
     return complementarity_residual(alpha.values, target, multiplier(A, d, alpha),
                                     eq_mask, free_mask)
 
@@ -153,22 +134,21 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
     they decrease.
     """
     sign = _check_direction(d, which, "derivative")
-    A = cone.operator
-    load = A.grid.mass * d.values
-    first, active0 = _cone_solve(cone, load, np.zeros(A.grid.n_nodes))
+    first, active0 = _cone_solve(cone, d.values, np.zeros(cone.operator.grid.n_nodes))
     iterates = [first]
 
     # consecutive cone solves mostly share their set: each starts from the last one's
     def step(alpha: NodalFunction) -> NodalFunction:
         nonlocal active0
-        nxt, active0 = _cone_solve(cone, load, cone.deriv_map(alpha).values, active0)
+        nxt, active0 = _cone_solve(cone, d.values, cone.deriv_map(alpha).values, active0)
         iterates.append(nxt)
         return nxt
 
+    budget = extremal.MAX_OUTER
     alpha, _, _, _ = _monotone_limit(
-        step, iterates[0], sign, ALPHA_STEP_TOL, ALPHA_MAX_ITER, DerivativeSolveError,
+        step, iterates[0], sign, ALPHA_STEP_TOL, budget, DerivativeSolveError,
         "derivative iterates lost their {order} order",
-        f"derivative iteration did not settle within {ALPHA_MAX_ITER} rounds")
+        f"derivative iteration did not settle within {budget} rounds")
     residual = derivative_qvi_residual(cone, alpha, d)
     if residual > ALPHA_RESIDUAL_TOL:
         raise DerivativeSolveError(
@@ -242,7 +222,7 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     floor = lambda s: max(alpha_floor, noise_scale / s)
     fd_monotone = all(eb <= max(ea, floor(sb))
                       for (_, ea), (sb, eb) in zip(fd_table, fd_table[1:]))
-    if not fd_monotone and cone.partition.biactive.size == 0:
+    if not fd_monotone and not cone.partition.biactive.any():
         raise DerivativeSolveError(
             "quotient error table does not shrink on a strictly complementary instance")
     if fd_tol is None:

@@ -6,10 +6,13 @@ finitely many set changes.  The set it settled on is returned as
 ``ViSolution.active``, and it is the one warm start of the library: every
 solve of a sequence (an extremal run, a derivative iteration, a quotient
 rerun) starts from the set of the solve before.  ``classify_active``
-splits a solution's coincidence set by its multiplier f - Au.
-``oracle_vi`` re-derives the same solution by brute force over all
-active sets on small grids and is the independent cross-check for the
-fast path.
+splits a solution's coincidence set by its multiplier f - Au into
+boolean node masks.  ``_pose`` is the one place that poses a
+complementarity problem, the obstacle solves here and the derivative's
+cone solves alike: it decides the load, the target and the node roles,
+the Dirichlet rows included.  ``oracle_vi`` re-derives the same
+solution by brute force over all active sets on small grids and is the
+independent cross-check for the fast path.
 
 A cold loop needs more set changes the finer the grid, because the front
 of the active set moves a few nodes per round.  So the loop takes its
@@ -75,36 +78,36 @@ ORACLE_MAX_NODES = 14
 class ActiveSetPartition:
     """Per-node split of the coincidence set by multiplier support.
 
-    ``strict`` nodes touch the obstacle with a positive multiplier,
-    ``biactive`` nodes touch it with a vanishing multiplier, ``inactive``
-    nodes are strictly below.  The union of strict and biactive is the
-    discrete coincidence set.
+    Two read-only boolean node masks of one shape: ``strict`` nodes touch
+    the obstacle with a positive multiplier, ``biactive`` nodes touch it
+    with a vanishing multiplier.  The derived masks are ``coincidence``,
+    their union, and ``inactive``, the nodes strictly below.
     """
 
-    inactive: np.ndarray
     strict: np.ndarray
     biactive: np.ndarray
 
     def __post_init__(self):
-        for name in ("inactive", "strict", "biactive"):
-            arr = np.asarray(getattr(self, name), dtype=int)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        merged = np.concatenate([self.inactive, self.strict, self.biactive])
-        if (np.bincount(merged) > 1).any():
+        strict, biactive = np.array(self.strict), np.array(self.biactive)
+        if strict.dtype != bool or biactive.dtype != bool or strict.shape != biactive.shape:
+            raise ValueError("partition needs two boolean masks of one shape")
+        if (strict & biactive).any():
             raise ValueError("partition sets overlap")
+        for name, mask in (("strict", strict), ("biactive", biactive)):
+            mask.flags.writeable = False
+            object.__setattr__(self, name, mask)
 
     @property
     def coincidence(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.strict, self.biactive]))
+        return self.strict | self.biactive
 
-    def labels(self, n_nodes: int) -> list[str]:
-        out = ["I"] * n_nodes
-        for i in self.strict:
-            out[i] = "S"
-        for i in self.biactive:
-            out[i] = "B"
-        return out
+    @property
+    def inactive(self) -> np.ndarray:
+        return ~self.coincidence
+
+    def labels(self) -> list[str]:
+        """Per-node class letters: ``S`` strict, ``B`` biactive, ``I`` inactive."""
+        return np.where(self.strict, "S", np.where(self.biactive, "B", "I")).tolist()
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,7 @@ def multiplier(A: EllipticOperator, f: DualElement, u: NodalFunction) -> np.ndar
     lam = f.values - A.matrix.matvec(u.values) / grid.mass
     if not np.isfinite(lam).all():
         raise ValueError("non-finite nodal values")
-    lam[A.boundary_nodes] = 0.0
+    lam[A.boundary] = 0.0
     return lam
 
 
@@ -178,12 +181,26 @@ def classify_active(A: EllipticOperator, f: DualElement, u: NodalFunction,
     """Classify nodes of a feasible point into inactive/strict/biactive."""
     coincidence = (phi.values - u.values) <= default_tol_active(phi)
     strict = coincidence & (multiplier(A, f, u) > default_tol_multiplier(f))
-    biactive = coincidence & ~strict
-    return ActiveSetPartition(
-        inactive=(~coincidence).nonzero()[0],
-        strict=strict.nonzero()[0],
-        biactive=biactive.nonzero()[0],
-    )
+    return ActiveSetPartition(strict=strict, biactive=coincidence & ~strict)
+
+
+def _pose(A: EllipticOperator, f_vals: np.ndarray, target_vals: np.ndarray,
+          pinned: np.ndarray | None = None, free: np.ndarray | None = None):
+    """Load, target and node roles of one complementarity problem on A.
+
+    Dirichlet boundary nodes are equality nodes at zero with no load,
+    ``pinned`` nodes equality nodes at the target, ``free`` nodes off the
+    boundary carry the plain equation, and every other node carries the
+    target as an upper bound.  Returns ``(load, target, eq_mask,
+    free_mask)`` for ``_pdas`` and ``complementarity_residual``.
+    """
+    boundary = A.boundary
+    load = A.grid.mass * f_vals
+    load[boundary] = 0.0
+    target = np.where(boundary, 0.0, target_vals)
+    eq_mask = boundary if pinned is None else boundary | pinned
+    free_mask = np.zeros_like(boundary) if free is None else free & ~boundary
+    return load, target, eq_mask, free_mask
 
 
 def _coarse_problem(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask):
@@ -312,16 +329,10 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     if f.grid != grid or phi.grid != grid:
         raise GridMismatchError("load/obstacle grid does not match operator grid")
 
-    eq_mask = np.zeros(grid.n_nodes, dtype=bool)
-    if A.bc == "dirichlet":
-        eq_mask[[0, -1]] = True
-        if np.any(phi.values[[0, -1]] < -VI_TOL):
-            raise ViSolveError("obstacle below zero at a Dirichlet boundary node: empty constraint set")
-    free_mask = np.zeros(grid.n_nodes, dtype=bool)
-    load = grid.mass * f.values
-    load[eq_mask] = 0.0
+    if np.any(phi.values[A.boundary] < -VI_TOL):
+        raise ViSolveError("obstacle below zero at a Dirichlet boundary node: empty constraint set")
 
-    target = np.where(eq_mask, 0.0, phi.values)
+    load, target, eq_mask, free_mask = _pose(A, f.values, phi.values)
     u_vals, lam_vals, active, iters = _pdas(A.matrix, grid.mass, load, target, eq_mask,
                                             free_mask, active0=active0)
     lam_vals[eq_mask] = 0.0
@@ -350,11 +361,8 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolu
 
     dense = A.matrix.to_dense()
     mass = grid.mass
-    load = mass * f.values
-    eligible = np.arange(n)
-    if A.bc == "dirichlet":
-        load[[0, -1]] = 0.0
-        eligible = np.arange(1, n - 1)
+    load, target, eq_mask, free_mask = _pose(A, f.values, phi.values)
+    eligible = np.flatnonzero(~eq_mask)
     k = eligible.size
     tol = 1e-11 * (1.0 + float(np.max(np.abs(phi.values))) + float(np.max(np.abs(f.values))))
 
@@ -366,7 +374,7 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolu
         sel = masks[:, pos]
         systems[sel, node, :] = 0.0
         systems[sel, node, node] = 1.0
-        rhs[sel, node] = phi.values[node]
+        rhs[sel, node] = target[node]
 
     candidates = np.linalg.solve(systems, rhs[..., None])[..., 0]
     lam_all = (load[None, :] - candidates @ dense.T) / mass[None, :]
@@ -384,9 +392,7 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolu
     pick = int(ok[0])
     u_vals = candidates[pick]
     lam_vals = lam_all[pick]
-    eq_mask = np.isin(np.arange(n), A.boundary_nodes)
-    residual = complementarity_residual(u_vals, np.where(eq_mask, 0.0, phi.values), lam_vals,
-                                        eq_mask, np.zeros(n, dtype=bool))
+    residual = complementarity_residual(u_vals, target, lam_vals, eq_mask, free_mask)
     return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
                       iterations=pick + 1, residual=residual, active=active_full[pick])
 

@@ -378,7 +378,7 @@ def test_evaluate_solves_the_map_equation(case):
         elif isinstance(omap, InverseEllipticMap):
             inner = omap._inner
             load = g.mass * omap.gain.value(row)
-            load[inner.boundary_nodes] = 0.0
+            load[inner.boundary] = 0.0
             gap = inner.matrix.matvec(phi) - load
             assert np.max(np.abs(gap)) <= 1e-12 * (1.0 + np.max(np.abs(load)))
         else:

@@ -8,6 +8,8 @@ import pytest
 import qvix.sensitivity
 import qvix.vi
 from qvix import (
+    ActiveSetPartition,
+    CriticalConeData,
     DerivativeSolveError,
     DualElement,
     Grid,
@@ -27,7 +29,8 @@ from qvix import (
     v_norm,
 )
 from qvix.experiments import build_problem, parse_config
-from qvix.sensitivity import ConeError, derivative_qvi_residual
+from qvix.sensitivity import ConeError, _cone_solve, derivative_qvi_residual
+from qvix.vi import _pose
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -68,7 +71,7 @@ def strict_inactive_instance():
 def test_alpha_cap_reports_unsettled_derivative(toy, monkeypatch):
     grid, A, omap, f = toy
     cone = build_cone(A, f, omap, iterate_min(A, f, omap, NodalFunction.zeros(grid)).solution)
-    monkeypatch.setattr("qvix.sensitivity.ALPHA_MAX_ITER", 0)
+    monkeypatch.setattr("qvix.extremal.MAX_OUTER", 0)
     with pytest.raises(DerivativeSolveError, match="did not settle within 0 rounds"):
         solve_derivative_qvi(cone, DualElement.constant(grid, 1.0), "min")
 
@@ -90,7 +93,7 @@ def test_build_cone_toy_all_strict(toy):
     run = iterate_min(A, f, omap, NodalFunction.zeros(grid))
     base = run.solution
     cone = build_cone(A, f, omap, base)
-    assert cone.partition.strict.size == grid.n_nodes
+    assert cone.partition.strict.all()
     assert np.max(np.abs(cone.lam.values - 1.0)) <= 1e-10
     # the run's obstacle in place of a fresh evaluation gives the same cone
     held = build_cone(A, f, omap, base, run.obstacle)
@@ -135,7 +138,7 @@ def test_empty_coincidence_gives_linear_solve():
     f = DualElement.constant(g, 1.0)
     base = iterate_min(A, f, omap, NodalFunction.zeros(g)).solution
     cone = build_cone(A, f, omap, base)
-    assert cone.partition.inactive.size == g.n_nodes
+    assert cone.partition.inactive.all()
     rng = np.random.default_rng(11)
     d = DualElement(g, rng.uniform(0.0, 2.0, g.n_nodes))
     report = solve_derivative_qvi(cone, d, "min")
@@ -146,8 +149,8 @@ def test_biactive_cone_matches_reduced_oracle():
     g, A, omap, f, u_star = zero_gain_biactive_instance()
     base = iterate_min(A, f, omap, u_star).solution
     cone = build_cone(A, f, omap, base)
-    assert np.array_equal(cone.partition.biactive, np.arange(3, 7))
-    assert cone.partition.strict.size == 0
+    assert np.array_equal(np.flatnonzero(cone.partition.biactive), np.arange(3, 7))
+    assert not cone.partition.strict.any()
 
     rng = np.random.default_rng(19)
     d = DualElement(g, rng.uniform(0.0, 2.0, g.n_nodes))
@@ -250,8 +253,8 @@ def test_strict_complementarity_collapse_to_reduced_linear_system():
     # flat map, mixed strict/inactive partition: the derivative is the plain
     # equation on the inactive block with zeros pinned on the strict nodes
     g, A, f, cone = strict_inactive_instance()
-    assert cone.partition.strict.size > 0 and cone.partition.inactive.size > 0
-    assert cone.partition.biactive.size == 0
+    assert cone.partition.strict.any() and cone.partition.inactive.any()
+    assert not cone.partition.biactive.any()
 
     rng = np.random.default_rng(31)
     d = DualElement(g, rng.uniform(0.0, 1.0, g.n_nodes))
@@ -259,7 +262,7 @@ def test_strict_complementarity_collapse_to_reduced_linear_system():
     assert np.all(alpha.values[cone.partition.strict] == 0.0)
     # reduced system: prescribe zeros on the strict block, solve elsewhere
     dense = A.matrix.to_dense()
-    idx = cone.partition.inactive
+    idx = np.flatnonzero(cone.partition.inactive)
     rhs = (g.mass * d.values)[idx]
     reduced = np.linalg.solve(dense[np.ix_(idx, idx)], rhs)
     assert np.max(np.abs(alpha.values[idx] - reduced)) <= 1e-10
@@ -280,6 +283,67 @@ def test_dirichlet_end_to_end_sensitivity():
     assert report.alpha.values[0] == 0.0 and report.alpha.values[-1] == 0.0
     assert report.fd_monotone
     assert report.fd_table[-1][1] <= 1e-3 * (1.0 + v_norm(report.alpha))
+
+
+def test_dirichlet_rows_of_every_posed_problem():
+    # a shift nonzero at both ends: each posed problem still pins the
+    # Dirichlet nodes to zero with no multiplier, whatever role the cone
+    # gives them (node 0 is strict and node 11 inactive in the mixed cone)
+    g = Grid(12)
+    n = g.n_nodes
+    A = assemble_operator(g, 1.0, "dirichlet")
+    d = DualElement.constant(g, 20.0)
+    shift = NodalFunction(g, 0.5 + 0.25 * np.cos(np.pi * g.nodes))  # 0.75 and 0.25 at the ends
+    strict, biactive = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    strict[:3] = True
+    biactive[5:8] = True
+    mixed = ActiveSetPartition(strict=strict, biactive=biactive)
+    # the Dirichlet rows pose u = 0 with no load; their unit rows would
+    # give u = 0 under any role, but the nested start reads the roles
+    load, target, eq_mask, free_mask = _pose(A, d.values, shift.values, strict, mixed.inactive)
+    assert load[0] == load[-1] == target[0] == target[-1] == 0.0
+    assert eq_mask[[0, -1]].all() and not free_mask[[0, -1]].any()
+    every = ActiveSetPartition(strict=np.zeros(n, dtype=bool), biactive=np.ones(n, dtype=bool))
+    alphas = []
+    for partition in (mixed, every):
+        # a constant map derivative: one cone solve is the fixed point
+        cone = CriticalConeData(base=NodalFunction.zeros(g), partition=partition,
+                                lam=DualElement.zeros(g), deriv_map=lambda w: shift, operator=A)
+        alpha, _ = _cone_solve(cone, d.values, shift.values)
+        assert alpha.values[0] == 0.0 and alpha.values[-1] == 0.0
+        assert derivative_qvi_residual(cone, alpha, d) <= 1e-10
+        alphas.append(alpha)
+    assert np.array_equal(alphas[0].values[1:3], shift.values[1:3])
+    assert np.all(alphas[0].values[5:8] <= shift.values[5:8])
+
+    # the cone with every node biactive is the obstacle problem at the shift
+    fast, ref = solve_vi(A, d, shift), oracle_vi(A, d, shift)
+    for sol in (fast, ref):
+        assert sol.u.values[0] == 0.0 and sol.u.values[-1] == 0.0
+        assert sol.lam.values[0] == 0.0 and sol.lam.values[-1] == 0.0
+    assert np.max(np.abs(fast.u.values - ref.u.values)) <= 1e-10
+    assert np.max(np.abs(fast.lam.values - ref.lam.values)) <= 1e-9
+    assert np.array_equal(alphas[1].values, fast.u.values)
+    assert fast.active.any() and not fast.active.all()
+
+
+def test_slow_dirichlet_derivative_shares_the_outer_budget():
+    # Dirichlet inverse_elliptic_max at gain 1.25 contracts at about 0.9:
+    # the outer run takes 178 steps and the derivative, which linearises the
+    # same fixed point, 187, beyond a cap of 100 rounds
+    raw = json.loads(CONFIG_DIR.joinpath("inverse_elliptic_max.json").read_text())
+    raw["grid"]["n_nodes"] = 101
+    raw["operator"]["bc"] = "dirichlet"
+    raw["map"]["gain"]["scale"] = 1.25
+    problem = build_problem(parse_config(raw))
+    A, f, d = problem.operator, problem.forcing, problem.direction
+    bracket = IntervalBracket.default(A, f, d)
+    report = fd_validate(A, f, d, problem.omap, bracket, "max")
+    assert len(report.alpha_iterates) > 100
+    assert report.fd_monotone
+    errors = [err for _, err in report.fd_table]
+    assert all(b < a for a, b in zip(errors, errors[1:]))
+    assert errors[-1] <= 1e-3 * (1.0 + v_norm(report.alpha))
 
 
 def test_alpha_iterates_decrease_for_max(toy):
@@ -305,7 +369,8 @@ def test_derivative_residual_vanishes_at_alpha_and_flags_perturbations(toy):
     d = DualElement(g, np.random.default_rng(37).uniform(0.0, 1.0, g.n_nodes))
     alpha = solve_derivative_qvi(cone, d, "min").alpha
     assert derivative_qvi_residual(cone, alpha, d) <= 1e-9
-    for node in (cone.partition.strict[2], cone.partition.inactive[2]):
+    for node in (np.flatnonzero(cone.partition.strict)[2],
+                 np.flatnonzero(cone.partition.inactive)[2]):
         bumped = alpha.values.copy()
         bumped[node] += 1e-3
         assert derivative_qvi_residual(cone, NodalFunction(g, bumped), d) > 1e-6
@@ -357,8 +422,8 @@ def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, ins
     monkeypatch.setattr("qvix.sensitivity._pdas", recording_pdas)
     warm = fd_validate(A, f, d, omap, bracket, which)
     cone = build_cone(A, f, omap, warm.base)
-    assert (cone.partition.strict.size, cone.partition.biactive.size,
-            cone.partition.inactive.size) == partition
+    assert (np.count_nonzero(cone.partition.strict), np.count_nonzero(cone.partition.biactive),
+            np.count_nonzero(cone.partition.inactive)) == partition
     # the base run starts cold, the four reruns at the set its last solve settled on
     assert seeds[0] is None and len(seeds) == 5
     for seed in seeds[1:]:

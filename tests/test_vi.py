@@ -35,7 +35,7 @@ def test_unconstrained_constant():
     f, phi = DualElement.constant(g, 1.5), NodalFunction.constant(g, 1e6)
     sol = solve_vi(A, f, phi)
     assert np.max(np.abs(sol.u.values - 1.5)) <= 1e-10
-    assert classify_active(A, f, sol.u, phi).inactive.size == g.n_nodes
+    assert classify_active(A, f, sol.u, phi).inactive.all()
     assert np.all(sol.lam.values == 0.0)
 
 
@@ -46,7 +46,7 @@ def test_fully_clamped_constant():
     sol = solve_vi(A, f, phi)
     assert np.all(sol.u.values == 1.0)
     assert np.max(np.abs(sol.lam.values - 1.0)) <= 1e-10
-    assert classify_active(A, f, sol.u, phi).strict.size == g.n_nodes
+    assert classify_active(A, f, sol.u, phi).strict.all()
     assert sol.residual <= 1e-10
 
 
@@ -114,7 +114,7 @@ def test_cold_solve_rounds_do_not_grow_with_the_grid(bc, n):
     if bc == "neumann":
         assert cold.iterations == NEUMANN_COLD_ROUNDS[n]
     partition = classify_active(A, f, cold.u, phi)
-    assert 0 < partition.coincidence.size < n
+    assert 0 < np.count_nonzero(partition.coincidence) < n
 
     def assert_cold_bits(sol):
         assert np.array_equal(sol.u.values, cold.u.values)
@@ -129,9 +129,7 @@ def test_cold_solve_rounds_do_not_grow_with_the_grid(bc, n):
     assert np.array_equal(warm.active, settled)
     # the coincidence set holds nodes within the active tolerance of the
     # obstacle, which the settled set lacks at n >= 6401
-    coincident = np.ones(n, dtype=bool)
-    coincident[partition.inactive] = False
-    assert_cold_bits(solve_vi(A, f, phi, active0=coincident))
+    assert_cold_bits(solve_vi(A, f, phi, active0=partition.coincidence))
 
     # a wrong set's first round selects the seed of the coarse levels; an
     # empty set pins what a cold first round pins
@@ -269,10 +267,10 @@ def test_oracle_active_set_extremes():
     A = assemble_operator(g, 1.0, "neumann")
     f, phi = DualElement.constant(g, 0.5), NodalFunction.constant(g, 10.0)
     free = oracle_vi(A, f, phi)
-    assert classify_active(A, f, free.u, phi).coincidence.size == 0
+    assert not classify_active(A, f, free.u, phi).coincidence.any()
     f, phi = DualElement.constant(g, 50.0), NodalFunction.constant(g, 1.0)
     clamped = oracle_vi(A, f, phi)
-    assert classify_active(A, f, clamped.u, phi).strict.size == g.n_nodes
+    assert classify_active(A, f, clamped.u, phi).strict.all()
     # the oracle's set is the pinned set of the candidate it picked
     assert not free.active.any() and clamped.active.all()
 
@@ -285,12 +283,18 @@ def test_oracle_rejects_large_grids():
 
 
 def test_partition_rejects_overlapping_sets():
-    part = ActiveSetPartition(inactive=[0, 3], strict=[1], biactive=[])
-    assert part.coincidence.tolist() == [1]
-    assert part.labels(4) == ["I", "S", "I", "I"]
-    for sets in (([0, 1], [1], []), ([0], [2], [2]), ([0, 0], [], [])):
-        with pytest.raises(ValueError, match="partition sets overlap"):
-            ActiveSetPartition(*sets)
+    part = ActiveSetPartition(strict=[False, True, False, False],
+                              biactive=[False, False, True, False])
+    assert part.coincidence.tolist() == [False, True, True, False]
+    assert part.inactive.tolist() == [True, False, False, True]
+    assert part.labels() == ["I", "S", "B", "I"]
+    assert not part.strict.flags.writeable and not part.biactive.flags.writeable
+    with pytest.raises(ValueError, match="partition sets overlap"):
+        ActiveSetPartition(strict=[True, True, False], biactive=[False, True, False])
+    # masks of two shapes, and index arrays in place of masks
+    for strict, biactive in (([True, False, False], [False, False]), ([1], [2])):
+        with pytest.raises(ValueError, match="two boolean masks of one shape"):
+            ActiveSetPartition(strict=strict, biactive=biactive)
 
 
 def test_classify_trivial_cases():
@@ -299,10 +303,10 @@ def test_classify_trivial_cases():
     f = DualElement.constant(g, 2.0)
     phi = NodalFunction.constant(g, 1.0)
     part = classify_active(A, f, NodalFunction.constant(g, 1.0), phi)
-    assert part.strict.size == g.n_nodes
+    assert part.strict.all()
     low = NodalFunction.constant(g, 0.5)
     part2 = classify_active(A, f, low, phi)
-    assert part2.inactive.size == g.n_nodes
+    assert part2.inactive.all()
 
 
 def test_classify_manufactured_biactive_plateau():
@@ -319,8 +323,8 @@ def test_classify_manufactured_biactive_plateau():
     sol = solve_vi(A, f, phi)
     assert np.max(np.abs(sol.u.values - u_star.values)) <= 1e-10
     part = classify_active(A, f, sol.u, phi)
-    assert np.array_equal(part.biactive, plateau)
-    assert part.strict.size == 0
+    assert np.array_equal(np.flatnonzero(part.biactive), plateau)
+    assert not part.strict.any()
 
 
 def test_check_comparison_identical_and_bumped():
@@ -396,7 +400,7 @@ def test_complementarity_residual_vanishes_at_oracle_solutions(bc):
     for n in (5, 9, 12):
         g = Grid(n)
         A = assemble_operator(g, 1.0, bc)
-        boundary = np.isin(np.arange(n), A.boundary_nodes)
+        boundary = A.boundary
         for _ in range(10):
             f = random_dual(g, rng, -3, 3)
             phi_vals = rng.uniform(-1, 2, n)
@@ -439,7 +443,7 @@ def test_multiplier_keeps_the_bits_and_checks_of_f_minus_au(bc):
     rng = np.random.default_rng(12)
     u, f = random_nodal(g, rng, bc=bc), random_dual(g, rng)
     ref = (f - A.apply(u)).values.copy()
-    ref[A.boundary_nodes] = 0.0
+    ref[A.boundary] = 0.0
     assert np.array_equal(multiplier(A, f, u), ref)
     assert ref.tobytes() == multiplier(A, f, u).tobytes()  # signed zeros too
 
