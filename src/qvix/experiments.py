@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import vi
 from .extremal import (
@@ -343,9 +344,28 @@ class RunArtifacts:
         return not self.failures
 
 
-# below this many cells the fixed cost of np.unique (about 20 µs) exceeds
-# the repr calls it can save; the short tables hold distinct values anyway
-_SHARED_TEXT_MIN_CELLS = 64
+# below this many cells the fixed cost of np.unique exceeds the formatting
+# it can save; the short tables hold distinct values anyway
+_SHARED_TEXT_MIN_CELLS = 128
+
+
+def _float_text(values: np.ndarray) -> list[str]:
+    """``repr`` of every double of a 1D float64 array.
+
+    orjson prints the same shortest round-trip digits as ``repr`` and
+    lays them out the same way for 1e-4 <= |x| < 1e16 and for the zeros;
+    outside that range (``1e-7`` for ``1e-07``, ``0.00001`` for
+    ``1e-05``, ``null`` for nan and inf) the cell is ``repr``'s.
+    """
+    if values.size == 0:
+        return []
+    values = np.ascontiguousarray(values)
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(values)
+    outside = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)) & (values != 0))
+    for i, x in zip(outside.tolist(), values[outside].tolist()):
+        texts[i] = repr(x)
+    return texts
 
 
 def _column_text(column) -> list[str]:
@@ -353,10 +373,10 @@ def _column_text(column) -> list[str]:
 
     A list of strings is written as given; any other column is numeric as
     a whole, written as ``str(int)`` for an integer dtype and ``repr`` of
-    the float otherwise.  ``repr`` is the costly part, so each distinct
-    float of a column of ``_SHARED_TEXT_MIN_CELLS`` or more is formatted
-    once, keyed by its bit pattern: keying by value would merge ``-0.0``
-    with ``0.0`` and lose the sign.
+    the float otherwise, by ``_float_text``.  Each distinct float of a
+    column of ``_SHARED_TEXT_MIN_CELLS`` or more is formatted once, keyed
+    by its bit pattern: keying by value would merge ``-0.0`` with ``0.0``
+    and lose the sign.
     """
     if isinstance(column, list) and column and isinstance(column[0], str):
         return column
@@ -365,10 +385,10 @@ def _column_text(column) -> list[str]:
         return list(map(str, values.tolist()))
     values = values.astype(float, copy=False)
     if values.size < _SHARED_TEXT_MIN_CELLS:
-        return list(map(repr, values.tolist()))
+        return _float_text(values)
     _, first, inverse = np.unique(values.view(np.int64), return_index=True,
                                   return_inverse=True)
-    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
+    texts = np.array(_float_text(values[first]), dtype=object)
     return texts[inverse].tolist()
 
 

@@ -12,6 +12,7 @@ from qvix.experiments import (
     _SHARED_TEXT_MIN_CELLS,
     _column_text,
     _eval_expr,
+    _float_text,
     _write_csv,
     build_problem,
     parse_config,
@@ -154,14 +155,31 @@ def test_column_text_is_repr_of_every_cell():
                        third, -0.0, 0.0, 0.1 + 0.2, -np.inf, 0.1 + 0.2, 5e-324])
     for column in (*_column_texts(values), np.array([])):
         assert _column_text(column) == [repr(v) for v in column.tolist()]
+    # both sides of each edge of the range orjson lays out as repr does
+    edges = np.array([1e-5, 1e-4, 1e16])
+    edges = np.concatenate([edges, -edges])
+    around = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf),
+                             [1e-7, 1e22, 1e23, np.finfo(float).max,
+                              np.finfo(float).smallest_normal]])
+    for column in _column_texts(around):
+        assert _column_text(column) == [repr(v) for v in column.tolist()]
+
+
+def test_float_text_of_one_cell_and_of_none():
+    for x in (0.1, -0.0, 1e-5, np.nan, -np.inf, 1e16):
+        assert _float_text(np.array([x])) == [repr(x)]
+    assert _float_text(np.array([])) == []
 
 
 def test_column_text_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     hnp = pytest.importorskip("hypothesis.extra.numpy")
-    # any double, with the signed zeros and the other specials drawn often
-    floats = st.one_of(st.floats(width=64),
+    # any double, with m * 10**k near the edges of the range orjson lays out
+    # as repr does, the signed zeros and the other specials drawn often
+    near_edges = st.builds(lambda m, k: m * 10.0 ** k, st.floats(-10.0, 10.0),
+                           st.sampled_from([-6, -5, -4, -3, 14, 15, 16, 17]))
+    floats = st.one_of(st.floats(width=64), near_edges,
                        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]))
     pooled = st.lists(floats, min_size=1, max_size=6).flatmap(
         lambda pool: st.lists(st.sampled_from(pool), max_size=40)).map(np.array)

@@ -16,6 +16,7 @@ from qvix import (
     IntervalBracket,
     InverseEllipticMap,
     NodalFunction,
+    PlateauMap,
     ScalarNonlinearity,
     ThermoformingMap,
     assemble_operator,
@@ -30,7 +31,7 @@ from qvix import (
 )
 from qvix.experiments import build_problem, parse_config
 from qvix.sensitivity import ConeError, _cone_solve, derivative_qvi_residual
-from qvix.vi import _pose
+from qvix.vi import _pose, default_tol_active
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -107,6 +108,22 @@ def test_build_cone_refuses_sloppy_base(toy):
     for phi in (None, omap.evaluate(sloppy)):
         with pytest.raises(ConeError):
             build_cone(A, f, omap, sloppy, phi)
+
+
+def test_build_cone_refuses_a_multiplier_off_the_coincidence_set():
+    # u = 1 on the level-1 plateau with f = c + 0.1: every node strict, lambda = 0.1
+    grid, c = Grid(101), 1.0
+    A = assemble_operator(grid, c, "neumann")
+    omap = PlateauMap(grid, [1.0], 0.25)
+    f = DualElement.constant(grid, c + 0.1)
+    base = NodalFunction.constant(grid, 1.0)
+    assert build_cone(A, f, omap, base).partition.strict.all()
+    # one node just off the obstacle is inactive, yet keeps its multiplier;
+    # lambda * gap (about 3e-9) stays under the residual gate
+    moved = base.values.copy()
+    moved[50] -= 1.5 * default_tol_active(omap.evaluate(base))
+    with pytest.raises(ConeError, match="off the coincidence set"):
+        build_cone(A, f, omap, NodalFunction(grid, moved))
 
 
 def test_alpha_zero_on_toy(toy):
