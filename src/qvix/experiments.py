@@ -347,22 +347,28 @@ class RunArtifacts:
 # below this many cells the fixed cost of np.unique exceeds the formatting
 # it can save; the short tables hold distinct values anyway
 _SHARED_TEXT_MIN_CELLS = 128
+# share of cells equal to their left neighbour from which np.unique pays:
+# on the output columns of the benchmark workloads it lost below 0.2 and
+# won above, where most cells repeat a value met before
+_SHARED_TEXT_MIN_REPEATS = 0.2
 
 
 def _float_text(values: np.ndarray) -> list[str]:
     """``repr`` of every double of a 1D float64 array.
 
     orjson prints the same shortest round-trip digits as ``repr`` and
-    lays them out the same way for 1e-4 <= |x| < 1e16 and for the zeros;
-    outside that range (``1e-7`` for ``1e-07``, ``0.00001`` for
-    ``1e-05``, ``null`` for nan and inf) the cell is ``repr``'s.
+    lays them out the same way except for 1e-9 <= |x| < 1e-5 (a
+    one-digit exponent: ``1e-7`` for ``1e-07``), 1e-5 <= |x| < 1e-4
+    (``0.00001`` for ``1e-05``), |x| >= 1e16 (``1e16`` for ``1e+16``)
+    and nan (``null``); there the cell is ``repr``'s.
     """
     if values.size == 0:
         return []
     values = np.ascontiguousarray(values)
     texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     magnitude = np.abs(values)
-    outside = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)) & (values != 0))
+    same = (magnitude < 1e-9) | ((magnitude >= 1e-4) & (magnitude < 1e16))
+    outside = np.flatnonzero(~same)
     for i, x in zip(outside.tolist(), values[outside].tolist()):
         texts[i] = repr(x)
     return texts
@@ -373,10 +379,12 @@ def _column_text(column) -> list[str]:
 
     A list of strings is written as given; any other column is numeric as
     a whole, written as ``str(int)`` for an integer dtype and ``repr`` of
-    the float otherwise, by ``_float_text``.  Each distinct float of a
-    column of ``_SHARED_TEXT_MIN_CELLS`` or more is formatted once, keyed
-    by its bit pattern: keying by value would merge ``-0.0`` with ``0.0``
-    and lose the sign.
+    the float otherwise, by ``_float_text``.  A float column of
+    ``_SHARED_TEXT_MIN_CELLS`` or more formats a constant value once, and
+    each distinct value once where at least ``_SHARED_TEXT_MIN_REPEATS``
+    of its cells repeat their left neighbour.  Cells are compared by bit
+    pattern: comparing values would merge ``-0.0`` with ``0.0`` and lose
+    the sign.
     """
     if isinstance(column, list) and column and isinstance(column[0], str):
         return column
@@ -384,10 +392,16 @@ def _column_text(column) -> list[str]:
     if values.dtype.kind in "iu":
         return list(map(str, values.tolist()))
     values = values.astype(float, copy=False)
-    if values.size < _SHARED_TEXT_MIN_CELLS:
+    size = values.size
+    if size < _SHARED_TEXT_MIN_CELLS:
         return _float_text(values)
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
-                                  return_inverse=True)
+    bits = values.view(np.int64)
+    repeats = np.count_nonzero(bits[1:] == bits[:-1])
+    if repeats == size - 1:
+        return _float_text(values[:1]) * size
+    if repeats < _SHARED_TEXT_MIN_REPEATS * size:
+        return _float_text(values)
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
     texts = np.array(_float_text(values[first]), dtype=object)
     return texts[inverse].tolist()
 

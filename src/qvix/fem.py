@@ -189,14 +189,18 @@ class TridiagonalSpd:
 
         The submatrix is None when every node is pinned.  One entry is
         kept, for the last mask seen, so a repeated mask reuses the
-        submatrix together with the factor its first solve computed.
+        submatrix together with the factor its first solve computed.  The
+        entry is read once and replaced whole, so threads that share the
+        matrix never pair one mask with another's reduction.
         """
         key = pinned.tobytes()
-        if self._reduced is None or self._reduced[0] != key:
+        entry = self._reduced
+        if entry is None or entry[0] != key:
             idx = np.flatnonzero(~pinned)
             idx.flags.writeable = False
-            self._reduced = (key, idx, self.submatrix(idx) if idx.size else None)
-        return self._reduced[1], self._reduced[2]
+            entry = (key, idx, self.submatrix(idx) if idx.size else None)
+            self._reduced = entry
+        return entry[1], entry[2]
 
     def submatrix(self, idx: np.ndarray) -> "TridiagonalSpd":
         """Principal submatrix on a sorted index set (still tridiagonal)."""
@@ -333,7 +337,7 @@ def seminorm(u: NodalFunction) -> float:
 
 def _v_norm_values(grid: Grid, values: np.ndarray) -> float:
     """``v_norm`` of a nodal array on the grid, without wrapping it."""
-    d = np.diff(values)
+    d = values[1:] - values[:-1]  # np.diff's arithmetic, without its checks
     return float(np.sqrt(np.dot(grid.mass, values**2) + np.dot(d, d) / grid.h))
 
 

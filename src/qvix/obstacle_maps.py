@@ -80,9 +80,17 @@ def _ramp_slope(xi, width):
 
 
 class ObstacleMap(abc.ABC):
-    """Increasing map from membrane states to obstacle functions."""
+    """Increasing map from membrane states to obstacle functions.
+
+    A map keeps the work it repeats at one input in one-entry slots
+    (``_kept``): the linearisation at the last state, and the modes of
+    the last boundary condition ``lipschitz_estimate`` was asked for.
+    """
 
     kind: str
+    # (key, value) of the last _kept call per slot; None until the first
+    _state_entry = None
+    _modes_entry = None
 
     @property
     @abc.abstractmethod
@@ -100,6 +108,29 @@ class ObstacleMap(abc.ABC):
     def _check_grid(self, u: NodalFunction):
         if u.grid != self.grid:
             raise GridMismatchError("state grid does not match map grid")
+
+    def _kept(self, slot: str, key, compute):
+        """``compute()``, kept in ``slot`` for the last ``key`` asked for.
+
+        The entry is read once and replaced whole, so a thread that races
+        another on one map never pairs one key with the other's value.  A
+        raise is never kept.
+        """
+        entry = getattr(self, slot)
+        if entry is None or entry[0] != key:
+            entry = (key, compute())
+            setattr(self, slot, entry)
+        return entry[1]
+
+    def _at_state(self, u: NodalFunction, compute):
+        """``compute(u.values)``, kept for the last state.
+
+        Keyed by a copy of the state's bytes, not by ==, since -0.0 and
+        0.0 compare equal but may map apart.  The derivative actions at one
+        state (the modes of ``lipschitz_estimate``, every step of a
+        derivative iteration at one base) then linearise once.
+        """
+        return self._kept("_state_entry", u.values.tobytes(), lambda: compute(u.values))
 
 
 class PlateauMap(ObstacleMap):
@@ -177,7 +208,7 @@ class PlateauMap(ObstacleMap):
     def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
         self._check_grid(u)
         self._check_grid(h)
-        return NodalFunction(self.grid, self.scalar_slope(u.values) * h.values)
+        return NodalFunction(self.grid, self._at_state(u, self.scalar_slope) * h.values)
 
 
 @dataclass(frozen=True)
@@ -234,7 +265,7 @@ class InverseEllipticMap(ObstacleMap):
     def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
         self._check_grid(u)
         self._check_grid(h)
-        load = DualElement(self.grid, self.gain.slope(u.values) * h.values)
+        load = DualElement(self.grid, self._at_state(u, self.gain.slope) * h.values)
         return self._inner.solve(load)
 
 
@@ -264,7 +295,6 @@ class ThermoformingMap(ObstacleMap):
         self.heat_max = float(heat_max)
         self.expansion = float(expansion)
         self._op = assemble_operator(mould.grid, self.reaction, "neumann")
-        self._solved = None  # (state bytes, _newton result) of the last solve
 
     @property
     def grid(self) -> Grid:
@@ -292,21 +322,21 @@ class ThermoformingMap(ObstacleMap):
 
         Returns the temperature with the heat-rate slope and the Jacobian
         built at it, which the derivative action solves with.  The result
-        of the last solve is kept, keyed by a copy of the state's bytes, so
-        repeated calls at one state (the derivative actions at a solution,
-        then its temperature) solve once and share the Jacobian's factor.
-        A stall raises and is never kept.
+        of the last solve is kept (``_at_state``), so repeated calls at one
+        state (the derivative actions at a solution, then its temperature)
+        solve once and share the Jacobian's factor.  A stall raises and is
+        never kept.
         """
         self._check_grid(u)
-        key = u.values.tobytes()
-        if self._solved is not None and self._solved[0] == key:
-            return self._solved[1]
+        return self._at_state(u, self._solve_temperature)
+
+    def _solve_temperature(self, u_vals: np.ndarray):
         mass = self.grid.mass
         mat = self._op.matrix
         t_vals = np.zeros(self.grid.n_nodes)
         res_tol = 1e-12 * (1.0 + self.heat_max)
         for _ in range(60):
-            gap = self.expansion * t_vals + self.mould.values - u.values
+            gap = self.expansion * t_vals + self.mould.values - u_vals
             slope = self.heat_rate_slope(gap)
             jac = TridiagonalSpd(mat.diag - mass * slope * self.expansion, mat.upper)
             residual_load = mat.matvec(t_vals) - mass * self.heat_rate(gap)
@@ -323,7 +353,6 @@ class ThermoformingMap(ObstacleMap):
             raise InnerSolveError(
                 "temperature violates its a priori bound; assembly is suspect")
         slope.flags.writeable = False
-        self._solved = (key, (temp, slope, jac))
         return temp, slope, jac
 
     def temperature(self, u: NodalFunction) -> NodalFunction:
@@ -367,6 +396,21 @@ def check_increasing(omap: ObstacleMap, trials: int, rng: np.random.Generator | 
 LIPSCHITZ_MODES = 5
 
 
+def _lipschitz_modes(grid: Grid, bc: BoundaryCondition):
+    """The modes of ``lipschitz_estimate`` on the grid, each with its V-norm."""
+    n = grid.n_nodes
+    wave, highest = (np.cos, n - 1) if bc == "neumann" else (np.sin, n - 2)
+    angles = np.pi * np.arange(n) / (n - 1)
+    modes = []
+    for k in range(1, min(LIPSCHITZ_MODES, highest) + 1):
+        vals = wave(k * angles)
+        if bc == "dirichlet":
+            vals[-1] = 0.0  # sin(k pi) is roundoff, not zero
+        mode = NodalFunction(grid, vals)
+        modes.append((mode, v_norm(mode)))
+    return tuple(modes)
+
+
 def lipschitz_estimate(omap: ObstacleMap, center: NodalFunction, bc: BoundaryCondition) -> float:
     """Largest ratio |Phi'(center) w|_V / |w|_V over the lowest modes w.
 
@@ -377,21 +421,18 @@ def lipschitz_estimate(omap: ObstacleMap, center: NodalFunction, bc: BoundaryCon
     fewer) under the run operator's boundary condition ``bc``.  Smooth
     modes are what a smoothing map passes, so the value does not fade as
     the grid refines.  A lower bound on the norm of Phi'(center).
+
+    The map keeps the modes and their norms of the last ``bc``, and the
+    linearisation at the last state, so the estimates of one problem
+    build the modes once and each linearises once, for all its modes.
     """
     if bc not in ("neumann", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
     omap._check_grid(center)
-    grid = omap.grid
-    n = grid.n_nodes
-    wave, highest = (np.cos, n - 1) if bc == "neumann" else (np.sin, n - 2)
-    angles = np.pi * np.arange(n) / (n - 1)
+    modes = omap._kept("_modes_entry", bc, lambda: _lipschitz_modes(omap.grid, bc))
     worst = 0.0
-    for k in range(1, min(LIPSCHITZ_MODES, highest) + 1):
-        vals = wave(k * angles)
-        if bc == "dirichlet":
-            vals[-1] = 0.0  # sin(k pi) is roundoff, not zero
-        mode = NodalFunction(grid, vals)
-        worst = max(worst, v_norm(omap.derivative_action(center, mode)) / v_norm(mode))
+    for mode, norm in modes:
+        worst = max(worst, v_norm(omap.derivative_action(center, mode)) / norm)
     return worst
 
 

@@ -155,7 +155,8 @@ def multiplier(A: EllipticOperator, f: DualElement, u: NodalFunction) -> np.ndar
     lam = f.values - A.matrix.matvec(u.values) / grid.mass
     if not np.isfinite(lam).all():
         raise ValueError("non-finite nodal values")
-    lam[A.boundary] = 0.0
+    if A.bc == "dirichlet":
+        lam[A.boundary] = 0.0
     return lam
 
 
@@ -171,8 +172,10 @@ def complementarity_residual(u, target, lam, eq_mask, free_mask) -> float:
     # obstacle terms everywhere first, then overwritten on the other roles
     viol = np.maximum(np.maximum(-gap, -lam), 0.0)
     np.maximum(viol, np.abs(lam * gap), out=viol)
-    viol[free_mask] = np.abs(lam[free_mask])
-    viol[eq_mask] = np.abs(gap[eq_mask])
+    if np.count_nonzero(free_mask):
+        viol[free_mask] = np.abs(lam[free_mask])
+    if np.count_nonzero(eq_mask):
+        viol[eq_mask] = np.abs(gap[eq_mask])
     return float(viol.max())
 
 
@@ -192,10 +195,16 @@ def _pose(A: EllipticOperator, f_vals: np.ndarray, target_vals: np.ndarray,
     ``pinned`` nodes equality nodes at the target, ``free`` nodes off the
     boundary carry the plain equation, and every other node carries the
     target as an upper bound.  Returns ``(load, target, eq_mask,
-    free_mask)`` for ``_pdas`` and ``complementarity_residual``.
+    free_mask)`` for ``_pdas`` and ``complementarity_residual``; they
+    read the target and the masks and never write them, so a Neumann
+    problem passes its arrays through.
     """
     boundary = A.boundary
     load = A.grid.mass * f_vals
+    if A.bc == "neumann":  # no boundary rows; the empty boundary mask is an absent role
+        eq_mask = boundary if pinned is None else pinned
+        free_mask = boundary if free is None else free
+        return load, target_vals, eq_mask, free_mask
     load[boundary] = 0.0
     target = np.where(boundary, 0.0, target_vals)
     eq_mask = boundary if pinned is None else boundary | pinned
@@ -329,13 +338,14 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     if f.grid != grid or phi.grid != grid:
         raise GridMismatchError("load/obstacle grid does not match operator grid")
 
-    if np.any(phi.values[A.boundary] < -VI_TOL):
+    if A.bc == "dirichlet" and np.any(phi.values[A.boundary] < -VI_TOL):
         raise ViSolveError("obstacle below zero at a Dirichlet boundary node: empty constraint set")
 
     load, target, eq_mask, free_mask = _pose(A, f.values, phi.values)
     u_vals, lam_vals, active, iters = _pdas(A.matrix, grid.mass, load, target, eq_mask,
                                             free_mask, active0=active0)
-    lam_vals[eq_mask] = 0.0
+    if A.bc == "dirichlet":  # the equality nodes are the boundary
+        lam_vals[eq_mask] = 0.0
     residual = complementarity_residual(u_vals, target, lam_vals, eq_mask, free_mask)
     if residual > VI_TOL:
         raise ViSolveError(f"terminal complementarity residual {residual:.3e} exceeds {VI_TOL:.1e}")

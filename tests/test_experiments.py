@@ -6,10 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qvix import ConfigError, InnerSolveError, load_config, run_experiment
+import qvix.experiments
+import qvix.obstacle_maps
+from qvix import ConfigError, Grid, InnerSolveError, load_config, run_experiment
 from qvix.cli import main as cli_main
 from qvix.experiments import (
     _SHARED_TEXT_MIN_CELLS,
+    _SHARED_TEXT_MIN_REPEATS,
     _column_text,
     _eval_expr,
     _float_text,
@@ -155,8 +158,8 @@ def test_column_text_is_repr_of_every_cell():
                        third, -0.0, 0.0, 0.1 + 0.2, -np.inf, 0.1 + 0.2, 5e-324])
     for column in (*_column_texts(values), np.array([])):
         assert _column_text(column) == [repr(v) for v in column.tolist()]
-    # both sides of each edge of the range orjson lays out as repr does
-    edges = np.array([1e-5, 1e-4, 1e16])
+    # both sides of each edge where orjson's layout leaves repr's or meets it
+    edges = np.array([1e-9, 1e-5, 1e-4, 1e16])
     edges = np.concatenate([edges, -edges])
     around = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf),
                              [1e-7, 1e22, 1e23, np.finfo(float).max,
@@ -166,19 +169,43 @@ def test_column_text_is_repr_of_every_cell():
 
 
 def test_float_text_of_one_cell_and_of_none():
-    for x in (0.1, -0.0, 1e-5, np.nan, -np.inf, 1e16):
+    for x in (0.1, -0.0, 1e-5, np.nan, -np.inf, 1e16, 1e-9, 9.999999999999999e-10, -2.5e-300):
         assert _float_text(np.array([x])) == [repr(x)]
     assert _float_text(np.array([])) == []
+
+
+def test_column_text_on_each_path():
+    # a constant column, the grid nodes, and columns with few and with many
+    # neighbour repeats; the pool mixes the signed zeros and repr's layouts
+    n = 4 * _SHARED_TEXT_MIN_CELLS
+    rng = np.random.default_rng(11)
+    pool = np.array([0.0, -0.0, 1e-7, -3e-5, 0.1 + 0.2, 1e16, -1e-10, 2.5e-9, 1.0 / 3.0, np.nan])
+    distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 18, n)
+    few = distinct.copy()
+    few[1::8] = few[0::8]
+    many = np.repeat(rng.choice(pool, n // 4), 4)
+    columns = [(np.full(n, x), "constant") for x in pool]
+    columns += [(Grid(1601).nodes, "direct"), (distinct, "direct"), (few, "direct"),
+                (many, "unique")]
+    for column, path in columns:
+        bits = column.view(np.int64)
+        repeats = np.count_nonzero(bits[1:] == bits[:-1])
+        taken = ("constant" if repeats == column.size - 1 else
+                 "direct" if repeats < _SHARED_TEXT_MIN_REPEATS * column.size else "unique")
+        assert taken == path and column.size >= _SHARED_TEXT_MIN_CELLS
+        assert _column_text(column) == [repr(v) for v in column.tolist()]
 
 
 def test_column_text_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     hnp = pytest.importorskip("hypothesis.extra.numpy")
-    # any double, with m * 10**k near the edges of the range orjson lays out
-    # as repr does, the signed zeros and the other specials drawn often
-    near_edges = st.builds(lambda m, k: m * 10.0 ** k, st.floats(-10.0, 10.0),
-                           st.sampled_from([-6, -5, -4, -3, 14, 15, 16, 17]))
+    # any double, with m * 10**k near the edges where orjson's layout leaves
+    # repr's or meets it and across every negative exponent, the signed
+    # zeros and the other specials drawn often
+    exponents = st.one_of(st.sampled_from([-11, -10, -9, -8, -6, -5, -4, -3, 14, 15, 16, 17]),
+                          st.integers(-323, -1))
+    near_edges = st.builds(lambda m, k: m * 10.0 ** k, st.floats(-10.0, 10.0), exponents)
     floats = st.one_of(st.floats(width=64), near_edges,
                        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]))
     pooled = st.lists(floats, min_size=1, max_size=6).flatmap(
@@ -245,6 +272,22 @@ def test_stall_after_the_run_is_recorded_as_its_failure(tmp_path, monkeypatch):
     assert summary["runs"]["min"] == {"error": failure[len("min: "):]}
     assert artifacts.failures == [failure]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+
+
+def test_run_both_builds_the_lipschitz_modes_once(tmp_path, monkeypatch):
+    builds, estimates = [], []
+    modes = qvix.obstacle_maps._lipschitz_modes
+    estimate = qvix.experiments.lipschitz_estimate
+    monkeypatch.setattr(qvix.obstacle_maps, "_lipschitz_modes",
+                        lambda *args: builds.append(1) or modes(*args))
+    monkeypatch.setattr(qvix.experiments, "lipschitz_estimate",
+                        lambda *args: estimates.append(1) or estimate(*args))
+    raw = json.loads((CONFIG_DIR / "inverse_elliptic_max.json").read_text())
+    raw["run"] = "both"
+    raw["sensitivity"]["enabled"] = False
+    artifacts = run_experiment(parse_config(raw), out_dir=tmp_path, seed=0)
+    assert artifacts.ok, artifacts.failures
+    assert len(estimates) == 2 and len(builds) == 1
 
 
 def _c_phi_estimates(tmp_path, name, **grid_and_bc):

@@ -333,6 +333,72 @@ def test_lipschitz_estimate_matches_per_pair_loop_bitwise(kind, n, seed):
     assert (int(np.argmax(quotients)) > 0) == (kind == "bump")
 
 
+@pytest.mark.parametrize("kind", ["plateau", "neumann", "dirichlet", "thermoforming"])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_lipschitz_estimate_is_the_per_mode_formula_of_a_fresh_map(kind, bc):
+    omap, center_vals, _ = _mode_case(kind, 101)
+    g = omap.grid
+    center = NodalFunction(g, center_vals)
+    shifted = NodalFunction(g, center_vals + 0.05)
+    # the map has kept the other condition's modes and another state's linearisation
+    lipschitz_estimate(omap, shifted, "dirichlet" if bc == "neumann" else "neumann")
+    for u in (center, shifted, center):
+        est = lipschitz_estimate(omap, u, bc)
+        assert est == _lipschitz_reference(_mode_case(kind, 101)[0], u, bc)
+        assert est > 0.0
+
+
+def _counting(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["plateau", "neumann", "dirichlet"])
+def test_lipschitz_estimate_linearises_once_per_state(kind, monkeypatch):
+    omap, center_vals, bc = _mode_case(kind, 201)
+    slopes = _counting(monkeypatch, *((PlateauMap, "scalar_slope") if kind == "plateau"
+                                      else (ScalarNonlinearity, "slope")))
+    g = omap.grid
+    center = NodalFunction(g, center_vals)
+    other = NodalFunction(g, center_vals + 0.1)
+    for u, count in ((center, 1), (NodalFunction(g, center_vals), 1), (other, 2), (center, 3)):
+        lipschitz_estimate(omap, u, bc)
+        assert len(slopes) == count
+
+
+def _sign_aware(slope):
+    """The slope plus a term that tells -0.0 from 0.0."""
+    return lambda self, r: slope(self, r) + np.copysign(0.25, r)
+
+
+@pytest.mark.parametrize("kind", ["plateau", "neumann", "thermoforming"])
+def test_kept_linearisation_gives_the_bits_of_a_fresh_map(kind, monkeypatch):
+    if kind == "plateau":
+        monkeypatch.setattr(PlateauMap, "scalar_slope", _sign_aware(PlateauMap.scalar_slope))
+    elif kind == "neumann":
+        monkeypatch.setattr(ScalarNonlinearity, "slope", _sign_aware(ScalarNonlinearity.slope))
+    omap, center_vals, _ = _mode_case(kind, 101)
+    g = omap.grid
+    h = NodalFunction(g, np.cos(3.0 * g.nodes))
+    u1 = NodalFunction(g, center_vals)
+    u2 = NodalFunction(g, center_vals + 0.05 * np.sin(5.0 * g.nodes))
+    zero, negative_zero = NodalFunction.zeros(g), NodalFunction(g, np.full(g.n_nodes, -0.0))
+    actions = []
+    for u in (u1, u2, u1, zero, negative_zero, zero):
+        actions.append(omap.derivative_action(u, h).values.tobytes())
+        assert actions[-1] == _mode_case(kind, 101)[0].derivative_action(u, h).values.tobytes()
+    assert actions[0] != actions[1]
+    # equal as values, apart as bytes: the sign of zero is kept
+    assert (actions[3] != actions[4]) == (kind != "thermoforming")
+
+
 def test_lipschitz_estimate_raises_the_per_pair_stall():
     # the thermoforming_desk map at n = 201 stalls on this membrane
     g = Grid(201)

@@ -459,3 +459,15 @@ def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, ins
     assert np.array_equal(warm.alpha.values, cold.alpha.values)
     assert warm.fd_table == cold.fd_table
 
+
+def test_derivative_iteration_linearises_once_per_base(monkeypatch):
+    A, f, d, omap = _bundled("inverse_elliptic_max", 201)
+    run = iterate_max(A, f, omap, IntervalBracket.default(A, f, d).upper)
+    cone = build_cone(A, f, omap, run.solution, run.obstacle)
+    slopes = []
+    slope = ScalarNonlinearity.slope
+    monkeypatch.setattr(ScalarNonlinearity, "slope",
+                        lambda self, r: slopes.append(1) or slope(self, r))
+    report = solve_derivative_qvi(cone, d, "max")
+    assert len(report.alpha_iterates) > 2
+    assert len(slopes) == 1
