@@ -21,7 +21,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an experiment config")
     run.add_argument("config", help="path to a JSON experiment config")
     run.add_argument("--out", default=None, help="output directory (overrides the config)")
-    run.add_argument("--seed", type=int, default=0, help="recorded in summary.json; changes no result")
 
     val = sub.add_parser("validate", help="check a config without running solvers")
     val.add_argument("config", help="path to a JSON experiment config")
@@ -30,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                          f"(<= {ORACLE_MAX_NODES} nodes)")
     orc.add_argument("config", help="path to a JSON experiment config")
     orc.add_argument("--out", default=None, help="output directory (overrides the config)")
-    orc.add_argument("--seed", type=int, default=0, help="recorded in summary.json; changes no result")
     return parser
 
 
@@ -58,7 +56,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        artifacts = run_experiment(config, out_dir=args.out, seed=args.seed,
+        artifacts = run_experiment(config, out_dir=args.out,
                                    oracle_check=(args.command == "oracle"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

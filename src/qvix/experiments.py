@@ -47,7 +47,7 @@ from .obstacle_maps import (
     lipschitz_estimate,
     lipschitz_threshold_check,
 )
-from .sensitivity import DEFAULT_S_LIST, DerivativeSolveError, _check_s_list, fd_validate
+from .sensitivity import DerivativeSolveError, fd_validate
 from .vi import ViSolveError, classify_active, multiplier
 
 log = logging.getLogger("qvix")
@@ -123,13 +123,6 @@ def _expr_values(expr, nodes: np.ndarray, path: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SensitivitySettings:
-    enabled: bool = False
-    s_list: tuple[float, ...] = DEFAULT_S_LIST
-    fd_tol: float | None = None
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed and schema-checked experiment description."""
 
@@ -143,7 +136,7 @@ class ExperimentConfig:
     direction: object
     direction_sign: str
     run: str
-    sensitivity: SensitivitySettings
+    sensitivity: bool
     output_dir: str | None
 
 
@@ -227,25 +220,13 @@ def parse_config(raw: dict, path: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{path}.run: expected 'min', 'max' or 'both'")
 
     sens_block = _take(d, "sensitivity", path, False)
-    if sens_block is None:
-        sensitivity = SensitivitySettings()
-    else:
+    sensitivity = False
+    if sens_block is not None:
         sb = _as_mapping(sens_block, f"{path}.sensitivity")
-        enabled = _take(sb, "enabled", f"{path}.sensitivity")
-        if not isinstance(enabled, bool):
+        sensitivity = _take(sb, "enabled", f"{path}.sensitivity")
+        if not isinstance(sensitivity, bool):
             raise ConfigError(f"{path}.sensitivity.enabled: expected a boolean")
-        s_raw = _take(sb, "s_list", f"{path}.sensitivity", False, list(DEFAULT_S_LIST))
-        if not isinstance(s_raw, list) or not s_raw:
-            raise ConfigError(f"{path}.sensitivity.s_list: expected a nonempty list")
-        s_vals = tuple(_number(s, f"{path}.sensitivity.s_list[{i}]") for i, s in enumerate(s_raw))
-        with _config_block(f"{path}.sensitivity.s_list"):
-            _check_s_list(s_vals)
-        fd_tol_raw = _take(sb, "fd_tol", f"{path}.sensitivity", False)
-        fd_tol = None if fd_tol_raw is None else _number(fd_tol_raw, f"{path}.sensitivity.fd_tol")
-        if fd_tol is not None and fd_tol <= 0:
-            raise ConfigError(f"{path}.sensitivity.fd_tol: must be positive")
         _no_extras(sb, f"{path}.sensitivity")
-        sensitivity = SensitivitySettings(enabled=enabled, s_list=s_vals, fd_tol=fd_tol)
 
     output_dir = _take(d, "output_dir", path, False)
     if output_dir is not None and not isinstance(output_dir, str):
@@ -257,7 +238,7 @@ def parse_config(raw: dict, path: str = "config") -> ExperimentConfig:
                            forcing=forcing, direction=direction,
                            direction_sign=direction_sign, run=run,
                            sensitivity=sensitivity, output_dir=output_dir)
-    if sensitivity.enabled:
+    if sensitivity:
         if run == "both":
             raise ConfigError(f"{path}.run: sensitivity needs a single extremal map, not 'both'")
         want = "nonneg" if run == "min" else "nonpos"
@@ -425,7 +406,7 @@ def write_solution_csv(path: Path, problem: BuiltProblem, report: ExtremalRunRep
         x_cells = _column_text(problem.grid.nodes)
     u, phi = report.solution, report.obstacle
     lam = multiplier(problem.operator, problem.forcing, u)
-    partition = classify_active(problem.operator, problem.forcing, u, phi)
+    partition = classify_active(problem.forcing, u, phi, lam)
     _write_csv(path, {"x": x_cells, "u": u.values, "phi_u": phi.values,
                       "lambda": lam, "class": partition.labels()})
     return x_cells
@@ -533,12 +514,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
             run_summary["temperature_vnorm"] = temperature_vnorm
             run_summary["temperature_bound"] = omap.temperature_bound()
 
-        if config.sensitivity.enabled:
+        if config.sensitivity:
             try:
-                deriv = fd_validate(A, f, d, omap, bracket, which,
-                                    s_list=config.sensitivity.s_list,
-                                    fd_tol=config.sensitivity.fd_tol,
-                                    oracle_check=oracle_check)
+                deriv = fd_validate(A, f, d, omap, bracket, which, oracle_check=oracle_check)
             except (DerivativeSolveError, ValueError, ExtremalIterationError,
                     ViSolveError, InnerSolveError) as exc:
                 log.error("sensitivity run '%s' failed: %s", which, exc)

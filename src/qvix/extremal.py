@@ -154,18 +154,19 @@ def check_supersolution(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     return leq(fixed_point_step(A, f, omap, u).u, u, MONOTONE_TOL)
 
 
-def _obstacle_residual(A: EllipticOperator, f: DualElement, u: NodalFunction,
-                       phi: NodalFunction) -> float:
-    """Complementarity residual with every node an obstacle node."""
-    no_role = np.zeros(A.grid.n_nodes, dtype=bool)
-    return complementarity_residual(u.values, phi.values, multiplier(A, f, u),
-                                    no_role, no_role)
+def _obstacle_residual(u: NodalFunction, phi: NodalFunction, lam: np.ndarray) -> float:
+    """Complementarity residual of u below phi, lam its multiplier f - Au.
+
+    Every node is an obstacle node.
+    """
+    no_role = np.zeros(u.values.shape, dtype=bool)
+    return complementarity_residual(u.values, phi.values, lam, no_role, no_role)
 
 
 def qvi_residual(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
                  u: NodalFunction) -> float:
     """Max of feasibility violation, multiplier negativity, and complementarity defect."""
-    return _obstacle_residual(A, f, u, omap.evaluate(u))
+    return _obstacle_residual(u, omap.evaluate(u), multiplier(A, f, u))
 
 
 def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
@@ -186,7 +187,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         nonlocal active0, last_step
         phi = omap.evaluate(u)
         last_step = (u, phi)
-        residuals.append(_obstacle_residual(A, f, u, phi))
+        residuals.append(_obstacle_residual(u, phi, multiplier(A, f, u)))
         sol = solve_vi(A, f, phi, active0=active0)
         if oracle_check:
             ref = oracle_vi(A, f, phi)
@@ -206,7 +207,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     prev, phi = last_step
     if u.values.tobytes() != prev.values.tobytes():
         phi = omap.evaluate(u)
-    residuals.append(_obstacle_residual(A, f, u, phi))
+    residuals.append(_obstacle_residual(u, phi, multiplier(A, f, u)))
     if residuals[-1] > RESIDUAL_TOL:
         raise ExtremalIterationError(
             f"converged iterate has residual {residuals[-1]:.3e} "

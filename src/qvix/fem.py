@@ -134,6 +134,21 @@ class DualElement(_GridVector):
     """Load given by nodal densities; pairs with functions through the lumped mass."""
 
 
+def _kept(owner, slot: str, key, compute):
+    """``compute()``, kept in ``owner.slot`` for the last ``key`` asked for.
+
+    The slot holds one ``(key, value)`` entry, None until the first call.
+    The entry is read once and replaced whole, so a thread that races
+    another on one owner never pairs one key with the other's value.  A
+    raise is never kept.
+    """
+    entry = getattr(owner, slot)
+    if entry is None or entry[0] != key:
+        entry = (key, compute())
+        setattr(owner, slot, entry)
+    return entry[1]
+
+
 class TridiagonalSpd:
     """Symmetric positive-definite tridiagonal matrix in banded storage.
 
@@ -187,20 +202,16 @@ class TridiagonalSpd:
     def _pinned_reduction(self, pinned: np.ndarray):
         """Unpinned indices of a boolean mask and their principal submatrix.
 
-        The submatrix is None when every node is pinned.  One entry is
-        kept, for the last mask seen, so a repeated mask reuses the
-        submatrix together with the factor its first solve computed.  The
-        entry is read once and replaced whole, so threads that share the
-        matrix never pair one mask with another's reduction.
+        The submatrix is None when every node is pinned.  It is kept
+        (``_kept``) for the last mask seen, so a repeated mask reuses the
+        submatrix together with the factor its first solve computed.
         """
-        key = pinned.tobytes()
-        entry = self._reduced
-        if entry is None or entry[0] != key:
+        def reduce():
             idx = np.flatnonzero(~pinned)
             idx.flags.writeable = False
-            entry = (key, idx, self.submatrix(idx) if idx.size else None)
-            self._reduced = entry
-        return entry[1], entry[2]
+            return idx, self.submatrix(idx) if idx.size else None
+
+        return _kept(self, "_reduced", pinned.tobytes(), reduce)
 
     def submatrix(self, idx: np.ndarray) -> "TridiagonalSpd":
         """Principal submatrix on a sorted index set (still tridiagonal)."""

@@ -30,6 +30,7 @@ from .fem import (
     GridMismatchError,
     NodalFunction,
     TridiagonalSpd,
+    _kept,
     assemble_operator,
     dual_norm,
     sup_embedding_constant,
@@ -83,7 +84,7 @@ class ObstacleMap(abc.ABC):
     """Increasing map from membrane states to obstacle functions.
 
     A map keeps the work it repeats at one input in one-entry slots
-    (``_kept``): the linearisation at the last state, and the modes of
+    (``fem._kept``): the linearisation at the last state, and the modes of
     the last boundary condition ``lipschitz_estimate`` was asked for.
     """
 
@@ -109,19 +110,6 @@ class ObstacleMap(abc.ABC):
         if u.grid != self.grid:
             raise GridMismatchError("state grid does not match map grid")
 
-    def _kept(self, slot: str, key, compute):
-        """``compute()``, kept in ``slot`` for the last ``key`` asked for.
-
-        The entry is read once and replaced whole, so a thread that races
-        another on one map never pairs one key with the other's value.  A
-        raise is never kept.
-        """
-        entry = getattr(self, slot)
-        if entry is None or entry[0] != key:
-            entry = (key, compute())
-            setattr(self, slot, entry)
-        return entry[1]
-
     def _at_state(self, u: NodalFunction, compute):
         """``compute(u.values)``, kept for the last state.
 
@@ -130,7 +118,7 @@ class ObstacleMap(abc.ABC):
         state (the modes of ``lipschitz_estimate``, every step of a
         derivative iteration at one base) then linearise once.
         """
-        return self._kept("_state_entry", u.values.tobytes(), lambda: compute(u.values))
+        return _kept(self, "_state_entry", u.values.tobytes(), lambda: compute(u.values))
 
 
 class PlateauMap(ObstacleMap):
@@ -429,7 +417,7 @@ def lipschitz_estimate(omap: ObstacleMap, center: NodalFunction, bc: BoundaryCon
     if bc not in ("neumann", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
     omap._check_grid(center)
-    modes = omap._kept("_modes_entry", bc, lambda: _lipschitz_modes(omap.grid, bc))
+    modes = _kept(omap, "_modes_entry", bc, lambda: _lipschitz_modes(omap.grid, bc))
     worst = 0.0
     for mode, norm in modes:
         worst = max(worst, v_norm(omap.derivative_action(center, mode)) / norm)

@@ -33,8 +33,12 @@ from .vi import ActiveSetPartition, _pdas, _pose, classify_active, complementari
 # consecutive iterates is extremal.MONOTONE_TOL
 ALPHA_STEP_TOL = 1e-11
 ALPHA_RESIDUAL_TOL = 1e-9
-# difference-quotient steps used when a caller names none
-DEFAULT_S_LIST = (1e-1, 1e-2, 1e-3, 1e-4)
+# difference-quotient steps, positive and strictly decreasing.  None may be
+# below 1e-5: the quotient of two runs each accurate to extremal.TOL_FP
+# resolves no error under ~TOL_FP/s, and below 1e-5 that noise swamps it
+QUOTIENT_STEPS = (1e-1, 1e-2, 1e-3, 1e-4)
+# final quotient error allowed, relative to 1 + ||alpha||_V
+QUOTIENT_TOL = 1e-3
 
 
 class ConeError(ValueError):
@@ -83,10 +87,10 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     if phi is None:
         phi = omap.evaluate(base)
     lam_vals = multiplier(A, f, base)
-    res = _obstacle_residual(A, f, base, phi)
+    res = _obstacle_residual(base, phi, lam_vals)
     if res > extremal.RESIDUAL_TOL:
         raise ConeError(f"base residual {res:.3e} too large to classify the active set")
-    partition = classify_active(A, f, base, phi)
+    partition = classify_active(f, base, phi, lam_vals)
     tol_lam = default_tol_multiplier(f)
     if partition.inactive.any():
         leak = float(np.max(np.abs(lam_vals[partition.inactive])))
@@ -166,39 +170,26 @@ def _observed_order(fd_table, floor) -> float | None:
     return float(np.polyfit(ss, ee, 1)[0])
 
 
-def _check_s_list(s_list) -> list[float]:
-    """The quotient steps as floats; raises unless positive, strictly decreasing and >= 1e-5."""
-    s_arr = [float(s) for s in s_list]
-    if not s_arr or any(s <= 0 for s in s_arr):
-        raise ValueError("s_list must contain positive steps")
-    if any(b >= a for a, b in zip(s_arr, s_arr[1:])):
-        raise ValueError("s_list must be strictly decreasing")
-    if min(s_arr) < 1e-5:
-        raise ValueError("steps below 1e-5 drown in solver noise; raise the smallest step")
-    return s_arr
-
-
 def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
                 omap: ObstacleMap, bracket: IntervalBracket, which: str,
-                s_list=DEFAULT_S_LIST, fd_tol: float | None = None,
                 oracle_check: bool = False) -> DerivativeReport:
     """Compare the derivative against one-sided difference quotients.
 
-    Each quotient re-runs the extremal iteration at the shifted source,
-    warm-started at the base solution (the selection the derivative
-    describes); its first obstacle solve starts from the set the base
-    run's last solve settled on, a warm start as in ``solve_vi``.
+    Each step of ``QUOTIENT_STEPS`` re-runs the extremal iteration at the
+    shifted source, warm-started at the base solution (the selection the
+    derivative describes); its first obstacle solve starts from the set
+    the base run's last solve settled on, a warm start as in ``solve_vi``.
     Quotient errors must shrink with the step, up to a noise floor on
     instances where the remainder vanishes identically; on biactive
     instances a non-shrinking table is flagged (``fd_monotone`` False)
-    instead of raised.
+    instead of raised.  The error at the last step must stay within
+    ``QUOTIENT_TOL`` relative to 1 + ||alpha||_V.
     """
-    s_arr = _check_s_list(s_list)
     sign = _sign(which)
     run, start = (iterate_min, bracket.lower) if sign > 0 else (iterate_max, bracket.upper)
     base_run = run(A, f, omap, start, oracle_check)
     base = base_run.solution
-    far = f + s_arr[0] * d
+    far = f + QUOTIENT_STEPS[0] * d
     if sign > 0 and not check_supersolution(A, far, omap, bracket.upper):
         raise ValueError("bracket invalid: upper bound is not a supersolution at f + max(s) d")
     if sign < 0 and not check_subsolution(A, far, omap, bracket.lower):
@@ -209,7 +200,7 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     alpha = report.alpha
 
     fd_table = []
-    for s in s_arr:
+    for s in QUOTIENT_STEPS:
         pert = run(A, f + s * d, omap, base, oracle_check, active0=base_run.active).solution
         quotient = (1.0 / s) * (pert - base)
         fd_table.append((s, v_norm(quotient - alpha)))
@@ -225,12 +216,11 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     if not fd_monotone and not cone.partition.biactive.any():
         raise DerivativeSolveError(
             "quotient error table does not shrink on a strictly complementary instance")
-    if fd_tol is None:
-        fd_tol = 1e-3 * (1.0 + v_norm(alpha))
+    tol = QUOTIENT_TOL * (1.0 + v_norm(alpha))
     final_err = fd_table[-1][1]
-    if final_err > fd_tol:
+    if final_err > tol:
         raise DerivativeSolveError(
-            f"final quotient error {final_err:.3e} above tolerance {fd_tol:.3e}")
+            f"final quotient error {final_err:.3e} above tolerance {tol:.3e}")
 
     return replace(report, fd_table=tuple(fd_table),
                    observed_order=_observed_order(fd_table, floor),

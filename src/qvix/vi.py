@@ -179,11 +179,15 @@ def complementarity_residual(u, target, lam, eq_mask, free_mask) -> float:
     return float(viol.max())
 
 
-def classify_active(A: EllipticOperator, f: DualElement, u: NodalFunction,
-                    phi: NodalFunction) -> ActiveSetPartition:
-    """Classify nodes of a feasible point into inactive/strict/biactive."""
+def classify_active(f: DualElement, u: NodalFunction, phi: NodalFunction,
+                    lam: np.ndarray) -> ActiveSetPartition:
+    """Classify nodes of a feasible point into inactive/strict/biactive.
+
+    ``lam`` is the point's multiplier ``multiplier(A, f, u)``; callers
+    that write or check it as well form it once and pass it here.
+    """
     coincidence = (phi.values - u.values) <= default_tol_active(phi)
-    strict = coincidence & (multiplier(A, f, u) > default_tol_multiplier(f))
+    strict = coincidence & (lam > default_tol_multiplier(f))
     return ActiveSetPartition(strict=strict, biactive=coincidence & ~strict)
 
 

@@ -1,5 +1,9 @@
 import pytest
 
+import qvix.experiments
+import qvix.extremal
+import qvix.sensitivity
+import qvix.vi
 from qvix import (
     DualElement,
     Grid,
@@ -28,3 +32,18 @@ def toy():
     omap = PlateauMap(grid, [1.0, 2.0], 0.25)
     f = DualElement.constant(grid, 2.0)
     return grid, A, omap, f
+
+
+@pytest.fixture
+def multiplier_calls(monkeypatch):
+    """A list that gains an entry at every call of ``vi.multiplier``, wherever qvix binds it."""
+    calls = []
+    multiplier = qvix.vi.multiplier
+
+    def counting(*args):
+        calls.append(args)
+        return multiplier(*args)
+
+    for module in (qvix.vi, qvix.extremal, qvix.sensitivity, qvix.experiments):
+        monkeypatch.setattr(module, "multiplier", counting)
+    return calls

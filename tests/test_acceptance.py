@@ -35,6 +35,7 @@ from qvix import (
     v_norm,
 )
 from qvix.cli import main as cli_main
+from qvix.sensitivity import QUOTIENT_STEPS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BUNDLED = ("toy_min", "toy_max", "inverse_elliptic_max", "thermoforming_desk")
@@ -99,8 +100,8 @@ def test_criterion_02_toy_sensitivity():
     grid, A, omap, f = toy_problem()
     d = DualElement.constant(grid, 1.0)
     bracket = IntervalBracket.default(A, f, d)
-    report = fd_validate(A, f, d, omap, bracket, "min",
-                         s_list=(1e-1, 1e-2, 1e-3, 1e-4))
+    report = fd_validate(A, f, d, omap, bracket, "min")
+    assert [s for s, _ in report.fd_table] == [1e-1, 1e-2, 1e-3, 1e-4]
     assert v_norm(report.alpha) <= 1e-10
     # alpha vanishes, so each table entry is the quotient norm itself
     for _, err in report.fd_table:
@@ -227,8 +228,7 @@ def test_criterion_08_thermoforming_desk_run(tmp_path):
     artifacts = run_experiment(cfg, out_dir=tmp_path / "desk", seed=0)
     assert artifacts.ok
     sens = artifacts.summary["runs"]["min"]["sensitivity"]
-    table = {s: e for s, e in zip(cfg.sensitivity.s_list,
-                                  _desk_table(artifacts))}
+    table = dict(zip(QUOTIENT_STEPS, _desk_table(artifacts)))
     assert table[1e-4] <= 1e-3
     assert sens["fd_monotone"] is True
     assert time.perf_counter() - t0 < 60.0
@@ -244,7 +244,7 @@ def test_criterion_09_positive_homogeneity_on_bundled_configs():
     from qvix.experiments import build_problem
     for name in BUNDLED:
         cfg = load_config(CONFIG_DIR / f"{name}.json")
-        if not cfg.sensitivity.enabled:
+        if not cfg.sensitivity:
             continue
         problem = build_problem(cfg)
         A, f, d, omap = (problem.operator, problem.forcing, problem.direction,
@@ -264,11 +264,11 @@ def test_criterion_09_positive_homogeneity_on_bundled_configs():
 
 def test_criterion_10_byte_deterministic_cli_runs(tmp_path):
     cfg_path = str(CONFIG_DIR / "inverse_elliptic_max.json")
-    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "a"), "--seed", "11"]) == 0
-    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "b"), "--seed", "11"]) == 0
+    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "a")]) == 0
+    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "b")]) == 0
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in names:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
-    _report(10, "byte-identical outputs for a fixed seed")
+    _report(10, "byte-identical outputs for a fixed config")

@@ -8,7 +8,8 @@ import pytest
 
 import qvix.experiments
 import qvix.obstacle_maps
-from qvix import ConfigError, Grid, InnerSolveError, load_config, run_experiment
+from qvix import (ConfigError, Grid, InnerSolveError, IntervalBracket, iterate_max, iterate_min,
+                  load_config, run_experiment)
 from qvix.cli import main as cli_main
 from qvix.experiments import (
     _SHARED_TEXT_MIN_CELLS,
@@ -19,6 +20,7 @@ from qvix.experiments import (
     _write_csv,
     build_problem,
     parse_config,
+    write_solution_csv,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -33,7 +35,7 @@ def toy_config_dict(**overrides):
         "forcing": {"const": 2.0},
         "direction": {"expr": {"const": 1.0}, "sign": "nonneg"},
         "run": "min",
-        "sensitivity": {"enabled": True, "s_list": [0.1, 0.01, 0.001, 0.0001]},
+        "sensitivity": {"enabled": True},
     }
     cfg.update(overrides)
     return cfg
@@ -130,6 +132,18 @@ def test_solution_csv_class_column_matches_partition(tmp_path):
     assert rows[0] == "x,u,phi_u,lambda,class"
     classes = {row.split(",")[4] for row in rows[1:]}
     assert classes == {"S"}  # toy minimal solution is strictly active everywhere
+
+
+def test_a_solution_table_forms_the_multiplier_once(tmp_path, multiplier_calls):
+    problem = build_problem(load_config(CONFIG_DIR / "inverse_elliptic_max.json"))
+    A, f, omap = problem.operator, problem.forcing, problem.omap
+    bracket = IntervalBracket.default(A, f, problem.direction)
+    reports = {"min": iterate_min(A, f, omap, bracket.lower),
+               "max": iterate_max(A, f, omap, bracket.upper)}
+    for which, report in reports.items():
+        multiplier_calls.clear()
+        write_solution_csv(tmp_path / f"solution_{which}.csv", problem, report)
+        assert len(multiplier_calls) == 1
 
 
 def test_csv_cells_keep_their_text(tmp_path):
@@ -377,9 +391,15 @@ def test_cli_validate_run_and_error_codes(tmp_path, capsys):
     assert cli_main(["validate", str(bad)]) == 2
     assert cli_main(["run", str(bad), "--out", str(tmp_path / "x")]) == 2
 
-    rc = cli_main(["run", str(good), "--out", str(tmp_path / "run"), "--seed", "3"])
+    rc = cli_main(["run", str(good), "--out", str(tmp_path / "run")])
     assert rc == 0
     assert (tmp_path / "run" / "summary.json").exists()
+
+    # the seed changes no result, so the command line takes none
+    for command in ("run", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, str(good), "--out", str(tmp_path / "x"), "--seed", "3"])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("overrides, block", [
@@ -387,10 +407,6 @@ def test_cli_validate_run_and_error_codes(tmp_path, capsys):
     ({"grid": {"n_nodes": 2}, "operator": {"c": 1.0, "bc": "dirichlet"}}, "config.operator"),
     ({"map": {"kind": "plateau", "levels": [1.0, 2.0], "half_width": -0.1}}, "config.map"),
     ({"map": {"kind": "plateau", "levels": [1.0, 1.3], "half_width": 0.25}}, "config.map"),
-    ({"sensitivity": {"enabled": True, "s_list": [0.1, 0.2]}}, "config.sensitivity.s_list"),
-    ({"sensitivity": {"enabled": True, "s_list": [0.1, 1e-6]}}, "config.sensitivity.s_list"),
-    ({"sensitivity": {"enabled": True, "s_list": [-0.1]}}, "config.sensitivity.s_list"),
-    ({"sensitivity": {"enabled": True, "fd_tol": -1}}, "config.sensitivity.fd_tol"),
     ({"grid": {"n_nodes": 21, "interval": [0.0, float("inf")]}}, "config.grid.interval[1]"),
     ({"forcing": {"const": float("nan")}}, "config.forcing.const"),
     ({"operator": {"c": float("nan"), "bc": "neumann"}}, "config.operator.c"),
@@ -401,7 +417,6 @@ def test_cli_validate_run_and_error_codes(tmp_path, capsys):
     ({"map": {"kind": "thermoforming", "reaction": 1.0, "heat_max": 1.0, "expansion": 0.1,
               "mould": {"poly": [1e308, 1e308]}}}, "config.map.mould"),
 ], ids=["neumann-c0", "dirichlet-2-nodes", "negative-half-width", "close-levels",
-        "s-list-increasing", "s-list-below-1e-5", "s-list-negative", "fd-tol-negative",
         "interval-infinite", "forcing-nan", "operator-c-nan", "operator-c-huge-int", "forcing-overflow",
         "direction-overflow", "mould-overflow"])
 def test_cli_value_errors_exit_2(tmp_path, capsys, overrides, block):
@@ -412,6 +427,27 @@ def test_cli_value_errors_exit_2(tmp_path, capsys, overrides, block):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {block}: ")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("s_list", [0.1, 0.01, 0.001, 0.0001]),
+    ("fd_tol", 1e300),
+], ids=["s_list", "fd_tol"])
+def test_removed_sensitivity_fields_are_refused(tmp_path, capsys, field, value):
+    # the steps and tolerance are the constants sensitivity.QUOTIENT_STEPS
+    # and QUOTIENT_TOL; a config naming either is refused, at their values too
+    raw = toy_config_dict(sensitivity={"enabled": True, field: value})
+    message = rf"config\.sensitivity: unknown field\(s\) \['{field}'\]"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(raw)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(raw))
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "x")]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.sensitivity: unknown field")
+        assert f"'{field}'" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_oracle_mode(tmp_path):

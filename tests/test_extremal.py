@@ -24,6 +24,7 @@ from qvix import (
     iterate_max,
     iterate_min,
     leq,
+    multiplier,
     qvi_residual,
     solve_vi,
     v_norm,
@@ -295,7 +296,7 @@ def test_warm_steps_reuse_the_reduced_factor(monkeypatch):
     phi = omap.evaluate(start)
     first = solve_vi(A, f, phi)
     active0 = np.ones(A.grid.n_nodes, dtype=bool)
-    active0[classify_active(A, f, first.u, phi).inactive] = False
+    active0[classify_active(f, first.u, phi, multiplier(A, f, first.u)).inactive] = False
 
     counts = {"submatrix": 0, "rounds": 0}
     submatrix, solve = TridiagonalSpd.submatrix, vi.solve_vi
@@ -338,7 +339,8 @@ def test_limit_of_a_zero_last_step_reuses_its_obstacle(name, monkeypatch):
     # what evaluating the limit's obstacle anew would have reported
     phi = omap.evaluate(report.solution)
     assert report.obstacle.values.tobytes() == phi.values.tobytes()
-    assert report.residual_history[-1] == _obstacle_residual(A, f, report.solution, phi)
+    u = report.solution
+    assert report.residual_history[-1] == _obstacle_residual(u, phi, multiplier(A, f, u))
     assert report.qvi_residual == report.residual_history[-1]
 
 

@@ -243,18 +243,36 @@ def test_fd_validate_partial_contact_thermoforming_decreases():
     assert report.fd_table[-1][1] <= 1e-3 * (1.0 + v_norm(report.alpha))
 
 
+def test_quotient_steps_and_tolerance_are_read_when_the_check_runs(monkeypatch):
+    # final errors 1.5e-8 at the default last step 1e-4, 0.115 at 1e-1;
+    # 1e-3 * (1 + ||alpha||_V) is 1.25e-3
+    A, f, d, omap = _thermoforming_partial_contact()
+    bracket = IntervalBracket.default(A, f, d)
+    monkeypatch.setattr("qvix.sensitivity.QUOTIENT_STEPS", (1e-1,))
+    with pytest.raises(DerivativeSolveError, match="final quotient error"):
+        fd_validate(A, f, d, omap, bracket, "min")
+    monkeypatch.undo()
+    monkeypatch.setattr("qvix.sensitivity.QUOTIENT_TOL", 1e-8)
+    with pytest.raises(DerivativeSolveError, match="final quotient error"):
+        fd_validate(A, f, d, omap, bracket, "min")
+    monkeypatch.undo()
+    assert len(fd_validate(A, f, d, omap, bracket, "min").fd_table) == 4
+
+
 def test_fd_validate_input_checks(toy):
     grid, A, omap, f = toy
     d = DualElement.constant(grid, 1.0)
     bracket = IntervalBracket.default(A, f, d)
     with pytest.raises(ValueError):
-        fd_validate(A, f, d, omap, bracket, "min", s_list=(1e-2, 1e-1))
-    with pytest.raises(ValueError):
-        fd_validate(A, f, d, omap, bracket, "min", s_list=(1e-3, 1e-6))
-    with pytest.raises(ValueError):
-        fd_validate(A, f, d, omap, bracket, "min", s_list=())
-    with pytest.raises(ValueError):
         fd_validate(A, f, d, omap, bracket, "both")
+
+
+def test_quotient_steps_are_positive_decreasing_and_above_the_noise():
+    steps = qvix.sensitivity.QUOTIENT_STEPS
+    assert len(steps) >= 2
+    assert all(isinstance(s, float) and s > 0 for s in steps)
+    assert all(b < a for a, b in zip(steps, steps[1:]))
+    assert min(steps) >= 1e-5
 
 
 def test_fd_validate_rejects_invalid_bracket_for_max(toy):
@@ -471,3 +489,17 @@ def test_derivative_iteration_linearises_once_per_base(monkeypatch):
     report = solve_derivative_qvi(cone, d, "max")
     assert len(report.alpha_iterates) > 2
     assert len(slopes) == 1
+
+
+@pytest.mark.parametrize("name, which", [("toy_min", "min"), ("toy_max", "max"),
+                                         ("inverse_elliptic_max", "max"),
+                                         ("thermoforming_desk", "min")])
+def test_a_cone_forms_the_multiplier_once(multiplier_calls, name, which):
+    A, f, d, omap = _bundled(name, 101)
+    bracket = IntervalBracket.default(A, f, d)
+    run = iterate_min(A, f, omap, bracket.lower) if which == "min" \
+        else iterate_max(A, f, omap, bracket.upper)
+    multiplier_calls.clear()
+    cone = build_cone(A, f, omap, run.solution, run.obstacle)
+    assert len(multiplier_calls) == 1
+    assert cone.lam.values.tobytes() == qvix.vi.multiplier(A, f, run.solution).tobytes()

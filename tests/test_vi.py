@@ -35,7 +35,7 @@ def test_unconstrained_constant():
     f, phi = DualElement.constant(g, 1.5), NodalFunction.constant(g, 1e6)
     sol = solve_vi(A, f, phi)
     assert np.max(np.abs(sol.u.values - 1.5)) <= 1e-10
-    assert classify_active(A, f, sol.u, phi).inactive.all()
+    assert classify_active(f, sol.u, phi, multiplier(A, f, sol.u)).inactive.all()
     assert np.all(sol.lam.values == 0.0)
 
 
@@ -46,7 +46,7 @@ def test_fully_clamped_constant():
     sol = solve_vi(A, f, phi)
     assert np.all(sol.u.values == 1.0)
     assert np.max(np.abs(sol.lam.values - 1.0)) <= 1e-10
-    assert classify_active(A, f, sol.u, phi).strict.all()
+    assert classify_active(f, sol.u, phi, multiplier(A, f, sol.u)).strict.all()
     assert sol.residual <= 1e-10
 
 
@@ -113,7 +113,7 @@ def test_cold_solve_rounds_do_not_grow_with_the_grid(bc, n):
     assert cold.iterations <= NESTED_ROUNDS_BOUND
     if bc == "neumann":
         assert cold.iterations == NEUMANN_COLD_ROUNDS[n]
-    partition = classify_active(A, f, cold.u, phi)
+    partition = classify_active(f, cold.u, phi, multiplier(A, f, cold.u))
     assert 0 < np.count_nonzero(partition.coincidence) < n
 
     def assert_cold_bits(sol):
@@ -267,10 +267,10 @@ def test_oracle_active_set_extremes():
     A = assemble_operator(g, 1.0, "neumann")
     f, phi = DualElement.constant(g, 0.5), NodalFunction.constant(g, 10.0)
     free = oracle_vi(A, f, phi)
-    assert not classify_active(A, f, free.u, phi).coincidence.any()
+    assert not classify_active(f, free.u, phi, multiplier(A, f, free.u)).coincidence.any()
     f, phi = DualElement.constant(g, 50.0), NodalFunction.constant(g, 1.0)
     clamped = oracle_vi(A, f, phi)
-    assert classify_active(A, f, clamped.u, phi).strict.all()
+    assert classify_active(f, clamped.u, phi, multiplier(A, f, clamped.u)).strict.all()
     # the oracle's set is the pinned set of the candidate it picked
     assert not free.active.any() and clamped.active.all()
 
@@ -302,10 +302,11 @@ def test_classify_trivial_cases():
     A = assemble_operator(g, 1.0, "neumann")
     f = DualElement.constant(g, 2.0)
     phi = NodalFunction.constant(g, 1.0)
-    part = classify_active(A, f, NodalFunction.constant(g, 1.0), phi)
+    top = NodalFunction.constant(g, 1.0)
+    part = classify_active(f, top, phi, multiplier(A, f, top))
     assert part.strict.all()
     low = NodalFunction.constant(g, 0.5)
-    part2 = classify_active(A, f, low, phi)
+    part2 = classify_active(f, low, phi, multiplier(A, f, low))
     assert part2.inactive.all()
 
 
@@ -322,7 +323,7 @@ def test_classify_manufactured_biactive_plateau():
     phi = NodalFunction(g, phi_vals)
     sol = solve_vi(A, f, phi)
     assert np.max(np.abs(sol.u.values - u_star.values)) <= 1e-10
-    part = classify_active(A, f, sol.u, phi)
+    part = classify_active(f, sol.u, phi, multiplier(A, f, sol.u))
     assert np.array_equal(np.flatnonzero(part.biactive), plateau)
     assert not part.strict.any()
 
