@@ -1,7 +1,7 @@
 """Config-driven experiment runner with machine-readable outputs.
 
 A JSON config describes the grid, the operator, one obstacle map, the
-forcing and an optional signed direction; the runner constructs the
+forcing and an optional direction; the runner constructs the
 default bracket, runs the requested extremal iterations and, if asked,
 the difference-quotient validation of the derivative, and writes CSV
 tables plus a JSON summary.  Outputs are byte-deterministic for a fixed
@@ -26,6 +26,7 @@ from .extremal import (
     ExtremalIterationError,
     ExtremalRunReport,
     IntervalBracket,
+    _check_direction,
     iterate_max,
     iterate_min,
 )
@@ -53,6 +54,8 @@ from .vi import ViSolveError, classify_active, multiplier
 log = logging.getLogger("qvix")
 
 CONFIG_VERSION = 1
+# the fields each gain kind reads, besides "kind"
+_GAIN_FIELDS = {"zero": (), "linear": ("scale",), "tanh": ("scale", "rate")}
 
 
 class ConfigError(ValueError):
@@ -99,8 +102,6 @@ def _eval_expr(expr, nodes: np.ndarray, path: str) -> np.ndarray:
 
 
 def _expr_values(expr, nodes: np.ndarray, path: str) -> np.ndarray:
-    if isinstance(expr, (int, float)) and not isinstance(expr, bool):
-        return np.full(nodes.shape, _number(expr, path))
     d = _as_mapping(expr, path)
     if len(d) != 1:
         raise ConfigError(f"{path}: expected exactly one of const/poly/sine")
@@ -134,7 +135,6 @@ class ExperimentConfig:
     map_cfg: dict
     forcing: object
     direction: object
-    direction_sign: str
     run: str
     sensitivity: bool
     output_dir: str | None
@@ -143,7 +143,7 @@ class ExperimentConfig:
 def parse_config(raw: dict, path: str = "config") -> ExperimentConfig:
     d = _as_mapping(raw, path)
     version = _take(d, "version", path)
-    if version != CONFIG_VERSION:
+    if type(version) is not int or version != CONFIG_VERSION:
         raise ConfigError(f"{path}.version: expected {CONFIG_VERSION}, got {version!r}")
 
     g = _as_mapping(_take(d, "grid", path), f"{path}.grid")
@@ -185,13 +185,13 @@ def parse_config(raw: dict, path: str = "config") -> ExperimentConfig:
         _no_extras(inner, f"{path}.map.operator")
         gain = _as_mapping(_take(m, "gain", f"{path}.map"), f"{path}.map.gain")
         gain_kind = _take(gain, "kind", f"{path}.map.gain")
-        if gain_kind not in ("zero", "linear", "tanh"):
+        if gain_kind not in _GAIN_FIELDS:
             raise ConfigError(f"{path}.map.gain.kind: expected zero/linear/tanh")
-        map_cfg["gain_kind"] = gain_kind
-        map_cfg["gain_scale"] = _number(_take(gain, "scale", f"{path}.map.gain", False, 1.0),
-                                        f"{path}.map.gain.scale")
-        map_cfg["gain_rate"] = _number(_take(gain, "rate", f"{path}.map.gain", False, 1.0),
-                                       f"{path}.map.gain.rate")
+        # a field the kind's formula does not read is refused, not ignored
+        map_cfg["gain"] = {"kind": gain_kind}
+        for name in _GAIN_FIELDS[gain_kind]:
+            map_cfg["gain"][name] = _number(_take(gain, name, f"{path}.map.gain", False, 1.0),
+                                            f"{path}.map.gain.{name}")
         _no_extras(gain, f"{path}.map.gain")
     elif kind == "thermoforming":
         map_cfg["reaction"] = _number(_take(m, "reaction", f"{path}.map"), f"{path}.map.reaction")
@@ -206,13 +206,10 @@ def parse_config(raw: dict, path: str = "config") -> ExperimentConfig:
 
     direction_block = _take(d, "direction", path, False)
     if direction_block is None:
-        direction, direction_sign = 0.0, "nonneg"
+        direction = {"const": 0.0}
     else:
         db = _as_mapping(direction_block, f"{path}.direction")
         direction = _take(db, "expr", f"{path}.direction")
-        direction_sign = _take(db, "sign", f"{path}.direction")
-        if direction_sign not in ("nonneg", "nonpos"):
-            raise ConfigError(f"{path}.direction.sign: expected 'nonneg' or 'nonpos'")
         _no_extras(db, f"{path}.direction")
 
     run = _take(d, "run", path)
@@ -233,19 +230,12 @@ def parse_config(raw: dict, path: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{path}.output_dir: expected a string")
     _no_extras(d, path)
 
-    cfg = ExperimentConfig(version=version, grid_nodes=n_nodes, interval=interval,
-                           operator_c=c, operator_bc=bc, map_cfg=map_cfg,
-                           forcing=forcing, direction=direction,
-                           direction_sign=direction_sign, run=run,
-                           sensitivity=sensitivity, output_dir=output_dir)
-    if sensitivity:
-        if run == "both":
-            raise ConfigError(f"{path}.run: sensitivity needs a single extremal map, not 'both'")
-        want = "nonneg" if run == "min" else "nonpos"
-        if direction_sign != want:
-            raise ConfigError(
-                f"{path}.direction.sign: run '{run}' with sensitivity needs sign '{want}'")
-    return cfg
+    if sensitivity and run == "both":
+        raise ConfigError(f"{path}.run: sensitivity needs a single extremal map, not 'both'")
+    return ExperimentConfig(version=version, grid_nodes=n_nodes, interval=interval,
+                            operator_c=c, operator_bc=bc, map_cfg=map_cfg,
+                            forcing=forcing, direction=direction, run=run,
+                            sensitivity=sensitivity, output_dir=output_dir)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -288,8 +278,7 @@ def build_problem(config: ExperimentConfig) -> BuiltProblem:
             omap = PlateauMap(grid, mc["levels"], mc["half_width"])
         elif mc["kind"] == "inverse_elliptic":
             inner = assemble_operator(grid, mc["inner_c"], mc["inner_bc"])
-            gain = ScalarNonlinearity(mc["gain_kind"], mc["gain_scale"], mc["gain_rate"])
-            omap = InverseEllipticMap(inner, gain)
+            omap = InverseEllipticMap(inner, ScalarNonlinearity(**mc["gain"]))
         else:
             mould_vals = _eval_expr(mc["mould"], grid.nodes, "config.map.mould")
             if np.any(mould_vals <= 0):
@@ -300,15 +289,14 @@ def build_problem(config: ExperimentConfig) -> BuiltProblem:
     f_vals = _eval_expr(config.forcing, grid.nodes, "config.forcing")
     if np.any(f_vals < 0):
         raise ConfigError("config.forcing: must be nonnegative so zero is a subsolution")
-    d_vals = _eval_expr(config.direction, grid.nodes, "config.direction.expr")
-    if config.direction_sign == "nonneg" and np.any(d_vals < 0):
-        raise ConfigError("config.direction: values violate the declared 'nonneg' sign")
-    if config.direction_sign == "nonpos" and np.any(d_vals > 0):
-        raise ConfigError("config.direction: values violate the declared 'nonpos' sign")
+    direction = DualElement(grid, _eval_expr(config.direction, grid.nodes, "config.direction.expr"))
+    if config.sensitivity:
+        # the run decides the sign a derivative direction must have
+        with _config_block("config.direction"):
+            _check_direction(direction, config.run, "sensitivity")
 
     return BuiltProblem(config=config, grid=grid, operator=operator, omap=omap,
-                        forcing=DualElement(grid, f_vals),
-                        direction=DualElement(grid, d_vals))
+                        forcing=DualElement(grid, f_vals), direction=direction)
 
 
 @dataclass

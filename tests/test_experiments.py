@@ -33,7 +33,7 @@ def toy_config_dict(**overrides):
         "operator": {"c": 1.0, "bc": "neumann"},
         "map": {"kind": "plateau", "levels": [1.0, 2.0], "half_width": 0.25},
         "forcing": {"const": 2.0},
-        "direction": {"expr": {"const": 1.0}, "sign": "nonneg"},
+        "direction": {"expr": {"const": 1.0}},
         "run": "min",
         "sensitivity": {"enabled": True},
     }
@@ -49,7 +49,8 @@ def test_bundled_configs_parse():
 
 def test_expressions():
     nodes = np.linspace(0.0, 1.0, 5)
-    assert np.allclose(_eval_expr(2.5, nodes, "p"), 2.5)
+    with pytest.raises(ConfigError, match="p: expected an object"):
+        _eval_expr(2.5, nodes, "p")
     assert np.allclose(_eval_expr({"const": -1.0}, nodes, "p"), -1.0)
     assert np.allclose(_eval_expr({"poly": [1.0, 0.0, 2.0]}, nodes, "p"),
                        1.0 + 2.0 * nodes**2)
@@ -78,6 +79,10 @@ def test_unknown_fields_rejected(mutate, field):
 def test_version_and_enum_validation():
     with pytest.raises(ConfigError, match="version"):
         parse_config(toy_config_dict(version=2))
+    # 1 and only the integer 1: True and 1.0 compare equal to it
+    for version in (True, 1.0, "1"):
+        with pytest.raises(ConfigError, match=rf"config\.version: expected 1, got {version!r}"):
+            parse_config(toy_config_dict(version=version))
     with pytest.raises(ConfigError, match="run"):
         parse_config(toy_config_dict(run="minmax"))
     bad = toy_config_dict()
@@ -86,19 +91,30 @@ def test_version_and_enum_validation():
         parse_config(bad)
 
 
-def test_sensitivity_needs_single_run_and_matching_sign():
+def test_sensitivity_needs_single_run_and_matching_sign(tmp_path, capsys):
     with pytest.raises(ConfigError, match="single extremal map"):
         parse_config(toy_config_dict(run="both"))
+    # the run fixes the sign: a nonnegative direction cannot serve the maximal map
     bad = toy_config_dict(run="max")
-    with pytest.raises(ConfigError, match="sign"):
-        parse_config(bad)
+    message = "config.direction: maximal-map sensitivity needs a nonpositive direction"
+    with pytest.raises(ConfigError, match=message):
+        build_problem(parse_config(bad))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "x")]):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_mixed_sign_direction_rejected_at_build():
     cfg = toy_config_dict()
-    cfg["direction"] = {"expr": {"sine": {"amplitude": 1.0, "frequency": 1.0}},
-                        "sign": "nonneg"}
-    with pytest.raises(ConfigError, match="direction"):
+    cfg["direction"] = {"expr": {"sine": {"amplitude": 1.0, "frequency": 1.0}}}
+    with pytest.raises(ConfigError, match="minimal-map sensitivity needs a nonnegative direction"):
+        build_problem(parse_config(cfg))
+    # without sensitivity the direction only enters the bracket, at any sign
+    for run in ("min", "max", "both"):
+        cfg.update(run=run, sensitivity={"enabled": False})
         build_problem(parse_config(cfg))
 
 
@@ -356,7 +372,7 @@ def test_failed_sensitivity_recorded_with_partial_artifacts(tmp_path):
     # the largest quotient step: the run itself succeeds, the validation is
     # recorded as a failure, and the CLI reports it through the exit code
     cfg = toy_config_dict(run="max")
-    cfg["direction"] = {"expr": {"const": -30.0}, "sign": "nonpos"}
+    cfg["direction"] = {"expr": {"const": -30.0}}
     path = tmp_path / "doomed.json"
     path.write_text(json.dumps(cfg))
     artifacts = run_experiment(load_config(path), out_dir=tmp_path / "out")
@@ -412,8 +428,8 @@ def test_cli_validate_run_and_error_codes(tmp_path, capsys):
     ({"operator": {"c": float("nan"), "bc": "neumann"}}, "config.operator.c"),
     ({"operator": {"c": 10**400, "bc": "neumann"}}, "config.operator.c"),
     ({"forcing": {"poly": [1e308, 1e308]}}, "config.forcing"),
-    ({"direction": {"expr": {"sine": {"amplitude": 1e308, "frequency": 1e308}},
-                    "sign": "nonneg"}}, "config.direction.expr"),
+    ({"direction": {"expr": {"sine": {"amplitude": 1e308, "frequency": 1e308}}}},
+     "config.direction.expr"),
     ({"map": {"kind": "thermoforming", "reaction": 1.0, "heat_max": 1.0, "expansion": 0.1,
               "mould": {"poly": [1e308, 1e308]}}}, "config.map.mould"),
 ], ids=["neumann-c0", "dirichlet-2-nodes", "negative-half-width", "close-levels",
@@ -448,6 +464,51 @@ def test_removed_sensitivity_fields_are_refused(tmp_path, capsys, field, value):
         assert err.startswith("config error: config.sensitivity: unknown field")
         assert f"'{field}'" in err
     assert not (tmp_path / "x").exists()
+
+
+def _inverse_elliptic_gain(**gain):
+    raw = toy_config_dict()
+    raw["map"] = {"kind": "inverse_elliptic", "operator": {"c": 1.0, "bc": "neumann"},
+                  "gain": gain}
+    return raw
+
+
+@pytest.mark.parametrize("raw, block, field", [
+    (toy_config_dict(direction={"expr": {"const": 1.0}, "sign": "nonneg"}),
+     "config.direction", "sign"),
+    (_inverse_elliptic_gain(kind="linear", scale=2.0, rate=1.0), "config.map.gain", "rate"),
+    (_inverse_elliptic_gain(kind="zero", scale=1.0), "config.map.gain", "scale"),
+    (_inverse_elliptic_gain(kind="zero", rate=1.0), "config.map.gain", "rate"),
+], ids=["direction-sign", "linear-rate", "zero-scale", "zero-rate"])
+def test_fields_the_run_does_not_read_are_refused(tmp_path, capsys, raw, block, field):
+    # the run decides the direction's sign, and a gain reads only the
+    # fields of its formula; a config naming another field is refused
+    message = rf"{re.escape(block)}: unknown field\(s\) \['{field}'\]"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "x")]):
+        assert cli_main(argv) == 2
+        assert re.fullmatch(rf"config error: {message}\n", capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("gain", [{"kind": "zero"}, {"kind": "linear", "scale": 2.0},
+                                  {"kind": "tanh", "scale": 2.0, "rate": 0.5}, {"kind": "tanh"}],
+                         ids=["zero", "linear", "tanh", "tanh-defaults"])
+def test_gain_fields_reach_the_map(gain):
+    omap = build_problem(parse_config(_inverse_elliptic_gain(**gain))).omap
+    assert omap.gain == qvix.obstacle_maps.ScalarNonlinearity(**gain)
+
+
+def test_version_must_be_the_integer_one_at_the_cli(tmp_path, capsys):
+    for version in (True, 1.0):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(toy_config_dict(version=version)))
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config.version: expected 1, got {version!r}\n"
 
 
 def test_cli_oracle_mode(tmp_path):

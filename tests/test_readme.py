@@ -1,10 +1,13 @@
-"""The README's library example and solver-settings names against the library."""
+"""The README's code examples and solver-settings names against the library."""
 
 import importlib
+import json
 import re
 from pathlib import Path
 
 import numpy as np
+
+from qvix.experiments import build_problem, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,6 +27,16 @@ def test_library_example_runs():
     assert np.max(np.abs(scope["minimal"].solution.values - 1.0)) <= 1e-10
     assert np.max(np.abs(scope["deriv"].alpha.values)) <= 1e-12
     assert len(scope["check"].fd_table) == 4
+
+
+def test_config_examples_parse_and_build():
+    text = README.read_text(encoding="utf-8")
+    blocks = [block for block in re.findall(r"```json\n(.*?)```", text, re.S)
+              if '"version"' in block]
+    # the oracle example under "CLI" and the one under "Config format"
+    assert len(blocks) == 2
+    for block in blocks:
+        build_problem(parse_config(json.loads(block)))
 
 
 def test_solver_settings_name_existing_constants():
