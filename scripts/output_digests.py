@@ -1,11 +1,18 @@
 """Print the SHA-256 of every output file of the bundled configs.
 
-For each config in ``configs/``, as bundled and with Dirichlet boundary
-conditions (``operator.bc = "dirichlet"``), and each grid size (the
-config's own, 401, 1601, 6401 and 25601 nodes), runs ``run_experiment`` with
-seed 0 into a temporary directory and prints one line
-``<config>[-dirichlet]@<n>/<file> <sha256>`` per written file, sorted.  Running it on two checkouts and diffing the
-outputs shows whether a change kept the outputs byte-identical:
+For each config in ``configs/``, runs ``run_experiment`` with seed 0 into
+a temporary directory in three variants:
+
+- as bundled and with Dirichlet boundary conditions
+  (``operator.bc = "dirichlet"``), each at the config's own grid and at
+  401, 1601, 6401 and 25601 nodes;
+- with both extremal runs and sensitivity off (``run = "both"``), at the
+  config's own grid, 401 and 1601 nodes.
+
+It prints one line ``<config>[-dirichlet|-both]@<n>/<file> <sha256>`` per
+written file, sorted by file name within each run.  Running it on two
+checkouts and diffing the outputs shows whether a change kept the outputs
+byte-identical:
 
     python scripts/output_digests.py > after.txt
     python scripts/output_digests.py --root ../other-checkout > before.txt
@@ -32,7 +39,21 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 GRID_SIZES = (None, 401, 1601, 6401, 25601)  # None: the config's own grid
-BOUNDARY_VARIANTS = (None, "dirichlet")  # None: the config's own condition
+
+
+def _dirichlet(raw: dict) -> None:
+    raw["operator"]["bc"] = "dirichlet"
+
+
+def _both(raw: dict) -> None:
+    raw["run"] = "both"
+    raw["sensitivity"]["enabled"] = False
+
+
+# name suffix, change to the bundled config, grid sizes
+VARIANTS = (("", None, GRID_SIZES),
+            ("-dirichlet", _dirichlet, GRID_SIZES),
+            ("-both", _both, GRID_SIZES[:3]))
 
 
 def digests(root: Path) -> list[str]:
@@ -40,14 +61,13 @@ def digests(root: Path) -> list[str]:
     from qvix.experiments import parse_config, run_experiment
 
     lines = []
-    for bc in BOUNDARY_VARIANTS:
+    for suffix, change, grid_sizes in VARIANTS:
         for cfg_path in sorted((root / "configs").glob("*.json")):
             raw = json.loads(cfg_path.read_text(encoding="utf-8"))
-            name = cfg_path.stem
-            if bc is not None:
-                raw["operator"]["bc"] = bc
-                name += f"-{bc}"
-            for n in GRID_SIZES:
+            name = cfg_path.stem + suffix
+            if change is not None:
+                change(raw)
+            for n in grid_sizes:
                 if n is not None:
                     raw["grid"]["n_nodes"] = n
                 label = f"{name}@{raw['grid']['n_nodes']}"

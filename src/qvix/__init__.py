@@ -10,11 +10,7 @@ from .fem import (
     SingularOperatorError,
     assemble_operator,
     dual_norm,
-    h_norm,
     leq,
-    pair,
-    positive_part,
-    seminorm,
     sup_embedding_constant,
     v_norm,
 )

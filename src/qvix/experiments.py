@@ -127,7 +127,6 @@ def _expr_values(expr, nodes: np.ndarray, path: str) -> np.ndarray:
 class ExperimentConfig:
     """Parsed and schema-checked experiment description."""
 
-    version: int
     grid_nodes: int
     interval: tuple[float, float]
     operator_c: float
@@ -232,7 +231,7 @@ def parse_config(raw: dict, path: str = "config") -> ExperimentConfig:
 
     if sensitivity and run == "both":
         raise ConfigError(f"{path}.run: sensitivity needs a single extremal map, not 'both'")
-    return ExperimentConfig(version=version, grid_nodes=n_nodes, interval=interval,
+    return ExperimentConfig(grid_nodes=n_nodes, interval=interval,
                             operator_c=c, operator_bc=bc, map_cfg=map_cfg,
                             forcing=forcing, direction=direction, run=run,
                             sensitivity=sensitivity, output_dir=output_dir)
@@ -313,15 +312,6 @@ class RunArtifacts:
         return not self.failures
 
 
-# below this many cells the fixed cost of np.unique exceeds the formatting
-# it can save; the short tables hold distinct values anyway
-_SHARED_TEXT_MIN_CELLS = 128
-# share of cells equal to their left neighbour from which np.unique pays:
-# on the output columns of the benchmark workloads it lost below 0.2 and
-# won above, where most cells repeat a value met before
-_SHARED_TEXT_MIN_REPEATS = 0.2
-
-
 def _float_text(values: np.ndarray) -> list[str]:
     """``repr`` of every double of a 1D float64 array.
 
@@ -329,7 +319,10 @@ def _float_text(values: np.ndarray) -> list[str]:
     lays them out the same way except for 1e-9 <= |x| < 1e-5 (a
     one-digit exponent: ``1e-7`` for ``1e-07``), 1e-5 <= |x| < 1e-4
     (``0.00001`` for ``1e-05``), |x| >= 1e16 (``1e16`` for ``1e+16``)
-    and nan (``null``); there the cell is ``repr``'s.
+    and nan (``null``); there the cell is ``repr``'s, formatted once per
+    distinct value: a multiplier column at roundoff can hold one such
+    value at every node (``toy_max`` at 25601 nodes).  Equal values in
+    these ranges have equal bits, as neither zero lies in them.
     """
     if values.size == 0:
         return []
@@ -338,8 +331,12 @@ def _float_text(values: np.ndarray) -> list[str]:
     magnitude = np.abs(values)
     same = (magnitude < 1e-9) | ((magnitude >= 1e-4) & (magnitude < 1e16))
     outside = np.flatnonzero(~same)
+    known: dict[float, str] = {}
     for i, x in zip(outside.tolist(), values[outside].tolist()):
-        texts[i] = repr(x)
+        text = known.get(x)
+        if text is None:
+            text = known[x] = repr(x)
+        texts[i] = text
     return texts
 
 
@@ -348,31 +345,14 @@ def _column_text(column) -> list[str]:
 
     A list of strings is written as given; any other column is numeric as
     a whole, written as ``str(int)`` for an integer dtype and ``repr`` of
-    the float otherwise, by ``_float_text``.  A float column of
-    ``_SHARED_TEXT_MIN_CELLS`` or more formats a constant value once, and
-    each distinct value once where at least ``_SHARED_TEXT_MIN_REPEATS``
-    of its cells repeat their left neighbour.  Cells are compared by bit
-    pattern: comparing values would merge ``-0.0`` with ``0.0`` and lose
-    the sign.
+    the float otherwise, by ``_float_text``.
     """
     if isinstance(column, list) and column and isinstance(column[0], str):
         return column
     values = np.asarray(column)
     if values.dtype.kind in "iu":
         return list(map(str, values.tolist()))
-    values = values.astype(float, copy=False)
-    size = values.size
-    if size < _SHARED_TEXT_MIN_CELLS:
-        return _float_text(values)
-    bits = values.view(np.int64)
-    repeats = np.count_nonzero(bits[1:] == bits[:-1])
-    if repeats == size - 1:
-        return _float_text(values[:1]) * size
-    if repeats < _SHARED_TEXT_MIN_REPEATS * size:
-        return _float_text(values)
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    texts = np.array(_float_text(values[first]), dtype=object)
-    return texts[inverse].tolist()
+    return _float_text(values.astype(float, copy=False))
 
 
 def _write_csv(path: Path, columns: dict) -> None:
@@ -445,7 +425,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
     A, f, d, omap = problem.operator, problem.forcing, problem.direction, problem.omap
     artifacts = RunArtifacts(out_dir=target)
     summary: dict = {
-        "config_version": config.version,
         "seed": seed,
         "oracle_check": oracle_check,
         "constants": {
@@ -460,7 +439,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
         ok, details = lipschitz_threshold_check(omap, A, f)
         summary["thermoforming"] = {"threshold_satisfied": ok, **details}
 
-    bracket = IntervalBracket.default(A, f, d)
+    # every solution lies below A^-1 f, so the direction moves the top of
+    # the bracket only for the derivative check, which needs A^-1 (f + d+)
+    bracket = IntervalBracket.default(A, f, d if config.sensitivity else None)
     which_list = ["min", "max"] if config.run == "both" else [config.run]
     x_cells = None  # node cells, formatted by the first solution table written
 

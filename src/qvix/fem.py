@@ -323,27 +323,11 @@ def assemble_operator(grid: Grid, c: float, bc: BoundaryCondition) -> EllipticOp
                             c_a=c_a, c_b=c_b)
 
 
-def positive_part(u: NodalFunction) -> NodalFunction:
-    """Nodewise ``max(u, 0)``."""
-    return NodalFunction(u.grid, np.maximum(u.values, 0.0))
-
-
 def leq(u: NodalFunction, v: NodalFunction, tol: float = 0.0) -> bool:
     """True iff ``u <= v + tol`` at every node."""
     if u.grid != v.grid:
         raise GridMismatchError("cannot compare functions on different grids")
     return bool(np.all(u.values <= v.values + tol))
-
-
-def h_norm(u: NodalFunction) -> float:
-    """Lumped L2 norm."""
-    return float(np.sqrt(np.dot(u.grid.mass, u.values**2)))
-
-
-def seminorm(u: NodalFunction) -> float:
-    """Discrete Dirichlet energy seminorm."""
-    d = np.diff(u.values)
-    return float(np.sqrt(np.dot(d, d) / u.grid.h))
 
 
 def _v_norm_values(grid: Grid, values: np.ndarray) -> float:
@@ -353,15 +337,9 @@ def _v_norm_values(grid: Grid, values: np.ndarray) -> float:
 
 
 def v_norm(u: NodalFunction) -> float:
-    """Discrete H1 norm: sqrt(h_norm^2 + seminorm^2)."""
+    """Discrete H1 norm: the lumped L2 part ``sum(mass * u**2)`` plus the
+    Dirichlet energy ``sum(diff(u)**2) / h``, under one square root."""
     return _v_norm_values(u.grid, u.values)
-
-
-def pair(f: DualElement, v: NodalFunction) -> float:
-    """Duality pairing through the lumped mass weights."""
-    if f.grid != v.grid:
-        raise GridMismatchError("pairing needs a common grid")
-    return float(np.dot(f.grid.mass * f.values, v.values))
 
 
 def dual_norm(f: DualElement) -> float:

@@ -53,9 +53,7 @@ class DerivativeSolveError(RuntimeError):
 class CriticalConeData:
     """Everything needed to pose the derivative problem at a base solution."""
 
-    base: NodalFunction
     partition: ActiveSetPartition
-    lam: DualElement
     deriv_map: Callable[[NodalFunction], NodalFunction]
     operator: EllipticOperator
 
@@ -70,7 +68,6 @@ class DerivativeReport:
     fd_table: tuple[tuple[float, float], ...] = ()
     observed_order: float | None = None
     fd_monotone: bool | None = None
-    base: NodalFunction | None = None
 
 
 def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
@@ -96,8 +93,7 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         leak = float(np.max(np.abs(lam_vals[partition.inactive])))
         if leak > 10 * tol_lam:
             raise ConeError(f"multiplier of size {leak:.3e} off the coincidence set")
-    return CriticalConeData(base=base, partition=partition,
-                            lam=DualElement(A.grid, lam_vals),
+    return CriticalConeData(partition=partition,
                             deriv_map=lambda w: omap.derivative_action(base, w),
                             operator=A)
 
@@ -158,7 +154,7 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
         raise DerivativeSolveError(
             f"derivative fixed-point residual {residual:.3e} above {ALPHA_RESIDUAL_TOL:.1e}")
     return DerivativeReport(alpha=alpha, alpha_iterates=tuple(iterates),
-                            qvi_residual=residual, base=cone.base)
+                            qvi_residual=residual)
 
 
 def _observed_order(fd_table, floor) -> float | None:

@@ -12,8 +12,6 @@ from qvix import (ConfigError, Grid, InnerSolveError, IntervalBracket, iterate_m
                   load_config, run_experiment)
 from qvix.cli import main as cli_main
 from qvix.experiments import (
-    _SHARED_TEXT_MIN_CELLS,
-    _SHARED_TEXT_MIN_REPEATS,
     _column_text,
     _eval_expr,
     _float_text,
@@ -112,7 +110,7 @@ def test_mixed_sign_direction_rejected_at_build():
     cfg["direction"] = {"expr": {"sine": {"amplitude": 1.0, "frequency": 1.0}}}
     with pytest.raises(ConfigError, match="minimal-map sensitivity needs a nonnegative direction"):
         build_problem(parse_config(cfg))
-    # without sensitivity the direction only enters the bracket, at any sign
+    # without sensitivity the direction is checked but not read, at any sign
     for run in ("min", "max", "both"):
         cfg.update(run=run, sensitivity={"enabled": False})
         build_problem(parse_config(cfg))
@@ -177,12 +175,12 @@ def test_csv_cells_keep_their_text(tmp_path):
 
 
 def _column_texts(values):
-    """The column as drawn, and tiled long enough that equal cells share their text."""
-    return values, np.tile(values, _SHARED_TEXT_MIN_CELLS)
+    """The column as drawn, and tiled so that each cell repeats many times."""
+    return values, np.tile(values, 128)
 
 
 def test_column_text_is_repr_of_every_cell():
-    # each bit pattern is formatted once, so 0.0 and -0.0 keep their own text
+    # 0.0 and -0.0 keep their own text
     third = 1.0 / 3.0
     values = np.array([0.0, -0.0, 5e-324, third, -0.0, np.inf, 0.0, -np.inf, np.nan,
                        third, -0.0, 0.0, 0.1 + 0.2, -np.inf, 0.1 + 0.2, 5e-324])
@@ -207,22 +205,16 @@ def test_float_text_of_one_cell_and_of_none():
 def test_column_text_on_each_path():
     # a constant column, the grid nodes, and columns with few and with many
     # neighbour repeats; the pool mixes the signed zeros and repr's layouts
-    n = 4 * _SHARED_TEXT_MIN_CELLS
+    n = 512
     rng = np.random.default_rng(11)
     pool = np.array([0.0, -0.0, 1e-7, -3e-5, 0.1 + 0.2, 1e16, -1e-10, 2.5e-9, 1.0 / 3.0, np.nan])
     distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 18, n)
     few = distinct.copy()
     few[1::8] = few[0::8]
     many = np.repeat(rng.choice(pool, n // 4), 4)
-    columns = [(np.full(n, x), "constant") for x in pool]
-    columns += [(Grid(1601).nodes, "direct"), (distinct, "direct"), (few, "direct"),
-                (many, "unique")]
-    for column, path in columns:
-        bits = column.view(np.int64)
-        repeats = np.count_nonzero(bits[1:] == bits[:-1])
-        taken = ("constant" if repeats == column.size - 1 else
-                 "direct" if repeats < _SHARED_TEXT_MIN_REPEATS * column.size else "unique")
-        assert taken == path and column.size >= _SHARED_TEXT_MIN_CELLS
+    columns = [np.full(n, x) for x in pool]
+    columns += [Grid(1601).nodes, distinct, few, many]
+    for column in columns:
         assert _column_text(column) == [repr(v) for v in column.tolist()]
 
 
@@ -267,6 +259,42 @@ def test_run_both_writes_the_bytes_of_separate_runs(tmp_path, name):
         for table in ("solution", "iterates"):
             key = f"{table}_{which}"
             assert files["both"][key].read_bytes() == files[which][key].read_bytes(), key
+
+
+def _both_without_sensitivity(name, direction, **overrides):
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    raw["grid"]["n_nodes"] = 801
+    raw.update(run="both", sensitivity={"enabled": False},
+               direction={"expr": {"const": direction}}, **overrides)
+    return raw
+
+
+def _heated_desk(direction):
+    raw = _both_without_sensitivity("thermoforming_desk", direction, forcing={"const": 1.0})
+    raw["map"]["mould"] = {"const": 2.5}
+    return raw
+
+
+def test_max_run_without_sensitivity_starts_below_the_direction(tmp_path):
+    # from A^-1 (f + 1) the max run would pass through a heated state whose
+    # temperature solve stalls; from A^-1 f it reaches the solution directly
+    artifacts = run_experiment(parse_config(_heated_desk(1.0)), out_dir=tmp_path, seed=0)
+    assert artifacts.ok, artifacts.failures
+
+
+@pytest.mark.parametrize("raw", [
+    _heated_desk,
+    lambda d: _both_without_sensitivity("toy_min", d),
+], ids=["thermoforming_desk-heated", "toy_min"])
+def test_direction_without_sensitivity_changes_no_byte(tmp_path, raw):
+    written = {}
+    for direction in (1.0, 0.0):
+        out = tmp_path / str(direction)
+        assert run_experiment(parse_config(raw(direction)), out_dir=out, seed=0).ok
+        written[direction] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(written[1.0]) == ["iterates_max.csv", "iterates_min.csv",
+                                    "solution_max.csv", "solution_min.csv", "summary.json"]
+    assert written[1.0] == written[0.0]
 
 
 def test_temperature_stall_reports_residual_and_tolerance(tmp_path):

@@ -12,11 +12,7 @@ from qvix import (
     SingularOperatorError,
     assemble_operator,
     dual_norm,
-    h_norm,
     leq,
-    pair,
-    positive_part,
-    seminorm,
     sup_embedding_constant,
     v_norm,
 )
@@ -103,7 +99,9 @@ def test_apply_symmetry():
     for _ in range(20):
         u = random_nodal(g, rng)
         v = random_nodal(g, rng)
-        assert abs(pair(A.apply(u), v) - pair(A.apply(v), u)) <= 1e-12
+        uv = np.dot(g.mass * A.apply(u).values, v.values)
+        vu = np.dot(g.mass * A.apply(v).values, u.values)
+        assert abs(uv - vu) <= 1e-12
 
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
@@ -138,18 +136,6 @@ def test_discrete_comparison(bc):
         assert np.all(u1.values <= u2.values + 1e-12)
 
 
-def test_positive_part():
-    g = Grid(3)
-    u = NodalFunction(g, [-1.0, 2.0, 0.0])
-    assert np.array_equal(positive_part(u).values, [0.0, 2.0, 0.0])
-    v = NodalFunction(g, [0.5, 2.0, 0.0])
-    assert np.array_equal(positive_part(v).values, v.values)
-    rng = np.random.default_rng(1)
-    w = random_nodal(g, rng, -3, 3)
-    recomposed = positive_part(w) - positive_part(-w)
-    assert np.array_equal(recomposed.values, w.values)
-
-
 def test_leq():
     g = Grid(2)
     u = NodalFunction(g, [0.0, 1.0])
@@ -169,15 +155,17 @@ def test_leq():
 def test_norms():
     g = Grid(21)
     zero = NodalFunction.zeros(g)
-    assert v_norm(zero) == 0.0 and h_norm(zero) == 0.0
+    assert v_norm(zero) == 0.0
+    # a constant has no Dirichlet energy; the lumped mass sums to the length 1
     const = NodalFunction.constant(g, -2.5)
-    assert h_norm(const) == pytest.approx(2.5, abs=1e-14)
-    assert seminorm(const) == 0.0
+    assert v_norm(const) == pytest.approx(2.5, abs=1e-14)
     rng = np.random.default_rng(2)
     for _ in range(50):
         u = random_nodal(g, rng, -2, 2)
-        assert v_norm(positive_part(u)) <= v_norm(u) + 1e-12
-        assert v_norm(u) ** 2 == pytest.approx(h_norm(u) ** 2 + seminorm(u) ** 2, rel=1e-12)
+        assert v_norm(NodalFunction(g, np.maximum(u.values, 0.0))) <= v_norm(u) + 1e-12
+        l2 = np.dot(g.mass, u.values**2)
+        energy = np.dot(np.diff(u.values), np.diff(u.values)) / g.h
+        assert v_norm(u) ** 2 == pytest.approx(l2 + energy, rel=1e-12)
 
 
 def test_dual_norm_constant():
@@ -196,9 +184,9 @@ def test_coercivity_and_boundedness(bc, c):
     for _ in range(100):
         u = random_nodal(g, rng, -2, 2, bc=bc)
         v = random_nodal(g, rng, -2, 2, bc=bc)
-        energy = pair(A.apply(u), u)
-        assert energy >= A.c_a * v_norm(u) ** 2 - 1e-10
-        assert abs(pair(A.apply(u), v)) <= A.c_b * v_norm(u) * v_norm(v) + 1e-10
+        Au = g.mass * A.apply(u).values
+        assert np.dot(Au, u.values) >= A.c_a * v_norm(u) ** 2 - 1e-10
+        assert abs(np.dot(Au, v.values)) <= A.c_b * v_norm(u) * v_norm(v) + 1e-10
 
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
@@ -208,9 +196,9 @@ def test_t_monotonicity(bc):
     A = assemble_operator(g, 1.0, bc)
     for _ in range(100):
         u = random_nodal(g, rng, -2, 2, bc=bc)
-        up = positive_part(u)
-        um = positive_part(-u)
-        assert pair(A.apply(up), um) <= 1e-12
+        up = NodalFunction(g, np.maximum(u.values, 0.0))
+        um = np.maximum(-u.values, 0.0)
+        assert np.dot(g.mass * A.apply(up).values, um) <= 1e-12
 
 
 def test_sup_embedding_constant_matches_continuum():

@@ -95,11 +95,11 @@ def test_build_cone_toy_all_strict(toy):
     base = run.solution
     cone = build_cone(A, f, omap, base)
     assert cone.partition.strict.all()
-    assert np.max(np.abs(cone.lam.values - 1.0)) <= 1e-10
+    assert np.max(np.abs(qvix.vi.multiplier(A, f, base) - 1.0)) <= 1e-10
     # the run's obstacle in place of a fresh evaluation gives the same cone
     held = build_cone(A, f, omap, base, run.obstacle)
     assert np.array_equal(held.partition.strict, cone.partition.strict)
-    assert held.lam.values.tobytes() == cone.lam.values.tobytes()
+    assert np.array_equal(held.partition.biactive, cone.partition.biactive)
 
 
 def test_build_cone_refuses_sloppy_base(toy):
@@ -303,7 +303,7 @@ def test_strict_complementarity_collapse_to_reduced_linear_system():
     assert np.max(np.abs(alpha.values[idx] - reduced)) <= 1e-10
 
 
-def test_dirichlet_end_to_end_sensitivity():
+def test_dirichlet_end_to_end_sensitivity(monkeypatch):
     # boundary values are pinned to zero throughout: state, iterates, and
     # derivative all vanish there
     g = Grid(31)
@@ -313,8 +313,16 @@ def test_dirichlet_end_to_end_sensitivity():
     f = DualElement(g, 1.0 + 2.0 * np.sin(np.pi * g.nodes))
     d = DualElement(g, np.minimum(g.nodes, 1.0 - g.nodes))
     bracket = IntervalBracket.default(A, f, d)
+    runs = []
+
+    def recording_run(*args, **kwargs):
+        runs.append(iterate_min(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr("qvix.sensitivity.iterate_min", recording_run)
     report = fd_validate(A, f, d, omap, bracket, "min")
-    assert report.base.values[0] == 0.0 and report.base.values[-1] == 0.0
+    base = runs[0].solution  # the base run, before the four quotient reruns
+    assert base.values[0] == 0.0 and base.values[-1] == 0.0
     assert report.alpha.values[0] == 0.0 and report.alpha.values[-1] == 0.0
     assert report.fd_monotone
     assert report.fd_table[-1][1] <= 1e-3 * (1.0 + v_norm(report.alpha))
@@ -342,8 +350,7 @@ def test_dirichlet_rows_of_every_posed_problem():
     alphas = []
     for partition in (mixed, every):
         # a constant map derivative: one cone solve is the fixed point
-        cone = CriticalConeData(base=NodalFunction.zeros(g), partition=partition,
-                                lam=DualElement.zeros(g), deriv_map=lambda w: shift, operator=A)
+        cone = CriticalConeData(partition=partition, deriv_map=lambda w: shift, operator=A)
         alpha, _ = _cone_solve(cone, d.values, shift.values)
         assert alpha.values[0] == 0.0 and alpha.values[-1] == 0.0
         assert derivative_qvi_residual(cone, alpha, d) <= 1e-10
@@ -456,7 +463,7 @@ def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, ins
     monkeypatch.setattr(f"qvix.sensitivity.{run_name}", recording_run)
     monkeypatch.setattr("qvix.sensitivity._pdas", recording_pdas)
     warm = fd_validate(A, f, d, omap, bracket, which)
-    cone = build_cone(A, f, omap, warm.base)
+    cone = build_cone(A, f, omap, runs[0].solution)
     assert (np.count_nonzero(cone.partition.strict), np.count_nonzero(cone.partition.biactive),
             np.count_nonzero(cone.partition.inactive)) == partition
     # the base run starts cold, the four reruns at the set its last solve settled on
@@ -473,7 +480,9 @@ def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, ins
     monkeypatch.setattr("qvix.sensitivity._pdas", cold_pdas)
     cold = fd_validate(A, f, d, omap, bracket, which)
 
-    assert np.array_equal(warm.base.values, cold.base.values)
+    # runs[5] is the cold validation's base run
+    assert len(runs) == 10
+    assert np.array_equal(runs[0].solution.values, runs[5].solution.values)
     assert np.array_equal(warm.alpha.values, cold.alpha.values)
     assert warm.fd_table == cold.fd_table
 
@@ -502,4 +511,8 @@ def test_a_cone_forms_the_multiplier_once(multiplier_calls, name, which):
     multiplier_calls.clear()
     cone = build_cone(A, f, omap, run.solution, run.obstacle)
     assert len(multiplier_calls) == 1
-    assert cone.lam.values.tobytes() == qvix.vi.multiplier(A, f, run.solution).tobytes()
+    # the cone classifies the multiplier vi.multiplier forms at the base
+    lam = qvix.vi.multiplier(A, f, run.solution)
+    partition = qvix.vi.classify_active(f, run.solution, run.obstacle, lam)
+    assert np.array_equal(cone.partition.strict, partition.strict)
+    assert np.array_equal(cone.partition.biactive, partition.biactive)
