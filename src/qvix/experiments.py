@@ -439,9 +439,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
         ok, details = lipschitz_threshold_check(omap, A, f)
         summary["thermoforming"] = {"threshold_satisfied": ok, **details}
 
-    # every solution lies below A^-1 f, so the direction moves the top of
-    # the bracket only for the derivative check, which needs A^-1 (f + d+)
-    bracket = IntervalBracket.default(A, f, d if config.sensitivity else None)
+    bracket = IntervalBracket.default(A, f)
     which_list = ["min", "max"] if config.run == "both" else [config.run]
     x_cells = None  # node cells, formatted by the first solution table written
 

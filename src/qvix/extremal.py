@@ -11,6 +11,7 @@ signals a bug rather than roundoff.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -20,7 +21,9 @@ import numpy as np
 from . import vi
 from .fem import DualElement, EllipticOperator, NodalFunction, _v_norm_values, leq
 from .obstacle_maps import ObstacleMap
-from .vi import ViSolution, complementarity_residual, multiplier, oracle_vi, solve_vi
+from .vi import complementarity_residual, multiplier, oracle_vi, solve_vi
+
+log = logging.getLogger("qvix")
 
 
 class ExtremalIterationError(RuntimeError):
@@ -47,7 +50,7 @@ def _sign(which: str) -> float:
 
 def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: NodalFunction,
                     sign: float, step_tol: float, max_iter: int, error: type[Exception],
-                    order_text: str, cap_text: str):
+                    order_text: str, cap_text: str, label: str):
     """Limit of u <- step(u) from start; each step must move every node along sign.
 
     Stops at the first step whose V-norm is at most step_tol.  Raises error
@@ -55,7 +58,7 @@ def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: Nodal
     change, when a step goes against sign by more than MONOTONE_TOL, and
     with cap_text plus the last step and the tail contraction ratio when
     max_iter steps do not settle.  Returns the limit and, per step, its
-    V-norm and its smallest and largest nodal change.
+    V-norm and its smallest and largest nodal change.  Logs each step at INFO under label.
     """
     u = start
     steps: list[float] = []
@@ -75,6 +78,7 @@ def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: Nodal
         steps.append(_v_norm_values(u.grid, delta))
         if not math.isfinite(steps[-1]) and not np.isfinite(delta).all():
             raise ValueError("non-finite nodal values")
+        log.info("%s step %d: V-norm step %.3e", label, len(steps), steps[-1])
         u = nxt
         if steps[-1] <= step_tol:
             return u, tuple(steps), tuple(min_deltas), tuple(max_deltas)
@@ -119,15 +123,9 @@ class IntervalBracket:
     upper: NodalFunction
 
     @classmethod
-    def default(cls, A: EllipticOperator, f: DualElement,
-                d: DualElement | None = None) -> "IntervalBracket":
-        """Zero subsolution and the linear solve of f plus the positive part of d."""
-        grid = A.grid
-        lower = NodalFunction.zeros(grid)
-        load = f
-        if d is not None:
-            load = f + DualElement(grid, np.maximum(d.values, 0.0))
-        return cls(lower=lower, upper=A.solve(load))
+    def default(cls, A: EllipticOperator, f: DualElement) -> "IntervalBracket":
+        """Zero and A^-1 f, the tightest supersolution: every obstacle solve at f lies below it."""
+        return cls(lower=NodalFunction.zeros(A.grid), upper=A.solve(f))
 
     def validate(self, A: EllipticOperator, f: DualElement, omap: ObstacleMap) -> bool:
         if not leq(self.lower, self.upper, MONOTONE_TOL):
@@ -136,22 +134,16 @@ class IntervalBracket:
                 and check_supersolution(A, f, omap, self.upper))
 
 
-def fixed_point_step(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                     u: NodalFunction) -> ViSolution:
-    """One application of the solution map: obstacle solve at the obstacle induced by u."""
-    return solve_vi(A, f, omap.evaluate(u))
-
-
 def check_subsolution(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
                       u: NodalFunction) -> bool:
-    """True iff u lies below its own fixed-point image."""
-    return leq(u, fixed_point_step(A, f, omap, u).u, MONOTONE_TOL)
+    """True iff u lies below its own fixed-point image S(f, omap(u))."""
+    return leq(u, solve_vi(A, f, omap.evaluate(u)).u, MONOTONE_TOL)
 
 
 def check_supersolution(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
                         u: NodalFunction) -> bool:
-    """True iff u lies above its own fixed-point image."""
-    return leq(fixed_point_step(A, f, omap, u).u, u, MONOTONE_TOL)
+    """True iff u lies above its own fixed-point image S(f, omap(u))."""
+    return leq(solve_vi(A, f, omap.evaluate(u)).u, u, MONOTONE_TOL)
 
 
 def _obstacle_residual(u: NodalFunction, phi: NodalFunction, lam: np.ndarray) -> float:
@@ -202,7 +194,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         step, start, sign, TOL_FP, MAX_OUTER, ExtremalIterationError,
         "{order} iteration lost monotonicity (worst step {worst:.3e}); "
         "the comparison principle is broken",
-        f"no convergence within {MAX_OUTER} outer iterations")
+        f"no convergence within {MAX_OUTER} outer iterations", f"extremal {which}")
     # bytes, not ==: -0.0 and 0.0 compare equal but may map apart
     prev, phi = last_step
     if u.values.tobytes() != prev.values.tobytes():

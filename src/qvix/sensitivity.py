@@ -148,7 +148,7 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
     alpha, _, _, _ = _monotone_limit(
         step, iterates[0], sign, ALPHA_STEP_TOL, budget, DerivativeSolveError,
         "derivative iterates lost their {order} order",
-        f"derivative iteration did not settle within {budget} rounds")
+        f"derivative iteration did not settle within {budget} rounds", "derivative")
     residual = derivative_qvi_residual(cone, alpha, d)
     if residual > ALPHA_RESIDUAL_TOL:
         raise DerivativeSolveError(
@@ -175,6 +175,8 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     shifted source, warm-started at the base solution (the selection the
     derivative describes); its first obstacle solve starts from the set
     the base run's last solve settled on, a warm start as in ``solve_vi``.
+    At the farthest source f + max(s) d a min run checks the supersolution
+    A^-1 (f + max(s) d), the tightest there, and a max run ``bracket.lower``.
     Quotient errors must shrink with the step, up to a noise floor on
     instances where the remainder vanishes identically; on biactive
     instances a non-shrinking table is flagged (``fd_monotone`` False)
@@ -186,8 +188,8 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     base_run = run(A, f, omap, start, oracle_check)
     base = base_run.solution
     far = f + QUOTIENT_STEPS[0] * d
-    if sign > 0 and not check_supersolution(A, far, omap, bracket.upper):
-        raise ValueError("bracket invalid: upper bound is not a supersolution at f + max(s) d")
+    if sign > 0 and not check_supersolution(A, far, omap, A.solve(far)):
+        raise ValueError("bracket invalid: A^-1 (f + max(s) d) is not a supersolution there")
     if sign < 0 and not check_subsolution(A, far, omap, bracket.lower):
         raise ValueError("bracket invalid: lower bound is not a subsolution at f + max(s) d")
 

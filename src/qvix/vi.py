@@ -47,6 +47,7 @@ residual gate and differ by roundoff.  ``PDAS_MAX_ITER`` counts round 1;
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,8 @@ from .fem import (
     NodalFunction,
     TridiagonalSpd,
 )
+
+log = logging.getLogger("qvix")
 
 
 class ViSolveError(RuntimeError):
@@ -354,6 +357,7 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     if residual > VI_TOL:
         raise ViSolveError(f"terminal complementarity residual {residual:.3e} exceeds {VI_TOL:.1e}")
 
+    log.debug("obstacle solve: %d rounds, %d nodes pinned", iters, np.count_nonzero(active))
     return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
                       iterations=iters, residual=residual, active=active)
 

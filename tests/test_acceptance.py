@@ -99,7 +99,7 @@ def test_criterion_02_toy_sensitivity():
     t0 = time.perf_counter()
     grid, A, omap, f = toy_problem()
     d = DualElement.constant(grid, 1.0)
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = IntervalBracket.default(A, f)
     report = fd_validate(A, f, d, omap, bracket, "min")
     assert [s for s, _ in report.fd_table] == [1e-1, 1e-2, 1e-3, 1e-4]
     assert v_norm(report.alpha) <= 1e-10
@@ -157,7 +157,7 @@ def test_criterion_05_monotone_iterates_on_bundled_configs():
         from qvix.experiments import build_problem
         problem = build_problem(cfg)
         A, f, omap = problem.operator, problem.forcing, problem.omap
-        bracket = IntervalBracket.default(A, f, problem.direction)
+        bracket = IntervalBracket.default(A, f)
         runs = ["min", "max"] if cfg.run == "both" else [cfg.run]
         for which in runs:
             if which == "min":
@@ -249,7 +249,7 @@ def test_criterion_09_positive_homogeneity_on_bundled_configs():
         problem = build_problem(cfg)
         A, f, d, omap = (problem.operator, problem.forcing, problem.direction,
                          problem.omap)
-        bracket = IntervalBracket.default(A, f, d)
+        bracket = IntervalBracket.default(A, f)
         if cfg.run == "min":
             base = iterate_min(A, f, omap, bracket.lower).solution
         else:

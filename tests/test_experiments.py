@@ -151,7 +151,7 @@ def test_solution_csv_class_column_matches_partition(tmp_path):
 def test_a_solution_table_forms_the_multiplier_once(tmp_path, multiplier_calls):
     problem = build_problem(load_config(CONFIG_DIR / "inverse_elliptic_max.json"))
     A, f, omap = problem.operator, problem.forcing, problem.omap
-    bracket = IntervalBracket.default(A, f, problem.direction)
+    bracket = IntervalBracket.default(A, f)
     reports = {"min": iterate_min(A, f, omap, bracket.lower),
                "max": iterate_max(A, f, omap, bracket.upper)}
     for which, report in reports.items():
@@ -297,18 +297,34 @@ def test_direction_without_sensitivity_changes_no_byte(tmp_path, raw):
     assert written[1.0] == written[0.0]
 
 
-def test_temperature_stall_reports_residual_and_tolerance(tmp_path):
+def _stall_desk(forcing, mould):
     cfg = json.loads((CONFIG_DIR / "thermoforming_desk.json").read_text())
     cfg["grid"]["n_nodes"] = 201
-    cfg["forcing"] = {"const": 1.472}
-    cfg["map"]["mould"] = {"const": 2.727}
-    artifacts = run_experiment(parse_config(cfg), out_dir=tmp_path, seed=0)
+    cfg["forcing"] = {"const": forcing}
+    cfg["map"]["mould"] = {"const": mould}
+    return parse_config(cfg)
+
+
+def test_temperature_stall_reports_residual_and_tolerance(tmp_path):
+    # the min run's own temperature solve stalls: the membrane sits within
+    # the heating band (gap < 1) of a mould at 1.5
+    artifacts = run_experiment(_stall_desk(1.0, 1.5), out_dir=tmp_path, seed=0)
     [failure] = artifacts.failures
+    assert failure.startswith("min: temperature solve stalled")
     match = re.search(r"temperature solve stalled at residual (\S+) against (\S+) ", failure)
     assert match, failure
     residual, tol = map(float, match.groups())
     assert tol == 2e-12  # 1e-12 * (1 + heat_max)
     assert residual > tol
+
+
+def test_quotient_check_stays_below_the_heating_band(tmp_path):
+    # the quotient check of a min run tests A^-1 (f + 0.1 d) = 1.572, a gap
+    # of 1.155 to the mould and so no heat; a top A^-1 (f + d) = 2.472 would
+    # sit in the heating band, and its temperature solve stalled there
+    artifacts = run_experiment(_stall_desk(1.472, 2.727), out_dir=tmp_path, seed=0)
+    assert artifacts.ok, artifacts.failures
+    assert "sensitivity_min" in artifacts.files
 
 
 def test_stall_after_the_run_is_recorded_as_its_failure(tmp_path, monkeypatch):

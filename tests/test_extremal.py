@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from qvix import (
     ScalarNonlinearity,
     ThermoformingMap,
     assemble_operator,
+    build_cone,
     check_subsolution,
     check_supersolution,
     classify_active,
@@ -26,6 +28,7 @@ from qvix import (
     leq,
     multiplier,
     qvi_residual,
+    solve_derivative_qvi,
     solve_vi,
     v_norm,
 )
@@ -33,29 +36,34 @@ from qvix import vi
 from qvix.experiments import build_problem, parse_config
 from qvix.extremal import _monotone_limit, _obstacle_residual
 from qvix.fem import TridiagonalSpd
+from qvix.sensitivity import QUOTIENT_STEPS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_default_supersolution_constants(toy):
+    # the top is A^-1 f at every source: 2 + s on the toy forcing 2 + s
     grid, A, omap, f = toy
-    up0 = IntervalBracket.default(A, f, DualElement.zeros(grid)).upper
-    assert np.max(np.abs(up0.values - 2.0)) <= 1e-11
-    up1 = IntervalBracket.default(A, f, DualElement.constant(grid, 1.0)).upper
-    assert np.max(np.abs(up1.values - 3.0)) <= 1e-11
     for s in (0.0, 0.5, 1.0):
         shifted = f + DualElement.constant(grid, s)
-        assert check_supersolution(A, shifted, omap, up1)
+        up = IntervalBracket.default(A, shifted).upper
+        assert up.values.tobytes() == A.solve(shifted).values.tobytes()
+        assert np.max(np.abs(up.values - (2.0 + s))) <= 1e-11
+        assert check_supersolution(A, shifted, omap, up)
 
 
 def test_default_supersolution_dominates_plain_solve():
+    # the top is the plain solve A^-1 f, and S(f, phi) <= A^-1 f for any
+    # obstacle phi: the tightest supersolution the source gives, whatever the map
     rng = np.random.default_rng(61)
     g = Grid(30)
     A = assemble_operator(g, 1.0, "neumann")
     for _ in range(20):
         f = DualElement(g, rng.uniform(-1, 2, g.n_nodes))
-        d = DualElement(g, rng.uniform(0, 1, g.n_nodes))
-        assert leq(A.solve(f), IntervalBracket.default(A, f, d).upper, 1e-11)
+        phi = NodalFunction(g, rng.uniform(-1, 3, g.n_nodes))
+        upper = IntervalBracket.default(A, f).upper
+        assert upper.values.tobytes() == A.solve(f).values.tobytes()
+        assert leq(solve_vi(A, f, phi).u, upper, 1e-11)
 
 
 def test_toy_forcing_equals_max_of_operator_images(toy):
@@ -91,10 +99,35 @@ def test_iterate_min_toy(toy):
 
 def test_iterate_max_toy(toy):
     grid, A, omap, f = toy
-    start = IntervalBracket.default(A, f, DualElement.constant(grid, 1.0)).upper
+    # A^-1 (f + 1) = 3, strictly above the maximal solution 2 = A^-1 f
+    start = A.solve(f + DualElement.constant(grid, 1.0))
     report = iterate_max(A, f, omap, start)
+    assert report.n_iters > 1
     assert np.max(np.abs(report.solution.values - 2.0)) <= 1e-8
     assert max(report.max_delta_history) <= 1e-10
+
+
+def test_runs_log_one_info_line_per_outer_step(toy, caplog):
+    grid, A, omap, f = toy
+    caplog.set_level(logging.DEBUG, logger="qvix")
+    report = iterate_max(A, f, omap, A.solve(f + DualElement.constant(grid, 1.0)))
+    info = [r for r in caplog.records if r.levelno == logging.INFO]
+    debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    assert report.n_iters > 1
+    assert [r.getMessage() for r in info] == [
+        f"extremal max step {k}: V-norm step {step:.3e}"
+        for k, step in enumerate(report.step_history, 1)]
+    assert len(debug) == report.n_iters  # one per obstacle solve
+    assert all(r.getMessage().startswith("obstacle solve: ") for r in debug)
+    assert all(r.name == "qvix" for r in caplog.records)
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    caplog.clear()
+    cone = build_cone(A, f, omap, report.solution, report.obstacle)
+    deriv = solve_derivative_qvi(cone, DualElement.constant(grid, -1.0), "max")
+    info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(info) == len(deriv.alpha_iterates) - 1  # the first cone solve is no step
+    assert all(m.startswith("derivative step ") for m in info)
 
 
 def test_iterate_from_fixed_point_stops_immediately(toy):
@@ -170,14 +203,24 @@ def test_max_outer_exhaustion_reports_contraction(toy, monkeypatch):
 
 def test_bracket_default_and_validate(toy):
     grid, A, omap, f = toy
-    bracket = IntervalBracket.default(A, f, DualElement.constant(grid, 1.0))
+    bracket = IntervalBracket.default(A, f)
     assert bracket.validate(A, f, omap)
-    assert np.max(np.abs(bracket.upper.values - 3.0)) <= 1e-11
+    assert np.all(bracket.lower.values == 0.0)
+    assert np.max(np.abs(bracket.upper.values - 2.0)) <= 1e-11
+    # the point the quotient check of a min run tests at its farthest source
+    far = f + QUOTIENT_STEPS[0] * DualElement.constant(grid, 1.0)
+    assert np.max(np.abs(A.solve(far).values - (2.0 + QUOTIENT_STEPS[0]))) <= 1e-11
+    assert IntervalBracket.default(A, far).validate(A, far, omap)
+
+
+def _wide_bracket(A, f, d):
+    """Zero and A^-1 (f + d), a top strictly above A^-1 f for d > 0."""
+    return IntervalBracket(lower=NodalFunction.zeros(A.grid), upper=A.solve(f + d))
 
 
 def test_sandwich_property(toy):
     grid, A, omap, f = toy
-    bracket = IntervalBracket.default(A, f, DualElement.constant(grid, 1.0))
+    bracket = _wide_bracket(A, f, DualElement.constant(grid, 1.0))
     rmin = iterate_min(A, f, omap, bracket.lower)
     rmax = iterate_max(A, f, omap, bracket.upper)
     assert leq(bracket.lower, rmin.solution, 1e-10)
@@ -188,7 +231,7 @@ def test_sandwich_property(toy):
 def test_comparison_in_f(toy):
     grid, A, omap, f = toy
     d = DualElement.constant(grid, 1.0)
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = _wide_bracket(A, f, d)
     assert comparison_in_f(A, f, d, 0.0, omap, bracket, "min")
     assert comparison_in_f(A, f, d, 0.1, omap, bracket, "min")
     d_neg = DualElement.constant(grid, -0.5)
@@ -207,7 +250,7 @@ def test_comparison_in_f_randomized_thermoforming():
                                 rng.uniform(0.05, 0.15))
         f = DualElement(g, rng.uniform(0.3, 2.8, g.n_nodes))
         d = DualElement(g, rng.uniform(0.0, 1.0, g.n_nodes))
-        bracket = IntervalBracket.default(A, f, d)
+        bracket = IntervalBracket.default(A, f)
         assert comparison_in_f(A, f, d, rng.uniform(0.05, 0.5), omap, bracket, "min")
 
 
@@ -231,7 +274,7 @@ def test_minimality_against_multistart_enumeration():
     omap = PlateauMap(g, [1.0, 2.0], 0.25)
     f = DualElement.constant(g, 2.0)
     d = DualElement.constant(g, 1.0)
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = _wide_bracket(A, f, d)
     rmin = iterate_min(A, f, omap, bracket.lower)
     rmax = iterate_max(A, f, omap, bracket.upper)
 
@@ -270,7 +313,7 @@ def test_monotone_limit_step_norms_keep_the_bits_of_v_norm():
     path.append(path[-1])  # an exactly-zero last step ends the loop
     feed = iter(path[1:])
     u, steps, mins, maxs = _monotone_limit(lambda _: next(feed), path[0], 1.0, 0.0, 10,
-                                           ExtremalIterationError, "{order}", "cap")
+                                           ExtremalIterationError, "{order}", "cap", "test")
     assert u is path[-1]
     assert steps == tuple(v_norm(b - a) for a, b in zip(path, path[1:]))
     assert mins == tuple(float(np.min(b.values - a.values)) for a, b in zip(path, path[1:]))
@@ -286,13 +329,13 @@ def test_monotone_limit_keeps_the_checks_of_the_step_difference(nxt, error, matc
     start = NodalFunction.constant(Grid(11), -1e308)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
         _monotone_limit(lambda _: nxt, start, 1.0, 0.0, 10, ExtremalIterationError,
-                        "{order}", "cap")
+                        "{order}", "cap", "test")
 
 
 def test_warm_steps_reuse_the_reduced_factor(monkeypatch):
     problem = _bundled_problem("inverse_elliptic_max", 401)
     A, f, omap = problem.operator, problem.forcing, problem.omap
-    start = IntervalBracket.default(A, f, problem.direction).upper
+    start = IntervalBracket.default(A, f).upper
     phi = omap.evaluate(start)
     first = solve_vi(A, f, phi)
     active0 = np.ones(A.grid.n_nodes, dtype=bool)
@@ -321,7 +364,7 @@ def test_warm_steps_reuse_the_reduced_factor(monkeypatch):
 def test_limit_of_a_zero_last_step_reuses_its_obstacle(name, monkeypatch):
     problem = _bundled_problem(name)
     A, f, omap = problem.operator, problem.forcing, problem.omap
-    bracket = IntervalBracket.default(A, f, problem.direction)
+    bracket = IntervalBracket.default(A, f)
     run, start = (iterate_min, bracket.lower) if problem.config.run == "min" \
         else (iterate_max, bracket.upper)
     evaluate = type(omap).evaluate
@@ -347,7 +390,7 @@ def test_limit_of_a_zero_last_step_reuses_its_obstacle(name, monkeypatch):
 def test_warm_sets_come_from_the_step_without_a_partition(monkeypatch):
     problem = _bundled_problem("inverse_elliptic_max")
     A, f, omap = problem.operator, problem.forcing, problem.omap
-    start = IntervalBracket.default(A, f, problem.direction).upper
+    start = IntervalBracket.default(A, f).upper
     classified, solves = [], []
     tol_active, post_init, solve = vi.default_tol_active, ActiveSetPartition.__post_init__, \
         vi.solve_vi

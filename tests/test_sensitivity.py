@@ -198,7 +198,7 @@ def test_positive_homogeneity_toy_and_inverse_elliptic(toy):
     f2 = DualElement(g, 1.0 + 3.0 * np.sin(np.pi * g.nodes))
     d2 = DualElement.constant(g, -0.5)
     base2 = iterate_max(A2, f2, omap2,
-                        IntervalBracket.default(A2, f2, d2).upper).solution
+                        IntervalBracket.default(A2, f2).upper).solution
     cone2 = build_cone(A2, f2, omap2, base2)
     b1 = solve_derivative_qvi(cone2, d2, "max").alpha
     for c in (2.0, 10.0):
@@ -209,7 +209,7 @@ def test_positive_homogeneity_toy_and_inverse_elliptic(toy):
 def test_fd_validate_toy_quotients_vanish(toy):
     grid, A, omap, f = toy
     d = DualElement.constant(grid, 1.0)
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = IntervalBracket.default(A, f)
     report = fd_validate(A, f, d, omap, bracket, "min")
     assert v_norm(report.alpha) <= 1e-10
     for _, err in report.fd_table:
@@ -223,7 +223,7 @@ def test_fd_validate_unconstrained_quotients_are_exact():
     omap = ThermoformingMap(NodalFunction.constant(g, 6.0), 1.0, 1.0, 0.1)
     f = DualElement.constant(g, 1.0)
     d = DualElement.constant(g, 1.0)
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = IntervalBracket.default(A, f)
     report = fd_validate(A, f, d, omap, bracket, "min")
     assert v_norm(report.alpha - A.solve(d)) <= 1e-9
     for _, err in report.fd_table:
@@ -237,7 +237,7 @@ def test_fd_validate_partial_contact_thermoforming_decreases():
     omap = ThermoformingMap(NodalFunction.constant(g, 3.0), 1.0, 1.0, 0.1)
     f = DualElement(g, 2.6 + 0.8 * np.sin(np.pi * g.nodes))
     d = DualElement.constant(g, 1.0)
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = IntervalBracket.default(A, f)
     report = fd_validate(A, f, d, omap, bracket, "min")
     assert report.fd_monotone
     assert report.fd_table[-1][1] <= 1e-3 * (1.0 + v_norm(report.alpha))
@@ -247,7 +247,7 @@ def test_quotient_steps_and_tolerance_are_read_when_the_check_runs(monkeypatch):
     # final errors 1.5e-8 at the default last step 1e-4, 0.115 at 1e-1;
     # 1e-3 * (1 + ||alpha||_V) is 1.25e-3
     A, f, d, omap = _thermoforming_partial_contact()
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = IntervalBracket.default(A, f)
     monkeypatch.setattr("qvix.sensitivity.QUOTIENT_STEPS", (1e-1,))
     with pytest.raises(DerivativeSolveError, match="final quotient error"):
         fd_validate(A, f, d, omap, bracket, "min")
@@ -262,7 +262,7 @@ def test_quotient_steps_and_tolerance_are_read_when_the_check_runs(monkeypatch):
 def test_fd_validate_input_checks(toy):
     grid, A, omap, f = toy
     d = DualElement.constant(grid, 1.0)
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = IntervalBracket.default(A, f)
     with pytest.raises(ValueError):
         fd_validate(A, f, d, omap, bracket, "both")
 
@@ -279,9 +279,34 @@ def test_fd_validate_rejects_invalid_bracket_for_max(toy):
     grid, A, omap, f = toy
     # f + s_max * d dips below zero, so zero stops being a subsolution
     d = DualElement.constant(grid, -30.0)
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = IntervalBracket.default(A, f)
     with pytest.raises(ValueError, match="bracket invalid"):
         fd_validate(A, f, d, omap, bracket, "max")
+
+
+@pytest.mark.parametrize("which", ["min", "max"])
+def test_quotient_check_tests_one_bound_at_the_farthest_source(monkeypatch, toy, which):
+    # a min run's check builds its own supersolution A^-1 (f + max(s) d);
+    # a max run's checks the bracket's zero bottom there
+    grid, A, omap, f = toy
+    d = DualElement.constant(grid, 1.0 if which == "min" else -1.0)
+    far = f + qvix.sensitivity.QUOTIENT_STEPS[0] * d
+    bracket = IntervalBracket.default(A, f)
+    checks = []
+    for name in ("check_subsolution", "check_supersolution"):
+        def recording(A_, f_, omap_, u, name=name, check=getattr(qvix.sensitivity, name)):
+            checks.append((name, f_, u))
+            return check(A_, f_, omap_, u)
+        monkeypatch.setattr(f"qvix.sensitivity.{name}", recording)
+    fd_validate(A, f, d, omap, bracket, which)
+    [(name, source, point)] = checks
+    assert source.values.tobytes() == far.values.tobytes()
+    if which == "min":
+        assert name == "check_supersolution"
+        assert point.values.tobytes() == A.solve(far).values.tobytes()
+    else:
+        assert name == "check_subsolution"
+        assert point is bracket.lower
 
 
 def test_strict_complementarity_collapse_to_reduced_linear_system():
@@ -312,7 +337,7 @@ def test_dirichlet_end_to_end_sensitivity(monkeypatch):
                               ScalarNonlinearity("tanh", 2.0))
     f = DualElement(g, 1.0 + 2.0 * np.sin(np.pi * g.nodes))
     d = DualElement(g, np.minimum(g.nodes, 1.0 - g.nodes))
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = IntervalBracket.default(A, f)
     runs = []
 
     def recording_run(*args, **kwargs):
@@ -379,7 +404,7 @@ def test_slow_dirichlet_derivative_shares_the_outer_budget():
     raw["map"]["gain"]["scale"] = 1.25
     problem = build_problem(parse_config(raw))
     A, f, d = problem.operator, problem.forcing, problem.direction
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = IntervalBracket.default(A, f)
     report = fd_validate(A, f, d, problem.omap, bracket, "max")
     assert len(report.alpha_iterates) > 100
     assert report.fd_monotone
@@ -391,7 +416,7 @@ def test_slow_dirichlet_derivative_shares_the_outer_budget():
 def test_alpha_iterates_decrease_for_max(toy):
     grid, A, omap, f = toy
     base = iterate_max(A, f, omap,
-                       IntervalBracket.default(A, f, None).upper).solution
+                       IntervalBracket.default(A, f).upper).solution
     cone = build_cone(A, f, omap, base)
     report = solve_derivative_qvi(cone, DualElement.constant(grid, -1.0), "max")
     assert np.max(np.abs(report.alpha.values + 1.0)) <= 1e-10
@@ -442,7 +467,7 @@ def _thermoforming_partial_contact():
 def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, instance, which,
                                                                  partition):
     A, f, d, omap = instance()
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = IntervalBracket.default(A, f)
     run_name = f"iterate_{which}"
     run = getattr(qvix.sensitivity, run_name)
     seeds, runs = [], []
@@ -489,7 +514,7 @@ def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, ins
 
 def test_derivative_iteration_linearises_once_per_base(monkeypatch):
     A, f, d, omap = _bundled("inverse_elliptic_max", 201)
-    run = iterate_max(A, f, omap, IntervalBracket.default(A, f, d).upper)
+    run = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
     cone = build_cone(A, f, omap, run.solution, run.obstacle)
     slopes = []
     slope = ScalarNonlinearity.slope
@@ -505,7 +530,7 @@ def test_derivative_iteration_linearises_once_per_base(monkeypatch):
                                          ("thermoforming_desk", "min")])
 def test_a_cone_forms_the_multiplier_once(multiplier_calls, name, which):
     A, f, d, omap = _bundled(name, 101)
-    bracket = IntervalBracket.default(A, f, d)
+    bracket = IntervalBracket.default(A, f)
     run = iterate_min(A, f, omap, bracket.lower) if which == "min" \
         else iterate_max(A, f, omap, bracket.upper)
     multiplier_calls.clear()

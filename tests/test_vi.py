@@ -93,7 +93,7 @@ def _first_obstacle_solve_data(n, bc):
         raw["forcing"]["sine"]["offset"] = 20.0
     problem = build_problem(parse_config(raw))
     A, f = problem.operator, problem.forcing
-    start = IntervalBracket.default(A, f, problem.direction).upper
+    start = IntervalBracket.default(A, f).upper
     return A, f, problem.omap.evaluate(start)
 
 
@@ -165,7 +165,7 @@ def test_first_fine_round_ends_only_on_a_settled_set():
         raw["grid"]["n_nodes"] = n
         problem = build_problem(parse_config(raw))
         A, f = problem.operator, problem.forcing
-        phi = problem.omap.evaluate(IntervalBracket.default(A, f, problem.direction).upper)
+        phi = problem.omap.evaluate(IntervalBracket.default(A, f).upper)
         cold = solve_vi(A, f, phi)
         every = solve_vi(A, f, phi, active0=np.ones(n, dtype=bool))
         assert (cold.iterations, every.iterations) == (1, every_rounds)
