@@ -33,8 +33,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # only a level name is a level: logging.BASIC_FORMAT, say, is a string
-    level = getattr(logging, os.environ.get("QVIX_LOG", "WARNING").upper(), None)
+    # a number or a level name is a level: logging.BASIC_FORMAT, say, is a string
+    name = os.environ.get("QVIX_LOG", "WARNING")
+    level = int(name) if name.isdecimal() else getattr(logging, name.upper(), None)
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")

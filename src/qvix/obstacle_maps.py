@@ -84,14 +84,16 @@ class ObstacleMap(abc.ABC):
     """Increasing map from membrane states to obstacle functions.
 
     A map keeps the work it repeats at one input in one-entry slots
-    (``fem._kept``): the linearisation at the last state, and the modes of
-    the last boundary condition ``lipschitz_estimate`` was asked for.
+    (``fem._kept``): the linearisation at the last state, the modes of
+    the last boundary condition ``lipschitz_estimate`` was asked for, and
+    the last extremal run (``extremal._kept_run``).
     """
 
     kind: str
     # (key, value) of the last _kept call per slot; None until the first
     _state_entry = None
     _modes_entry = None
+    _run_entry = None
 
     @property
     @abc.abstractmethod

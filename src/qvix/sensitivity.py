@@ -171,7 +171,10 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
                 oracle_check: bool = False) -> DerivativeReport:
     """Compare the derivative against one-sided difference quotients.
 
-    Each step of ``QUOTIENT_STEPS`` re-runs the extremal iteration at the
+    The base run is the map's kept run (``extremal._kept_run``) when the
+    caller has just run the same extremal iteration from the bracket, as
+    ``run_experiment`` does, and is computed otherwise.  Each step of
+    ``QUOTIENT_STEPS`` re-runs the extremal iteration at the
     shifted source, warm-started at the base solution (the selection the
     derivative describes); its first obstacle solve starts from the set
     the base run's last solve settled on, a warm start as in ``solve_vi``.

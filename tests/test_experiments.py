@@ -429,7 +429,9 @@ def test_failed_sensitivity_recorded_with_partial_artifacts(tmp_path):
 
 @pytest.mark.parametrize("name, level", [("BASIC_FORMAT", logging.WARNING),
                                          ("no_such_level", logging.WARNING),
-                                         ("info", logging.INFO)])
+                                         ("info", logging.INFO),
+                                         ("20", logging.INFO),
+                                         ("10", logging.DEBUG)])
 def test_cli_log_level_from_environment(monkeypatch, name, level):
     # basicConfig acts only on a root logger without handlers; pytest adds its own
     monkeypatch.setattr(logging.root, "handlers", [])

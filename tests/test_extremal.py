@@ -32,8 +32,11 @@ from qvix import (
     solve_vi,
     v_norm,
 )
+import qvix.experiments
+import qvix.extremal
+import qvix.sensitivity
 from qvix import vi
-from qvix.experiments import build_problem, parse_config
+from qvix.experiments import build_problem, parse_config, run_experiment
 from qvix.extremal import _monotone_limit, _obstacle_residual
 from qvix.fem import TridiagonalSpd
 from qvix.sensitivity import QUOTIENT_STEPS
@@ -424,3 +427,99 @@ def test_warm_sets_come_from_the_step_without_a_partition(monkeypatch):
         assert not sol.active.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         report.active[0] = not report.active[0]
+
+
+def _small_toy():
+    """The toy instance on a grid small enough for oracle cross-checks."""
+    grid = Grid(vi.ORACLE_MAX_NODES)
+    A = assemble_operator(grid, 1.0, "neumann")
+    return grid, A, PlateauMap(grid, [1.0, 2.0], 0.25), DualElement.constant(grid, 2.0)
+
+
+def _counting(monkeypatch, module, name):
+    """A list that gains an entry at every call of ``module.name``."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_repeated_run_returns_the_kept_report(toy, monkeypatch):
+    grid, A, omap, f = toy
+    start = IntervalBracket.default(A, f).upper
+    first = iterate_max(A, f, omap, start)
+    solves = _counting(monkeypatch, qvix.extremal, "solve_vi")
+    # equal inputs in new objects: the key holds their bytes
+    again = iterate_max(A, DualElement(grid, f.values), omap, NodalFunction(grid, start.values))
+    assert again is first
+    assert not solves
+
+
+@pytest.mark.parametrize("change", ["f", "start", "which", "active0", "oracle_check"])
+def test_a_run_with_one_input_changed_is_computed(change, monkeypatch):
+    # 1 is a fixed point, so the runs from it either way and at either source stay there
+    grid, A, omap, f = _small_toy()
+    base = dict(f=f, start=NodalFunction.constant(grid, 1.0), which="min", active0=None,
+                oracle_check=False)
+    other = {"f": f + DualElement.constant(grid, 1.0), "start": NodalFunction.zeros(grid),
+             "which": "max", "active0": np.ones(grid.n_nodes, dtype=bool),
+             "oracle_check": True}
+    changed = dict(base, **{change: other[change]})
+    runs = _counting(monkeypatch, qvix.extremal, "_iterate")
+
+    def run(which, f, start, oracle_check, active0):
+        it = iterate_min if which == "min" else iterate_max
+        return it(A, f, omap, start, oracle_check, active0=active0)
+
+    first = run(**base)
+    assert run(**changed) is not first
+    assert len(runs) == 2
+
+
+def test_a_run_that_raises_is_not_kept(toy, monkeypatch):
+    grid, A, omap, f = toy
+    kept = iterate_min(A, f, omap, NodalFunction.zeros(grid))
+    runs = _counting(monkeypatch, qvix.extremal, "_iterate")
+    # 2.5 lies above the maximal solution: the first step goes down
+    for _ in range(2):
+        with pytest.raises(ExtremalIterationError, match="lost monotonicity"):
+            iterate_min(A, f, omap, NodalFunction.constant(grid, 2.5))
+    assert len(runs) == 2
+    assert iterate_min(A, f, omap, NodalFunction.zeros(grid)) is kept
+
+
+def test_a_load_on_another_grid_is_refused_after_a_kept_run(toy):
+    grid, A, omap, f = toy
+    start = NodalFunction.zeros(grid)
+    iterate_min(A, f, omap, start)
+    # the same bytes on a grid of the same size: the key holds the grids too
+    elsewhere = DualElement(Grid(grid.n_nodes, (0.0, 2.0)), f.values)
+    with pytest.raises(GridMismatchError):
+        iterate_min(A, elsewhere, omap, start)
+
+
+def test_fd_validate_reuses_the_base_run_of_run_experiment(tmp_path, monkeypatch):
+    raw = json.loads(CONFIG_DIR.joinpath("toy_min.json").read_text())
+    base_calls = _counting(monkeypatch, qvix.experiments, "iterate_min")
+    fd_calls = _counting(monkeypatch, qvix.sensitivity, "iterate_min")
+    runs = _counting(monkeypatch, qvix.extremal, "_iterate")
+    artifacts = run_experiment(parse_config(raw), out_dir=tmp_path)
+    assert artifacts.ok, artifacts.failures
+    # the base run, fd_validate's repeat of it, and one run per quotient step
+    assert len(base_calls) == 1 and len(fd_calls) == 1 + len(QUOTIENT_STEPS)
+    assert len(runs) == 1 + len(QUOTIENT_STEPS)
+
+
+def test_a_reused_run_logs_one_info_line(toy, caplog):
+    grid, A, omap, f = toy
+    start = IntervalBracket.default(A, f).upper
+    report = iterate_max(A, f, omap, start)
+    caplog.set_level(logging.DEBUG, logger="qvix")
+    assert iterate_max(A, f, omap, start) is report
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("qvix", logging.INFO,
+         f"extremal max: reused the run at this load and start ({report.n_iters} steps)")]
