@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import vi
 from .fem import DualElement, EllipticOperator, NodalFunction, _kept, _v_norm_values, leq
 from .obstacle_maps import ObstacleMap
 from .vi import complementarity_residual, multiplier, oracle_vi, solve_vi
@@ -165,9 +164,6 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
              start: NodalFunction, which: str, oracle_check: bool,
              active0: np.ndarray | None) -> ExtremalRunReport:
     sign = _sign(which)
-    if oracle_check and A.grid.n_nodes > vi.ORACLE_MAX_NODES:
-        raise ValueError("oracle cross-checks need a grid with at most "
-                         f"{vi.ORACLE_MAX_NODES} nodes")
     residuals: list[float] = []
     last_step = None  # input and obstacle of the latest step
 

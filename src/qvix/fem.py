@@ -25,7 +25,7 @@ class GridMismatchError(ValueError):
 
 
 class SingularOperatorError(ValueError):
-    """The requested operator or reduced system has no unique solution."""
+    """The requested operator or pinned system has no unique solution."""
 
 
 @dataclass(frozen=True)
@@ -157,17 +157,18 @@ class TridiagonalSpd:
     ``dpttrs`` sweep.  That is the ``ptsv`` arithmetic ``solveh_banded``
     runs for a two-row band, so results keep their bits.
 
-    The reduced system of the last pinned set is kept as well, keyed by
-    the bytes of the pinned mask (``_pinned_reduction``): obstacle solves
-    that pin the same set in consecutive rounds build and factor its
-    principal submatrix once.
+    The pinned system of the last pinned set is kept as well, keyed by
+    the bytes of the pinned mask (``_pinned_system``): obstacle solves
+    that pin the same set in consecutive rounds build and factor it once.
     """
 
-    __slots__ = ("diag", "upper", "_factor", "_reduced")
+    __slots__ = ("diag", "upper", "_factor", "_pinned")
 
     def __init__(self, diag, upper):
         d = np.array(diag, dtype=float, copy=True)
         u = np.array(upper, dtype=float, copy=True)
+        if d.shape[0] < 2:  # banded LAPACK drivers reject 1x1 systems
+            raise ValueError(f"need at least 2 rows, got {d.shape[0]}")
         if u.shape != (d.shape[0] - 1,):
             raise ValueError("upper band must have length n-1")
         d.flags.writeable = False
@@ -175,7 +176,7 @@ class TridiagonalSpd:
         self.diag = d
         self.upper = u
         self._factor = None
-        self._reduced = None
+        self._pinned = None
 
     @property
     def n(self) -> int:
@@ -188,8 +189,6 @@ class TridiagonalSpd:
         return y
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.n == 1:  # banded LAPACK drivers reject 1x1 systems
-            return np.asarray(rhs) / self.diag
         if self._factor is None:
             d, e, info = dpttrf(self.diag, self.upper)
             if info:
@@ -199,26 +198,24 @@ class TridiagonalSpd:
         x, _ = dpttrs(*self._factor, rhs)
         return x
 
-    def _pinned_reduction(self, pinned: np.ndarray):
-        """Unpinned indices of a boolean mask and their principal submatrix.
+    def _pinned_system(self, pinned: np.ndarray) -> "TridiagonalSpd | None":
+        """The matrix with the rows and columns of a boolean mask set to the
+        identity, or None when the mask pins every node.
 
-        The submatrix is None when every node is pinned.  It is kept
-        (``_kept``) for the last mask seen, so a repeated mask reuses the
-        submatrix together with the factor its first solve computed.
+        The zero couplings split the unpinned nodes into blocks, and the
+        LAPACK sweeps subtract an exact +0.0 at each block edge, so with
+        +0.0 on the pinned rows of the right side each block gets the bits
+        of its own solve.  The system is kept (``_kept``) for the last
+        mask seen, so a repeated mask reuses it together with the factor
+        its first solve computed.
         """
-        def reduce():
-            idx = np.flatnonzero(~pinned)
-            idx.flags.writeable = False
-            return idx, self.submatrix(idx) if idx.size else None
+        def build():
+            if pinned.all():
+                return None
+            return TridiagonalSpd(np.where(pinned, 1.0, self.diag),
+                                  np.where(pinned[:-1] | pinned[1:], 0.0, self.upper))
 
-        return _kept(self, "_reduced", pinned.tobytes(), reduce)
-
-    def submatrix(self, idx: np.ndarray) -> "TridiagonalSpd":
-        """Principal submatrix on a sorted index set (still tridiagonal)."""
-        d = self.diag[idx]
-        adjacent = np.diff(idx) == 1
-        u = np.where(adjacent, self.upper[idx[:-1]], 0.0)
-        return TridiagonalSpd(d, u)
+        return _kept(self, "_pinned", pinned.tobytes(), build)
 
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.diag)

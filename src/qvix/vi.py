@@ -225,7 +225,7 @@ def _coarse_problem(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_ma
     P interpolates linearly from the even nodes, so P^T A P is again
     tridiagonal.  Coarsening stops at an even node count, at fewer than
     ``NESTED_MIN_NODES`` coarse nodes, and where the coarse matrix would
-    couple two non-equality nodes positively: the reduced systems of the
+    couple two non-equality nodes positively: the pinned systems of the
     loop then stay M-matrices.  Couplings to equality nodes only move
     pinned values to the right side, so their sign does not matter.
     """
@@ -265,17 +265,20 @@ def _solve_pinned(matrix: TridiagonalSpd, mass, load, target, pinned):
     """Values with the pinned nodes at the target and the equation elsewhere,
     and the multiplier densities (zero on solved rows).
 
-    The reduced system comes from the matrix's kept reduction of its last
-    pinned set, so rounds and solves that pin one set in a row build and
-    factor it once: a settled warm step, the cone solves over one cone.
+    Solves the matrix's kept pinned system (``_pinned_system``) with
+    +0.0 on the pinned rows of the right side, then puts the targets
+    there.  Rounds and solves that pin one set in a row build and factor
+    it once: a settled warm step, the cone solves over one cone.
     """
     u = np.where(pinned, target, 0.0)
-    solve_idx, sub = matrix._pinned_reduction(pinned)
-    if solve_idx.size:
-        coupling = matrix.matvec(u)
-        u[solve_idx] = sub.solve(load[solve_idx] - coupling[solve_idx])
+    system = matrix._pinned_system(pinned)
+    if system is not None:
+        rhs = load - matrix.matvec(u)
+        np.copyto(rhs, 0.0, where=pinned)
+        u = system.solve(rhs)
+        np.copyto(u, target, where=pinned)
     lam = (load - matrix.matvec(u)) / mass
-    lam[solve_idx] = 0.0
+    np.copyto(lam, 0.0, where=~pinned)
     return u, lam
 
 

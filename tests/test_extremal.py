@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -344,23 +345,25 @@ def test_warm_steps_reuse_the_reduced_factor(monkeypatch):
     active0 = np.ones(A.grid.n_nodes, dtype=bool)
     active0[classify_active(f, first.u, phi, multiplier(A, f, first.u)).inactive] = False
 
-    counts = {"submatrix": 0, "rounds": 0}
-    submatrix, solve = TridiagonalSpd.submatrix, vi.solve_vi
+    counts = {"rounds": 0}
+    built = {}  # id -> system, kept alive so that no id is reused
+    pinned_system, solve = TridiagonalSpd._pinned_system, vi.solve_vi
 
-    def counting_submatrix(self, idx):
-        counts["submatrix"] += 1
-        return submatrix(self, idx)
+    def counting_pinned_system(self, pinned):
+        system = pinned_system(self, pinned)
+        built[id(system)] = system
+        return system
 
     def counting_solve(*args, **kwargs):
         sol = solve(*args, **kwargs)
         counts["rounds"] += sol.iterations
         return sol
 
-    monkeypatch.setattr(TridiagonalSpd, "submatrix", counting_submatrix)
+    monkeypatch.setattr(TridiagonalSpd, "_pinned_system", counting_pinned_system)
     monkeypatch.setattr("qvix.extremal.solve_vi", counting_solve)
     report = iterate_max(A, f, omap, start, active0=active0)
     assert report.n_iters > 10
-    assert 0 < counts["submatrix"] < counts["rounds"]
+    assert 0 < len(built) < counts["rounds"]
 
 
 @pytest.mark.parametrize("name", ["toy_min", "toy_max", "thermoforming_desk"])
@@ -434,6 +437,37 @@ def _small_toy():
     grid = Grid(vi.ORACLE_MAX_NODES)
     A = assemble_operator(grid, 1.0, "neumann")
     return grid, A, PlateauMap(grid, [1.0, 2.0], 0.25), DualElement.constant(grid, 2.0)
+
+
+def test_a_limit_above_the_residual_tolerance_raises(toy, monkeypatch):
+    # the toy's maximal solution sits 6.7e-12 above its obstacle
+    grid, A, omap, f = toy
+    monkeypatch.setattr("qvix.extremal.RESIDUAL_TOL", 1e-12)
+    with pytest.raises(ExtremalIterationError,
+                       match=r"^converged iterate has residual \S+ above tolerance 1\.0e-12$"):
+        iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+
+
+def test_a_fast_solve_off_the_oracle_raises(monkeypatch):
+    grid, A, omap, f = _small_toy()
+    oracle = qvix.extremal.oracle_vi
+
+    def shifted(*args):
+        ref = oracle(*args)
+        return replace(ref, u=ref.u + NodalFunction.constant(grid, 2e-9))
+
+    monkeypatch.setattr(qvix.extremal, "oracle_vi", shifted)
+    with pytest.raises(ExtremalIterationError,
+                       match="^fast solve disagrees with the enumeration oracle by 2.000e-09$"):
+        iterate_min(A, f, omap, NodalFunction.zeros(grid), oracle_check=True)
+
+
+def test_an_oracle_check_on_a_large_grid_is_refused_by_the_oracle():
+    grid = Grid(21)
+    A = assemble_operator(grid, 1.0, "neumann")
+    omap, f = PlateauMap(grid, [1.0, 2.0], 0.25), DualElement.constant(grid, 2.0)
+    with pytest.raises(ValueError, match="^oracle enumeration capped at 14 nodes, got 21$"):
+        iterate_max(A, f, omap, IntervalBracket.default(A, f).upper, oracle_check=True)
 
 
 def _counting(monkeypatch, module, name):

@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
 
 from qvix import (
     DualElement,
@@ -17,7 +16,7 @@ from qvix import (
     v_norm,
 )
 from qvix.fem import TridiagonalSpd
-from conftest import random_dual, random_nodal
+from conftest import banded_solve, block_solve, random_dual, random_nodal
 
 
 def test_grid_validation():
@@ -246,14 +245,7 @@ def test_dirichlet_solve_vanishes_on_boundary():
     assert np.all(u.values >= 0.0)
 
 
-def _banded_reference(matrix, rhs):
-    ab = np.zeros((2, matrix.n))
-    ab[0, 1:] = matrix.upper
-    ab[1, :] = matrix.diag
-    return solveh_banded(ab, rhs)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 101, 1601])
+@pytest.mark.parametrize("n", [2, 3, 101, 1601])
 def test_tridiagonal_solve_matches_solveh_banded_bitwise(n):
     rng = np.random.default_rng(n)
     upper = -rng.uniform(0.1, 1.0, n - 1)
@@ -262,18 +254,23 @@ def test_tridiagonal_solve_matches_solveh_banded_bitwise(n):
     # repeated solves on one object reuse its cached factor
     for rhs in (rng.normal(size=n), rng.normal(size=(n, 3)), rng.normal(size=n)):
         x = matrix.solve(rhs)
-        # banded LAPACK rejects a 1x1 system; that case divides
-        ref = rhs / diag if n == 1 else _banded_reference(matrix, rhs)
         assert x.shape == rhs.shape
-        assert np.array_equal(x, ref)
+        assert np.array_equal(x, banded_solve(diag, upper, rhs))
         # each column of a multi-column solve is its own 1-D solve
         for j in range(rhs.shape[1] if rhs.ndim == 2 else 0):
             assert np.array_equal(x[:, j], matrix.solve(np.ascontiguousarray(rhs[:, j])))
     if n >= 3:
-        idx = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
-        sub = matrix.submatrix(idx)
-        rhs = rng.normal(size=idx.size)
-        assert np.array_equal(sub.solve(rhs), _banded_reference(sub, rhs))
+        pinned = rng.uniform(size=n) < 0.5
+        rhs = np.where(pinned, 0.0, rng.normal(size=n))
+        x = matrix._pinned_system(pinned).solve(rhs)
+        assert x.tobytes() == block_solve(matrix, pinned, rhs).tobytes()
+
+
+def test_tridiagonal_refuses_a_1x1_matrix():
+    with pytest.raises(ValueError, match="need at least 2 rows, got 1"):
+        TridiagonalSpd([2.0], [])
+    with pytest.raises(ValueError, match="need at least 2 rows, got 0"):
+        TridiagonalSpd([], [])
 
 
 def test_tridiagonal_solve_rejects_indefinite_matrix():
@@ -285,7 +282,7 @@ def test_tridiagonal_solve_rejects_indefinite_matrix():
 
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
-def test_pinned_reduction_is_kept_per_mask_and_never_stale(bc):
+def test_pinned_system_is_kept_per_mask_and_never_stale(bc):
     n = 201
     matrix = assemble_operator(Grid(n), 1.0, bc).matrix
     rng = np.random.default_rng(5)
@@ -295,11 +292,14 @@ def test_pinned_reduction_is_kept_per_mask_and_never_stale(bc):
     rhs_full = rng.normal(size=n)
     seen = []
     for mask in (mask_a, mask_b, mask_a, mask_a):
-        idx, sub = matrix._pinned_reduction(mask)
-        assert np.array_equal(idx, np.flatnonzero(~mask))
-        rhs = rhs_full[idx]
-        assert np.array_equal(sub.solve(rhs), matrix.submatrix(idx).solve(rhs))
-        seen.append(sub)
+        system = matrix._pinned_system(mask)
+        # the matrix with the masked rows and columns set to the identity
+        identity_rows = np.eye(n)[mask]
+        dense = matrix.to_dense()
+        dense[mask], dense[:, mask] = identity_rows, identity_rows.T
+        assert np.array_equal(system.to_dense(), dense)
+        rhs = np.where(mask, 0.0, rhs_full)
+        assert system.solve(rhs).tobytes() == block_solve(matrix, mask, rhs).tobytes()
+        seen.append(system)
     assert seen[3] is seen[2] and seen[2] is not seen[0]  # only the last mask is kept
-    idx, sub = matrix._pinned_reduction(np.ones(n, dtype=bool))
-    assert idx.size == 0 and sub is None
+    assert matrix._pinned_system(np.ones(n, dtype=bool)) is None  # nothing to solve

@@ -135,6 +135,15 @@ def test_thermoforming_a_priori_bound():
         assert v_norm(tmap.temperature(u)) <= bound + 1e-9
 
 
+def test_a_temperature_above_its_a_priori_bound_raises(monkeypatch):
+    g = Grid(40)
+    tmap = ThermoformingMap(NodalFunction.constant(g, 2.0), 0.7, 1.3, 0.08)
+    # any nonzero temperature lies above a bound of 0
+    monkeypatch.setattr(ThermoformingMap, "temperature_bound", lambda self: 0.0)
+    with pytest.raises(InnerSolveError, match="^temperature violates its a priori bound; "):
+        tmap.temperature(NodalFunction.constant(g, 2.5))
+
+
 def test_thermoforming_newton_path_when_not_contractive():
     # expansion large enough that the coupling bound exceeds 0.9, where a
     # fixed-point iteration need not contract: Newton from zero still

@@ -77,6 +77,17 @@ def test_alpha_cap_reports_unsettled_derivative(toy, monkeypatch):
         solve_derivative_qvi(cone, DualElement.constant(grid, 1.0), "min")
 
 
+def test_a_derivative_above_its_residual_tolerance_raises(toy, monkeypatch):
+    # the toy's max-run derivative ends at residual 3.8e-12
+    grid, A, omap, f = toy
+    run = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    cone = build_cone(A, f, omap, run.solution, run.obstacle)
+    monkeypatch.setattr("qvix.sensitivity.ALPHA_RESIDUAL_TOL", 1e-13)
+    with pytest.raises(DerivativeSolveError,
+                       match=r"^derivative fixed-point residual \S+ above 1\.0e-13$"):
+        solve_derivative_qvi(cone, DualElement.constant(grid, -1.0), "max")
+
+
 def test_derivative_order_violations_raise(toy):
     # the toy cone pins every node to the shift, so a map derivative that
     # points against the run's order drags the second iterate back
@@ -257,6 +268,17 @@ def test_quotient_steps_and_tolerance_are_read_when_the_check_runs(monkeypatch):
         fd_validate(A, f, d, omap, bracket, "min")
     monkeypatch.undo()
     assert len(fd_validate(A, f, d, omap, bracket, "min").fd_table) == 4
+
+
+def test_a_growing_quotient_error_raises_on_a_strictly_complementary_instance(monkeypatch):
+    # no biactive node; the error grows with the step, so steps taken in
+    # increasing order give a table that does not shrink
+    A, f, d, omap = _thermoforming_partial_contact()
+    bracket = IntervalBracket.default(A, f)
+    monkeypatch.setattr("qvix.sensitivity.QUOTIENT_STEPS", qvix.sensitivity.QUOTIENT_STEPS[::-1])
+    with pytest.raises(DerivativeSolveError, match="^quotient error table does not shrink "
+                                                   "on a strictly complementary instance$"):
+        fd_validate(A, f, d, omap, bracket, "min")
 
 
 def test_fd_validate_input_checks(toy):

@@ -23,8 +23,8 @@ from qvix import (
     v_norm,
 )
 from qvix.experiments import build_problem, parse_config
-from qvix.vi import VI_TOL, _coarse_problem, _solve_pinned
-from conftest import random_dual, random_nodal
+from qvix.vi import VI_TOL, _coarse_problem, _pdas, _solve_pinned
+from conftest import block_solve, random_dual, random_nodal
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -77,6 +77,22 @@ def test_pdas_cap_reports_active_set_history(monkeypatch):
     sizes = [int(k) for k in tail.group(1).split(", ")]
     assert len(sizes) == 3 and sizes == sorted(sizes, reverse=True)
     assert len(set(sizes)) == 3  # the front moved in every round
+
+
+def test_a_terminal_residual_above_vi_tol_raises(toy, monkeypatch):
+    # a settled set has residual exactly 0 and a loop that ends on the
+    # residual test stays within VI_TOL, so only a faulty loop trips the
+    # gate: here one that returns its point 1e-9 above the obstacle
+    grid, A, omap, f = toy
+
+    def lifted(*args, **kwargs):
+        u, lam, active, iters = _pdas(*args, **kwargs)
+        return u + 1e-9, lam, active, iters
+
+    monkeypatch.setattr("qvix.vi._pdas", lifted)
+    with pytest.raises(ViSolveError,
+                       match=r"^terminal complementarity residual 1\.0\d\de-09 exceeds 1\.0e-10$"):
+        solve_vi(A, f, omap.evaluate(A.solve(f)))
 
 
 def _first_obstacle_solve_data(n, bc):
@@ -471,15 +487,37 @@ def test_solve_pinned_keeps_its_bits_across_changing_masks(bc):
     mask_b = mask_a.copy()
     mask_b[:n // 3] = False
 
-    def uncached(pinned):
-        u = np.where(pinned, target, 0.0)
-        idx = np.flatnonzero(~pinned)
-        u[idx] = A.matrix.submatrix(idx).solve(load[idx] - A.matrix.matvec(u)[idx])
-        lam = (load - A.matrix.matvec(u)) / mass
-        lam[~pinned] = 0.0
-        return u, lam
-
     for pinned in (mask_a, mask_b, mask_a):
         u, lam = _solve_pinned(A.matrix, mass, load, target, pinned)
-        u_ref, lam_ref = uncached(pinned)
+        u_ref, lam_ref = _block_reference(A.matrix, mass, load, target, pinned)
+        assert u.tobytes() == u_ref.tobytes() and lam.tobytes() == lam_ref.tobytes()
+    # a set that pins every node: the targets, and the multiplier everywhere
+    u, lam = _solve_pinned(A.matrix, mass, load, target, np.ones(n, dtype=bool))
+    assert u.tobytes() == target.tobytes()
+    assert lam.tobytes() == ((load - A.matrix.matvec(target)) / mass).tobytes()
+
+
+def _block_reference(matrix, mass, load, target, pinned):
+    """``_solve_pinned`` with each run of unpinned nodes solved alone."""
+    u = np.where(pinned, target, 0.0)
+    u = np.where(pinned, target, block_solve(matrix, pinned, load - matrix.matvec(u)))
+    lam = (load - matrix.matvec(u)) / mass
+    lam[~pinned] = 0.0
+    return u, lam
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_solve_pinned_solves_each_free_block_alone(bc):
+    # -0.0 planted in load and target: a block must not see the sign of
+    # the one before it, as it would through a stored zero coupling
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(3, 402))
+        A = assemble_operator(Grid(n), float(rng.uniform(0.01, 2.0)), bc)
+        mass = A.grid.mass
+        load = np.where(rng.uniform(size=n) < 0.3, -0.0, rng.normal(size=n))
+        target = np.where(rng.uniform(size=n) < 0.3, -0.0, rng.normal(size=n))
+        pinned = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)) | A.boundary
+        u, lam = _solve_pinned(A.matrix, mass, load, target, pinned)
+        u_ref, lam_ref = _block_reference(A.matrix, mass, load, target, pinned)
         assert u.tobytes() == u_ref.tobytes() and lam.tobytes() == lam_ref.tobytes()
