@@ -46,8 +46,6 @@ GATES = (
     ("sensitivity.py", "if final_err > tol:", "final difference-quotient error"),
     ("obstacle_maps.py", "if v_norm(temp) > self.temperature_bound() + 1e-9:",
      "temperature above its a priori bound"),
-    ("experiments.py", "if oracle_check and problem.grid.n_nodes > vi.ORACLE_MAX_NODES:",
-     "oracle cross-checks on a config grid above the oracle's cap"),
 )
 
 TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")

@@ -8,7 +8,6 @@ import os
 import sys
 
 from .experiments import ConfigError, build_problem, load_config, run_experiment
-from .vi import ORACLE_MAX_NODES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,8 +24,7 @@ def _build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="check a config without running solvers")
     val.add_argument("config", help="path to a JSON experiment config")
 
-    orc = sub.add_parser("oracle", help="run with brute-force cross-checks "
-                                         f"(<= {ORACLE_MAX_NODES} nodes)")
+    orc = sub.add_parser("oracle", help="run with exact cross-checks of every obstacle solve")
     orc.add_argument("config", help="path to a JSON experiment config")
     orc.add_argument("--out", default=None, help="output directory (overrides the config)")
     return parser

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from . import vi
 from .extremal import (
     ExtremalIterationError,
     ExtremalRunReport,
@@ -416,9 +415,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
     ``failures``.  ``seed`` is inert: it is only written to the summary.
     """
     problem = build_problem(config)
-    if oracle_check and problem.grid.n_nodes > vi.ORACLE_MAX_NODES:
-        raise ConfigError("config.grid.n_nodes: oracle cross-checks need at most "
-                          f"{vi.ORACLE_MAX_NODES} nodes")
     target = Path(out_dir) if out_dir is not None else Path(config.output_dir or "qvix_out")
     target.mkdir(parents=True, exist_ok=True)
 

@@ -182,7 +182,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
             gap = float(np.max(np.abs(sol.u.values - ref.u.values)))
             if gap > 1e-9:
                 raise ExtremalIterationError(
-                    f"fast solve disagrees with the enumeration oracle by {gap:.3e}")
+                    f"fast solve disagrees with the exact oracle by {gap:.3e}")
         active0 = sol.active
         return sol.u
 

@@ -11,8 +11,8 @@ boolean node masks.  ``_pose`` is the one place that poses a
 complementarity problem, the obstacle solves here and the derivative's
 cone solves alike: it decides the load, the target and the node roles,
 the Dirichlet rows included.  ``oracle_vi`` re-derives the same
-solution by brute force over all active sets on small grids and is the
-independent cross-check for the fast path.
+solution exactly, by Chandrasekaran's pivoting in rational arithmetic,
+and is the independent cross-check for the fast path at any grid.
 
 A cold loop needs more set changes the finer the grid, because the front
 of the active set moves a few nodes per round.  So the loop takes its
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -73,8 +74,6 @@ VI_TOL = 1e-10
 PDAS_MAX_ITER = 200
 # the nested start coarsens while the coarse grid keeps at least this many nodes
 NESTED_MIN_NODES = 64
-# the enumeration oracle visits 2^n active sets
-ORACLE_MAX_NODES = 14
 
 
 @dataclass(frozen=True)
@@ -365,57 +364,62 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
                       iterations=iters, residual=residual, active=active)
 
 
-def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolution:
-    """Brute-force reference solve: enumerate every active set.
+def _exact(values: np.ndarray) -> np.ndarray:
+    """The doubles of an array as exact fractions, in an object array."""
+    return np.array([Fraction(v) for v in values.tolist()], dtype=object)
 
-    For each candidate set the equality system (u = phi on the set, the
-    plain equation off it) is solved densely; the unique candidate that is
-    feasible with a nonnegative multiplier is returned.  Complexity is
-    2^n, so the grid is capped at ``ORACLE_MAX_NODES`` nodes.
+
+def _exact_solve(system: TridiagonalSpd, rhs: np.ndarray) -> np.ndarray:
+    """The system's solution for a right side of fractions: a Thomas sweep, exact."""
+    diag, upper, x = _exact(system.diag).tolist(), _exact(system.upper).tolist(), rhs.tolist()
+    for i, e in enumerate(upper, 1):
+        m = e / diag[i - 1]
+        diag[i] -= m * e
+        x[i] -= m * x[i - 1]
+    x[-1] /= diag[-1]
+    for i in range(len(upper) - 1, -1, -1):
+        x[i] = (x[i] - upper[i] * x[i + 1]) / diag[i]
+    return np.array(x, dtype=object)
+
+
+def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolution:
+    """Exact reference solve: Chandrasekaran's pivoting in rational arithmetic.
+
+    The problem ``_pose`` returns is a linear complementarity problem with
+    an M-matrix.  Every obstacle node starts pinned; each round solves the
+    system of ``_pinned_system`` exactly and frees the pinned obstacle
+    nodes whose multiplier load - Ku is negative.  The iterate only falls,
+    so a freed node is never pinned again: at most n + 1 rounds, counted
+    in ``iterations`` (Opsearch 7, 1970; Cottle, Pang and Stone, *The
+    Linear Complementarity Problem*, 1992, section 4.7).  ``u`` and ``lam``
+    are the exact values correctly rounded, ``active`` is the final pinned
+    obstacle set.  On ``inverse_elliptic_max``'s final obstacle (2-core
+    host): 8 rounds in 0.04 s at n = 61, 42 in 2.5 s at 401, 83 in 17 s at 801.
     """
     grid = A.grid
-    n = grid.n_nodes
-    if n > ORACLE_MAX_NODES:
-        raise ValueError(f"oracle enumeration capped at {ORACLE_MAX_NODES} nodes, got {n}")
     if f.grid != grid or phi.grid != grid:
         raise GridMismatchError("load/obstacle grid does not match operator grid")
 
-    dense = A.matrix.to_dense()
-    mass = grid.mass
     load, target, eq_mask, free_mask = _pose(A, f.values, phi.values)
-    eligible = np.flatnonzero(~eq_mask)
-    k = eligible.size
-    tol = 1e-11 * (1.0 + float(np.max(np.abs(phi.values))) + float(np.max(np.abs(f.values))))
+    obstacle_mask = ~(eq_mask | free_mask)
+    b, d, e = _exact(load), _exact(A.matrix.diag), _exact(A.matrix.upper)
 
-    codes = np.arange(2 ** k)
-    masks = ((codes[:, None] >> np.arange(k)) & 1).astype(bool)  # (2^k, k)
-    systems = np.broadcast_to(dense, (2 ** k, n, n)).copy()
-    rhs = np.broadcast_to(load, (2 ** k, n)).copy()
-    for pos, node in enumerate(eligible):
-        sel = masks[:, pos]
-        systems[sel, node, :] = 0.0
-        systems[sel, node, node] = 1.0
-        rhs[sel, node] = target[node]
+    def residual(x):  # load - Kx
+        return b - d * x - np.r_[e * x[1:], 0] - np.r_[0, e * x[:-1]]
 
-    candidates = np.linalg.solve(systems, rhs[..., None])[..., 0]
-    lam_all = (load[None, :] - candidates @ dense.T) / mass[None, :]
-    # zero out rows that were solved as equations (roundoff only)
-    active_full = np.zeros((2 ** k, n), dtype=bool)
-    active_full[:, eligible] = masks
-    lam_all = np.where(active_full, lam_all, 0.0)
-
-    feasible = np.all(candidates <= phi.values[None, :] + tol, axis=1)
-    complementary = np.all(lam_all >= -tol / np.min(mass) * np.max(mass), axis=1)
-    ok = np.flatnonzero(feasible & complementary & np.all(np.isfinite(candidates), axis=1))
-    if ok.size == 0:
-        raise ViSolveError("oracle found no feasible complementary active set")
-
-    pick = int(ok[0])
-    u_vals = candidates[pick]
-    lam_vals = lam_all[pick]
-    residual = complementarity_residual(u_vals, target, lam_vals, eq_mask, free_mask)
+    # round 1 pins every node (no node is free here); freed rows solve to r == 0
+    pinned, t = np.ones_like(obstacle_mask), _exact(target)
+    u, r, rounds = t, residual(t), 1
+    while (release := obstacle_mask & (r < 0).astype(bool)).any():
+        pinned &= ~release
+        rhs = np.where(pinned, t, residual(np.where(pinned, t, Fraction(0))))
+        u = _exact_solve(A.matrix._pinned_system(pinned), rhs)  # identity rows keep t
+        r, rounds = residual(u), rounds + 1
+    u_vals, active = u.astype(float), obstacle_mask & pinned
+    lam_vals = np.where(active, r / _exact(grid.mass), 0).astype(float)
     return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
-                      iterations=pick + 1, residual=residual, active=active_full[pick])
+                      iterations=rounds, active=active, residual=complementarity_residual(
+                          u_vals, target, lam_vals, eq_mask, free_mask))
 
 
 def check_comparison(A: EllipticOperator, f1: DualElement, f2: DualElement,

@@ -123,7 +123,7 @@ def test_criterion_03_oracle_equivalence_500():
         ref = oracle_vi(A, f, phi)
         assert np.max(np.abs(fast.u.values - ref.u.values)) <= 1e-9
     assert time.perf_counter() - t0 < 30.0
-    _report(3, "500 random instances match the enumeration oracle")
+    _report(3, "500 random instances match the exact oracle")
 
 
 def test_criterion_04_comparison_principle_suite():

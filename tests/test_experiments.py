@@ -566,6 +566,12 @@ def test_cli_oracle_mode(tmp_path):
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["oracle_check"] is True
 
+    # on 21 nodes, with the CSV files of a plain run
     big = tmp_path / "big.json"
     big.write_text(json.dumps(toy_config_dict()))
-    assert cli_main(["oracle", str(big), "--out", str(tmp_path / "o2")]) == 2
+    assert cli_main(["oracle", str(big), "--out", str(tmp_path / "o2")]) == 0
+    assert cli_main(["run", str(big), "--out", str(tmp_path / "r2")]) == 0
+    written = sorted(path.name for path in (tmp_path / "o2").glob("*.csv"))
+    assert written == sorted(path.name for path in (tmp_path / "r2").glob("*.csv"))
+    for name in written:
+        assert (tmp_path / "o2" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()

@@ -433,8 +433,8 @@ def test_warm_sets_come_from_the_step_without_a_partition(monkeypatch):
 
 
 def _small_toy():
-    """The toy instance on a grid small enough for oracle cross-checks."""
-    grid = Grid(vi.ORACLE_MAX_NODES)
+    """The toy instance on a small grid."""
+    grid = Grid(14)
     A = assemble_operator(grid, 1.0, "neumann")
     return grid, A, PlateauMap(grid, [1.0, 2.0], 0.25), DualElement.constant(grid, 2.0)
 
@@ -458,16 +458,8 @@ def test_a_fast_solve_off_the_oracle_raises(monkeypatch):
 
     monkeypatch.setattr(qvix.extremal, "oracle_vi", shifted)
     with pytest.raises(ExtremalIterationError,
-                       match="^fast solve disagrees with the enumeration oracle by 2.000e-09$"):
+                       match="^fast solve disagrees with the exact oracle by 2.000e-09$"):
         iterate_min(A, f, omap, NodalFunction.zeros(grid), oracle_check=True)
-
-
-def test_an_oracle_check_on_a_large_grid_is_refused_by_the_oracle():
-    grid = Grid(21)
-    A = assemble_operator(grid, 1.0, "neumann")
-    omap, f = PlateauMap(grid, [1.0, 2.0], 0.25), DualElement.constant(grid, 2.0)
-    with pytest.raises(ValueError, match="^oracle enumeration capped at 14 nodes, got 21$"):
-        iterate_max(A, f, omap, IntervalBracket.default(A, f).upper, oracle_check=True)
 
 
 def _counting(monkeypatch, module, name):

@@ -33,8 +33,8 @@ def test_config_examples_parse_and_build():
     text = README.read_text(encoding="utf-8")
     blocks = [block for block in re.findall(r"```json\n(.*?)```", text, re.S)
               if '"version"' in block]
-    # the oracle example under "CLI" and the one under "Config format"
-    assert len(blocks) == 2
+    # the one under "Config format"
+    assert len(blocks) == 1
     for block in blocks:
         build_problem(parse_config(json.loads(block)))
 

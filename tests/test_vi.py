@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 from pathlib import Path
@@ -17,6 +18,8 @@ from qvix import (
     check_comparison,
     classify_active,
     complementarity_residual,
+    iterate_max,
+    iterate_min,
     multiplier,
     oracle_vi,
     solve_vi,
@@ -291,11 +294,73 @@ def test_oracle_active_set_extremes():
     assert not free.active.any() and clamped.active.all()
 
 
-def test_oracle_rejects_large_grids():
-    g = Grid(15)
-    A = assemble_operator(g, 1.0, "neumann")
-    with pytest.raises(ValueError):
-        oracle_vi(A, DualElement.zeros(g), NodalFunction.zeros(g))
+def test_oracle_matches_solve_vi_on_random_instances_up_to_60_nodes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def instances(draw):
+        bc = draw(st.sampled_from(["neumann", "dirichlet"]))
+        n = draw(st.integers(2 if bc == "neumann" else 3, 60))
+        c = draw(st.floats(0.01, 10.0))
+        f = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        phi = np.array(draw(st.lists(st.floats(-1.0, 2.0), min_size=n, max_size=n)))
+        if bc == "dirichlet":
+            phi[[0, -1]] = np.abs(phi[[0, -1]])
+        g = Grid(n)
+        return assemble_operator(g, c, bc), DualElement(g, f), NodalFunction(g, phi)
+
+    @hypothesis.settings(database=None, deadline=None)
+    @hypothesis.given(instances())
+    def check(instance):
+        A, f, phi = instance
+        ref = oracle_vi(A, f, phi)
+        assert np.max(np.abs(solve_vi(A, f, phi).u.values - ref.u.values)) <= 1e-9
+        assert not (ref.active & A.boundary).any()
+        assert np.all(ref.lam.values[ref.active] >= 0.0)
+        assert np.all(ref.u.values <= phi.values)
+        assert ref.iterations <= A.grid.n_nodes + 1
+
+    check()
+
+
+@functools.cache
+def _exact_distance(name, n):
+    """Largest gap between a cold ``solve_vi`` and ``oracle_vi`` on the final
+    obstacle of a bundled config's extremal run, absolute and in ulps of
+    the exact value at each node."""
+    raw = json.loads(CONFIG_DIR.joinpath(f"{name}.json").read_text())
+    if n is not None:
+        raw["grid"]["n_nodes"] = n
+    problem = build_problem(parse_config(raw))
+    A, f, omap = problem.operator, problem.forcing, problem.omap
+    bracket = IntervalBracket.default(A, f)
+    run = iterate_min(A, f, omap, bracket.lower) if raw["run"] == "min" else \
+        iterate_max(A, f, omap, bracket.upper)
+    fast, exact = solve_vi(A, f, run.obstacle).u.values, oracle_vi(A, f, run.obstacle).u.values
+    gap = np.abs(fast - exact)
+    return float(gap.max()), float(np.max(gap / np.spacing(np.abs(exact))))
+
+
+# every bundled config at its own grid and at 401 nodes
+BUNDLED_CASES = [(path.stem, n) for path in sorted(CONFIG_DIR.glob("*.json")) for n in (None, 401)]
+
+
+@pytest.mark.parametrize("name, n", BUNDLED_CASES)
+def test_solve_vi_matches_the_exact_solve_at_bundled_grids(name, n):
+    # measured 1.8e-12 at most, on toy_max at its own grid
+    assert _exact_distance(name, n)[0] <= 1e-11
+
+
+@pytest.mark.xfail(strict=True, reason="the LDL^T pivots cancel where the rounded diagonal "
+                                       "barely exceeds the couplings; pivots from row sums "
+                                       "(ROADMAP item 2) keep 1-2 ulps")
+def test_solve_vi_is_within_four_ulps_of_the_exact_solve_at_bundled_grids():
+    # measured 16 / 264 ulps on inverse_elliptic_max (own grid / 401),
+    # 0 / 0 on toy_min, 4020 / 1152 on toy_max, 107 / 1152 on thermoforming_desk
+    wide = {f"{name}@{n}": ulps for name, n in BUNDLED_CASES
+            if (ulps := _exact_distance(name, n)[1]) > 4}
+    assert not wide
 
 
 def test_partition_rejects_overlapping_sets():
