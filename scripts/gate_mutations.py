@@ -31,12 +31,17 @@ GATES = (
     ("vi.py", 'if A.bc == "dirichlet" and np.any(phi.values[A.boundary] < -VI_TOL):',
      "obstacle below zero at a Dirichlet boundary node"),
     ("vi.py", "if residual > VI_TOL:", "terminal complementarity residual of an obstacle solve"),
+    ("vi.py", "if info or not np.all(e > 0):", "an (I - J) solve without a rate certificate"),
     ("extremal.py", "if sign * worst < -MONOTONE_TOL:", "a monotone loop that lost its order"),
     ("extremal.py", "if gap > 1e-9:", "a fast solve that disagrees with the oracle"),
     ("extremal.py", "if residuals[-1] > RESIDUAL_TOL:", "residual of an extremal limit"),
+    ("extremal.py", "if sign > 0 or not omap.concave or np.any(f.values < 0):",
+     "Newton steps outside max runs of concave maps under loads >= 0"),
     ("sensitivity.py", "if res > extremal.RESIDUAL_TOL:", "residual of the cone's base point"),
     ("sensitivity.py", "if leak > 10 * tol_lam:", "multiplier off the coincidence set"),
     ("sensitivity.py", "if residual > ALPHA_RESIDUAL_TOL:", "residual of the derivative"),
+    ("sensitivity.py", "if cone.partition.biactive.any():",
+     "an (I - J) derivative step on a cone with a biactive node"),
     ("sensitivity.py", "if sign > 0 and not check_supersolution(A, far, omap, A.solve(far)):",
      "min-run supersolution at the farthest source"),
     ("sensitivity.py", "if sign < 0 and not check_subsolution(A, far, omap, bracket.lower):",

@@ -473,6 +473,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
             "solution_max": float(np.max(u.values)),
             "c_phi_estimate": c_phi,
         })
+        if report.contraction_rate is not None:  # a max run of a concave map took Newton steps
+            run_summary["newton_steps"] = report.newton_steps
+            run_summary["contraction_rate"] = list(report.contraction_rate)
         if isinstance(omap, ThermoformingMap):
             run_summary["temperature_vnorm"] = temperature_vnorm
             run_summary["temperature_bound"] = omap.temperature_bound()

@@ -7,6 +7,16 @@ to the minimal solution; iterating from the top a decreasing sequence to
 the maximal one.  Monotonicity is asserted at every step: a violation
 means the comparison principle broke, which on these M-matrix operators
 signals a bug rather than roundoff.
+
+A max run of a concave map (``ObstacleMap.concave``) under a load >= 0
+takes Newton-Fourier steps u - (I - J)^-1 (u - T(u)) with
+J = S_C Phi'(u), T(u) = S(f, Phi(u)) and C the set its solve settled on.
+The load makes 0 a subsolution, so every state of the run is >= 0, where
+the map is concave; then T is concave, S_C Phi'(u) is a supergradient of
+T at u, and each step from a supersolution lands on a supersolution
+between u_max and u (Ortega and Rheinboldt, *Iterative Solution of
+Nonlinear Equations in Several Variables*, 1970, section 13.3).  The
+monotone order gate checks each step as for the plain loop.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import numpy as np
 
 from .fem import DualElement, EllipticOperator, NodalFunction, _kept, _v_norm_values, leq
 from .obstacle_maps import ObstacleMap
-from .vi import complementarity_residual, multiplier, oracle_vi, solve_vi
+from .vi import _solve_linearised, complementarity_residual, multiplier, oracle_vi, solve_vi
 
 log = logging.getLogger("qvix")
 
@@ -49,7 +59,8 @@ def _sign(which: str) -> float:
 
 def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: NodalFunction,
                     sign: float, step_tol: float, max_iter: int, error: type[Exception],
-                    order_text: str, cap_text: str, label: str):
+                    order_text: str, cap_text: str, label: str,
+                    kinds: list[str] | None = None):
     """Limit of u <- step(u) from start; each step must move every node along sign.
 
     Stops at the first step whose V-norm is at most step_tol.  Raises error
@@ -57,7 +68,9 @@ def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: Nodal
     change, when a step goes against sign by more than MONOTONE_TOL, and
     with cap_text plus the last step and the tail contraction ratio when
     max_iter steps do not settle.  Returns the limit and, per step, its
-    V-norm and its smallest and largest nodal change.  Logs each step at INFO under label.
+    V-norm and its smallest and largest nodal change.  Logs each step at
+    INFO under label, with its kind: the last entry of ``kinds``, which
+    the step appends to, or ``plain`` when it is None.
     """
     u = start
     steps: list[float] = []
@@ -77,7 +90,8 @@ def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: Nodal
         steps.append(_v_norm_values(u.grid, delta))
         if not math.isfinite(steps[-1]) and not np.isfinite(delta).all():
             raise ValueError("non-finite nodal values")
-        log.info("%s step %d: V-norm step %.3e", label, len(steps), steps[-1])
+        log.info("%s step %d (%s): V-norm step %.3e", label, len(steps),
+                 "plain" if kinds is None else kinds[-1], steps[-1])
         u = nxt
         if steps[-1] <= step_tol:
             return u, tuple(steps), tuple(min_deltas), tuple(max_deltas)
@@ -100,7 +114,9 @@ class ExtremalRunReport:
     """History and diagnostics of one monotone run; ``obstacle`` is the map
     evaluated at the solution, ``active`` the read-only set the last
     obstacle solve settled on, and the delta histories hold the smallest
-    and largest nodal change of each outer step."""
+    and largest nodal change of each outer step.  ``newton_steps`` counts
+    the run's Newton steps, and ``contraction_rate`` is the bound
+    ``(lo, hi)`` on rho(J) from the last of them (None without one)."""
 
     solution: NodalFunction
     obstacle: NodalFunction
@@ -112,6 +128,8 @@ class ExtremalRunReport:
     min_delta_history: tuple[float, ...]
     max_delta_history: tuple[float, ...]
     active: np.ndarray
+    newton_steps: int = 0
+    contraction_rate: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -166,6 +184,25 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     sign = _sign(which)
     residuals: list[float] = []
     last_step = None  # input and obstacle of the latest step
+    newton = True
+    # a load >= 0 makes 0 a subsolution, so u_max >= 0, where the map is concave
+    if sign > 0 or not omap.concave or np.any(f.values < 0):
+        newton = False
+    kinds: list[str] = []
+    rate = None  # of the last certified solve
+
+    def newton_step(u: NodalFunction, v: NodalFunction, pinned: np.ndarray) -> NodalFunction:
+        """u - (I - J)^-1 (u - v), or v where J = 0, the certificate fails or v ends the loop."""
+        nonlocal rate
+        r = u.values - v.values
+        if _v_norm_values(u.grid, r) > TOL_FP:
+            solved = _solve_linearised(A, pinned, *omap.linearisation(u), r)
+            if solved is not None:
+                x, rate = solved
+                kinds.append("newton")
+                return NodalFunction(u.grid, u.values - x)
+        kinds.append("plain")
+        return v
 
     # Evaluates the obstacle of each accepted iterate once, at the start of
     # the step that leaves it; the limit reuses the last step's obstacle
@@ -184,13 +221,14 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
                 raise ExtremalIterationError(
                     f"fast solve disagrees with the exact oracle by {gap:.3e}")
         active0 = sol.active
-        return sol.u
+        return newton_step(u, sol.u, sol.active) if newton else sol.u
 
     u, steps, min_deltas, max_deltas = _monotone_limit(
         step, start, sign, TOL_FP, MAX_OUTER, ExtremalIterationError,
         "{order} iteration lost monotonicity (worst step {worst:.3e}); "
         "the comparison principle is broken",
-        f"no convergence within {MAX_OUTER} outer iterations", f"extremal {which}")
+        f"no convergence within {MAX_OUTER} outer iterations", f"extremal {which}",
+        kinds if newton else None)
     # bytes, not ==: -0.0 and 0.0 compare equal but may map apart
     prev, phi = last_step
     if u.values.tobytes() != prev.values.tobytes():
@@ -203,7 +241,8 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     return ExtremalRunReport(
         solution=u, obstacle=phi, n_iters=len(steps), final_step_vnorm=steps[-1],
         qvi_residual=residuals[-1], step_history=steps, residual_history=tuple(residuals),
-        min_delta_history=min_deltas, max_delta_history=max_deltas, active=active0)
+        min_delta_history=min_deltas, max_delta_history=max_deltas, active=active0,
+        newton_steps=kinds.count("newton"), contraction_rate=rate)
 
 
 def _kept_run(A: EllipticOperator, f: DualElement, omap: ObstacleMap,

@@ -198,24 +198,25 @@ class TridiagonalSpd:
         x, _ = dpttrs(*self._factor, rhs)
         return x
 
-    def _pinned_system(self, pinned: np.ndarray) -> "TridiagonalSpd | None":
+    def _identity_rows(self, pinned: np.ndarray) -> "TridiagonalSpd | None":
         """The matrix with the rows and columns of a boolean mask set to the
         identity, or None when the mask pins every node.
 
         The zero couplings split the unpinned nodes into blocks, and the
         LAPACK sweeps subtract an exact +0.0 at each block edge, so with
         +0.0 on the pinned rows of the right side each block gets the bits
-        of its own solve.  The system is kept (``_kept``) for the last
-        mask seen, so a repeated mask reuses it together with the factor
-        its first solve computed.
+        of its own solve.
         """
-        def build():
-            if pinned.all():
-                return None
-            return TridiagonalSpd(np.where(pinned, 1.0, self.diag),
-                                  np.where(pinned[:-1] | pinned[1:], 0.0, self.upper))
+        if pinned.all():
+            return None
+        return TridiagonalSpd(np.where(pinned, 1.0, self.diag),
+                              np.where(pinned[:-1] | pinned[1:], 0.0, self.upper))
 
-        return _kept(self, "_pinned", pinned.tobytes(), build)
+    def _pinned_system(self, pinned: np.ndarray) -> "TridiagonalSpd | None":
+        """``_identity_rows(pinned)``, kept (``_kept``) for the last mask seen,
+        so a repeated mask reuses it together with the factor its first
+        solve computed."""
+        return _kept(self, "_pinned", pinned.tobytes(), lambda: self._identity_rows(pinned))
 
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.diag)

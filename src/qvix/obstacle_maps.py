@@ -8,7 +8,11 @@ semilinear temperature equation driven by the mould/membrane gap; the
 mould grows linearly with temperature.  All three are increasing and
 differentiable, with derivative actions implemented directly (solving the
 linearised equations where needed) so they can be validated against
-finite differences.
+finite differences.  Each map's derivative has the form
+Phi'(u)h = B^-1 (w h) for a tridiagonal M-matrix B and weights w >= 0,
+which ``linearisation`` returns for the banded (I - J) solve of
+``vi._solve_linearised``.  ``concave`` declares a map concave on
+nonnegative states, which licenses the Newton steps of the max runs.
 
 ``lipschitz_estimate`` sizes the derivative at a state through those
 actions: the largest V-norm gain of Phi'(u) over the lowest modes of the
@@ -86,10 +90,13 @@ class ObstacleMap(abc.ABC):
     A map keeps the work it repeats at one input in one-entry slots
     (``fem._kept``): the linearisation at the last state, the modes of
     the last boundary condition ``lipschitz_estimate`` was asked for, and
-    the last extremal run (``extremal._kept_run``).
+    the last extremal run (``extremal._kept_run``).  ``concave`` is True
+    for a map that is concave on nonnegative states; a max run of such a
+    map takes Newton steps (``extremal._iterate``).
     """
 
     kind: str
+    concave = False
     # (key, value) of the last _kept call per slot; None until the first
     _state_entry = None
     _modes_entry = None
@@ -107,6 +114,10 @@ class ObstacleMap(abc.ABC):
     @abc.abstractmethod
     def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
         """Directional derivative of the map at u applied to h."""
+
+    @abc.abstractmethod
+    def linearisation(self, u: NodalFunction) -> tuple[TridiagonalSpd, np.ndarray]:
+        """``(B, w)`` with Phi'(u)h = B^-1 (w h), from the kept state (``_at_state``)."""
 
     def _check_grid(self, u: NodalFunction):
         if u.grid != self.grid:
@@ -200,6 +211,11 @@ class PlateauMap(ObstacleMap):
         self._check_grid(h)
         return NodalFunction(self.grid, self._at_state(u, self.scalar_slope) * h.values)
 
+    def linearisation(self, u: NodalFunction) -> tuple[TridiagonalSpd, np.ndarray]:
+        self._check_grid(u)
+        n = self.grid.n_nodes
+        return TridiagonalSpd(np.ones(n), np.zeros(n - 1)), self._at_state(u, self.scalar_slope)
+
 
 @dataclass(frozen=True)
 class ScalarNonlinearity:
@@ -236,9 +252,14 @@ class ScalarNonlinearity:
 
 
 class InverseEllipticMap(ObstacleMap):
-    """Obstacle as the solution of a second elliptic problem loaded by a gain of u."""
+    """Obstacle as the solution of a second elliptic problem loaded by a gain of u.
+
+    Concave on nonnegative states: the zero, linear and tanh gains are
+    concave there, and the inverse of the inner M-matrix is nonnegative.
+    """
 
     kind = "inverse_elliptic"
+    concave = True
 
     def __init__(self, inner: EllipticOperator, gain: ScalarNonlinearity):
         self._inner = inner
@@ -257,6 +278,12 @@ class InverseEllipticMap(ObstacleMap):
         self._check_grid(h)
         load = DualElement(self.grid, self._at_state(u, self.gain.slope) * h.values)
         return self._inner.solve(load)
+
+    def linearisation(self, u: NodalFunction) -> tuple[TridiagonalSpd, np.ndarray]:
+        self._check_grid(u)
+        w = self.grid.mass * self._at_state(u, self.gain.slope)
+        w[self._inner.boundary] = 0.0  # the inner solve zeroes its Dirichlet rows
+        return self._inner.matrix, w
 
 
 class ThermoformingMap(ObstacleMap):
@@ -357,6 +384,10 @@ class ThermoformingMap(ObstacleMap):
         _, slope, jac = self._newton(u)
         delta = jac.solve(self.grid.mass * slope * h.values)
         return NodalFunction(self.grid, -self.expansion * delta)
+
+    def linearisation(self, u: NodalFunction) -> tuple[TridiagonalSpd, np.ndarray]:
+        _, slope, jac = self._newton(u)
+        return jac, -self.expansion * self.grid.mass * slope
 
 
 def check_increasing(omap: ObstacleMap, trials: int, rng: np.random.Generator | None = None,

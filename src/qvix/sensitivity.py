@@ -8,7 +8,10 @@ quasi-variational problem over that cone shifted by the obstacle map's
 derivative; it is computed here as the monotone limit of cone-constrained
 obstacle solves and validated against one-sided difference quotients of
 the extremal runs, which are warm-started at the base solution exactly as
-the underlying selection mechanism prescribes.
+the underlying selection mechanism prescribes.  On a cone with no
+biactive node the derivative problem is linear, (I - J) alpha = alpha_0
+with J = S_C Phi'(base) and C the strict set, and the loop's second
+iterate is its solution from one banded solve (``vi._solve_linearised``).
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import numpy as np
 from . import extremal
 from .extremal import IntervalBracket, _check_direction, _monotone_limit, _obstacle_residual, \
     _sign, check_subsolution, check_supersolution, iterate_max, iterate_min
-from .fem import DualElement, EllipticOperator, NodalFunction, v_norm
+from .fem import DualElement, EllipticOperator, NodalFunction, TridiagonalSpd, v_norm
 from .obstacle_maps import ObstacleMap
-from .vi import ActiveSetPartition, _pdas, _pose, classify_active, complementarity_residual, \
-    default_tol_multiplier, multiplier
+from .vi import ActiveSetPartition, _pdas, _pose, _solve_linearised, classify_active, \
+    complementarity_residual, default_tol_multiplier, multiplier
 
 # stopping rules of the derivative fixed-point loop: V-norm step that ends
 # it and the residual the limit must reach.  It linearises the fixed point
@@ -51,11 +54,17 @@ class DerivativeSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class CriticalConeData:
-    """Everything needed to pose the derivative problem at a base solution."""
+    """Everything needed to pose the derivative problem at a base solution.
+
+    ``linearisation`` returns the map's ``(B, w)`` at the base
+    (``ObstacleMap.linearisation``); without it the derivative takes
+    plain cone steps only.
+    """
 
     partition: ActiveSetPartition
     deriv_map: Callable[[NodalFunction], NodalFunction]
     operator: EllipticOperator
+    linearisation: Callable[[], tuple[TridiagonalSpd, np.ndarray]] | None = None
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,7 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
             raise ConeError(f"multiplier of size {leak:.3e} off the coincidence set")
     return CriticalConeData(partition=partition,
                             deriv_map=lambda w: omap.derivative_action(base, w),
-                            operator=A)
+                            operator=A, linearisation=lambda: omap.linearisation(base))
 
 
 def _cone_solve(cone: CriticalConeData, d_vals: np.ndarray, shift_vals: np.ndarray,
@@ -131,16 +140,33 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
     shifts the cone by the map derivative at the previous iterate.  For
     the minimal map the direction must be nonnegative and the iterates
     increase; for the maximal map the direction must be nonpositive and
-    they decrease.
+    they decrease.  On a cone with no biactive node, the second iterate
+    is (I - J)^-1 alpha_0, J = S_C Phi'(base) with C the strict set, when
+    ``vi._solve_linearised`` certifies rho(J) < 1 and J != 0 (a
+    ``newton`` step); (I - J)^-1 >= 0 keeps the order, and the plain
+    steps that follow end the loop.
     """
     sign = _check_direction(d, which, "derivative")
-    first, active0 = _cone_solve(cone, d.values, np.zeros(cone.operator.grid.n_nodes))
+    A, strict = cone.operator, cone.partition.strict
+    first, active0 = _cone_solve(cone, d.values, np.zeros(A.grid.n_nodes))
     iterates = [first]
+    kinds: list[str] = []
+    linear = cone.linearisation is not None
+    # a biactive node makes the cone no subspace, and the problem not linear
+    if cone.partition.biactive.any():
+        linear = False
 
     # consecutive cone solves mostly share their set: each starts from the last one's
     def step(alpha: NodalFunction) -> NodalFunction:
         nonlocal active0
+        if linear and len(iterates) == 1:
+            solved = _solve_linearised(A, strict, *cone.linearisation(), alpha.values)
+            if solved is not None:
+                kinds.append("newton")
+                iterates.append(NodalFunction(A.grid, solved[0]))
+                return iterates[-1]
         nxt, active0 = _cone_solve(cone, d.values, cone.deriv_map(alpha).values, active0)
+        kinds.append("plain")
         iterates.append(nxt)
         return nxt
 
@@ -148,7 +174,7 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
     alpha, _, _, _ = _monotone_limit(
         step, iterates[0], sign, ALPHA_STEP_TOL, budget, DerivativeSolveError,
         "derivative iterates lost their {order} order",
-        f"derivative iteration did not settle within {budget} rounds", "derivative")
+        f"derivative iteration did not settle within {budget} rounds", "derivative", kinds)
     residual = derivative_qvi_residual(cone, alpha, d)
     if residual > ALPHA_RESIDUAL_TOL:
         raise DerivativeSolveError(

@@ -43,6 +43,11 @@ residual test pins a set the update rule would still change, and
 another start may end elsewhere: the two results pass the ``VI_TOL``
 residual gate and differ by roundoff.  ``PDAS_MAX_ITER`` counts round 1;
 ``ViSolution.iterations`` counts the rounds of every level.
+
+``_solve_linearised`` solves the linearisation of a pinned solve composed
+with an obstacle map, (I - J)x = r for J = S_C Phi'(u), and certifies
+that the spectral radius of J lies below 1: the Newton steps of the
+extremal max runs and the derivative on a subspace cone take it.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv
 
 from .fem import (
     DualElement,
@@ -281,6 +287,60 @@ def _solve_pinned(matrix: TridiagonalSpd, mass, load, target, pinned):
     return u, lam
 
 
+def _solve_linearised(A: EllipticOperator, pinned: np.ndarray, B: TridiagonalSpd,
+                      w: np.ndarray, r: np.ndarray):
+    """(I - J)^-1 r for J = S_C Phi'(u), with the bounds on rho(J), or None.
+
+    S_C solves K on the nodes off the pinned set C with the values on C
+    given (zero on Dirichlet boundary rows), and the map's linearisation
+    ``(B, w)`` at u is Phi'(u)h = B^-1 (w h).  With y = Phi'(u)x and
+    z = S_C y, so that x = z + r, the rows are z = y on C, z = 0 on
+    Dirichlet boundary rows, (Kz) = 0 elsewhere, and B y - w z = w r.
+    Interleaving z and y gives a band of two sub- and two
+    super-diagonals on 2n unknowns; one LAPACK ``dgbsv`` solves it for r
+    and for the all-ones vector.  J >= 0 for every map here, so when
+    e = (I - J)^-1 1 > 0 at every node, I - J is a nonsingular M-matrix,
+    (I - J)^-1 >= 0, and the Collatz-Wielandt bounds give
+    1 - 1/min e <= rho(J) <= 1 - 1/max e (Collatz, Math. Z. 48, 1942).
+    Returns ``(x, (lo, hi))``.  Returns None where J = 0 (no node of C
+    off the boundary, or w = 0), whose step is the caller's plain one,
+    and unless LAPACK reports success and e > 0 at every node.
+
+    A Dirichlet boundary node holds 0 in every state, so r is 0 there and
+    so is x.  J has zero rows there; w is taken as 0 there as well, which
+    drops J's boundary columns, keeps rho(J) and leaves the bounds those of
+    J on the other nodes, read from e off the boundary.
+    """
+    K, n = A.matrix, A.grid.n_nodes
+    inside = ~A.boundary
+    if A.bc == "dirichlet":
+        w = np.where(inside, w, 0.0)
+    on_c = pinned & inside
+    if not on_c.any() or not w.any():
+        return None
+    free = ~pinned & inside
+    # column j of ab holds row i of the matrix at ab[4 + i - j, j]; rows
+    # 0 and 1 are LAPACK's room for the fill-in of the pivoting
+    ab = np.zeros((7, 2 * n), order="F")
+    ab[4, 0::2] = np.where(free, K.diag, 1.0)          # z-rows: z_i
+    ab[3, 1::2] = np.where(on_c, -1.0, 0.0)            #   y_i on C
+    ab[2, 2::2] = np.where(free[:-1], K.upper, 0.0)    #   z_{i+1}
+    ab[6, 0:-2:2] = np.where(free[1:], K.upper, 0.0)   #   z_{i-1}
+    ab[4, 1::2] = B.diag                               # y-rows: y_i
+    ab[5, 0::2] = -w                                   #   z_i
+    ab[2, 3::2] = B.upper                              #   y_{i+1}
+    ab[6, 1:-2:2] = B.upper                            #   y_{i-1}
+    rhs = np.zeros((2 * n, 2), order="F")
+    rhs[1::2, 0] = w * r
+    rhs[1::2, 1] = w
+    _, _, x, info = dgbsv(2, 2, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    e = x[0::2, 1] + 1.0
+    if info or not np.all(e > 0):
+        return None
+    e = e[inside]
+    return x[0::2, 0] + r, (1.0 - 1.0 / float(e.min()), 1.0 - 1.0 / float(e.max()))
+
+
 def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active0=None):
     """Active set loop over nodes split into equality / obstacle / free roles.
 
@@ -359,7 +419,8 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     if residual > VI_TOL:
         raise ViSolveError(f"terminal complementarity residual {residual:.3e} exceeds {VI_TOL:.1e}")
 
-    log.debug("obstacle solve: %d rounds, %d nodes pinned", iters, np.count_nonzero(active))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("obstacle solve: %d rounds, %d nodes pinned", iters, np.count_nonzero(active))
     return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
                       iterations=iters, residual=residual, active=active)
 
@@ -387,11 +448,12 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolu
 
     The problem ``_pose`` returns is a linear complementarity problem with
     an M-matrix.  Every obstacle node starts pinned; each round solves the
-    system of ``_pinned_system`` exactly and frees the pinned obstacle
-    nodes whose multiplier load - Ku is negative.  The iterate only falls,
-    so a freed node is never pinned again: at most n + 1 rounds, counted
-    in ``iterations`` (Opsearch 7, 1970; Cottle, Pang and Stone, *The
-    Linear Complementarity Problem*, 1992, section 4.7).  ``u`` and ``lam``
+    identity-row system (``TridiagonalSpd._identity_rows``) exactly and
+    frees the pinned obstacle nodes whose multiplier load - Ku is
+    negative.  The iterate only falls, so a freed node is never pinned
+    again: at most n + 1 rounds, counted in ``iterations`` (Opsearch 7,
+    1970; Cottle, Pang and Stone, *The Linear Complementarity Problem*,
+    1992, section 4.7).  ``u`` and ``lam``
     are the exact values correctly rounded, ``active`` is the final pinned
     obstacle set.  On ``inverse_elliptic_max``'s final obstacle (2-core
     host): 8 rounds in 0.04 s at n = 61, 42 in 2.5 s at 401, 83 in 17 s at 801.
@@ -413,7 +475,8 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolu
     while (release := obstacle_mask & (r < 0).astype(bool)).any():
         pinned &= ~release
         rhs = np.where(pinned, t, residual(np.where(pinned, t, Fraction(0))))
-        u = _exact_solve(A.matrix._pinned_system(pinned), rhs)  # identity rows keep t
+        # identity rows keep t; built anew, so the fast path's kept system stays
+        u = _exact_solve(A.matrix._identity_rows(pinned), rhs)
         r, rounds = residual(u), rounds + 1
     u_vals, active = u.astype(float), obstacle_mask & pinned
     lam_vals = np.where(active, r / _exact(grid.mass), 0).astype(float)

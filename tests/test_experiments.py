@@ -575,3 +575,29 @@ def test_cli_oracle_mode(tmp_path):
     assert written == sorted(path.name for path in (tmp_path / "r2").glob("*.csv"))
     for name in written:
         assert (tmp_path / "o2" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["toy_min", "toy_max", "inverse_elliptic_max",
+                                  "thermoforming_desk"])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_summary_reports_newton_steps_where_a_max_run_takes_them(tmp_path, monkeypatch,
+                                                                 name, bc):
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    raw["grid"]["n_nodes"] = 401
+    raw["operator"]["bc"] = bc
+    artifacts = run_experiment(parse_config(raw), out_dir=tmp_path / "newton", seed=0)
+    assert artifacts.ok, artifacts.failures
+    [run] = artifacts.summary["runs"].values()
+    # only a max run of a concave map with a contact set takes Newton steps
+    if (name, bc) != ("inverse_elliptic_max", "neumann"):
+        assert "newton_steps" not in run and "contraction_rate" not in run
+        return
+    assert run["newton_steps"] == run["n_iters"] - 1
+    lo, hi = run["contraction_rate"]
+    # the rate interval holds the tail ratio of the plain loop's steps (0.16595)
+    monkeypatch.setattr(qvix.experiments.InverseEllipticMap, "concave", False)
+    plain = run_experiment(parse_config(raw), out_dir=tmp_path / "plain", seed=0)
+    assert plain.summary["runs"]["max"]["n_iters"] > run["n_iters"]
+    rows = (tmp_path / "plain" / "iterates_max.csv").read_text().splitlines()[1:]
+    steps = [float(row.split(",")[1]) for row in rows]
+    assert lo <= steps[-4] / steps[-5] <= hi

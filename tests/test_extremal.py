@@ -119,7 +119,7 @@ def test_runs_log_one_info_line_per_outer_step(toy, caplog):
     debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
     assert report.n_iters > 1
     assert [r.getMessage() for r in info] == [
-        f"extremal max step {k}: V-norm step {step:.3e}"
+        f"extremal max step {k} (plain): V-norm step {step:.3e}"
         for k, step in enumerate(report.step_history, 1)]
     assert len(debug) == report.n_iters  # one per obstacle solve
     assert all(r.getMessage().startswith("obstacle solve: ") for r in debug)
@@ -337,8 +337,10 @@ def test_monotone_limit_keeps_the_checks_of_the_step_difference(nxt, error, matc
 
 
 def test_warm_steps_reuse_the_reduced_factor(monkeypatch):
+    # on the plain path, whose many settled steps share their pinned systems
     problem = _bundled_problem("inverse_elliptic_max", 401)
     A, f, omap = problem.operator, problem.forcing, problem.omap
+    monkeypatch.setattr(InverseEllipticMap, "concave", False)
     start = IntervalBracket.default(A, f).upper
     phi = omap.evaluate(start)
     first = solve_vi(A, f, phi)
@@ -549,3 +551,152 @@ def test_a_reused_run_logs_one_info_line(toy, caplog):
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("qvix", logging.INFO,
          f"extremal max: reused the run at this load and start ({report.n_iters} steps)")]
+
+
+def _inverse_elliptic_max(n_nodes, bc="neumann", scale=None):
+    raw = json.loads(CONFIG_DIR.joinpath("inverse_elliptic_max.json").read_text())
+    raw["grid"]["n_nodes"] = n_nodes
+    raw["operator"]["bc"] = bc
+    if scale is not None:
+        raw["map"]["gain"]["scale"] = scale
+    return raw
+
+
+def _recorded_max_run(A, f, omap, monkeypatch):
+    """The max run from A^-1 f, and every iterate it evaluated the map at."""
+    evaluate, seen = type(omap).evaluate, []
+    monkeypatch.setattr(type(omap), "evaluate",
+                        lambda self, u: seen.append(u) or evaluate(self, u))
+    report = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    monkeypatch.undo()
+    return report, seen
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("scale", [1.1, 1.25, 2.0])
+@pytest.mark.parametrize("n", [101, 401])
+def test_newton_iterates_are_supersolutions_above_the_plain_limit(monkeypatch, bc, scale, n):
+    problem = build_problem(parse_config(_inverse_elliptic_max(n, bc, scale)))
+    A, f, omap = problem.operator, problem.forcing, problem.omap
+    report, iterates = _recorded_max_run(A, f, omap, monkeypatch)
+    if bc == "dirichlet" and scale == 2.0:  # A^-1 f is the limit, with no contact: J = 0
+        assert report.n_iters == 1 and report.contraction_rate is None
+    else:
+        assert 1 <= report.newton_steps < report.n_iters <= 8
+        lo, hi = report.contraction_rate
+        assert 0.0 < lo <= hi < 1.0
+
+    monkeypatch.setattr(InverseEllipticMap, "concave", False)
+    omap._run_entry = None  # the kept run would answer the same inputs
+    plain = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    assert plain.newton_steps == 0 and plain.contraction_rate is None
+    assert plain.n_iters >= report.n_iters
+    for u in iterates:
+        assert check_supersolution(A, f, omap, u)  # within MONOTONE_TOL
+        assert np.all(u.values >= plain.solution.values - 1e-9)
+
+
+def test_newton_converges_at_gain_one_where_plain_steps_do_not(tmp_path, monkeypatch):
+    # at gain 1 the plain loop contracts at 1 - 7e-7 and hits its cap
+    config = parse_config(_inverse_elliptic_max(101, scale=1.0))
+    artifacts = run_experiment(config, out_dir=tmp_path / "newton")
+    assert artifacts.ok, artifacts.failures
+    run = artifacts.summary["runs"]["max"]
+    assert run["n_iters"] <= 25 and run["newton_steps"] == run["n_iters"] - 1
+    assert 0.999 < run["contraction_rate"][0] <= run["contraction_rate"][1] < 1.0
+    assert run["sensitivity"]["final_quotient_error"] <= 1e-3
+
+    monkeypatch.setattr(InverseEllipticMap, "concave", False)
+    problem = build_problem(config)
+    A, f, omap = problem.operator, problem.forcing, problem.omap
+    with pytest.raises(ExtremalIterationError, match="no convergence within 500 outer"):
+        iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+
+
+class _SinhGain:
+    """scale * sinh: increasing, zero at zero, and convex on u >= 0."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def value(self, r):
+        return self.scale * np.sinh(r)
+
+    def slope(self, r):
+        return self.scale * np.cosh(r)
+
+
+class _ConvexInverseEllipticMap(InverseEllipticMap):
+    """An inverse-elliptic map with a convex gain that inherits the concave declaration."""
+
+    def __init__(self, inner, scale):
+        super().__init__(inner, _SinhGain(scale))
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_a_convex_map_declared_concave_is_caught_by_the_order_gate(bc):
+    # The tangent step of a convex T overshoots: the first Newton step lands
+    # below u_max, off the supersolution side, and the step after it rises,
+    # which the monotone order gate refuses.  The plain loop converges.
+    problem = build_problem(parse_config(_inverse_elliptic_max(101, bc)))
+    A, f, d = problem.operator, problem.forcing, problem.direction
+    inner = assemble_operator(A.grid, 1.0, "neumann")
+    bracket = IntervalBracket.default(A, f)
+    declared = _ConvexInverseEllipticMap(inner, 0.2)
+    assert declared.concave
+    with pytest.raises(ExtremalIterationError,
+                       match="^decreasing iteration lost monotonicity"):
+        iterate_max(A, f, declared, bracket.upper)
+
+    undeclared = _ConvexInverseEllipticMap(inner, 0.2)
+    undeclared.concave = False
+    report = iterate_max(A, f, undeclared, bracket.upper)
+    assert report.newton_steps == 0 and report.qvi_residual <= 1e-8
+
+
+def test_the_oracle_leaves_the_fast_path_its_kept_pinned_system(monkeypatch):
+    pinned_system = TridiagonalSpd._pinned_system
+    runs = {}
+    for oracle_check in (False, True):
+        problem = _bundled_problem("inverse_elliptic_max")
+        A, f, omap = problem.operator, problem.forcing, problem.omap
+        built = {}  # id -> system, kept alive so that no id is reused
+
+        def counting_pinned_system(self, pinned):
+            system = pinned_system(self, pinned)
+            built[id(system)] = system
+            return system
+
+        monkeypatch.setattr(TridiagonalSpd, "_pinned_system", counting_pinned_system)
+        report = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper, oracle_check)
+        monkeypatch.undo()
+        runs[oracle_check] = (len(built), report.solution.values.tobytes())
+    assert runs[True] == runs[False]
+    assert runs[False][0] > 0
+
+
+def test_newton_steps_name_their_kind_in_the_log(caplog):
+    problem = _bundled_problem("inverse_elliptic_max")
+    A, f, omap = problem.operator, problem.forcing, problem.omap
+    caplog.set_level(logging.INFO, logger="qvix")
+    report = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    kinds = ["newton"] * report.newton_steps + ["plain"] * (report.n_iters - report.newton_steps)
+    assert report.newton_steps >= 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"extremal max step {k} ({kind}): V-norm step {step:.3e}"
+        for k, (kind, step) in enumerate(zip(kinds, report.step_history), 1)]
+
+
+def test_newton_steps_need_a_max_run_of_a_concave_map_under_a_nonnegative_load():
+    problem = _bundled_problem("inverse_elliptic_max", 101)
+    A, f, omap = problem.operator, problem.forcing, problem.omap
+    dipped = f.values.copy()
+    dipped[50] = -0.5  # one node below zero: 0 is no subsolution there
+    f_dipped = DualElement(A.grid, dipped)
+    start = IntervalBracket.default(A, f_dipped).upper
+    report = iterate_max(A, f_dipped, omap, start)
+    assert report.newton_steps == 0 and report.contraction_rate is None
+    assert report.n_iters > 10  # plain steps, each pinning a contact set
+
+    lower = iterate_min(A, f, omap, NodalFunction.zeros(A.grid))
+    assert lower.newton_steps == 0 and lower.contraction_rate is None

@@ -416,19 +416,39 @@ def test_dirichlet_rows_of_every_posed_problem():
     assert fast.active.any() and not fast.active.all()
 
 
-def test_slow_dirichlet_derivative_shares_the_outer_budget():
-    # Dirichlet inverse_elliptic_max at gain 1.25 contracts at about 0.9:
-    # the outer run takes 178 steps and the derivative, which linearises the
-    # same fixed point, 187, beyond a cap of 100 rounds
+def _slow_dirichlet_problem():
+    """Dirichlet inverse_elliptic_max at gain 1.25 and n = 101: the loops contract at about 0.9."""
     raw = json.loads(CONFIG_DIR.joinpath("inverse_elliptic_max.json").read_text())
     raw["grid"]["n_nodes"] = 101
     raw["operator"]["bc"] = "dirichlet"
     raw["map"]["gain"]["scale"] = 1.25
-    problem = build_problem(parse_config(raw))
+    return build_problem(parse_config(raw))
+
+
+def test_slow_dirichlet_derivative_shares_the_outer_budget(monkeypatch):
+    # without a certified (I - J) solve the derivative, which linearises the
+    # outer fixed point, takes 187 plain steps, beyond a cap of 100 rounds
+    monkeypatch.setattr(qvix.sensitivity, "_solve_linearised", lambda *args: None)
+    problem = _slow_dirichlet_problem()
     A, f, d = problem.operator, problem.forcing, problem.direction
     bracket = IntervalBracket.default(A, f)
     report = fd_validate(A, f, d, problem.omap, bracket, "max")
     assert len(report.alpha_iterates) > 100
+    assert report.fd_monotone
+    errors = [err for _, err in report.fd_table]
+    assert all(b < a for a, b in zip(errors, errors[1:]))
+    assert errors[-1] <= 1e-3 * (1.0 + v_norm(report.alpha))
+
+
+def test_slow_dirichlet_derivative_takes_one_solve_and_one_plain_step():
+    # the strict cone's (I - J) solve lands within ALPHA_STEP_TOL of the fixed point
+    problem = _slow_dirichlet_problem()
+    A, f, d, omap = problem.operator, problem.forcing, problem.direction, problem.omap
+    bracket = IntervalBracket.default(A, f)
+    report = fd_validate(A, f, d, omap, bracket, "max")
+    cone = build_cone(A, f, omap, iterate_max(A, f, omap, bracket.upper).solution)
+    assert cone.partition.strict.any() and not cone.partition.biactive.any()
+    assert len(report.alpha_iterates) <= 3
     assert report.fd_monotone
     errors = [err for _, err in report.fd_table]
     assert all(b < a for a, b in zip(errors, errors[1:]))
@@ -499,16 +519,22 @@ def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, ins
         runs.append(run(*args, **kwargs))
         return runs[-1]
 
-    pdas = qvix.vi._pdas
+    pdas, solve_linearised = qvix.vi._pdas, qvix.vi._solve_linearised
     rounds = []  # of each cone solve
+    linear_solves = []  # the (I - J) solves that take a step in place of a cone solve
 
     def recording_pdas(*args, active0=None):
         out = pdas(*args, active0=active0)
         rounds.append(out[-1])
         return out
 
+    def recording_solve_linearised(*args):
+        linear_solves.append(solve_linearised(*args))
+        return linear_solves[-1]
+
     monkeypatch.setattr(f"qvix.sensitivity.{run_name}", recording_run)
     monkeypatch.setattr("qvix.sensitivity._pdas", recording_pdas)
+    monkeypatch.setattr("qvix.sensitivity._solve_linearised", recording_solve_linearised)
     warm = fd_validate(A, f, d, omap, bracket, which)
     cone = build_cone(A, f, omap, runs[0].solution)
     assert (np.count_nonzero(cone.partition.strict), np.count_nonzero(cone.partition.biactive),
@@ -517,8 +543,11 @@ def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, ins
     assert seeds[0] is None and len(seeds) == 5
     for seed in seeds[1:]:
         assert seed is runs[0].active
-    # each cone solve after the first starts from its predecessor's settled set
-    assert len(rounds) == len(warm.alpha_iterates)
+    # each cone solve after the first starts from its predecessor's settled set;
+    # on a strict cone the second iterate comes from the certified (I - J) solve
+    steps_solved = len([x for x in linear_solves if x is not None])
+    assert steps_solved == (partition[0] > 0 and partition[1] == 0)
+    assert len(rounds) + steps_solved == len(warm.alpha_iterates)
     assert rounds[1:] == [1] * (len(rounds) - 1)
 
     # every obstacle and cone solve cold
@@ -563,3 +592,41 @@ def test_a_cone_forms_the_multiplier_once(multiplier_calls, name, which):
     partition = qvix.vi.classify_active(f, run.solution, run.obstacle, lam)
     assert np.array_equal(cone.partition.strict, partition.strict)
     assert np.array_equal(cone.partition.biactive, partition.biactive)
+
+
+@pytest.mark.parametrize("n", [61, 401, 1601])
+def test_strict_cone_derivative_takes_one_solve_and_one_plain_step(monkeypatch, n):
+    A, f, d, omap = _bundled("inverse_elliptic_max", n)
+    run = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    cone = build_cone(A, f, omap, run.solution, run.obstacle)
+    assert cone.partition.strict.any() and not cone.partition.biactive.any()
+    report = solve_derivative_qvi(cone, d, "max")
+    assert len(report.alpha_iterates) <= 3
+
+    # the plain loop, which stops at ALPHA_STEP_TOL after 12 steps, lands within its stop error
+    monkeypatch.setattr(qvix.sensitivity, "_solve_linearised", lambda *args: None)
+    plain = solve_derivative_qvi(cone, d, "max")
+    assert len(plain.alpha_iterates) > 3
+    assert np.max(np.abs(report.alpha.values - plain.alpha.values)) <= 1e-11
+
+
+def test_a_biactive_node_keeps_the_derivative_on_plain_steps(monkeypatch):
+    # the bundled strict cone with one strict node made biactive is no subspace
+    A, f, d, omap = _bundled("inverse_elliptic_max", 101)
+    run = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    cone = build_cone(A, f, omap, run.solution, run.obstacle)
+    strict = cone.partition.strict.copy()
+    node = np.flatnonzero(strict)[5]
+    strict[node] = False
+    biactive = np.zeros_like(strict)
+    biactive[node] = True
+    mixed = replace(cone, partition=ActiveSetPartition(strict=strict, biactive=biactive))
+    solves = []
+    solve_linearised = qvix.sensitivity._solve_linearised
+    monkeypatch.setattr(qvix.sensitivity, "_solve_linearised",
+                        lambda *args: solves.append(args) or solve_linearised(*args))
+    report = solve_derivative_qvi(mixed, d, "max")
+    assert not solves
+    assert len(report.alpha_iterates) > 3
+    solve_derivative_qvi(cone, d, "max")
+    assert len(solves) == 1

@@ -12,7 +12,11 @@ from qvix import (
     DualElement,
     Grid,
     GridMismatchError,
+    InverseEllipticMap,
     NodalFunction,
+    PlateauMap,
+    ScalarNonlinearity,
+    ThermoformingMap,
     ViSolveError,
     assemble_operator,
     check_comparison,
@@ -26,7 +30,7 @@ from qvix import (
     v_norm,
 )
 from qvix.experiments import build_problem, parse_config
-from qvix.vi import VI_TOL, _coarse_problem, _pdas, _solve_pinned
+from qvix.vi import VI_TOL, _coarse_problem, _pdas, _solve_linearised, _solve_pinned
 from conftest import block_solve, random_dual, random_nodal
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -586,3 +590,56 @@ def test_solve_pinned_solves_each_free_block_alone(bc):
         u, lam = _solve_pinned(A.matrix, mass, load, target, pinned)
         u_ref, lam_ref = _block_reference(A.matrix, mass, load, target, pinned)
         assert u.tobytes() == u_ref.tobytes() and lam.tobytes() == lam_ref.tobytes()
+
+
+def _dense_linearised_step(A, pinned, omap, u):
+    """J = S_C Phi'(u) as a dense matrix: S_C from the pinned identity rows, Phi' by columns."""
+    n = A.grid.n_nodes
+    rows = pinned | A.boundary
+    M = np.where(rows[:, None], np.eye(n), A.matrix.to_dense())
+    S = np.linalg.solve(M, np.diag(np.where(pinned & ~A.boundary, 1.0, 0.0)))
+    phi_prime = np.column_stack([omap.derivative_action(u, NodalFunction(A.grid, col)).values
+                                 for col in np.eye(n)])
+    return S @ phi_prime
+
+
+def _linearised_instances(bc):
+    """(map, state) pairs of the three families on 81 nodes, each with rho(J) < 1."""
+    g = Grid(81)
+    x = g.nodes
+    inner = assemble_operator(g, 1.0, bc)
+    yield (InverseEllipticMap(inner, ScalarNonlinearity("tanh", 2.0, 1.0)),
+           NodalFunction(g, 0.5 + np.sin(np.pi * x)))
+    yield PlateauMap(g, [1.0, 2.0], 0.25), NodalFunction(g, 0.55 + 0.19 * x)  # tail slopes < 1
+    yield (ThermoformingMap(NodalFunction.constant(g, 1.2), 1.0, 1.0, 0.3),
+           NodalFunction(g, 0.9 + 0.3 * x))  # gap inside (0, 1): the heat rate has a slope
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_linearised_solve_matches_the_dense_step(bc):
+    A = assemble_operator(Grid(81), 1.0, bc)
+    pinned = np.zeros(81, dtype=bool)
+    pinned[[0, 1, 2, 20, 21, 22, 23, 24, 50, 51, 52, 80]] = True  # blocks at both ends too
+    rng = np.random.default_rng(27)
+    for omap, u in _linearised_instances(bc):
+        B, w = omap.linearisation(u)
+        assert np.all(w >= 0) and w.any()
+        J = _dense_linearised_step(A, pinned, omap, u)
+        assert np.all(J >= -1e-13)  # J >= 0 up to the roundoff of the dense solve
+        r = np.where(A.boundary, 0.0, rng.uniform(-1.0, 1.0, 81))  # states are 0 on the boundary
+        x, (lo, hi) = _solve_linearised(A, pinned, B, w, r)
+        exact = np.linalg.solve(np.eye(81) - J, r)
+        assert np.max(np.abs(x - exact)) <= 1e-12 * (1.0 + np.max(np.abs(exact)))
+        rho = float(np.max(np.abs(np.linalg.eigvals(J))))
+        assert 0.0 < lo - 1e-12 <= rho <= hi + 1e-12 < 1.0
+
+
+def test_linearised_solve_refuses_a_step_that_expands():
+    # every node pinned on the rising part of the plateau curve: J = diag(slope), rho > 1
+    g = Grid(41)
+    A = assemble_operator(g, 1.0, "neumann")
+    omap = PlateauMap(g, [1.0, 2.0], 0.25)
+    u = NodalFunction.constant(g, 1.5)
+    B, w = omap.linearisation(u)
+    assert np.all(w > 1.0)
+    assert _solve_linearised(A, np.ones(41, dtype=bool), B, w, np.ones(41)) is None
