@@ -59,8 +59,7 @@ def _sign(which: str) -> float:
 
 def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: NodalFunction,
                     sign: float, step_tol: float, max_iter: int, error: type[Exception],
-                    order_text: str, cap_text: str, label: str,
-                    kinds: list[str] | None = None):
+                    order_text: str, cap_text: str, label: str, kinds: list[str]):
     """Limit of u <- step(u) from start; each step must move every node along sign.
 
     Stops at the first step whose V-norm is at most step_tol.  Raises error
@@ -70,7 +69,7 @@ def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: Nodal
     max_iter steps do not settle.  Returns the limit and, per step, its
     V-norm and its smallest and largest nodal change.  Logs each step at
     INFO under label, with its kind: the last entry of ``kinds``, which
-    the step appends to, or ``plain`` when it is None.
+    the step appends to.
     """
     u = start
     steps: list[float] = []
@@ -90,8 +89,8 @@ def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: Nodal
         steps.append(_v_norm_values(u.grid, delta))
         if not math.isfinite(steps[-1]) and not np.isfinite(delta).all():
             raise ValueError("non-finite nodal values")
-        log.info("%s step %d (%s): V-norm step %.3e", label, len(steps),
-                 "plain" if kinds is None else kinds[-1], steps[-1])
+        log.info("%s step %d (%s): V-norm step %.3e", label, len(steps), kinds[-1],
+                 steps[-1])
         u = nxt
         if steps[-1] <= step_tol:
             return u, tuple(steps), tuple(min_deltas), tuple(max_deltas)
@@ -221,14 +220,16 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
                 raise ExtremalIterationError(
                     f"fast solve disagrees with the exact oracle by {gap:.3e}")
         active0 = sol.active
-        return newton_step(u, sol.u, sol.active) if newton else sol.u
+        if newton:
+            return newton_step(u, sol.u, sol.active)
+        kinds.append("plain")
+        return sol.u
 
     u, steps, min_deltas, max_deltas = _monotone_limit(
         step, start, sign, TOL_FP, MAX_OUTER, ExtremalIterationError,
         "{order} iteration lost monotonicity (worst step {worst:.3e}); "
         "the comparison principle is broken",
-        f"no convergence within {MAX_OUTER} outer iterations", f"extremal {which}",
-        kinds if newton else None)
+        f"no convergence within {MAX_OUTER} outer iterations", f"extremal {which}", kinds)
     # bytes, not ==: -0.0 and 0.0 compare equal but may map apart
     prev, phi = last_step
     if u.values.tobytes() != prev.values.tobytes():

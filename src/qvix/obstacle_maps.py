@@ -6,13 +6,13 @@ to the solution of a second elliptic problem loaded with a monotone
 pointwise gain of u.  ``ThermoformingMap`` couples a mould shape to a
 semilinear temperature equation driven by the mould/membrane gap; the
 mould grows linearly with temperature.  All three are increasing and
-differentiable, with derivative actions implemented directly (solving the
-linearised equations where needed) so they can be validated against
-finite differences.  Each map's derivative has the form
+differentiable.  Each map's derivative has the form
 Phi'(u)h = B^-1 (w h) for a tridiagonal M-matrix B and weights w >= 0,
-which ``linearisation`` returns for the banded (I - J) solve of
-``vi._solve_linearised``.  ``concave`` declares a map concave on
-nonnegative states, which licenses the Newton steps of the max runs.
+which ``linearisation`` returns.  ``derivative_action`` applies it, so
+it can be validated against finite differences, and the banded (I - J)
+solve of ``vi._solve_linearised`` reads it.  ``concave`` declares a map
+concave on nonnegative states, which licenses the Newton steps of the
+max runs.
 
 ``lipschitz_estimate`` sizes the derivative at a state through those
 actions: the largest V-norm gain of Phi'(u) over the lowest modes of the
@@ -161,6 +161,7 @@ class PlateauMap(ObstacleMap):
         self._grid = grid
         self.levels = levels
         self.half_width = half_width
+        self._identity = TridiagonalSpd(np.ones(grid.n_nodes), np.zeros(grid.n_nodes - 1))
 
     @property
     def grid(self) -> Grid:
@@ -207,14 +208,13 @@ class PlateauMap(ObstacleMap):
         return NodalFunction(self.grid, self.scalar(u.values))
 
     def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
-        self._check_grid(u)
         self._check_grid(h)
-        return NodalFunction(self.grid, self._at_state(u, self.scalar_slope) * h.values)
+        _, w = self.linearisation(u)  # B is the identity
+        return NodalFunction(self.grid, w * h.values)
 
     def linearisation(self, u: NodalFunction) -> tuple[TridiagonalSpd, np.ndarray]:
         self._check_grid(u)
-        n = self.grid.n_nodes
-        return TridiagonalSpd(np.ones(n), np.zeros(n - 1)), self._at_state(u, self.scalar_slope)
+        return self._identity, self._at_state(u, self.scalar_slope)
 
 
 @dataclass(frozen=True)
@@ -274,10 +274,9 @@ class InverseEllipticMap(ObstacleMap):
         return self._inner.solve(DualElement(self.grid, self.gain.value(u.values)))
 
     def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
-        self._check_grid(u)
         self._check_grid(h)
-        load = DualElement(self.grid, self._at_state(u, self.gain.slope) * h.values)
-        return self._inner.solve(load)
+        B, w = self.linearisation(u)
+        return NodalFunction(self.grid, B.solve(w * h.values))
 
     def linearisation(self, u: NodalFunction) -> tuple[TridiagonalSpd, np.ndarray]:
         self._check_grid(u)
@@ -381,9 +380,8 @@ class ThermoformingMap(ObstacleMap):
 
     def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
         self._check_grid(h)
-        _, slope, jac = self._newton(u)
-        delta = jac.solve(self.grid.mass * slope * h.values)
-        return NodalFunction(self.grid, -self.expansion * delta)
+        B, w = self.linearisation(u)
+        return NodalFunction(self.grid, B.solve(w * h.values))
 
     def linearisation(self, u: NodalFunction) -> tuple[TridiagonalSpd, np.ndarray]:
         _, slope, jac = self._newton(u)

@@ -57,14 +57,13 @@ class CriticalConeData:
     """Everything needed to pose the derivative problem at a base solution.
 
     ``linearisation`` returns the map's ``(B, w)`` at the base
-    (``ObstacleMap.linearisation``); without it the derivative takes
-    plain cone steps only.
+    (``ObstacleMap.linearisation``).
     """
 
     partition: ActiveSetPartition
     deriv_map: Callable[[NodalFunction], NodalFunction]
     operator: EllipticOperator
-    linearisation: Callable[[], tuple[TridiagonalSpd, np.ndarray]] | None = None
+    linearisation: Callable[[], tuple[TridiagonalSpd, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
     first, active0 = _cone_solve(cone, d.values, np.zeros(A.grid.n_nodes))
     iterates = [first]
     kinds: list[str] = []
-    linear = cone.linearisation is not None
+    linear = True
     # a biactive node makes the cone no subspace, and the problem not linear
     if cone.partition.biactive.any():
         linear = False

@@ -316,8 +316,15 @@ def test_monotone_limit_step_norms_keep_the_bits_of_v_norm():
                                                    axis=0)]
     path.append(path[-1])  # an exactly-zero last step ends the loop
     feed = iter(path[1:])
-    u, steps, mins, maxs = _monotone_limit(lambda _: next(feed), path[0], 1.0, 0.0, 10,
-                                           ExtremalIterationError, "{order}", "cap", "test")
+    kinds = []
+
+    def step(_):
+        kinds.append("plain")
+        return next(feed)
+
+    u, steps, mins, maxs = _monotone_limit(step, path[0], 1.0, 0.0, 10,
+                                           ExtremalIterationError, "{order}", "cap", "test",
+                                           kinds)
     assert u is path[-1]
     assert steps == tuple(v_norm(b - a) for a, b in zip(path, path[1:]))
     assert mins == tuple(float(np.min(b.values - a.values)) for a, b in zip(path, path[1:]))
@@ -333,7 +340,7 @@ def test_monotone_limit_keeps_the_checks_of_the_step_difference(nxt, error, matc
     start = NodalFunction.constant(Grid(11), -1e308)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
         _monotone_limit(lambda _: nxt, start, 1.0, 0.0, 10, ExtremalIterationError,
-                        "{order}", "cap", "test")
+                        "{order}", "cap", "test", [])
 
 
 def test_warm_steps_reuse_the_reduced_factor(monkeypatch):

@@ -397,7 +397,8 @@ def test_dirichlet_rows_of_every_posed_problem():
     alphas = []
     for partition in (mixed, every):
         # a constant map derivative: one cone solve is the fixed point
-        cone = CriticalConeData(partition=partition, deriv_map=lambda w: shift, operator=A)
+        cone = CriticalConeData(partition=partition, deriv_map=lambda w: shift, operator=A,
+                                linearisation=lambda: (A.matrix, np.zeros(n)))
         alpha, _ = _cone_solve(cone, d.values, shift.values)
         assert alpha.values[0] == 0.0 and alpha.values[-1] == 0.0
         assert derivative_qvi_residual(cone, alpha, d) <= 1e-10
