@@ -10,18 +10,19 @@ a temporary directory in three variants:
   config's own grid, 401 and 1601 nodes.
 
 It prints one line ``<config>[-dirichlet|-both]@<n>/<file> <sha256>`` per
-written file, sorted by file name within each run.  Running it on two
-checkouts and diffing the outputs shows whether a change kept the outputs
-byte-identical:
+written file, sorted by file name within each run.  ``--against`` compares two
+checkouts and shows whether a change kept the outputs byte-identical:
 
-    python scripts/output_digests.py > after.txt
-    python scripts/output_digests.py --root ../other-checkout > before.txt
-    diff before.txt after.txt
+    python scripts/output_digests.py --against ../other-checkout
 
-``--root`` names the checkout whose ``src/`` and ``configs/`` are used;
-it defaults to the one holding this script.  BLAS runs on one thread,
-so the digests of two checkouts compare like with like: at 25601 nodes a
-dot product gives other bits on one thread than on two.
+It computes the digests of both trees, each in its own process so that
+each imports its own ``qvix``, prints every line that differs (``-`` for
+the other checkout, ``+`` for this one), then "N of M lines identical",
+and exits 1 on any difference.  ``--root`` names the checkout whose
+``src/`` and ``configs/`` are used; it defaults to the one holding this
+script.  BLAS runs on one thread, so the digests of two checkouts compare
+like with like: at 25601 nodes a dot product gives other bits on one
+thread than on two.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -79,13 +81,37 @@ def digests(root: Path) -> list[str]:
     return lines
 
 
+def _child_digests(root: Path) -> dict[str, str]:
+    """Digest of each output file of root, from ``digests`` run in a child process."""
+    done = subprocess.run([sys.executable, __file__, "--root", str(root)],
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return dict(line.rsplit(" ", 1) for line in done.stdout.splitlines())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout to run (default: the one holding this script)")
+    parser.add_argument("--against", type=Path,
+                        help="checkout to compare with; exit 1 if any digest differs")
     args = parser.parse_args(argv)
-    print("\n".join(digests(args.root.resolve())))
-    return 0
+    for tree in filter(None, (args.root, args.against)):
+        if not (tree / "src" / "qvix").is_dir():
+            parser.error(f"{tree} holds no src/qvix")
+    if args.against is None:
+        print("\n".join(digests(args.root.resolve())))
+        return 0
+    new = _child_digests(args.root.resolve())
+    old = _child_digests(args.against.resolve())
+    names = list(dict.fromkeys([*new, *old]))
+    for name in names:
+        if old.get(name) != new.get(name):
+            for mark, side in (("-", old), ("+", new)):
+                if name in side:
+                    print(f"{mark} {name} {side[name]}")
+    identical = sum(old.get(name) == new.get(name) for name in names)
+    print(f"{identical} of {len(names)} lines identical")
+    return int(identical != len(names))
 
 
 if __name__ == "__main__":

@@ -52,6 +52,10 @@ from .vi import ViSolveError, classify_active, multiplier
 
 log = logging.getLogger("qvix")
 
+# what a run or its sensitivity check raises when it fails: recorded as
+# that run's failure, never raised out of run_experiment
+_SOLVE_ERRORS = (ExtremalIterationError, DerivativeSolveError, ViSolveError, InnerSolveError,
+                 ValueError)
 CONFIG_VERSION = 1
 # the fields each gain kind reads, besides "kind"
 _GAIN_FIELDS = {"zero": (), "linear": ("scale",), "tanh": ("scale", "rate")}
@@ -451,7 +455,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
             c_phi = lipschitz_estimate(omap, u, A.bc)
             if isinstance(omap, ThermoformingMap):
                 temperature_vnorm = v_norm(omap.temperature(u))
-        except (ExtremalIterationError, ViSolveError, InnerSolveError) as exc:
+        except _SOLVE_ERRORS as exc:
             log.error("extremal run '%s' failed: %s", which, exc)
             artifacts.failures.append(f"{which}: {exc}")
             run_summary["error"] = str(exc)
@@ -483,8 +487,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
         if config.sensitivity:
             try:
                 deriv = fd_validate(A, f, d, omap, bracket, which, oracle_check=oracle_check)
-            except (DerivativeSolveError, ValueError, ExtremalIterationError,
-                    ViSolveError, InnerSolveError) as exc:
+            except _SOLVE_ERRORS as exc:
                 log.error("sensitivity run '%s' failed: %s", which, exc)
                 artifacts.failures.append(f"sensitivity/{which}: {exc}")
                 run_summary["sensitivity"] = {"error": str(exc)}
@@ -505,7 +508,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
     artifacts.summary = _jsonable(summary)
     summary_path = target / "summary.json"
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(artifacts.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(artifacts.summary, indent=2, sort_keys=True) + "\n")
     artifacts.files["summary"] = summary_path
     return artifacts

@@ -57,26 +57,28 @@ def _sign(which: str) -> float:
     return 1.0 if which == "min" else -1.0
 
 
-def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: NodalFunction,
-                    sign: float, step_tol: float, max_iter: int, error: type[Exception],
-                    order_text: str, cap_text: str, label: str, kinds: list[str]):
+def _monotone_limit(step: Callable[[NodalFunction], tuple[NodalFunction, str]],
+                    start: NodalFunction, sign: float, step_tol: float, max_iter: int,
+                    error: type[Exception], order_text: str, cap_text: str, label: str):
     """Limit of u <- step(u) from start; each step must move every node along sign.
 
     Stops at the first step whose V-norm is at most step_tol.  Raises error
     with order_text, formatted with the order's name and the worst nodal
     change, when a step goes against sign by more than MONOTONE_TOL, and
     with cap_text plus the last step and the tail contraction ratio when
-    max_iter steps do not settle.  Returns the limit and, per step, its
-    V-norm and its smallest and largest nodal change.  Logs each step at
-    INFO under label, with its kind: the last entry of ``kinds``, which
-    the step appends to.
+    max_iter steps do not settle.  ``step`` returns the next iterate and
+    the kind of step that made it.  Returns the limit and, per step, its
+    V-norm, its smallest and largest nodal change, and its kind.  Logs
+    each step at INFO under label, with its kind.
     """
     u = start
     steps: list[float] = []
     min_deltas: list[float] = []
     max_deltas: list[float] = []
+    kinds: list[str] = []
     for _ in range(max_iter):
-        nxt = step(u)
+        nxt, kind = step(u)
+        kinds.append(kind)
         delta = nxt.values - u.values
         min_deltas.append(float(delta.min()))
         max_deltas.append(float(delta.max()))
@@ -89,11 +91,10 @@ def _monotone_limit(step: Callable[[NodalFunction], NodalFunction], start: Nodal
         steps.append(_v_norm_values(u.grid, delta))
         if not math.isfinite(steps[-1]) and not np.isfinite(delta).all():
             raise ValueError("non-finite nodal values")
-        log.info("%s step %d (%s): V-norm step %.3e", label, len(steps), kinds[-1],
-                 steps[-1])
+        log.info("%s step %d (%s): V-norm step %.3e", label, len(steps), kind, steps[-1])
         u = nxt
         if steps[-1] <= step_tol:
-            return u, tuple(steps), tuple(min_deltas), tuple(max_deltas)
+            return u, tuple(steps), tuple(min_deltas), tuple(max_deltas), tuple(kinds)
     last = steps[-1] if steps else float("nan")
     tail = steps[-1] / steps[-2] if len(steps) >= 2 and steps[-2] > 0 else float("nan")
     raise error(f"{cap_text} (last step {last:.3e}, tail contraction ratio {tail:.3f})")
@@ -187,10 +188,10 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     # a load >= 0 makes 0 a subsolution, so u_max >= 0, where the map is concave
     if sign > 0 or not omap.concave or np.any(f.values < 0):
         newton = False
-    kinds: list[str] = []
     rate = None  # of the last certified solve
 
-    def newton_step(u: NodalFunction, v: NodalFunction, pinned: np.ndarray) -> NodalFunction:
+    def newton_step(u: NodalFunction, v: NodalFunction,
+                    pinned: np.ndarray) -> tuple[NodalFunction, str]:
         """u - (I - J)^-1 (u - v), or v where J = 0, the certificate fails or v ends the loop."""
         nonlocal rate
         r = u.values - v.values
@@ -198,16 +199,14 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
             solved = _solve_linearised(A, pinned, *omap.linearisation(u), r)
             if solved is not None:
                 x, rate = solved
-                kinds.append("newton")
-                return NodalFunction(u.grid, u.values - x)
-        kinds.append("plain")
-        return v
+                return NodalFunction(u.grid, u.values - x), "newton"
+        return v, "plain"
 
     # Evaluates the obstacle of each accepted iterate once, at the start of
     # the step that leaves it; the limit reuses the last step's obstacle
     # when that step moved no bit, and evaluates its own otherwise.  PDAS
     # warm start: the caller's set, then the set the last solve settled on.
-    def step(u: NodalFunction) -> NodalFunction:
+    def step(u: NodalFunction) -> tuple[NodalFunction, str]:
         nonlocal active0, last_step
         phi = omap.evaluate(u)
         last_step = (u, phi)
@@ -222,14 +221,13 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         active0 = sol.active
         if newton:
             return newton_step(u, sol.u, sol.active)
-        kinds.append("plain")
-        return sol.u
+        return sol.u, "plain"
 
-    u, steps, min_deltas, max_deltas = _monotone_limit(
+    u, steps, min_deltas, max_deltas, kinds = _monotone_limit(
         step, start, sign, TOL_FP, MAX_OUTER, ExtremalIterationError,
         "{order} iteration lost monotonicity (worst step {worst:.3e}); "
         "the comparison principle is broken",
-        f"no convergence within {MAX_OUTER} outer iterations", f"extremal {which}", kinds)
+        f"no convergence within {MAX_OUTER} outer iterations", f"extremal {which}")
     # bytes, not ==: -0.0 and 0.0 compare equal but may map apart
     prev, phi = last_step
     if u.values.tobytes() != prev.values.tobytes():
@@ -259,15 +257,10 @@ def _kept_run(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     """
     key = (A, which, f.grid, f.values.tobytes(), start.grid, start.values.tobytes(),
            oracle_check, None if active0 is None else np.asarray(active0, bool).tobytes())
-    reused = True
-
-    def compute():
-        nonlocal reused
-        reused = False
-        return _iterate(A, f, omap, start, which, oracle_check, active0)
-
-    report = _kept(omap, "_run_entry", key, compute)
-    if reused:
+    entry = omap._run_entry
+    report = _kept(omap, "_run_entry", key,
+                   lambda: _iterate(A, f, omap, start, which, oracle_check, active0))
+    if omap._run_entry is entry:  # _kept replaces the entry whole when it computes
         log.info("extremal %s: reused the run at this load and start (%d steps)",
                  which, report.n_iters)
     return report

@@ -56,14 +56,14 @@ class DerivativeSolveError(RuntimeError):
 class CriticalConeData:
     """Everything needed to pose the derivative problem at a base solution.
 
-    ``linearisation`` returns the map's ``(B, w)`` at the base
+    ``linearisation`` is the map's ``(B, w)`` at the base
     (``ObstacleMap.linearisation``).
     """
 
     partition: ActiveSetPartition
     deriv_map: Callable[[NodalFunction], NodalFunction]
     operator: EllipticOperator
-    linearisation: Callable[[], tuple[TridiagonalSpd, np.ndarray]]
+    linearisation: tuple[TridiagonalSpd, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
             raise ConeError(f"multiplier of size {leak:.3e} off the coincidence set")
     return CriticalConeData(partition=partition,
                             deriv_map=lambda w: omap.derivative_action(base, w),
-                            operator=A, linearisation=lambda: omap.linearisation(base))
+                            operator=A, linearisation=omap.linearisation(base))
 
 
 def _cone_solve(cone: CriticalConeData, d_vals: np.ndarray, shift_vals: np.ndarray,
@@ -149,31 +149,28 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
     A, strict = cone.operator, cone.partition.strict
     first, active0 = _cone_solve(cone, d.values, np.zeros(A.grid.n_nodes))
     iterates = [first]
-    kinds: list[str] = []
     linear = True
     # a biactive node makes the cone no subspace, and the problem not linear
     if cone.partition.biactive.any():
         linear = False
 
     # consecutive cone solves mostly share their set: each starts from the last one's
-    def step(alpha: NodalFunction) -> NodalFunction:
+    def step(alpha: NodalFunction) -> tuple[NodalFunction, str]:
         nonlocal active0
         if linear and len(iterates) == 1:
-            solved = _solve_linearised(A, strict, *cone.linearisation(), alpha.values)
+            solved = _solve_linearised(A, strict, *cone.linearisation, alpha.values)
             if solved is not None:
-                kinds.append("newton")
                 iterates.append(NodalFunction(A.grid, solved[0]))
-                return iterates[-1]
+                return iterates[-1], "newton"
         nxt, active0 = _cone_solve(cone, d.values, cone.deriv_map(alpha).values, active0)
-        kinds.append("plain")
         iterates.append(nxt)
-        return nxt
+        return nxt, "plain"
 
     budget = extremal.MAX_OUTER
-    alpha, _, _, _ = _monotone_limit(
+    alpha, _, _, _, _ = _monotone_limit(
         step, iterates[0], sign, ALPHA_STEP_TOL, budget, DerivativeSolveError,
         "derivative iterates lost their {order} order",
-        f"derivative iteration did not settle within {budget} rounds", "derivative", kinds)
+        f"derivative iteration did not settle within {budget} rounds", "derivative")
     residual = derivative_qvi_residual(cone, alpha, d)
     if residual > ALPHA_RESIDUAL_TOL:
         raise DerivativeSolveError(

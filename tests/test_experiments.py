@@ -348,6 +348,24 @@ def test_stall_after_the_run_is_recorded_as_its_failure(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
 
 
+def test_a_value_error_in_a_run_is_recorded_as_its_failure(tmp_path, monkeypatch):
+    # a convex gain declared concave: the first Newton step undershoots
+    # u_max and the next evaluation overflows sinh, a ValueError
+    # ("non-finite nodal values") that fails the run instead of escaping
+    gain = qvix.obstacle_maps.ScalarNonlinearity
+    monkeypatch.setattr(gain, "value", lambda self, r: 0.1 * np.sinh(r))
+    monkeypatch.setattr(gain, "slope", lambda self, r: 0.1 * np.cosh(r))
+    raw = json.loads((CONFIG_DIR / "inverse_elliptic_max.json").read_text())
+    raw["grid"]["n_nodes"] = 101
+    with np.errstate(over="ignore"):
+        artifacts = run_experiment(parse_config(raw), out_dir=tmp_path, seed=0)
+    assert qvix.obstacle_maps.InverseEllipticMap.concave
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["failures"] == artifacts.failures == ["max: non-finite nodal values"]
+    assert summary["runs"]["max"] == {"error": "non-finite nodal values"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+
+
 def test_run_both_builds_the_lipschitz_modes_once(tmp_path, monkeypatch):
     builds, estimates = [], []
     modes = qvix.obstacle_maps._lipschitz_modes

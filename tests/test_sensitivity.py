@@ -398,7 +398,7 @@ def test_dirichlet_rows_of_every_posed_problem():
     for partition in (mixed, every):
         # a constant map derivative: one cone solve is the fixed point
         cone = CriticalConeData(partition=partition, deriv_map=lambda w: shift, operator=A,
-                                linearisation=lambda: (A.matrix, np.zeros(n)))
+                                linearisation=(A.matrix, np.zeros(n)))
         alpha, _ = _cone_solve(cone, d.values, shift.values)
         assert alpha.values[0] == 0.0 and alpha.values[-1] == 0.0
         assert derivative_qvi_residual(cone, alpha, d) <= 1e-10
@@ -567,11 +567,12 @@ def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, ins
 def test_derivative_iteration_linearises_once_per_base(monkeypatch):
     A, f, d, omap = _bundled("inverse_elliptic_max", 201)
     run = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
-    cone = build_cone(A, f, omap, run.solution, run.obstacle)
     slopes = []
     slope = ScalarNonlinearity.slope
     monkeypatch.setattr(ScalarNonlinearity, "slope",
                         lambda self, r: slopes.append(1) or slope(self, r))
+    # the cone linearises at its base; the iteration reuses that state
+    cone = build_cone(A, f, omap, run.solution, run.obstacle)
     report = solve_derivative_qvi(cone, d, "max")
     assert len(report.alpha_iterates) > 2
     assert len(slopes) == 1
