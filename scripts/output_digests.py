@@ -18,7 +18,9 @@ checkouts and shows whether a change kept the outputs byte-identical:
 It computes the digests of both trees, each in its own process so that
 each imports its own ``qvix``, prints every line that differs (``-`` for
 the other checkout, ``+`` for this one), then "N of M lines identical",
-and exits 1 on any difference.  ``--root`` names the checkout whose
+and exits 1 on any difference.  It exits 2, naming the tree, when a tree
+holds no ``src/qvix`` or its digests fail to run, so a crash never reads
+as a difference.  ``--root`` names the checkout whose
 ``src/`` and ``configs/`` are used; it defaults to the one holding this
 script.  BLAS runs on one thread, so the digests of two checkouts compare
 like with like: at 25601 nodes a dot product gives other bits on one
@@ -101,8 +103,12 @@ def main(argv=None) -> int:
     if args.against is None:
         print("\n".join(digests(args.root.resolve())))
         return 0
-    new = _child_digests(args.root.resolve())
-    old = _child_digests(args.against.resolve())
+    try:
+        new = _child_digests(args.root.resolve())
+        old = _child_digests(args.against.resolve())
+    except subprocess.CalledProcessError as exc:
+        print(f"digests of {exc.cmd[-1]} failed (exit {exc.returncode})", file=sys.stderr)
+        return 2
     names = list(dict.fromkeys([*new, *old]))
     for name in names:
         if old.get(name) != new.get(name):

@@ -260,7 +260,9 @@ def _kept_run(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     entry = omap._run_entry
     report = _kept(omap, "_run_entry", key,
                    lambda: _iterate(A, f, omap, start, which, oracle_check, active0))
-    if omap._run_entry is entry:  # _kept replaces the entry whole when it computes
+    # _kept replaces the entry whole when it computes; a thread racing on
+    # this map can hide a reuse from the log line, never change a report
+    if omap._run_entry is entry:
         log.info("extremal %s: reused the run at this load and start (%d steps)",
                  which, report.n_iters)
     return report

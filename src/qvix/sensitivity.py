@@ -57,7 +57,8 @@ class CriticalConeData:
     """Everything needed to pose the derivative problem at a base solution.
 
     ``linearisation`` is the map's ``(B, w)`` at the base
-    (``ObstacleMap.linearisation``).
+    (``ObstacleMap.linearisation``), so ``build_cone`` linearises the map
+    there and can raise the map's inner-solve error (``InnerSolveError``).
     """
 
     partition: ActiveSetPartition
