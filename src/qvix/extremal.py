@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fem import DualElement, EllipticOperator, NodalFunction, _kept, _v_norm_values, leq
+from .fem import (DualElement, EllipticOperator, NodalFunction, NonFiniteError, _kept,
+                  _v_norm_values, leq)
 from .obstacle_maps import ObstacleMap
 from .vi import _solve_linearised, complementarity_residual, multiplier, oracle_vi, solve_vi
 
@@ -90,7 +91,7 @@ def _monotone_limit(step: Callable[[NodalFunction], tuple[NodalFunction, str]],
         nxt._check_same(u)
         steps.append(_v_norm_values(u.grid, delta))
         if not math.isfinite(steps[-1]) and not np.isfinite(delta).all():
-            raise ValueError("non-finite nodal values")
+            raise NonFiniteError("non-finite nodal values")
         log.info("%s step %d (%s): V-norm step %.3e", label, len(steps), kind, steps[-1])
         u = nxt
         if steps[-1] <= step_tol:
@@ -189,6 +190,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     if sign > 0 or not omap.concave or np.any(f.values < 0):
         newton = False
     rate = None  # of the last certified solve
+    latest = (start, 0, "start")  # the newest state, the step that made it and its kind
 
     def newton_step(u: NodalFunction, v: NodalFunction,
                     pinned: np.ndarray) -> tuple[NodalFunction, str]:
@@ -207,7 +209,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     # when that step moved no bit, and evaluates its own otherwise.  PDAS
     # warm start: the caller's set, then the set the last solve settled on.
     def step(u: NodalFunction) -> tuple[NodalFunction, str]:
-        nonlocal active0, last_step
+        nonlocal active0, last_step, latest
         phi = omap.evaluate(u)
         last_step = (u, phi)
         residuals.append(_obstacle_residual(u, phi, multiplier(A, f, u)))
@@ -219,20 +221,26 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
                 raise ExtremalIterationError(
                     f"fast solve disagrees with the exact oracle by {gap:.3e}")
         active0 = sol.active
-        if newton:
-            return newton_step(u, sol.u, sol.active)
-        return sol.u, "plain"
+        nxt, kind = newton_step(u, sol.u, sol.active) if newton else (sol.u, "plain")
+        latest = (nxt, latest[1] + 1, kind)
+        return nxt, kind
 
-    u, steps, min_deltas, max_deltas, kinds = _monotone_limit(
-        step, start, sign, TOL_FP, MAX_OUTER, ExtremalIterationError,
-        "{order} iteration lost monotonicity (worst step {worst:.3e}); "
-        "the comparison principle is broken",
-        f"no convergence within {MAX_OUTER} outer iterations", f"extremal {which}")
-    # bytes, not ==: -0.0 and 0.0 compare equal but may map apart
-    prev, phi = last_step
-    if u.values.tobytes() != prev.values.tobytes():
-        phi = omap.evaluate(u)
-    residuals.append(_obstacle_residual(u, phi, multiplier(A, f, u)))
+    try:
+        u, steps, min_deltas, max_deltas, kinds = _monotone_limit(
+            step, start, sign, TOL_FP, MAX_OUTER, ExtremalIterationError,
+            "{order} iteration lost monotonicity (worst step {worst:.3e}); "
+            "the comparison principle is broken",
+            f"no convergence within {MAX_OUTER} outer iterations", f"extremal {which}")
+        # bytes, not ==: -0.0 and 0.0 compare equal but may map apart
+        prev, phi = last_step
+        if u.values.tobytes() != prev.values.tobytes():
+            phi = omap.evaluate(u)
+        residuals.append(_obstacle_residual(u, phi, multiplier(A, f, u)))
+    except NonFiniteError as exc:  # an overflow names the state it came from
+        state, number, kind = latest
+        raise ExtremalIterationError(
+            f"non-finite nodal values from the state of step {number} ({kind}), "
+            f"in [{state.values.min():.3e}, {state.values.max():.3e}]") from exc
     if residuals[-1] > RESIDUAL_TOL:
         raise ExtremalIterationError(
             f"converged iterate has residual {residuals[-1]:.3e} "

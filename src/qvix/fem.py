@@ -28,6 +28,10 @@ class SingularOperatorError(ValueError):
     """The requested operator or pinned system has no unique solution."""
 
 
+class NonFiniteError(ValueError):
+    """A nodal array holds an infinite or NaN value."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid with ``n_nodes`` nodes spanning a closed interval."""
@@ -79,7 +83,7 @@ class _GridVector:
         if v.shape != (grid.n_nodes,):
             raise ValueError(f"expected {grid.n_nodes} values, got {v.shape}")
         if not np.isfinite(v).all():
-            raise ValueError("non-finite nodal values")
+            raise NonFiniteError("non-finite nodal values")
         v.flags.writeable = False
         self._grid = grid
         self._values = v
@@ -140,7 +144,9 @@ def _kept(owner, slot: str, key, compute):
     The slot holds one ``(key, value)`` entry, None until the first call.
     The entry is read once and replaced whole, so a thread that races
     another on one owner never pairs one key with the other's value.  A
-    raise is never kept.
+    raise is never kept.  Two slots of an obstacle map use it: the
+    linearisation at the last state (``ObstacleMap._at_state``) and the
+    last extremal run (``extremal._kept_run``).
     """
     entry = getattr(owner, slot)
     if entry is None or entry[0] != key:
@@ -152,17 +158,15 @@ def _kept(owner, slot: str, key, compute):
 class TridiagonalSpd:
     """Symmetric positive-definite tridiagonal matrix in banded storage.
 
-    The bands are read-only, so the LDL^T factor (LAPACK ``dpttrf``) is
-    computed on the first solve and kept; each solve is then one
-    ``dpttrs`` sweep.  That is the ``ptsv`` arithmetic ``solveh_banded``
-    runs for a two-row band, so results keep their bits.
-
-    The pinned system of the last pinned set is kept as well, keyed by
-    the bytes of the pinned mask (``_pinned_system``): obstacle solves
-    that pin the same set in consecutive rounds build and factor it once.
+    Immutable: the bands are read-only, and the LDL^T factor (LAPACK
+    ``dpttrf``) is computed once, at construction, which refuses a matrix
+    that is not positive definite.  ``pivots`` is the diagonal of D and
+    ``multipliers`` the subdiagonal of L, both read-only.  Each solve is
+    one ``dpttrs`` sweep: the ``ptsv`` arithmetic ``solveh_banded`` runs
+    for a two-row band, so results keep their bits.
     """
 
-    __slots__ = ("diag", "upper", "_factor", "_pinned")
+    __slots__ = ("diag", "upper", "pivots", "multipliers")
 
     def __init__(self, diag, upper):
         d = np.array(diag, dtype=float, copy=True)
@@ -171,12 +175,15 @@ class TridiagonalSpd:
             raise ValueError(f"need at least 2 rows, got {d.shape[0]}")
         if u.shape != (d.shape[0] - 1,):
             raise ValueError("upper band must have length n-1")
-        d.flags.writeable = False
-        u.flags.writeable = False
+        pivots, multipliers, info = dpttrf(d, u)
+        if info:
+            raise SingularOperatorError(f"matrix is not positive definite (leading minor {info})")
+        for band in (d, u, pivots, multipliers):
+            band.flags.writeable = False
         self.diag = d
         self.upper = u
-        self._factor = None
-        self._pinned = None
+        self.pivots = pivots
+        self.multipliers = multipliers
 
     @property
     def n(self) -> int:
@@ -189,13 +196,7 @@ class TridiagonalSpd:
         return y
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._factor is None:
-            d, e, info = dpttrf(self.diag, self.upper)
-            if info:
-                raise SingularOperatorError(
-                    f"matrix is not positive definite (leading minor {info})")
-            self._factor = (d, e)
-        x, _ = dpttrs(*self._factor, rhs)
+        x, _ = dpttrs(self.pivots, self.multipliers, rhs)
         return x
 
     def _identity_rows(self, pinned: np.ndarray) -> "TridiagonalSpd | None":
@@ -211,12 +212,6 @@ class TridiagonalSpd:
             return None
         return TridiagonalSpd(np.where(pinned, 1.0, self.diag),
                               np.where(pinned[:-1] | pinned[1:], 0.0, self.upper))
-
-    def _pinned_system(self, pinned: np.ndarray) -> "TridiagonalSpd | None":
-        """``_identity_rows(pinned)``, kept (``_kept``) for the last mask seen,
-        so a repeated mask reuses it together with the factor its first
-        solve computed."""
-        return _kept(self, "_pinned", pinned.tobytes(), lambda: self._identity_rows(pinned))
 
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.diag)
@@ -351,13 +346,11 @@ def sup_embedding_constant(grid: Grid) -> float:
 
     Equals the square root of the largest diagonal entry of the inverse
     H1 matrix.  That diagonal comes in O(n) time and memory from the
-    pivots of the forward and backward LDL^T factorisations (Meurant,
-    SIAM J. Matrix Anal. Appl. 13, 1992): ``1 / (p_i + q_i - a_i)``.
+    pivots p of the H1 matrix's LDL^T factor and q of its reverse's, read
+    back in node order (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992):
+    ``1 / (p_i + q_i - a_i)``.
     """
     h1 = assemble_operator(grid, 1.0, "neumann").matrix
-    forward, _, info_fwd = dpttrf(h1.diag, h1.upper)
-    backward, _, info_bwd = dpttrf(h1.diag[::-1], h1.upper[::-1])
-    if info_fwd or info_bwd:  # pragma: no cover - the H1 matrix is SPD
-        raise SingularOperatorError("H1 matrix is not positive definite")
-    inv_diag = 1.0 / (forward + backward[::-1] - h1.diag)
+    backward = TridiagonalSpd(h1.diag[::-1], h1.upper[::-1]).pivots[::-1]
+    inv_diag = 1.0 / (h1.pivots + backward - h1.diag)
     return float(np.sqrt(np.max(inv_diag)))

@@ -35,6 +35,7 @@ from .fem import (
     NodalFunction,
     TridiagonalSpd,
     _kept,
+    _v_norm_values,
     assemble_operator,
     dual_norm,
     sup_embedding_constant,
@@ -87,19 +88,20 @@ def _ramp_slope(xi, width):
 class ObstacleMap(abc.ABC):
     """Increasing map from membrane states to obstacle functions.
 
-    A map keeps the work it repeats at one input in one-entry slots
-    (``fem._kept``): the linearisation at the last state, the modes of
-    the last boundary condition ``lipschitz_estimate`` was asked for, and
-    the last extremal run (``extremal._kept_run``).  ``concave`` is True
-    for a map that is concave on nonnegative states; a max run of such a
-    map takes Newton steps (``extremal._iterate``).
+    A map keeps the work it repeats at one input in two one-entry slots
+    (``fem._kept``): the linearisation at the last state (``_at_state``),
+    which shares the thermoforming Newton result between the evaluation,
+    the derivative actions and the temperature at a solution, and the
+    last extremal run (``extremal._kept_run``), which ``fd_validate``'s
+    repeat of the base run reads.  ``concave`` is True for a map that is
+    concave on nonnegative states; a max run of such a map takes Newton
+    steps (``extremal._iterate``).
     """
 
     kind: str
     concave = False
     # (key, value) of the last _kept call per slot; None until the first
     _state_entry = None
-    _modes_entry = None
     _run_entry = None
 
     @property
@@ -128,8 +130,8 @@ class ObstacleMap(abc.ABC):
 
         Keyed by a copy of the state's bytes, not by ==, since -0.0 and
         0.0 compare equal but may map apart.  The derivative actions at one
-        state (the modes of ``lipschitz_estimate``, every step of a
-        derivative iteration at one base) then linearise once.
+        state (every step of a derivative iteration at one base) then
+        linearise once.
         """
         return _kept(self, "_state_entry", u.values.tobytes(), lambda: compute(u.values))
 
@@ -415,21 +417,6 @@ def check_increasing(omap: ObstacleMap, trials: int, rng: np.random.Generator | 
 LIPSCHITZ_MODES = 5
 
 
-def _lipschitz_modes(grid: Grid, bc: BoundaryCondition):
-    """The modes of ``lipschitz_estimate`` on the grid, each with its V-norm."""
-    n = grid.n_nodes
-    wave, highest = (np.cos, n - 1) if bc == "neumann" else (np.sin, n - 2)
-    angles = np.pi * np.arange(n) / (n - 1)
-    modes = []
-    for k in range(1, min(LIPSCHITZ_MODES, highest) + 1):
-        vals = wave(k * angles)
-        if bc == "dirichlet":
-            vals[-1] = 0.0  # sin(k pi) is roundoff, not zero
-        mode = NodalFunction(grid, vals)
-        modes.append((mode, v_norm(mode)))
-    return tuple(modes)
-
-
 def lipschitz_estimate(omap: ObstacleMap, center: NodalFunction, bc: BoundaryCondition) -> float:
     """Largest ratio |Phi'(center) w|_V / |w|_V over the lowest modes w.
 
@@ -441,18 +428,28 @@ def lipschitz_estimate(omap: ObstacleMap, center: NodalFunction, bc: BoundaryCon
     modes are what a smoothing map passes, so the value does not fade as
     the grid refines.  A lower bound on the norm of Phi'(center).
 
-    The map keeps the modes and their norms of the last ``bc``, and the
-    linearisation at the last state, so the estimates of one problem
-    build the modes once and each linearises once, for all its modes.
+    Linearises once, ``(B, w) = omap.linearisation(center)``, and applies
+    B^-1 (w h) to every mode in one multi-column solve (none for the
+    plateau map, whose B is the identity).  Each column keeps the bits of
+    its own ``derivative_action``.
     """
     if bc not in ("neumann", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
-    omap._check_grid(center)
-    modes = _kept(omap, "_modes_entry", bc, lambda: _lipschitz_modes(omap.grid, bc))
-    worst = 0.0
-    for mode, norm in modes:
-        worst = max(worst, v_norm(omap.derivative_action(center, mode)) / norm)
-    return worst
+    grid = omap.grid
+    n = grid.n_nodes
+    wave, highest = (np.cos, n - 1) if bc == "neumann" else (np.sin, n - 2)
+    angles = np.pi * np.arange(n) / (n - 1)
+    modes = np.empty((n, min(LIPSCHITZ_MODES, highest)), order="F")
+    for k in range(1, modes.shape[1] + 1):
+        modes[:, k - 1] = wave(k * angles)
+    if bc == "dirichlet":
+        modes[-1] = 0.0  # sin(k pi) is roundoff, not zero
+    B, w = omap.linearisation(center)
+    images = w[:, None] * modes
+    if not isinstance(omap, PlateauMap):
+        images = B.solve(images)
+    return max((_v_norm_values(grid, images[:, j]) / _v_norm_values(grid, modes[:, j])
+                for j in range(modes.shape[1])), default=0.0)
 
 
 def lipschitz_threshold_check(omap: ThermoformingMap, operator: EllipticOperator,

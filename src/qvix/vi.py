@@ -64,6 +64,7 @@ from .fem import (
     EllipticOperator,
     GridMismatchError,
     NodalFunction,
+    NonFiniteError,
     TridiagonalSpd,
 )
 
@@ -162,7 +163,7 @@ def multiplier(A: EllipticOperator, f: DualElement, u: NodalFunction) -> np.ndar
         raise GridMismatchError("operands live on different grids")
     lam = f.values - A.matrix.matvec(u.values) / grid.mass
     if not np.isfinite(lam).all():
-        raise ValueError("non-finite nodal values")
+        raise NonFiniteError("non-finite nodal values")
     if A.bc == "dirichlet":
         lam[A.boundary] = 0.0
     return lam
@@ -270,13 +271,12 @@ def _solve_pinned(matrix: TridiagonalSpd, mass, load, target, pinned):
     """Values with the pinned nodes at the target and the equation elsewhere,
     and the multiplier densities (zero on solved rows).
 
-    Solves the matrix's kept pinned system (``_pinned_system``) with
-    +0.0 on the pinned rows of the right side, then puts the targets
-    there.  Rounds and solves that pin one set in a row build and factor
-    it once: a settled warm step, the cone solves over one cone.
+    Builds and factors the matrix with identity rows on the pinned set
+    (``_identity_rows``) and solves it with +0.0 on the pinned rows of the
+    right side, then puts the targets there.
     """
     u = np.where(pinned, target, 0.0)
-    system = matrix._pinned_system(pinned)
+    system = matrix._identity_rows(pinned)
     if system is not None:
         rhs = load - matrix.matvec(u)
         np.copyto(rhs, 0.0, where=pinned)
@@ -475,7 +475,7 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolu
     while (release := obstacle_mask & (r < 0).astype(bool)).any():
         pinned &= ~release
         rhs = np.where(pinned, t, residual(np.where(pinned, t, Fraction(0))))
-        # identity rows keep t; built anew, so the fast path's kept system stays
+        # identity rows keep t
         u = _exact_solve(A.matrix._identity_rows(pinned), rhs)
         r, rounds = residual(u), rounds + 1
     u_vals, active = u.astype(float), obstacle_mask & pinned

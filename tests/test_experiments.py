@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from qvix.experiments import (
     parse_config,
     write_solution_csv,
 )
+from qvix.fem import TridiagonalSpd
+from qvix.obstacle_maps import ObstacleMap
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -350,8 +353,9 @@ def test_stall_after_the_run_is_recorded_as_its_failure(tmp_path, monkeypatch):
 
 def test_a_value_error_in_a_run_is_recorded_as_its_failure(tmp_path, monkeypatch):
     # a convex gain declared concave: the first Newton step undershoots
-    # u_max and the next evaluation overflows sinh, a ValueError
-    # ("non-finite nodal values") that fails the run instead of escaping
+    # u_max, the plain step after it lands far below zero, and the next
+    # evaluation overflows sinh ("non-finite nodal values"); the run fails
+    # with the step that made that state, its kind and its range
     gain = qvix.obstacle_maps.ScalarNonlinearity
     monkeypatch.setattr(gain, "value", lambda self, r: 0.1 * np.sinh(r))
     monkeypatch.setattr(gain, "slope", lambda self, r: 0.1 * np.cosh(r))
@@ -361,25 +365,52 @@ def test_a_value_error_in_a_run_is_recorded_as_its_failure(tmp_path, monkeypatch
         artifacts = run_experiment(parse_config(raw), out_dir=tmp_path, seed=0)
     assert qvix.obstacle_maps.InverseEllipticMap.concave
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["failures"] == artifacts.failures == ["max: non-finite nodal values"]
-    assert summary["runs"]["max"] == {"error": "non-finite nodal values"}
+    [failure] = summary["failures"]
+    assert re.fullmatch(r"max: non-finite nodal values from the state of step 2 \(plain\), "
+                        r"in \[-2\.\d{3}e\+08, -2\.\d{3}e\+08\]", failure)
+    assert artifacts.failures == [failure]
+    assert summary["runs"]["max"] == {"error": failure[len("max: "):]}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
 
 
-def test_run_both_builds_the_lipschitz_modes_once(tmp_path, monkeypatch):
-    builds, estimates = [], []
-    modes = qvix.obstacle_maps._lipschitz_modes
+def _run_bundled(tmp_path, n_nodes=None):
+    """Run every bundled config as shipped, sensitivity on, at its own grid or at n_nodes."""
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        raw = json.loads(path.read_text())
+        raw["grid"]["n_nodes"] = n_nodes or raw["grid"]["n_nodes"]
+        artifacts = run_experiment(parse_config(raw), out_dir=tmp_path / f"{path.stem}@{n_nodes}")
+        assert artifacts.ok, artifacts.failures
+
+
+def test_matrices_and_maps_assign_nothing_after_construction(tmp_path, monkeypatch):
+    assigned = set()
+
+    def recording_setattr(self, name, value):
+        if sys._getframe(1).f_code.co_name != "__init__":
+            assigned.add((TridiagonalSpd if isinstance(self, TridiagonalSpd) else ObstacleMap, name))
+        object.__setattr__(self, name, value)
+
+    for cls in (TridiagonalSpd, ObstacleMap):
+        monkeypatch.setattr(cls, "__setattr__", recording_setattr)
+    _run_bundled(tmp_path)
+    # a map keeps its linearisation at the last state and its last run
+    assert assigned == {(ObstacleMap, "_state_entry"), (ObstacleMap, "_run_entry")}
+
+
+def test_bundled_runs_take_44_linearisations_and_8_mode_builds(tmp_path, monkeypatch):
+    # a bound on the work: the linearisations (thermoforming: temperature
+    # solves) and the Lipschitz mode builds of the bundled runs must not grow
+    computes, estimates = [], []
+    at_state = ObstacleMap._at_state
     estimate = qvix.experiments.lipschitz_estimate
-    monkeypatch.setattr(qvix.obstacle_maps, "_lipschitz_modes",
-                        lambda *args: builds.append(1) or modes(*args))
+    monkeypatch.setattr(ObstacleMap, "_at_state", lambda self, u, compute: at_state(
+        self, u, lambda values: computes.append(1) or compute(values)))
+    # each estimate builds its modes once
     monkeypatch.setattr(qvix.experiments, "lipschitz_estimate",
                         lambda *args: estimates.append(1) or estimate(*args))
-    raw = json.loads((CONFIG_DIR / "inverse_elliptic_max.json").read_text())
-    raw["run"] = "both"
-    raw["sensitivity"]["enabled"] = False
-    artifacts = run_experiment(parse_config(raw), out_dir=tmp_path, seed=0)
-    assert artifacts.ok, artifacts.failures
-    assert len(estimates) == 2 and len(builds) == 1
+    for n_nodes in (None, 401):
+        _run_bundled(tmp_path, n_nodes)
+    assert (len(computes), len(estimates)) == (44, 8)
 
 
 def _c_phi_estimates(tmp_path, name, **grid_and_bc):

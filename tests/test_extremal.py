@@ -22,7 +22,6 @@ from qvix import (
     build_cone,
     check_subsolution,
     check_supersolution,
-    classify_active,
     comparison_in_f,
     iterate_max,
     iterate_min,
@@ -39,7 +38,6 @@ import qvix.sensitivity
 from qvix import vi
 from qvix.experiments import build_problem, parse_config, run_experiment
 from qvix.extremal import _monotone_limit, _obstacle_residual
-from qvix.fem import TridiagonalSpd
 from qvix.sensitivity import QUOTIENT_STEPS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -338,38 +336,6 @@ def test_monotone_limit_keeps_the_checks_of_the_step_difference(nxt, error, matc
                         "{order}", "cap", "test")
 
 
-def test_warm_steps_reuse_the_reduced_factor(monkeypatch):
-    # on the plain path, whose many settled steps share their pinned systems
-    problem = _bundled_problem("inverse_elliptic_max", 401)
-    A, f, omap = problem.operator, problem.forcing, problem.omap
-    monkeypatch.setattr(InverseEllipticMap, "concave", False)
-    start = IntervalBracket.default(A, f).upper
-    phi = omap.evaluate(start)
-    first = solve_vi(A, f, phi)
-    active0 = np.ones(A.grid.n_nodes, dtype=bool)
-    active0[classify_active(f, first.u, phi, multiplier(A, f, first.u)).inactive] = False
-
-    counts = {"rounds": 0}
-    built = {}  # id -> system, kept alive so that no id is reused
-    pinned_system, solve = TridiagonalSpd._pinned_system, vi.solve_vi
-
-    def counting_pinned_system(self, pinned):
-        system = pinned_system(self, pinned)
-        built[id(system)] = system
-        return system
-
-    def counting_solve(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        counts["rounds"] += sol.iterations
-        return sol
-
-    monkeypatch.setattr(TridiagonalSpd, "_pinned_system", counting_pinned_system)
-    monkeypatch.setattr("qvix.extremal.solve_vi", counting_solve)
-    report = iterate_max(A, f, omap, start, active0=active0)
-    assert report.n_iters > 10
-    assert 0 < len(built) < counts["rounds"]
-
-
 @pytest.mark.parametrize("name", ["toy_min", "toy_max", "thermoforming_desk"])
 def test_limit_of_a_zero_last_step_reuses_its_obstacle(name, monkeypatch):
     problem = _bundled_problem(name)
@@ -528,7 +494,8 @@ def test_a_load_on_another_grid_is_refused_after_a_kept_run(toy):
     iterate_min(A, f, omap, start)
     # the same bytes on a grid of the same size: the key holds the grids too
     elsewhere = DualElement(Grid(grid.n_nodes, (0.0, 2.0)), f.values)
-    with pytest.raises(GridMismatchError):
+    # a ValueError other than an overflow leaves the run unchanged
+    with pytest.raises(GridMismatchError, match="^operands live on different grids$"):
         iterate_min(A, elsewhere, omap, start)
 
 
@@ -654,27 +621,6 @@ def test_a_convex_map_declared_concave_is_caught_by_the_order_gate(bc):
     undeclared.concave = False
     report = iterate_max(A, f, undeclared, bracket.upper)
     assert report.newton_steps == 0 and report.qvi_residual <= 1e-8
-
-
-def test_the_oracle_leaves_the_fast_path_its_kept_pinned_system(monkeypatch):
-    pinned_system = TridiagonalSpd._pinned_system
-    runs = {}
-    for oracle_check in (False, True):
-        problem = _bundled_problem("inverse_elliptic_max")
-        A, f, omap = problem.operator, problem.forcing, problem.omap
-        built = {}  # id -> system, kept alive so that no id is reused
-
-        def counting_pinned_system(self, pinned):
-            system = pinned_system(self, pinned)
-            built[id(system)] = system
-            return system
-
-        monkeypatch.setattr(TridiagonalSpd, "_pinned_system", counting_pinned_system)
-        report = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper, oracle_check)
-        monkeypatch.undo()
-        runs[oracle_check] = (len(built), report.solution.values.tobytes())
-    assert runs[True] == runs[False]
-    assert runs[False][0] > 0
 
 
 def test_newton_steps_name_their_kind_in_the_log(caplog):

@@ -251,7 +251,7 @@ def test_tridiagonal_solve_matches_solveh_banded_bitwise(n):
     upper = -rng.uniform(0.1, 1.0, n - 1)
     diag = rng.uniform(0.5, 1.5, n) + 2.0
     matrix = TridiagonalSpd(diag, upper)
-    # repeated solves on one object reuse its cached factor
+    # repeated solves on one object use the factor of its construction
     for rhs in (rng.normal(size=n), rng.normal(size=(n, 3)), rng.normal(size=n)):
         x = matrix.solve(rhs)
         assert x.shape == rhs.shape
@@ -262,7 +262,7 @@ def test_tridiagonal_solve_matches_solveh_banded_bitwise(n):
     if n >= 3:
         pinned = rng.uniform(size=n) < 0.5
         rhs = np.where(pinned, 0.0, rng.normal(size=n))
-        x = matrix._pinned_system(pinned).solve(rhs)
+        x = matrix._identity_rows(pinned).solve(rhs)
         assert x.tobytes() == block_solve(matrix, pinned, rhs).tobytes()
 
 
@@ -274,32 +274,24 @@ def test_tridiagonal_refuses_a_1x1_matrix():
 
 
 def test_tridiagonal_solve_rejects_indefinite_matrix():
-    matrix = TridiagonalSpd([1.0, 1.0, 1.0], [-2.0, 0.0])
-    with pytest.raises(SingularOperatorError, match="not positive definite"):
-        matrix.solve(np.ones(3))
-    with pytest.raises(SingularOperatorError):  # the failed factor is not cached
-        matrix.solve(np.ones(3))
+    # refused at construction, where the matrix is factored
+    with pytest.raises(SingularOperatorError,
+                       match=r"^matrix is not positive definite \(leading minor 2\)$"):
+        TridiagonalSpd([1.0, 1.0, 1.0], [-2.0, 0.0])
 
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
-def test_pinned_system_is_kept_per_mask_and_never_stale(bc):
+def test_identity_rows_set_the_masked_rows_and_columns_to_the_identity(bc):
     n = 201
     matrix = assemble_operator(Grid(n), 1.0, bc).matrix
     rng = np.random.default_rng(5)
-    mask_a = rng.uniform(size=n) < 0.3
-    mask_b = mask_a.copy()
-    mask_b[n // 2] = not mask_b[n // 2]  # one node apart: a stale factor would show
     rhs_full = rng.normal(size=n)
-    seen = []
-    for mask in (mask_a, mask_b, mask_a, mask_a):
-        system = matrix._pinned_system(mask)
-        # the matrix with the masked rows and columns set to the identity
+    for mask in (rng.uniform(size=n) < 0.3, rng.uniform(size=n) < 0.7):
+        system = matrix._identity_rows(mask)
         identity_rows = np.eye(n)[mask]
         dense = matrix.to_dense()
         dense[mask], dense[:, mask] = identity_rows, identity_rows.T
         assert np.array_equal(system.to_dense(), dense)
         rhs = np.where(mask, 0.0, rhs_full)
         assert system.solve(rhs).tobytes() == block_solve(matrix, mask, rhs).tobytes()
-        seen.append(system)
-    assert seen[3] is seen[2] and seen[2] is not seen[0]  # only the last mask is kept
-    assert matrix._pinned_system(np.ones(n, dtype=bool)) is None  # nothing to solve
+    assert matrix._identity_rows(np.ones(n, dtype=bool)) is None  # nothing to solve
