@@ -447,12 +447,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
         run_summary: dict = {}
         summary["runs"][which] = run_summary
         run, start = (iterate_min, bracket.lower) if which == "min" else (iterate_max, bracket.upper)
-        # the temperature solves of the derivative actions and of the
-        # report can stall like the run's own, and fail the run the same way
+        # a raise after the run fails it the same way; neither the estimate
+        # (from the run's own obstacle) nor the temperature (the Newton
+        # solve that made that obstacle, repeated) solves anything new
         try:
             report = run(A, f, omap, start, oracle_check)
             u = report.solution
-            c_phi = lipschitz_estimate(omap, u, A.bc)
+            c_phi = lipschitz_estimate(omap, omap.linearisation(u, report.obstacle), A.bc)
             if isinstance(omap, ThermoformingMap):
                 temperature_vnorm = v_norm(omap.temperature(u))
         except _SOLVE_ERRORS as exc:

@@ -28,8 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fem import (DualElement, EllipticOperator, NodalFunction, NonFiniteError, _kept,
-                  _v_norm_values, leq)
+from .fem import DualElement, EllipticOperator, NodalFunction, NonFiniteError, _v_norm_values, leq
 from .obstacle_maps import ObstacleMap
 from .vi import _solve_linearised, complementarity_residual, multiplier, oracle_vi, solve_vi
 
@@ -192,13 +191,16 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     rate = None  # of the last certified solve
     latest = (start, 0, "start")  # the newest state, the step that made it and its kind
 
-    def newton_step(u: NodalFunction, v: NodalFunction,
+    def newton_step(u: NodalFunction, phi: NodalFunction, v: NodalFunction,
                     pinned: np.ndarray) -> tuple[NodalFunction, str]:
-        """u - (I - J)^-1 (u - v), or v where J = 0, the certificate fails or v ends the loop."""
+        """u - (I - J)^-1 (u - v), or v where J = 0, the certificate fails or v ends the loop.
+
+        ``phi`` is Phi(u), from which the map linearises.
+        """
         nonlocal rate
         r = u.values - v.values
         if _v_norm_values(u.grid, r) > TOL_FP:
-            solved = _solve_linearised(A, pinned, *omap.linearisation(u), r)
+            solved = _solve_linearised(A, pinned, *omap.linearisation(u, phi), r)
             if solved is not None:
                 x, rate = solved
                 return NodalFunction(u.grid, u.values - x), "newton"
@@ -221,7 +223,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
                 raise ExtremalIterationError(
                     f"fast solve disagrees with the exact oracle by {gap:.3e}")
         active0 = sol.active
-        nxt, kind = newton_step(u, sol.u, sol.active) if newton else (sol.u, "plain")
+        nxt, kind = newton_step(u, phi, sol.u, sol.active) if newton else (sol.u, "plain")
         latest = (nxt, latest[1] + 1, kind)
         return nxt, kind
 
@@ -255,24 +257,25 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
 def _kept_run(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
               start: NodalFunction, which: str, oracle_check: bool,
               active0: np.ndarray | None) -> ExtremalRunReport:
-    """``_iterate``, kept on the map for the last run asked of it (``fem._kept``).
+    """``_iterate``, kept on the map for the last run asked of it (``omap._run_entry``).
 
     The key holds A by identity (``EllipticOperator`` has no ==), the
     grids, and the bytes of every array, not ==, since -0.0 and 0.0
     compare equal but may map apart.  A caller that repeats the run it
     just made, as ``fd_validate`` repeats the base run of
-    ``run_experiment``, gets the same frozen report back.
+    ``run_experiment``, gets the same frozen report back.  The entry is
+    read once and replaced whole, so threads sharing a map never pair one
+    run's key with another's report; a raise is never kept.
     """
     key = (A, which, f.grid, f.values.tobytes(), start.grid, start.values.tobytes(),
            oracle_check, None if active0 is None else np.asarray(active0, bool).tobytes())
     entry = omap._run_entry
-    report = _kept(omap, "_run_entry", key,
-                   lambda: _iterate(A, f, omap, start, which, oracle_check, active0))
-    # _kept replaces the entry whole when it computes; a thread racing on
-    # this map can hide a reuse from the log line, never change a report
-    if omap._run_entry is entry:
+    if entry is not None and entry[0] == key:
         log.info("extremal %s: reused the run at this load and start (%d steps)",
-                 which, report.n_iters)
+                 which, entry[1].n_iters)
+        return entry[1]
+    report = _iterate(A, f, omap, start, which, oracle_check, active0)
+    omap._run_entry = (key, report)
     return report
 
 

@@ -138,23 +138,6 @@ class DualElement(_GridVector):
     """Load given by nodal densities; pairs with functions through the lumped mass."""
 
 
-def _kept(owner, slot: str, key, compute):
-    """``compute()``, kept in ``owner.slot`` for the last ``key`` asked for.
-
-    The slot holds one ``(key, value)`` entry, None until the first call.
-    The entry is read once and replaced whole, so a thread that races
-    another on one owner never pairs one key with the other's value.  A
-    raise is never kept.  Two slots of an obstacle map use it: the
-    linearisation at the last state (``ObstacleMap._at_state``) and the
-    last extremal run (``extremal._kept_run``).
-    """
-    entry = getattr(owner, slot)
-    if entry is None or entry[0] != key:
-        entry = (key, compute())
-        setattr(owner, slot, entry)
-    return entry[1]
-
-
 class TridiagonalSpd:
     """Symmetric positive-definite tridiagonal matrix in banded storage.
 

@@ -8,15 +8,16 @@ semilinear temperature equation driven by the mould/membrane gap; the
 mould grows linearly with temperature.  All three are increasing and
 differentiable.  Each map's derivative has the form
 Phi'(u)h = B^-1 (w h) for a tridiagonal M-matrix B and weights w >= 0,
-which ``linearisation`` returns.  ``derivative_action`` applies it, so
-it can be validated against finite differences, and the banded (I - J)
-solve of ``vi._solve_linearised`` reads it.  ``concave`` declares a map
-concave on nonnegative states, which licenses the Newton steps of the
-max runs.
+which ``linearisation(u, phi)`` returns from the state u and its
+obstacle phi = Phi(u), which every caller holds already.
+``derivative_action(lin, h)`` applies such a linearisation, so it can be
+validated against finite differences, and the banded (I - J) solve of
+``vi._solve_linearised`` reads it.  ``concave`` declares a map concave
+on nonnegative states, which licenses the Newton steps of the max runs.
 
-``lipschitz_estimate`` sizes the derivative at a state through those
-actions: the largest V-norm gain of Phi'(u) over the lowest modes of the
-H1/lumped-mass pencil, reported as ``c_phi_estimate``.
+``lipschitz_estimate`` sizes the derivative that a linearisation
+describes: the largest V-norm gain of Phi'(u) over the lowest modes of
+the H1/lumped-mass pencil, reported as ``c_phi_estimate``.
 """
 
 from __future__ import annotations
@@ -34,13 +35,16 @@ from .fem import (
     GridMismatchError,
     NodalFunction,
     TridiagonalSpd,
-    _kept,
     _v_norm_values,
     assemble_operator,
     dual_norm,
     sup_embedding_constant,
     v_norm,
 )
+
+
+# (B, w) with Phi'(u)h = B^-1 (w h)
+Linearisation = tuple[TridiagonalSpd, np.ndarray]
 
 
 class InnerSolveError(RuntimeError):
@@ -88,20 +92,17 @@ def _ramp_slope(xi, width):
 class ObstacleMap(abc.ABC):
     """Increasing map from membrane states to obstacle functions.
 
-    A map keeps the work it repeats at one input in two one-entry slots
-    (``fem._kept``): the linearisation at the last state (``_at_state``),
-    which shares the thermoforming Newton result between the evaluation,
-    the derivative actions and the temperature at a solution, and the
-    last extremal run (``extremal._kept_run``), which ``fd_validate``'s
-    repeat of the base run reads.  ``concave`` is True for a map that is
-    concave on nonnegative states; a max run of such a map takes Newton
-    steps (``extremal._iterate``).
+    Its methods are pure functions of their arguments.  The one thing a
+    map keeps is its last extremal run (``_run_entry``, written by
+    ``extremal._kept_run``), which ``fd_validate``'s repeat of the base
+    run reads.  ``concave`` is True for a map that is concave on
+    nonnegative states; a max run of such a map takes Newton steps
+    (``extremal._iterate``).
     """
 
     kind: str
     concave = False
-    # (key, value) of the last _kept call per slot; None until the first
-    _state_entry = None
+    # (key, report) of the last extremal run; None until the first
     _run_entry = None
 
     @property
@@ -114,26 +115,16 @@ class ObstacleMap(abc.ABC):
         """Obstacle induced by the state u."""
 
     @abc.abstractmethod
-    def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
-        """Directional derivative of the map at u applied to h."""
+    def linearisation(self, u: NodalFunction, phi: NodalFunction) -> Linearisation:
+        """``(B, w)`` at u, where ``phi = self.evaluate(u)``."""
 
     @abc.abstractmethod
-    def linearisation(self, u: NodalFunction) -> tuple[TridiagonalSpd, np.ndarray]:
-        """``(B, w)`` with Phi'(u)h = B^-1 (w h), from the kept state (``_at_state``)."""
+    def derivative_action(self, lin: Linearisation, h: NodalFunction) -> NodalFunction:
+        """Phi'(u)h for ``lin = self.linearisation(u, phi)``."""
 
-    def _check_grid(self, u: NodalFunction):
-        if u.grid != self.grid:
+    def _check_grid(self, *fns: NodalFunction):
+        if any(fn.grid != self.grid for fn in fns):
             raise GridMismatchError("state grid does not match map grid")
-
-    def _at_state(self, u: NodalFunction, compute):
-        """``compute(u.values)``, kept for the last state.
-
-        Keyed by a copy of the state's bytes, not by ==, since -0.0 and
-        0.0 compare equal but may map apart.  The derivative actions at one
-        state (every step of a derivative iteration at one base) then
-        linearise once.
-        """
-        return _kept(self, "_state_entry", u.values.tobytes(), lambda: compute(u.values))
 
 
 class PlateauMap(ObstacleMap):
@@ -209,14 +200,14 @@ class PlateauMap(ObstacleMap):
         self._check_grid(u)
         return NodalFunction(self.grid, self.scalar(u.values))
 
-    def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
-        self._check_grid(h)
-        _, w = self.linearisation(u)  # B is the identity
-        return NodalFunction(self.grid, w * h.values)
+    def linearisation(self, u: NodalFunction, phi: NodalFunction) -> Linearisation:
+        self._check_grid(u, phi)
+        return self._identity, self.scalar_slope(u.values)
 
-    def linearisation(self, u: NodalFunction) -> tuple[TridiagonalSpd, np.ndarray]:
-        self._check_grid(u)
-        return self._identity, self._at_state(u, self.scalar_slope)
+    def derivative_action(self, lin: Linearisation, h: NodalFunction) -> NodalFunction:
+        self._check_grid(h)
+        _, w = lin  # B is the identity
+        return NodalFunction(self.grid, w * h.values)
 
 
 @dataclass(frozen=True)
@@ -275,16 +266,16 @@ class InverseEllipticMap(ObstacleMap):
         self._check_grid(u)
         return self._inner.solve(DualElement(self.grid, self.gain.value(u.values)))
 
-    def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
-        self._check_grid(h)
-        B, w = self.linearisation(u)
-        return NodalFunction(self.grid, B.solve(w * h.values))
-
-    def linearisation(self, u: NodalFunction) -> tuple[TridiagonalSpd, np.ndarray]:
-        self._check_grid(u)
-        w = self.grid.mass * self._at_state(u, self.gain.slope)
+    def linearisation(self, u: NodalFunction, phi: NodalFunction) -> Linearisation:
+        self._check_grid(u, phi)
+        w = self.grid.mass * self.gain.slope(u.values)
         w[self._inner.boundary] = 0.0  # the inner solve zeroes its Dirichlet rows
         return self._inner.matrix, w
+
+    def derivative_action(self, lin: Linearisation, h: NodalFunction) -> NodalFunction:
+        self._check_grid(h)
+        B, w = lin
+        return NodalFunction(self.grid, B.solve(w * h.values))
 
 
 class ThermoformingMap(ObstacleMap):
@@ -335,33 +326,29 @@ class ThermoformingMap(ObstacleMap):
         return (self.heat_max / min(1.0, self.reaction)
                 * np.sqrt(max(1.0, self.grid.measure)))
 
-    def _newton(self, u: NodalFunction):
-        """Newton from zero on the semilinear temperature equation.
+    def _jacobian(self, slope: np.ndarray) -> TridiagonalSpd:
+        """Jacobian in T of the temperature equation, for the heat-rate slope at its gap."""
+        mat = self._op.matrix
+        return TridiagonalSpd(mat.diag - self.grid.mass * slope * self.expansion, mat.upper)
 
-        Returns the temperature with the heat-rate slope and the Jacobian
-        built at it, which the derivative action solves with.  The result
-        of the last solve is kept (``_at_state``), so repeated calls at one
-        state (the derivative actions at a solution, then its temperature)
-        solve once and share the Jacobian's factor.  A stall raises and is
-        never kept.
+    def temperature(self, u: NodalFunction) -> NodalFunction:
+        """Newton from zero on the semilinear temperature equation for the membrane state u.
+
+        Raises ``InnerSolveError`` when 60 steps do not reach the residual
+        test, and when the temperature leaves its a priori bound.
         """
         self._check_grid(u)
-        return self._at_state(u, self._solve_temperature)
-
-    def _solve_temperature(self, u_vals: np.ndarray):
         mass = self.grid.mass
         mat = self._op.matrix
         t_vals = np.zeros(self.grid.n_nodes)
         res_tol = 1e-12 * (1.0 + self.heat_max)
         for _ in range(60):
-            gap = self.expansion * t_vals + self.mould.values - u_vals
-            slope = self.heat_rate_slope(gap)
-            jac = TridiagonalSpd(mat.diag - mass * slope * self.expansion, mat.upper)
+            gap = self.expansion * t_vals + self.mould.values - u.values
             residual_load = mat.matvec(t_vals) - mass * self.heat_rate(gap)
             res = float(np.max(np.abs(residual_load / mass)))
             if res <= res_tol:
                 break
-            t_vals = t_vals - jac.solve(residual_load)
+            t_vals = t_vals - self._jacobian(self.heat_rate_slope(gap)).solve(residual_load)
         else:
             raise InnerSolveError(
                 f"temperature solve stalled at residual {res:.2e} against {res_tol:.1e} "
@@ -370,24 +357,26 @@ class ThermoformingMap(ObstacleMap):
         if v_norm(temp) > self.temperature_bound() + 1e-9:
             raise InnerSolveError(
                 "temperature violates its a priori bound; assembly is suspect")
-        slope.flags.writeable = False
-        return temp, slope, jac
-
-    def temperature(self, u: NodalFunction) -> NodalFunction:
-        """Solve the semilinear temperature equation for the given membrane state."""
-        return self._newton(u)[0]
+        return temp
 
     def evaluate(self, u: NodalFunction) -> NodalFunction:
         return self.mould + self.expansion * self.temperature(u)
 
-    def derivative_action(self, u: NodalFunction, h: NodalFunction) -> NodalFunction:
-        self._check_grid(h)
-        B, w = self.linearisation(u)
-        return NodalFunction(self.grid, B.solve(w * h.values))
+    def linearisation(self, u: NodalFunction, phi: NodalFunction) -> Linearisation:
+        """The Jacobian and load of the temperature equation at the gap ``phi - u``.
 
-    def linearisation(self, u: NodalFunction) -> tuple[TridiagonalSpd, np.ndarray]:
-        _, slope, jac = self._newton(u)
-        return jac, -self.expansion * self.grid.mass * slope
+        ``phi - u`` has the bits of the Newton loop's last gap
+        ``expansion T + mould - u``, as mould + expansion T rounds as
+        expansion T + mould: so no temperature is solved.
+        """
+        self._check_grid(u, phi)
+        slope = self.heat_rate_slope(phi.values - u.values)
+        return self._jacobian(slope), -self.expansion * self.grid.mass * slope
+
+    def derivative_action(self, lin: Linearisation, h: NodalFunction) -> NodalFunction:
+        self._check_grid(h)
+        B, w = lin
+        return NodalFunction(self.grid, B.solve(w * h.values))
 
 
 def check_increasing(omap: ObstacleMap, trials: int, rng: np.random.Generator | None = None,
@@ -417,8 +406,8 @@ def check_increasing(omap: ObstacleMap, trials: int, rng: np.random.Generator | 
 LIPSCHITZ_MODES = 5
 
 
-def lipschitz_estimate(omap: ObstacleMap, center: NodalFunction, bc: BoundaryCondition) -> float:
-    """Largest ratio |Phi'(center) w|_V / |w|_V over the lowest modes w.
+def lipschitz_estimate(omap: ObstacleMap, lin: Linearisation, bc: BoundaryCondition) -> float:
+    """Largest ratio |Phi'(u) w|_V / |w|_V over the lowest modes w.
 
     On the uniform grid the nodal cosines cos(k pi (x - a) / L) (Neumann)
     and sines sin(k pi (x - a) / L) (Dirichlet) are exact eigenvectors of
@@ -426,12 +415,13 @@ def lipschitz_estimate(omap: ObstacleMap, center: NodalFunction, bc: BoundaryCon
     ``LIPSCHITZ_MODES`` (the constant left out; fewer on grids that hold
     fewer) under the run operator's boundary condition ``bc``.  Smooth
     modes are what a smoothing map passes, so the value does not fade as
-    the grid refines.  A lower bound on the norm of Phi'(center).
+    the grid refines.  A lower bound on the norm of Phi'(u).
 
-    Linearises once, ``(B, w) = omap.linearisation(center)``, and applies
-    B^-1 (w h) to every mode in one multi-column solve (none for the
-    plateau map, whose B is the identity).  Each column keeps the bits of
-    its own ``derivative_action``.
+    ``lin = (B, w)`` is the map's linearisation at u
+    (``omap.linearisation(u, phi)``); the estimate applies B^-1 (w h) to
+    every mode in one multi-column solve (none for the plateau map, whose
+    B is the identity), and solves no map equation.  Each column keeps
+    the bits of ``omap.derivative_action(lin, mode)``.
     """
     if bc not in ("neumann", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -444,7 +434,7 @@ def lipschitz_estimate(omap: ObstacleMap, center: NodalFunction, bc: BoundaryCon
         modes[:, k - 1] = wave(k * angles)
     if bc == "dirichlet":
         modes[-1] = 0.0  # sin(k pi) is roundoff, not zero
-    B, w = omap.linearisation(center)
+    B, w = lin
     images = w[:, None] * modes
     if not isinstance(omap, PlateauMap):
         images = B.solve(images)

@@ -24,8 +24,8 @@ import numpy as np
 from . import extremal
 from .extremal import IntervalBracket, _check_direction, _monotone_limit, _obstacle_residual, \
     _sign, check_subsolution, check_supersolution, iterate_max, iterate_min
-from .fem import DualElement, EllipticOperator, NodalFunction, TridiagonalSpd, v_norm
-from .obstacle_maps import ObstacleMap
+from .fem import DualElement, EllipticOperator, NodalFunction, v_norm
+from .obstacle_maps import Linearisation, ObstacleMap
 from .vi import ActiveSetPartition, _pdas, _pose, _solve_linearised, classify_active, \
     complementarity_residual, default_tol_multiplier, multiplier
 
@@ -57,14 +57,13 @@ class CriticalConeData:
     """Everything needed to pose the derivative problem at a base solution.
 
     ``linearisation`` is the map's ``(B, w)`` at the base
-    (``ObstacleMap.linearisation``), so ``build_cone`` linearises the map
-    there and can raise the map's inner-solve error (``InnerSolveError``).
+    (``ObstacleMap.linearisation``), which ``deriv_map`` applies.
     """
 
     partition: ActiveSetPartition
     deriv_map: Callable[[NodalFunction], NodalFunction]
     operator: EllipticOperator
-    linearisation: tuple[TridiagonalSpd, np.ndarray]
+    linearisation: Linearisation
 
 
 @dataclass(frozen=True)
@@ -85,10 +84,13 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
 
     ``phi`` is the obstacle ``omap.evaluate(base)`` when the caller holds
     it already, as ``ExtremalRunReport.obstacle``; it is evaluated when
-    None.  Refuses base points whose residual is too large for the active
-    set to be trustworthy (the ``extremal.RESIDUAL_TOL`` gate of the
-    extremal runs), and base points whose multiplier leaks off the strict
-    set beyond classification noise.
+    None, and only then can the map's inner solve raise
+    (``InnerSolveError``).  The map is linearised from ``(base, phi)``
+    once, for both ``deriv_map`` and ``linearisation``.  Refuses base
+    points whose residual is too large for the active set to be
+    trustworthy (the ``extremal.RESIDUAL_TOL`` gate of the extremal
+    runs), and base points whose multiplier leaks off the strict set
+    beyond classification noise.
     """
     if phi is None:
         phi = omap.evaluate(base)
@@ -102,9 +104,10 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         leak = float(np.max(np.abs(lam_vals[partition.inactive])))
         if leak > 10 * tol_lam:
             raise ConeError(f"multiplier of size {leak:.3e} off the coincidence set")
+    lin = omap.linearisation(base, phi)
     return CriticalConeData(partition=partition,
-                            deriv_map=lambda w: omap.derivative_action(base, w),
-                            operator=A, linearisation=omap.linearisation(base))
+                            deriv_map=lambda w: omap.derivative_action(lin, w),
+                            operator=A, linearisation=lin)
 
 
 def _cone_solve(cone: CriticalConeData, d_vals: np.ndarray, shift_vals: np.ndarray,

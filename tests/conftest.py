@@ -26,6 +26,11 @@ def random_dual(grid, rng, lo=-1.0, hi=1.0):
     return DualElement(grid, rng.uniform(lo, hi, grid.n_nodes))
 
 
+def linearise(omap, u):
+    """The map's linearisation at u, from u and its obstacle."""
+    return omap.linearisation(u, omap.evaluate(u))
+
+
 def banded_solve(diag, upper, rhs):
     """``scipy.linalg.solveh_banded`` on the tridiagonal (diag, upper)."""
     ab = np.zeros((2, diag.shape[0]))

@@ -2,6 +2,7 @@ import json
 import logging
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from qvix.experiments import (
     write_solution_csv,
 )
 from qvix.fem import TridiagonalSpd
-from qvix.obstacle_maps import ObstacleMap
+from qvix.obstacle_maps import InverseEllipticMap, ObstacleMap, PlateauMap, ThermoformingMap
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -331,9 +332,9 @@ def test_quotient_check_stays_below_the_heating_band(tmp_path):
 
 
 def test_stall_after_the_run_is_recorded_as_its_failure(tmp_path, monkeypatch):
-    # the run converges; a temperature solve inside the Lipschitz estimate
-    # stalls, which fails the run instead of escaping the runner
-    def stalling(omap, center, bc):
+    # the run converges; a raise after it (here a stub estimate that
+    # raises a stall's text) fails the run instead of escaping the runner
+    def stalling(omap, lin, bc):
         raise InnerSolveError("temperature solve stalled at residual 2.58e-12 against 2.0e-12 "
                               "(contraction factor 0.188)")
 
@@ -373,12 +374,18 @@ def test_a_value_error_in_a_run_is_recorded_as_its_failure(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
 
 
-def _run_bundled(tmp_path, n_nodes=None):
-    """Run every bundled config as shipped, sensitivity on, at its own grid or at n_nodes."""
+def _bundled_runs(tmp_path, n_nodes=None):
+    """Run every bundled config as shipped, sensitivity on, at its own grid or at n_nodes.
+
+    Yields each run's label, config name and grid, just before the run, so
+    that the caller can tell the runs' work apart.
+    """
     for path in sorted(CONFIG_DIR.glob("*.json")):
         raw = json.loads(path.read_text())
         raw["grid"]["n_nodes"] = n_nodes or raw["grid"]["n_nodes"]
-        artifacts = run_experiment(parse_config(raw), out_dir=tmp_path / f"{path.stem}@{n_nodes}")
+        label = f"{path.stem}@{raw['grid']['n_nodes']}"
+        yield label
+        artifacts = run_experiment(parse_config(raw), out_dir=tmp_path / label)
         assert artifacts.ok, artifacts.failures
 
 
@@ -392,25 +399,32 @@ def test_matrices_and_maps_assign_nothing_after_construction(tmp_path, monkeypat
 
     for cls in (TridiagonalSpd, ObstacleMap):
         monkeypatch.setattr(cls, "__setattr__", recording_setattr)
-    _run_bundled(tmp_path)
-    # a map keeps its linearisation at the last state and its last run
-    assert assigned == {(ObstacleMap, "_state_entry"), (ObstacleMap, "_run_entry")}
+    for _ in _bundled_runs(tmp_path):
+        pass
+    # a map keeps its last run
+    assert assigned == {(ObstacleMap, "_run_entry")}
 
 
-def test_bundled_runs_take_44_linearisations_and_8_mode_builds(tmp_path, monkeypatch):
-    # a bound on the work: the linearisations (thermoforming: temperature
-    # solves) and the Lipschitz mode builds of the bundled runs must not grow
-    computes, estimates = [], []
-    at_state = ObstacleMap._at_state
-    estimate = qvix.experiments.lipschitz_estimate
-    monkeypatch.setattr(ObstacleMap, "_at_state", lambda self, u, compute: at_state(
-        self, u, lambda values: computes.append(1) or compute(values)))
-    # each estimate builds its modes once
-    monkeypatch.setattr(qvix.experiments, "lipschitz_estimate",
-                        lambda *args: estimates.append(1) or estimate(*args))
+def test_bundled_runs_take_24_temperature_solves_and_36_linearisations(tmp_path, monkeypatch):
+    # a bound on the work of the bundled runs at their own grid and at 401:
+    # thermoforming temperature solves (one in each evaluation) and map
+    # linearisations (each an O(n) slope) must not grow
+    work = {}
+
+    def count(cls, name):
+        original = vars(cls)[name]
+        monkeypatch.setattr(cls, name, lambda self, *args: work[label].update([name])
+                            or original(self, *args))
+
+    count(ThermoformingMap, "temperature")
+    for cls in (PlateauMap, InverseEllipticMap, ThermoformingMap):
+        count(cls, "linearisation")
     for n_nodes in (None, 401):
-        _run_bundled(tmp_path, n_nodes)
-    assert (len(computes), len(estimates)) == (44, 8)
+        for label in _bundled_runs(tmp_path, n_nodes):
+            work[label] = Counter()
+    per_config = {label: (c["temperature"], c["linearisation"]) for label, c in work.items()}
+    totals = tuple(sum(column) for column in zip(*per_config.values()))
+    assert totals == (24, 36), f"(temperature solves, linearisations) per run: {per_config}"
 
 
 def _c_phi_estimates(tmp_path, name, **grid_and_bc):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,13 +21,18 @@ from qvix import (
     smoothstep_deriv,
     v_norm,
 )
+from qvix.experiments import parse_config, run_experiment
+from qvix.extremal import IntervalBracket
 from qvix.fem import TridiagonalSpd
+from conftest import linearise
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def fd_order(omap, u, h, ts=(1e-2, 1e-3, 1e-4), floor=1e-11):
     """Slope of the quotient error in t; None when the map is locally affine."""
     base = omap.evaluate(u)
-    action = omap.derivative_action(u, h)
+    action = omap.derivative_action(omap.linearisation(u, base), h)
     errs = [v_norm((1.0 / t) * (omap.evaluate(u + t * h) - base) - action) for t in ts]
     usable = [(t, e) for t, e in zip(ts, errs) if e > floor]
     if len(usable) < 2:
@@ -79,8 +87,9 @@ def test_plateau_derivative_vanishes_on_plateau(toy):
     u = NodalFunction.constant(grid, 1.0)
     rng = np.random.default_rng(0)
     h = NodalFunction(grid, rng.standard_normal(grid.n_nodes))
-    assert np.all(omap.derivative_action(u, h).values == 0.0)
-    assert np.all(omap.derivative_action(u, NodalFunction.zeros(grid)).values == 0.0)
+    lin = linearise(omap, u)
+    assert np.all(omap.derivative_action(lin, h).values == 0.0)
+    assert np.all(omap.derivative_action(lin, NodalFunction.zeros(grid)).values == 0.0)
 
 
 def test_scalar_nonlinearity_contract():
@@ -103,7 +112,7 @@ def test_inverse_elliptic_zero_at_zero():
     zero_map = InverseEllipticMap(L, ScalarNonlinearity("zero"))
     u = NodalFunction.constant(g, 3.0)
     assert np.all(zero_map.evaluate(u).values == 0.0)
-    assert lipschitz_estimate(zero_map, u, "neumann") == 0.0
+    assert lipschitz_estimate(zero_map, linearise(zero_map, u), "neumann") == 0.0
 
 
 def test_thermoforming_flat_when_membrane_far():
@@ -223,7 +232,7 @@ def test_lipschitz_estimate_zero_on_plateau(toy):
     grid, _, omap, _ = toy
     center = NodalFunction.constant(grid, 1.0)
     for bc in ("neumann", "dirichlet"):
-        assert lipschitz_estimate(omap, center, bc) == 0.0
+        assert lipschitz_estimate(omap, linearise(omap, center), bc) == 0.0
 
 
 def test_lipschitz_estimate_zero_for_cleared_mould():
@@ -235,7 +244,7 @@ def test_lipschitz_estimate_zero_for_cleared_mould():
     ok, details = lipschitz_threshold_check(tmap, A, f)
     assert ok and details["threshold"] < 3.0
     base = A.solve(f)
-    assert lipschitz_estimate(tmap, base, "neumann") == 0.0
+    assert lipschitz_estimate(tmap, linearise(tmap, base), "neumann") == 0.0
 
 
 def test_lipschitz_threshold_fails_for_large_forcing():
@@ -259,13 +268,14 @@ def test_lipschitz_estimate_closed_form_for_linear_gain(n, span, bc):
     # 2 (1 - cos(pi h / L)) / h^2, in the form free of cancellation
     expected = scale / (c + 4.0 * np.sin(0.5 * np.pi * g.h / g.measure) ** 2 / g.h**2)
     center = NodalFunction(g, np.sin(5.0 * g.nodes))  # a linear map's derivative ignores it
-    assert lipschitz_estimate(omap, center, bc) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert lipschitz_estimate(omap, linearise(omap, center), bc) == pytest.approx(
+        expected, rel=1e-12, abs=0.0)
 
 
 def test_lipschitz_estimate_rejects_an_unknown_boundary_condition(toy):
     grid, _, omap, _ = toy
     with pytest.raises(ValueError, match="unknown boundary condition"):
-        lipschitz_estimate(omap, NodalFunction.zeros(grid), "robin")
+        lipschitz_estimate(omap, linearise(omap, NodalFunction.zeros(grid)), "robin")
 
 
 def _mode_case(kind, n):
@@ -294,13 +304,14 @@ def _lipschitz_reference(omap, center, bc):
     """The per-pair loop: each mode and its derivative image in turn, modes built as k pi i / (n - 1)."""
     n = omap.grid.n_nodes
     wave = np.cos if bc == "neumann" else np.sin
+    lin = linearise(omap, center)
     worst = 0.0
     for k in range(1, 6):
         vals = wave(k * (np.pi * np.arange(n) / (n - 1)))
         if bc == "dirichlet":
             vals[-1] = 0.0
         mode = NodalFunction(omap.grid, vals)
-        worst = max(worst, v_norm(omap.derivative_action(center, mode)) / v_norm(mode))
+        worst = max(worst, v_norm(omap.derivative_action(lin, mode)) / v_norm(mode))
     return worst
 
 
@@ -320,7 +331,8 @@ def test_lipschitz_estimate_matches_per_pair_loop_bitwise(kind, n, seed):
     if kind == "dirichlet":
         center_vals[[0, -1]] = 0.0
     center = NodalFunction(g, center_vals)
-    est = lipschitz_estimate(omap, center, bc)
+    lin = linearise(omap, center)
+    est = lipschitz_estimate(omap, lin, bc)
     assert est == _lipschitz_reference(omap, center, bc)
     assert (est > 0.0) == (kind != "far_mould")
     # the modes, from the nodes, are eigenvectors of the H1/lumped-mass pencil
@@ -337,7 +349,7 @@ def test_lipschitz_estimate_matches_per_pair_loop_bitwise(kind, n, seed):
         # roundoff of the matvec, whose entries are of size 2 / h
         assert np.max(np.abs(gap[interior])) <= 64 * np.finfo(float).eps * 4.0 / g.h
         mode = NodalFunction(g, vals)
-        quotients.append(v_norm(omap.derivative_action(center, mode)) / v_norm(mode))
+        quotients.append(v_norm(omap.derivative_action(lin, mode)) / v_norm(mode))
     assert est == pytest.approx(max(quotients), rel=1e-12, abs=0.0)
     assert (int(np.argmax(quotients)) > 0) == (kind == "bump")
 
@@ -349,10 +361,11 @@ def test_lipschitz_estimate_is_the_per_mode_formula_of_a_fresh_map(kind, bc):
     g = omap.grid
     center = NodalFunction(g, center_vals)
     shifted = NodalFunction(g, center_vals + 0.05)
-    # the map has kept the other condition's modes and another state's linearisation
-    lipschitz_estimate(omap, shifted, "dirichlet" if bc == "neumann" else "neumann")
+    # an estimate at another state under the other condition first
+    other_bc = "dirichlet" if bc == "neumann" else "neumann"
+    lipschitz_estimate(omap, linearise(omap, shifted), other_bc)
     for u in (center, shifted, center):
-        est = lipschitz_estimate(omap, u, bc)
+        est = lipschitz_estimate(omap, linearise(omap, u), bc)
         assert est == _lipschitz_reference(_mode_case(kind, 101)[0], u, bc)
         assert est > 0.0
 
@@ -367,19 +380,6 @@ def _counting(monkeypatch, cls, name):
 
     monkeypatch.setattr(cls, name, counted)
     return calls
-
-
-@pytest.mark.parametrize("kind", ["plateau", "neumann", "dirichlet"])
-def test_lipschitz_estimate_linearises_once_per_state(kind, monkeypatch):
-    omap, center_vals, bc = _mode_case(kind, 201)
-    slopes = _counting(monkeypatch, *((PlateauMap, "scalar_slope") if kind == "plateau"
-                                      else (ScalarNonlinearity, "slope")))
-    g = omap.grid
-    center = NodalFunction(g, center_vals)
-    other = NodalFunction(g, center_vals + 0.1)
-    for u, count in ((center, 1), (NodalFunction(g, center_vals), 1), (other, 2), (center, 3)):
-        lipschitz_estimate(omap, u, bc)
-        assert len(slopes) == count
 
 
 def _sign_aware(slope):
@@ -399,28 +399,41 @@ def test_kept_linearisation_gives_the_bits_of_a_fresh_map(kind, monkeypatch):
     u1 = NodalFunction(g, center_vals)
     u2 = NodalFunction(g, center_vals + 0.05 * np.sin(5.0 * g.nodes))
     zero, negative_zero = NodalFunction.zeros(g), NodalFunction(g, np.full(g.n_nodes, -0.0))
+    states = (u1, u2, u1, zero, negative_zero, zero)
+    # every linearisation is held while the map works at the other states
+    lins = [linearise(omap, u) for u in states]
     actions = []
-    for u in (u1, u2, u1, zero, negative_zero, zero):
-        actions.append(omap.derivative_action(u, h).values.tobytes())
-        assert actions[-1] == _mode_case(kind, 101)[0].derivative_action(u, h).values.tobytes()
+    for u, lin in zip(states, lins):
+        actions.append(omap.derivative_action(lin, h).values.tobytes())
+        fresh = _mode_case(kind, 101)[0]
+        assert actions[-1] == fresh.derivative_action(linearise(fresh, u), h).values.tobytes()
     assert actions[0] != actions[1]
-    # equal as values, apart as bytes: the sign of zero is kept
+    # equal as values, apart as bytes: the sign of zero reaches the slope
     assert (actions[3] != actions[4]) == (kind != "thermoforming")
 
 
-def test_lipschitz_estimate_raises_the_per_pair_stall():
-    # the thermoforming_desk map at n = 201 stalls on this membrane
+def test_the_per_pair_stall_raises_through_evaluate_temperature_and_the_run(tmp_path,
+                                                                            monkeypatch):
+    # the thermoforming_desk map at n = 201 stalls on this membrane, which
+    # is not constant, so the stall is not that of a constant temperature
     g = Grid(201)
     omap = ThermoformingMap(NodalFunction.constant(g, 3.0), 1.0, 1.0, 0.1)
     stall = NodalFunction(g, 2.2 + 0.3 * np.sin(3 * g.nodes))
     with pytest.raises(InnerSolveError) as alone:
         omap.evaluate(stall)
-    assert "stalled" in str(alone.value)
-    with pytest.raises(InnerSolveError) as ref:
-        _lipschitz_reference(omap, stall, "neumann")
-    with pytest.raises(InnerSolveError) as got:
-        lipschitz_estimate(omap, stall, "neumann")
-    assert str(got.value) == str(ref.value) == str(alone.value)
+    assert str(alone.value).startswith("temperature solve stalled at residual ")
+    with pytest.raises(InnerSolveError) as temperature:
+        omap.temperature(stall)
+    assert str(temperature.value) == str(alone.value)
+    # a max run of thermoforming_desk at 201 that starts on the membrane
+    raw = json.loads((CONFIG_DIR / "thermoforming_desk.json").read_text())
+    raw["grid"]["n_nodes"] = 201
+    raw["run"] = "max"
+    raw["sensitivity"]["enabled"] = False
+    monkeypatch.setattr(IntervalBracket, "default",
+                        classmethod(lambda cls, A, f: cls(NodalFunction.zeros(g), stall)))
+    artifacts = run_experiment(parse_config(raw), out_dir=tmp_path)
+    assert artifacts.failures == [f"max: {alone.value}"]
 
 
 def _evaluate_cases():
@@ -477,28 +490,23 @@ def _counting_solves(monkeypatch):
 
 
 def test_one_temperature_solve_per_membrane_state(monkeypatch):
+    # the caller's evaluation is the one Newton solve at a state: the
+    # linearisation reads its obstacle, and each action is one band solve
     omap, rows = list(_evaluate_cases())[3]
     g = omap.grid
-    h = NodalFunction(g, np.cos(3.0 * g.nodes))
     calls = _counting_solves(monkeypatch)
     u = NodalFunction(g, rows[2])
-    first = omap.derivative_action(u, h).values
-    assert len(calls) > 2  # the Newton steps, then the action's own solve
+    phi = omap.evaluate(u)
+    assert len(calls) > 2  # the Newton steps
     calls.clear()
-    assert np.array_equal(omap.derivative_action(u, h).values, first)
-    assert omap.temperature(u) is omap.temperature(NodalFunction(g, rows[2]))
-    assert len(calls) == 1
-    # the state is keyed by its bytes: an array changed in place is solved anew
-    u.values.flags.writeable = True
-    u.values[:] = rows[3]
-    calls.clear()
-    got = omap.derivative_action(u, h).values
-    assert len(calls) > 2
-    fresh = ThermoformingMap(omap.mould, omap.reaction, omap.heat_max, omap.expansion)
-    assert np.array_equal(got, fresh.derivative_action(NodalFunction(g, rows[3]), h).values)
-    calls.clear()
-    assert np.array_equal(omap.derivative_action(NodalFunction(g, rows[2]), h).values, first)
-    assert len(calls) > 2
+    lin = omap.linearisation(u, phi)
+    assert not calls
+    temperatures = _counting(monkeypatch, ThermoformingMap, "temperature")
+    for h in (np.cos(3.0 * g.nodes), np.ones(g.n_nodes)):
+        calls.clear()
+        omap.derivative_action(lin, NodalFunction(g, h))
+        assert len(calls) == 1
+    assert not temperatures
 
 
 def test_a_temperature_stall_is_not_kept(monkeypatch):
@@ -532,21 +540,30 @@ def test_temperature_is_newton_from_zero(monkeypatch):
 @pytest.mark.parametrize("case", [3, 4])
 def test_thermoforming_derivative_solves_at_the_temperature(case, monkeypatch):
     omap, rows = list(_evaluate_cases())[case]
-    g = omap.grid
-    mass, mat = g.mass, omap._op.matrix
-    directions = [np.ones(g.n_nodes), np.cos(3.0 * g.nodes)]
+    fine = Grid(1601)
+    inputs = [(omap, row) for row in rows]
+    # a membrane heated in a thin band: its temperature solve ends at 1601 nodes
+    inputs.append((ThermoformingMap(NodalFunction.constant(fine, 3.0), omap.reaction,
+                                    omap.heat_max, omap.expansion), 2.0 + 0.05 * fine.nodes))
     calls = _counting_solves(monkeypatch)
     newton_steps = []
-    for row in rows:
+    for tmap, row in inputs:
+        g = tmap.grid
+        mass, mat = g.mass, tmap._op.matrix
         u = NodalFunction(g, row)
         calls.clear()
-        temp = omap.temperature(u)
+        temp = tmap.temperature(u)
         newton_steps.append(len(calls))
-        gap = omap.expansion * temp.values + omap.mould.values - row
-        slope = omap.heat_rate_slope(gap)
-        jac = TridiagonalSpd(mat.diag - mass * slope * omap.expansion, mat.upper)
-        for h in directions:
-            want = jac.solve(-omap.expansion * mass * slope * h)
-            got = omap.derivative_action(u, NodalFunction(g, h)).values
+        gap = tmap.expansion * temp.values + tmap.mould.values - row
+        slope = tmap.heat_rate_slope(gap)
+        jac = TridiagonalSpd(mat.diag - mass * slope * tmap.expansion, mat.upper)
+        # the map's gap phi - u has the bits of the Newton loop's last gap
+        B, w = tmap.linearisation(u, tmap.evaluate(u))
+        for band in ("diag", "upper", "pivots", "multipliers"):
+            assert getattr(B, band).tobytes() == getattr(jac, band).tobytes()
+        assert w.tobytes() == (-tmap.expansion * mass * slope).tobytes()
+        for h in (np.ones(g.n_nodes), np.cos(3.0 * g.nodes)):
+            want = jac.solve(-tmap.expansion * mass * slope * h)
+            got = tmap.derivative_action((B, w), NodalFunction(g, h)).values
             assert np.array_equal(got, want)
-    assert newton_steps[0] == 0 and max(newton_steps) > 1
+    assert newton_steps[0] == 0 and min(newton_steps[1:]) > 1

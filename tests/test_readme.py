@@ -25,6 +25,7 @@ def test_library_example_runs():
     exec(compile(block, str(README), "exec"), scope)
     # the results its comments state
     assert np.max(np.abs(scope["minimal"].solution.values - 1.0)) <= 1e-10
+    assert np.all(scope["dphi"].values == 0.0)
     assert np.max(np.abs(scope["deriv"].alpha.values)) <= 1e-12
     assert len(scope["check"].fd_table) == 4
 

@@ -31,7 +31,7 @@ from qvix import (
 )
 from qvix.experiments import build_problem, parse_config
 from qvix.vi import VI_TOL, _coarse_problem, _pdas, _solve_linearised, _solve_pinned
-from conftest import block_solve, random_dual, random_nodal
+from conftest import block_solve, linearise, random_dual, random_nodal
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -598,7 +598,8 @@ def _dense_linearised_step(A, pinned, omap, u):
     rows = pinned | A.boundary
     M = np.where(rows[:, None], np.eye(n), A.matrix.to_dense())
     S = np.linalg.solve(M, np.diag(np.where(pinned & ~A.boundary, 1.0, 0.0)))
-    phi_prime = np.column_stack([omap.derivative_action(u, NodalFunction(A.grid, col)).values
+    lin = linearise(omap, u)
+    phi_prime = np.column_stack([omap.derivative_action(lin, NodalFunction(A.grid, col)).values
                                  for col in np.eye(n)])
     return S @ phi_prime
 
@@ -622,7 +623,7 @@ def test_linearised_solve_matches_the_dense_step(bc):
     pinned[[0, 1, 2, 20, 21, 22, 23, 24, 50, 51, 52, 80]] = True  # blocks at both ends too
     rng = np.random.default_rng(27)
     for omap, u in _linearised_instances(bc):
-        B, w = omap.linearisation(u)
+        B, w = linearise(omap, u)
         assert np.all(w >= 0) and w.any()
         J = _dense_linearised_step(A, pinned, omap, u)
         assert np.all(J >= -1e-13)  # J >= 0 up to the roundoff of the dense solve
@@ -640,6 +641,6 @@ def test_linearised_solve_refuses_a_step_that_expands():
     A = assemble_operator(g, 1.0, "neumann")
     omap = PlateauMap(g, [1.0, 2.0], 0.25)
     u = NodalFunction.constant(g, 1.5)
-    B, w = omap.linearisation(u)
+    B, w = linearise(omap, u)
     assert np.all(w > 1.0)
     assert _solve_linearised(A, np.ones(41, dtype=bool), B, w, np.ones(41)) is None
