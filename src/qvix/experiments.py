@@ -34,6 +34,7 @@ from .fem import (
     EllipticOperator,
     Grid,
     NodalFunction,
+    _grid_memo,
     assemble_operator,
     v_norm,
 )
@@ -326,10 +327,18 @@ def _float_text(values: np.ndarray) -> list[str]:
     distinct value: a multiplier column at roundoff can hold one such
     value at every node (``toy_max`` at 25601 nodes).  Equal values in
     these ranges have equal bits, as neither zero lies in them.
+
+    A column of more than one double whose entries share one bit pattern
+    (a flat obstacle, a plateau) is formatted once, as its first cell
+    repeated.  0.0 and -0.0 have two patterns, so a column that mixes
+    them takes the path above.
     """
     if values.size == 0:
         return []
     values = np.ascontiguousarray(values)
+    bits = values.view(np.int64)
+    if values.size > 1 and (bits == bits[0]).all():
+        return _float_text(values[:1]) * values.size
     texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     magnitude = np.abs(values)
     same = (magnitude < 1e-9) | ((magnitude >= 1e-4) & (magnitude < 1e16))
@@ -343,14 +352,14 @@ def _float_text(values: np.ndarray) -> list[str]:
     return texts
 
 
-def _column_text(column) -> list[str]:
+def _column_text(column) -> list[str] | tuple[str, ...]:
     """Cells of one CSV column.
 
-    A list of strings is written as given; any other column is numeric as
-    a whole, written as ``str(int)`` for an integer dtype and ``repr`` of
-    the float otherwise, by ``_float_text``.
+    A list or tuple of strings is written as given; any other column is
+    numeric as a whole, written as ``str(int)`` for an integer dtype and
+    ``repr`` of the float otherwise, by ``_float_text``.
     """
-    if isinstance(column, list) and column and isinstance(column[0], str):
+    if isinstance(column, (list, tuple)) and column and isinstance(column[0], str):
         return column
     values = np.asarray(column)
     if values.dtype.kind in "iu":
@@ -366,21 +375,19 @@ def _write_csv(path: Path, columns: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_solution_csv(path: Path, problem: BuiltProblem, report: ExtremalRunReport,
-                       x_cells: list[str] | None = None) -> list[str]:
-    """Write the solution table; return the node cells for the next table of the grid.
+@_grid_memo
+def _node_cells(grid: Grid) -> tuple[str, ...]:
+    """The text of the grid's nodes, the x column of its solution tables."""
+    return tuple(_float_text(grid.nodes))
 
-    ``x_cells`` are node cells an earlier call returned; without them the
-    nodes are formatted here.
-    """
-    if x_cells is None:
-        x_cells = _column_text(problem.grid.nodes)
+
+def write_solution_csv(path: Path, problem: BuiltProblem, report: ExtremalRunReport) -> None:
+    """Write the solution table: nodes, state, obstacle, multiplier and node class."""
     u, phi = report.solution, report.obstacle
     lam = multiplier(problem.operator, problem.forcing, u)
     partition = classify_active(problem.forcing, u, phi, lam)
-    _write_csv(path, {"x": x_cells, "u": u.values, "phi_u": phi.values,
+    _write_csv(path, {"x": _node_cells(problem.grid), "u": u.values, "phi_u": phi.values,
                       "lambda": lam, "class": partition.labels()})
-    return x_cells
 
 
 def write_iterates_csv(path: Path, report: ExtremalRunReport) -> None:
@@ -441,7 +448,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
 
     bracket = IntervalBracket.default(A, f)
     which_list = ["min", "max"] if config.run == "both" else [config.run]
-    x_cells = None  # node cells, formatted by the first solution table written
 
     for which in which_list:
         run_summary: dict = {}
@@ -464,7 +470,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
 
         sol_path = target / f"solution_{which}.csv"
         it_path = target / f"iterates_{which}.csv"
-        x_cells = write_solution_csv(sol_path, problem, report, x_cells)
+        write_solution_csv(sol_path, problem, report)
         write_iterates_csv(it_path, report)
         artifacts.files[f"solution_{which}"] = sol_path
         artifacts.files[f"iterates_{which}"] = it_path

@@ -11,13 +11,21 @@ by the solvers exact on the grid rather than asymptotic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 BoundaryCondition = Literal["neumann", "dirichlet"]
+
+# entries of each grid memo: more than the five sizes of a grid ladder, as
+# an LRU shorter than a cycle of sizes misses on every call
+GRID_MEMO_SIZE = 8
+# the one memo of the pure functions of a grid (and of c and bc) in fem,
+# obstacle_maps and experiments: keyed by value, never on a forcing, a map
+# or a config; each result is immutable, and a raise is not kept
+_grid_memo = lru_cache(maxsize=GRID_MEMO_SIZE)
 
 
 class GridMismatchError(ValueError):
@@ -42,7 +50,9 @@ class Grid:
     def __post_init__(self):
         if self.n_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n_nodes}")
-        lo, hi = float(self.span[0]), float(self.span[1])
+        # + 0.0 turns -0.0 into 0.0: equal grids have equal nodes, so a
+        # memo keyed on the grid hands each grid its own node text
+        lo, hi = float(self.span[0]) + 0.0, float(self.span[1]) + 0.0
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
             raise ValueError(f"invalid interval {self.span!r}")
         object.__setattr__(self, "span", (lo, hi))
@@ -184,7 +194,8 @@ class TridiagonalSpd:
 
     def _identity_rows(self, pinned: np.ndarray) -> "TridiagonalSpd | None":
         """The matrix with the rows and columns of a boolean mask set to the
-        identity, or None when the mask pins every node.
+        identity: None when the mask pins every node, and the matrix itself,
+        already factored, when it pins none.
 
         The zero couplings split the unpinned nodes into blocks, and the
         LAPACK sweeps subtract an exact +0.0 at each block edge, so with
@@ -193,6 +204,8 @@ class TridiagonalSpd:
         """
         if pinned.all():
             return None
+        if not pinned.any():
+            return self
         return TridiagonalSpd(np.where(pinned, 1.0, self.diag),
                               np.where(pinned[:-1] | pinned[1:], 0.0, self.upper))
 
@@ -259,18 +272,24 @@ def assemble_operator(grid: Grid, c: float, bc: BoundaryCondition) -> EllipticOp
 
     Neumann requires c > 0 (otherwise constants are in the kernel);
     Dirichlet eliminates the two boundary rows/columns and needs at least
-    one interior node.
+    one interior node.  The inputs are checked on every call; the
+    operator, factored, comes from ``_grid_memo`` keyed on
+    ``(grid, float(c), bc)``, so equal inputs share one operator.
     """
     if bc not in ("neumann", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
-    c = float(c)
+    c = float(c) + 0.0  # -0.0 as 0.0, so the kept operator's c does not depend on call order
     if c < 0:
         raise ValueError("reaction coefficient must be >= 0")
     if bc == "neumann" and c == 0.0:
         raise SingularOperatorError("Neumann with c = 0 is singular (constants in the kernel)")
     if bc == "dirichlet" and grid.n_nodes < 3:
         raise SingularOperatorError("Dirichlet needs at least one interior node")
+    return _assemble(grid, c, bc)
 
+
+@_grid_memo
+def _assemble(grid: Grid, c: float, bc: str) -> EllipticOperator:
     h = grid.h
     diag = np.full(grid.n_nodes, 2.0 / h)
     diag[0] = diag[-1] = 1.0 / h
@@ -331,8 +350,13 @@ def sup_embedding_constant(grid: Grid) -> float:
     H1 matrix.  That diagonal comes in O(n) time and memory from the
     pivots p of the H1 matrix's LDL^T factor and q of its reverse's, read
     back in node order (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992):
-    ``1 / (p_i + q_i - a_i)``.
+    ``1 / (p_i + q_i - a_i)``.  Computed once per grid (``_grid_memo``).
     """
+    return _sup_embedding(grid)
+
+
+@_grid_memo
+def _sup_embedding(grid: Grid) -> float:
     h1 = assemble_operator(grid, 1.0, "neumann").matrix
     backward = TridiagonalSpd(h1.diag[::-1], h1.upper[::-1]).pivots[::-1]
     inv_diag = 1.0 / (h1.pivots + backward - h1.diag)

@@ -35,6 +35,7 @@ from .fem import (
     GridMismatchError,
     NodalFunction,
     TridiagonalSpd,
+    _grid_memo,
     _v_norm_values,
     assemble_operator,
     dual_norm,
@@ -127,6 +128,12 @@ class ObstacleMap(abc.ABC):
             raise GridMismatchError("state grid does not match map grid")
 
 
+@_grid_memo
+def _identity(grid: Grid) -> TridiagonalSpd:
+    """The n-node identity, the B of every plateau linearisation; nothing solves it."""
+    return TridiagonalSpd(np.ones(grid.n_nodes), np.zeros(grid.n_nodes - 1))
+
+
 class PlateauMap(ObstacleMap):
     """Nodewise application of a smooth increasing curve with flat plateaus.
 
@@ -154,7 +161,7 @@ class PlateauMap(ObstacleMap):
         self._grid = grid
         self.levels = levels
         self.half_width = half_width
-        self._identity = TridiagonalSpd(np.ones(grid.n_nodes), np.zeros(grid.n_nodes - 1))
+        self._identity = _identity(grid)
 
     @property
     def grid(self) -> Grid:
@@ -421,11 +428,25 @@ def lipschitz_estimate(omap: ObstacleMap, lin: Linearisation, bc: BoundaryCondit
     (``omap.linearisation(u, phi)``); the estimate applies B^-1 (w h) to
     every mode in one multi-column solve (none for the plateau map, whose
     B is the identity), and solves no map equation.  Each column keeps
-    the bits of ``omap.derivative_action(lin, mode)``.
+    the bits of ``omap.derivative_action(lin, mode)``.  The modes and
+    their V-norms are computed once per (grid, bc) (``_lipschitz_modes``).
     """
     if bc not in ("neumann", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
     grid = omap.grid
+    modes, mode_norms = _lipschitz_modes(grid, bc)
+    B, w = lin
+    images = w[:, None] * modes
+    if not isinstance(omap, PlateauMap):
+        images = B.solve(images)
+    return max((_v_norm_values(grid, images[:, j]) / norm for j, norm in enumerate(mode_norms)),
+               default=0.0)
+
+
+@_grid_memo
+def _lipschitz_modes(grid: Grid, bc: str) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The modes of ``lipschitz_estimate`` as read-only Fortran-order
+    columns, and the V-norm of each."""
     n = grid.n_nodes
     wave, highest = (np.cos, n - 1) if bc == "neumann" else (np.sin, n - 2)
     angles = np.pi * np.arange(n) / (n - 1)
@@ -434,12 +455,8 @@ def lipschitz_estimate(omap: ObstacleMap, lin: Linearisation, bc: BoundaryCondit
         modes[:, k - 1] = wave(k * angles)
     if bc == "dirichlet":
         modes[-1] = 0.0  # sin(k pi) is roundoff, not zero
-    B, w = lin
-    images = w[:, None] * modes
-    if not isinstance(omap, PlateauMap):
-        images = B.solve(images)
-    return max((_v_norm_values(grid, images[:, j]) / _v_norm_values(grid, modes[:, j])
-                for j in range(modes.shape[1])), default=0.0)
+    modes.flags.writeable = False
+    return modes, tuple(_v_norm_values(grid, modes[:, j]) for j in range(modes.shape[1]))
 
 
 def lipschitz_threshold_check(omap: ThermoformingMap, operator: EllipticOperator,

@@ -218,6 +218,11 @@ def test_column_text_on_each_path():
     many = np.repeat(rng.choice(pool, n // 4), 4)
     columns = [np.full(n, x) for x in pool]
     columns += [Grid(1601).nodes, distinct, few, many]
+    # one bit pattern, formatted once, in each of repr's layouts; and the two
+    # zeros mixed, which compare equal but are two patterns
+    columns += [np.full(size, x) for x in (0.0, -0.0, 2.0, 1e-7, 3e-5, 1e16)
+                for size in (2, 101, 25601)]
+    columns.append(np.where(rng.uniform(size=n) < 0.5, 0.0, -0.0))
     for column in columns:
         assert _column_text(column) == [repr(v) for v in column.tolist()]
 
@@ -237,9 +242,11 @@ def test_column_text_property():
     pooled = st.lists(floats, min_size=1, max_size=6).flatmap(
         lambda pool: st.lists(st.sampled_from(pool), max_size=40)).map(np.array)
     any_array = hnp.arrays(np.float64, st.integers(0, 40), elements=floats)
+    constant = st.builds(np.full, st.integers(1, 40), floats)
+    zeros = st.lists(st.sampled_from([0.0, -0.0]), min_size=2, max_size=40).map(np.array)
 
     @hypothesis.settings(database=None, deadline=None)
-    @hypothesis.given(st.one_of(pooled, any_array))
+    @hypothesis.given(st.one_of(pooled, any_array, constant, zeros))
     def check(values):
         for column in _column_texts(values.astype(float)):
             assert _column_text(column) == [repr(v) for v in column.tolist()]
@@ -457,6 +464,48 @@ def test_byte_determinism(tmp_path):
     assert a1.ok and a2.ok
     for key, p1 in a1.files.items():
         assert p1.read_bytes() == a2.files[key].read_bytes(), key
+
+
+def test_grid_memos_leak_nothing_between_runs(tmp_path):
+    # the bundled configs at 401 in one process, as bundled and with
+    # Dirichlet conditions, forward, reversed, and with every memo emptied
+    # before each run, write the same bytes
+    memos = {f"{mod.__name__}.{name}": obj
+             for mod in (qvix.fem, qvix.obstacle_maps, qvix.experiments)
+             for name, obj in vars(mod).items() if hasattr(obj, "cache_clear")}
+    assert sorted(memos) == ["qvix.experiments._node_cells", "qvix.fem._assemble",
+                             "qvix.fem._sup_embedding", "qvix.obstacle_maps._identity",
+                             "qvix.obstacle_maps._lipschitz_modes"]
+    names = [(path.stem, bc) for path in sorted(CONFIG_DIR.glob("*.json"))
+             for bc in ("neumann", "dirichlet")]
+
+    def outputs(order, label, clear):
+        written = {}
+        for name, bc in order:
+            if clear:
+                for memo in memos.values():
+                    memo.cache_clear()
+            raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+            raw["grid"]["n_nodes"] = 401
+            raw["operator"]["bc"] = bc
+            artifacts = run_experiment(parse_config(raw), out_dir=tmp_path / label / name / bc)
+            assert artifacts.ok, artifacts.failures
+            written.update({f"{name}-{bc}/{key}": path.read_bytes()
+                            for key, path in artifacts.files.items()})
+        return written
+
+    forward = outputs(names, "forward", False)
+    assert len(forward) == 8 * 4  # summary, solution, iterates, sensitivity
+    assert outputs(names[::-1], "reversed", False) == forward
+    assert outputs(names, "cleared", True) == forward
+
+
+def test_node_cells_are_kept_per_grid_as_a_tuple():
+    cells = qvix.experiments._node_cells(Grid(101))
+    assert isinstance(cells, tuple)
+    assert cells is qvix.experiments._node_cells(Grid(101, (0.0, 1.0)))
+    assert list(cells) == [repr(x) for x in Grid(101).nodes.tolist()]
+    assert qvix.experiments._node_cells(Grid(3, (-0.0, 1.0))) == ("0.0", "0.5", "1.0")
 
 
 @pytest.mark.parametrize("name", ["toy_min", "toy_max", "inverse_elliptic_max",

@@ -9,6 +9,7 @@ from qvix import (
     GridMismatchError,
     NodalFunction,
     SingularOperatorError,
+    ThermoformingMap,
     assemble_operator,
     dual_norm,
     leq,
@@ -16,6 +17,7 @@ from qvix import (
     v_norm,
 )
 from qvix.fem import TridiagonalSpd
+from qvix.vi import _solve_pinned
 from conftest import banded_solve, block_solve, random_dual, random_nodal
 
 
@@ -61,6 +63,43 @@ def test_assemble_rejects_singular_and_bad_input():
         assemble_operator(Grid(5), -1.0, "neumann")
     with pytest.raises(ValueError):
         assemble_operator(Grid(5), 1.0, "robin")
+
+
+def test_a_refused_assembly_raises_on_every_call():
+    # the inputs are checked before the memo, and a raise is never kept
+    for _ in range(3):
+        with pytest.raises(SingularOperatorError, match="Neumann with c = 0"):
+            assemble_operator(Grid(11), 0, "neumann")
+        with pytest.raises(SingularOperatorError, match="interior node"):
+            assemble_operator(Grid(2), 1.0, "dirichlet")
+
+
+def test_operators_are_kept_per_grid_c_and_bc():
+    A = assemble_operator(Grid(101), 1, "neumann")
+    assert A is assemble_operator(Grid(101), 1.0, "neumann")
+    assert A is assemble_operator(Grid(101, (0.0, 1.0)), np.float64(1.0), "neumann")
+    assert type(A.c) is float
+    for other in (assemble_operator(Grid(101), 2.0, "neumann"),
+                  assemble_operator(Grid(101), 1.0, "dirichlet"),
+                  assemble_operator(Grid(101, (0.0, 2.0)), 1.0, "neumann"),
+                  assemble_operator(Grid(102), 1.0, "neumann")):
+        assert other is not A
+    # a kept operator cannot be written through
+    matrix = A.matrix
+    for band in (matrix.diag, matrix.upper, matrix.pivots, matrix.multipliers, A.boundary):
+        assert not band.flags.writeable
+    # a thermoforming map with reaction 1 shares the (c = 1, Neumann) operator
+    tmap = ThermoformingMap(NodalFunction.constant(Grid(101), 3.0), 1.0, 1.0, 0.1)
+    assert tmap._op is A
+
+
+def test_grids_equal_as_values_have_equal_nodes():
+    # the grid's span reads -0.0 as 0.0, so a memo keyed on a grid cannot
+    # hand one grid the node text of an equal one
+    for span, same in (((-0.0, 1.0), (0.0, 1.0)), ((-1.0, -0.0), (-1.0, 0.0))):
+        grid, other = Grid(5, span), Grid(5, same)
+        assert grid == other and hash(grid) == hash(other)
+        assert grid.span == same and grid.nodes.tobytes() == other.nodes.tobytes()
 
 
 @pytest.mark.parametrize("bc,c", [("neumann", 1.0), ("neumann", 0.3),
@@ -286,7 +325,8 @@ def test_identity_rows_set_the_masked_rows_and_columns_to_the_identity(bc):
     matrix = assemble_operator(Grid(n), 1.0, bc).matrix
     rng = np.random.default_rng(5)
     rhs_full = rng.normal(size=n)
-    for mask in (rng.uniform(size=n) < 0.3, rng.uniform(size=n) < 0.7):
+    empty = np.zeros(n, dtype=bool)
+    for mask in (rng.uniform(size=n) < 0.3, rng.uniform(size=n) < 0.7, empty):
         system = matrix._identity_rows(mask)
         identity_rows = np.eye(n)[mask]
         dense = matrix.to_dense()
@@ -295,3 +335,11 @@ def test_identity_rows_set_the_masked_rows_and_columns_to_the_identity(bc):
         rhs = np.where(mask, 0.0, rhs_full)
         assert system.solve(rhs).tobytes() == block_solve(matrix, mask, rhs).tobytes()
     assert matrix._identity_rows(np.ones(n, dtype=bool)) is None  # nothing to solve
+    assert matrix._identity_rows(empty) is matrix  # nothing to pin: no copy to factor
+    # the pinned solve with nothing pinned keeps the bits of a solve of a fresh copy
+    mass = Grid(n).mass
+    load = rng.normal(size=n)
+    u, lam = _solve_pinned(matrix, mass, load, rng.normal(size=n), empty)
+    copy = TridiagonalSpd(matrix.diag, matrix.upper)
+    assert u.tobytes() == copy.solve(load - matrix.matvec(np.zeros(n))).tobytes()
+    assert lam.tobytes() == np.zeros(n).tobytes()

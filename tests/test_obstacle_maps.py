@@ -24,6 +24,7 @@ from qvix import (
 from qvix.experiments import parse_config, run_experiment
 from qvix.extremal import IntervalBracket
 from qvix.fem import TridiagonalSpd
+from qvix.obstacle_maps import LIPSCHITZ_MODES, _lipschitz_modes
 from conftest import linearise
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -270,6 +271,23 @@ def test_lipschitz_estimate_closed_form_for_linear_gain(n, span, bc):
     center = NodalFunction(g, np.sin(5.0 * g.nodes))  # a linear map's derivative ignores it
     assert lipschitz_estimate(omap, linearise(omap, center), bc) == pytest.approx(
         expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_lipschitz_modes_are_kept_read_only_per_grid_and_bc(bc):
+    modes, norms = _lipschitz_modes(Grid(101), bc)
+    assert _lipschitz_modes(Grid(101), bc)[0] is modes
+    assert modes.shape == (101, LIPSCHITZ_MODES) and modes.flags.f_contiguous
+    assert not modes.flags.writeable
+    assert isinstance(norms, tuple) and len(norms) == LIPSCHITZ_MODES
+
+
+def test_plateau_maps_of_a_grid_share_one_identity():
+    first = PlateauMap(Grid(101), [1.0, 2.0], 0.25)
+    second = PlateauMap(Grid(101), [3.0], 0.5)
+    assert first._identity is second._identity
+    assert np.array_equal(first._identity.to_dense(), np.eye(101))
+    assert not first._identity.diag.flags.writeable
 
 
 def test_lipschitz_estimate_rejects_an_unknown_boundary_condition(toy):
