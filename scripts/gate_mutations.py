@@ -33,8 +33,8 @@ GATES = (
     ("vi.py", "if residual > VI_TOL:", "terminal complementarity residual of an obstacle solve"),
     ("vi.py", "if info or not np.all(e > 0):", "an (I - J) solve without a rate certificate"),
     ("extremal.py", "if sign * worst < -MONOTONE_TOL:", "a monotone loop that lost its order"),
-    ("extremal.py", "if gap > 1e-9:", "a fast solve that disagrees with the oracle"),
     ("extremal.py", "if residuals[-1] > RESIDUAL_TOL:", "residual of an extremal limit"),
+    ("extremal.py", "if np.any(sign * d.values < 0):", "a direction against the run's sign"),
     ("extremal.py", "if sign > 0 or not omap.concave or np.any(f.values < 0):",
      "Newton steps outside max runs of concave maps under loads >= 0"),
     ("sensitivity.py", "if res > extremal.RESIDUAL_TOL:", "residual of the cone's base point"),

@@ -1,4 +1,4 @@
-"""Command line entry point: run, validate, or oracle-check experiment configs."""
+"""Command line entry point: run or validate experiment configs."""
 
 from __future__ import annotations
 
@@ -23,10 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="check a config without running solvers")
     val.add_argument("config", help="path to a JSON experiment config")
-
-    orc = sub.add_parser("oracle", help="run with exact cross-checks of every obstacle solve")
-    orc.add_argument("config", help="path to a JSON experiment config")
-    orc.add_argument("--out", default=None, help="output directory (overrides the config)")
     return parser
 
 
@@ -55,8 +51,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        artifacts = run_experiment(config, out_dir=args.out,
-                                   oracle_check=(args.command == "oracle"))
+        artifacts = run_experiment(config, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -417,8 +417,7 @@ def _jsonable(obj):
     return obj
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
-                   oracle_check: bool = False) -> RunArtifacts:
+def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0) -> RunArtifacts:
     """Execute the configured pipeline and write all artifacts.
 
     Solver failures are recorded in the summary next to whatever partial
@@ -433,7 +432,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
     artifacts = RunArtifacts(out_dir=target)
     summary: dict = {
         "seed": seed,
-        "oracle_check": oracle_check,
         "constants": {
             "c_a": A.c_a,
             "c_b": A.c_b,
@@ -457,7 +455,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
         # (from the run's own obstacle) nor the temperature (the Newton
         # solve that made that obstacle, repeated) solves anything new
         try:
-            report = run(A, f, omap, start, oracle_check)
+            report = run(A, f, omap, start)
             u = report.solution
             c_phi = lipschitz_estimate(omap, omap.linearisation(u, report.obstacle), A.bc)
             if isinstance(omap, ThermoformingMap):
@@ -493,7 +491,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0,
 
         if config.sensitivity:
             try:
-                deriv = fd_validate(A, f, d, omap, bracket, which, oracle_check=oracle_check)
+                deriv = fd_validate(A, f, d, omap, bracket, which)
             except _SOLVE_ERRORS as exc:
                 log.error("sensitivity run '%s' failed: %s", which, exc)
                 artifacts.failures.append(f"sensitivity/{which}: {exc}")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fem import DualElement, EllipticOperator, NodalFunction, NonFiniteError, _v_norm_values, leq
 from .obstacle_maps import ObstacleMap
-from .vi import _solve_linearised, complementarity_residual, multiplier, oracle_vi, solve_vi
+from .vi import _solve_linearised, complementarity_residual, multiplier, solve_vi
 
 log = logging.getLogger("qvix")
 
@@ -179,8 +179,7 @@ def qvi_residual(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
 
 
 def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-             start: NodalFunction, which: str, oracle_check: bool,
-             active0: np.ndarray | None) -> ExtremalRunReport:
+             start: NodalFunction, which: str, active0: np.ndarray | None) -> ExtremalRunReport:
     sign = _sign(which)
     residuals: list[float] = []
     last_step = None  # input and obstacle of the latest step
@@ -216,12 +215,6 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         last_step = (u, phi)
         residuals.append(_obstacle_residual(u, phi, multiplier(A, f, u)))
         sol = solve_vi(A, f, phi, active0=active0)
-        if oracle_check:
-            ref = oracle_vi(A, f, phi)
-            gap = float(np.max(np.abs(sol.u.values - ref.u.values)))
-            if gap > 1e-9:
-                raise ExtremalIterationError(
-                    f"fast solve disagrees with the exact oracle by {gap:.3e}")
         active0 = sol.active
         nxt, kind = newton_step(u, phi, sol.u, sol.active) if newton else (sol.u, "plain")
         latest = (nxt, latest[1] + 1, kind)
@@ -255,8 +248,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
 
 
 def _kept_run(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-              start: NodalFunction, which: str, oracle_check: bool,
-              active0: np.ndarray | None) -> ExtremalRunReport:
+              start: NodalFunction, which: str, active0: np.ndarray | None) -> ExtremalRunReport:
     """``_iterate``, kept on the map for the last run asked of it (``omap._run_entry``).
 
     The key holds A by identity (``EllipticOperator`` has no ==), the
@@ -268,20 +260,19 @@ def _kept_run(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     run's key with another's report; a raise is never kept.
     """
     key = (A, which, f.grid, f.values.tobytes(), start.grid, start.values.tobytes(),
-           oracle_check, None if active0 is None else np.asarray(active0, bool).tobytes())
+           None if active0 is None else np.asarray(active0, bool).tobytes())
     entry = omap._run_entry
     if entry is not None and entry[0] == key:
         log.info("extremal %s: reused the run at this load and start (%d steps)",
                  which, entry[1].n_iters)
         return entry[1]
-    report = _iterate(A, f, omap, start, which, oracle_check, active0)
+    report = _iterate(A, f, omap, start, which, active0)
     omap._run_entry = (key, report)
     return report
 
 
 def iterate_min(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                start: NodalFunction, oracle_check: bool = False, *,
-                active0: np.ndarray | None = None) -> ExtremalRunReport:
+                start: NodalFunction, *, active0: np.ndarray | None = None) -> ExtremalRunReport:
     """Increasing iteration from a subsolution to the minimal solution.
 
     ``active0`` is the set the first obstacle solve starts from, as
@@ -291,17 +282,16 @@ def iterate_min(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     the result at most by roundoff inside ``vi.VI_TOL``.  The map keeps
     the last run (``_kept_run``): the same inputs again return its report.
     """
-    return _kept_run(A, f, omap, start, "min", oracle_check, active0)
+    return _kept_run(A, f, omap, start, "min", active0)
 
 
 def iterate_max(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-                start: NodalFunction, oracle_check: bool = False, *,
-                active0: np.ndarray | None = None) -> ExtremalRunReport:
+                start: NodalFunction, *, active0: np.ndarray | None = None) -> ExtremalRunReport:
     """Decreasing iteration from a supersolution to the maximal solution.
 
     ``active0`` and the kept run are as in ``iterate_min``.
     """
-    return _kept_run(A, f, omap, start, "max", oracle_check, active0)
+    return _kept_run(A, f, omap, start, "max", active0)
 
 
 def comparison_in_f(A: EllipticOperator, f: DualElement, d: DualElement, s: float,

@@ -339,23 +339,37 @@ class ThermoformingMap(ObstacleMap):
         return TridiagonalSpd(mat.diag - self.grid.mass * slope * self.expansion, mat.upper)
 
     def temperature(self, u: NodalFunction) -> NodalFunction:
-        """Newton from zero on the semilinear temperature equation for the membrane state u.
+        """Damped Newton from zero on the temperature equation for the membrane state u.
 
-        Raises ``InnerSolveError`` when 60 steps do not reach the residual
-        test, and when the temperature leaves its a priori bound.
+        A step is the full Newton step if that lowers ||F/m||_2, else the
+        first of 20 halvings lambda that lowers it by 1 - 1e-4 lambda, else
+        the full step.  Raises ``InnerSolveError`` when 60 steps do not
+        reach the residual test, and when T leaves its a priori bound.
         """
         self._check_grid(u)
         mass = self.grid.mass
         mat = self._op.matrix
-        t_vals = np.zeros(self.grid.n_nodes)
+
+        def state(t):  # t, its gap, F(t) = K t - m q(gap), and ||F(t)/m||_2
+            gap = self.expansion * t + self.mould.values - u.values
+            load = mat.matvec(t) - mass * self.heat_rate(gap)
+            return t, gap, load, np.linalg.norm(load / mass)
+
+        t_vals, gap, residual_load, norm = state(np.zeros(self.grid.n_nodes))
         res_tol = 1e-12 * (1.0 + self.heat_max)
         for _ in range(60):
-            gap = self.expansion * t_vals + self.mould.values - u.values
-            residual_load = mat.matvec(t_vals) - mass * self.heat_rate(gap)
             res = float(np.max(np.abs(residual_load / mass)))
             if res <= res_tol:
                 break
-            t_vals = t_vals - self._jacobian(self.heat_rate_slope(gap)).solve(residual_load)
+            step = self._jacobian(self.heat_rate_slope(gap)).solve(residual_load)
+            accepted = state(t_vals - step)
+            if not accepted[3] < norm:  # kept unless a halving passes; a NaN norm passes none
+                for k in range(1, 21):
+                    trial = state(t_vals - 0.5**k * step)
+                    if trial[3] <= (1.0 - 1e-4 * 0.5**k) * norm:
+                        accepted = trial
+                        break
+            t_vals, gap, residual_load, norm = accepted
         else:
             raise InnerSolveError(
                 f"temperature solve stalled at residual {res:.2e} against {res_tol:.1e} "

@@ -193,8 +193,7 @@ def _observed_order(fd_table, floor) -> float | None:
 
 
 def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
-                omap: ObstacleMap, bracket: IntervalBracket, which: str,
-                oracle_check: bool = False) -> DerivativeReport:
+                omap: ObstacleMap, bracket: IntervalBracket, which: str) -> DerivativeReport:
     """Compare the derivative against one-sided difference quotients.
 
     The base run is the map's kept run (``extremal._kept_run``) when the
@@ -214,7 +213,7 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     """
     sign = _sign(which)
     run, start = (iterate_min, bracket.lower) if sign > 0 else (iterate_max, bracket.upper)
-    base_run = run(A, f, omap, start, oracle_check)
+    base_run = run(A, f, omap, start)
     base = base_run.solution
     far = f + QUOTIENT_STEPS[0] * d
     if sign > 0 and not check_supersolution(A, far, omap, A.solve(far)):
@@ -228,7 +227,7 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
 
     fd_table = []
     for s in QUOTIENT_STEPS:
-        pert = run(A, f + s * d, omap, base, oracle_check, active0=base_run.active).solution
+        pert = run(A, f + s * d, omap, base, active0=base_run.active).solution
         quotient = (1.0 / s) * (pert - base)
         fd_table.append((s, v_norm(quotient - alpha)))
 

@@ -11,8 +11,10 @@ boolean node masks.  ``_pose`` is the one place that poses a
 complementarity problem, the obstacle solves here and the derivative's
 cone solves alike: it decides the load, the target and the node roles,
 the Dirichlet rows included.  ``oracle_vi`` re-derives the same
-solution exactly, by Chandrasekaran's pivoting in rational arithmetic,
-and is the independent cross-check for the fast path at any grid.
+solution exactly, by Chandrasekaran's pivoting in rational arithmetic;
+``test_every_extremal_solve_of_the_bundled_configs_matches_the_oracle``
+(``tests/test_experiments.py``) checks every solve of the bundled runs
+against it.
 
 A cold loop needs more set changes the finer the grid, because the front
 of the active set moves a few nodes per round.  So the loop takes its

@@ -3,15 +3,17 @@ import logging
 import re
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qvix.experiments
+import qvix.extremal
 import qvix.obstacle_maps
-from qvix import (ConfigError, Grid, InnerSolveError, IntervalBracket, iterate_max, iterate_min,
-                  load_config, run_experiment)
+from qvix import (ConfigError, Grid, InnerSolveError, IntervalBracket, NodalFunction, iterate_max,
+                  iterate_min, load_config, oracle_vi, run_experiment)
 from qvix.cli import main as cli_main
 from qvix.experiments import (
     _column_text,
@@ -569,10 +571,12 @@ def test_cli_validate_run_and_error_codes(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "run" / "summary.json").exists()
 
-    # the seed changes no result, so the command line takes none
-    for command in ("run", "oracle"):
+    # the seed changes no result, so the command line takes none; the exact
+    # cross-check is a test (test_every_extremal_solve_...), not a subcommand
+    for argv in (["run", str(good), "--out", str(tmp_path / "x"), "--seed", "3"],
+                 ["oracle", str(good)]):
         with pytest.raises(SystemExit) as exc:
-            cli_main([command, str(good), "--out", str(tmp_path / "x"), "--seed", "3"])
+            cli_main(argv)
         assert exc.value.code == 2
 
 
@@ -669,24 +673,47 @@ def test_version_must_be_the_integer_one_at_the_cli(tmp_path, capsys):
         assert err == f"config error: config.version: expected 1, got {version!r}\n"
 
 
-def test_cli_oracle_mode(tmp_path):
-    cfg = toy_config_dict()
-    cfg["grid"]["n_nodes"] = 9
-    path = tmp_path / "small.json"
-    path.write_text(json.dumps(cfg))
-    assert cli_main(["oracle", str(path), "--out", str(tmp_path / "o")]) == 0
-    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-    assert summary["oracle_check"] is True
+def _solves_compared_with(monkeypatch, oracle=oracle_vi):
+    """Wrap ``qvix.extremal.solve_vi``: every obstacle solve of a run is
+    compared with ``oracle`` on the same (A, f, phi) and must lie within
+    1e-9 of it.  Covers the outer steps, the quotient reruns and the
+    bracket checks; the cone solves call ``_pdas`` and stay out.  Returns
+    the list of gaps seen."""
+    solve, gaps = qvix.extremal.solve_vi, []
 
-    # on 21 nodes, with the CSV files of a plain run
-    big = tmp_path / "big.json"
-    big.write_text(json.dumps(toy_config_dict()))
-    assert cli_main(["oracle", str(big), "--out", str(tmp_path / "o2")]) == 0
-    assert cli_main(["run", str(big), "--out", str(tmp_path / "r2")]) == 0
-    written = sorted(path.name for path in (tmp_path / "o2").glob("*.csv"))
-    assert written == sorted(path.name for path in (tmp_path / "r2").glob("*.csv"))
-    for name in written:
-        assert (tmp_path / "o2" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+    def checked(A, f, phi, **kwargs):
+        sol = solve(A, f, phi, **kwargs)
+        gaps.append(float(np.max(np.abs(sol.u.values - oracle(A, f, phi).u.values))))
+        if gaps[-1] > 1e-9:
+            raise AssertionError(f"fast solve disagrees with the exact oracle by {gaps[-1]:.3e}")
+        return sol
+
+    monkeypatch.setattr(qvix.extremal, "solve_vi", checked)
+    return gaps
+
+
+def test_every_extremal_solve_of_the_bundled_configs_matches_the_oracle(tmp_path, monkeypatch):
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        config, out = load_config(path), tmp_path / path.stem
+        assert run_experiment(config, out_dir=out / "plain").ok
+        with monkeypatch.context() as m:
+            gaps = _solves_compared_with(m)
+            assert run_experiment(config, out_dir=out / "oracle").ok
+        assert gaps, path.stem
+        plain, checked = ({p.name: p.read_bytes() for p in (out / run).glob("*.csv")}
+                          for run in ("plain", "oracle"))
+        assert checked == plain, path.stem
+
+
+def test_the_oracle_wrapper_fails_a_solve_off_the_oracle(tmp_path, monkeypatch):
+    def shifted(A, f, phi):
+        ref = oracle_vi(A, f, phi)
+        return replace(ref, u=ref.u + NodalFunction.constant(A.grid, 2e-9))
+
+    _solves_compared_with(monkeypatch, shifted)
+    with pytest.raises(AssertionError,
+                       match="^fast solve disagrees with the exact oracle by 2.000e-09$"):
+        run_experiment(load_config(CONFIG_DIR / "toy_min.json"), out_dir=tmp_path)
 
 
 @pytest.mark.parametrize("name", ["toy_min", "toy_max", "inverse_elliptic_max",

@@ -1,6 +1,5 @@
 import json
 import logging
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -418,20 +417,6 @@ def test_a_limit_above_the_residual_tolerance_raises(toy, monkeypatch):
         iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
 
 
-def test_a_fast_solve_off_the_oracle_raises(monkeypatch):
-    grid, A, omap, f = _small_toy()
-    oracle = qvix.extremal.oracle_vi
-
-    def shifted(*args):
-        ref = oracle(*args)
-        return replace(ref, u=ref.u + NodalFunction.constant(grid, 2e-9))
-
-    monkeypatch.setattr(qvix.extremal, "oracle_vi", shifted)
-    with pytest.raises(ExtremalIterationError,
-                       match="^fast solve disagrees with the exact oracle by 2.000e-09$"):
-        iterate_min(A, f, omap, NodalFunction.zeros(grid), oracle_check=True)
-
-
 def _counting(monkeypatch, module, name):
     """A list that gains an entry at every call of ``module.name``."""
     calls, original = [], getattr(module, name)
@@ -455,21 +440,19 @@ def test_a_repeated_run_returns_the_kept_report(toy, monkeypatch):
     assert not solves
 
 
-@pytest.mark.parametrize("change", ["f", "start", "which", "active0", "oracle_check"])
+@pytest.mark.parametrize("change", ["f", "start", "which", "active0"])
 def test_a_run_with_one_input_changed_is_computed(change, monkeypatch):
     # 1 is a fixed point, so the runs from it either way and at either source stay there
     grid, A, omap, f = _small_toy()
-    base = dict(f=f, start=NodalFunction.constant(grid, 1.0), which="min", active0=None,
-                oracle_check=False)
+    base = dict(f=f, start=NodalFunction.constant(grid, 1.0), which="min", active0=None)
     other = {"f": f + DualElement.constant(grid, 1.0), "start": NodalFunction.zeros(grid),
-             "which": "max", "active0": np.ones(grid.n_nodes, dtype=bool),
-             "oracle_check": True}
+             "which": "max", "active0": np.ones(grid.n_nodes, dtype=bool)}
     changed = dict(base, **{change: other[change]})
     runs = _counting(monkeypatch, qvix.extremal, "_iterate")
 
-    def run(which, f, start, oracle_check, active0):
+    def run(which, f, start, active0):
         it = iterate_min if which == "min" else iterate_max
-        return it(A, f, omap, start, oracle_check, active0=active0)
+        return it(A, f, omap, start, active0=active0)
 
     first = run(**base)
     assert run(**changed) is not first

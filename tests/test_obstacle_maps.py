@@ -19,6 +19,7 @@ from qvix import (
     lipschitz_threshold_check,
     smoothstep,
     smoothstep_deriv,
+    solve_vi,
     v_norm,
 )
 from qvix.experiments import parse_config, run_experiment
@@ -540,6 +541,23 @@ def test_a_temperature_stall_is_not_kept(monkeypatch):
             assert len(calls) == 60
     calls.clear()
     assert np.any(omap.temperature(u).values != 0.0) and calls
+
+
+def test_a_temperature_whose_full_newton_steps_diverge_converges_damped():
+    # the first iterate of a min run (u = 0.6871 at every node); undamped
+    # Newton from zero raised "temperature solve stalled at residual 1.75e+00
+    # against 2.8e-12 (contraction factor 2.755)" here
+    g = Grid(61)
+    A = assemble_operator(g, 4.005, "neumann")
+    omap = ThermoformingMap(NodalFunction.constant(g, 0.423), 1.004, 1.751, 0.839)
+    f = DualElement(g, 2.945 + 1.528 * g.nodes)
+    u = solve_vi(A, f, omap.evaluate(NodalFunction.zeros(g))).u
+    temp = omap.temperature(u)
+    gap = omap.expansion * temp.values + omap.mould.values - u.values
+    load = assemble_operator(g, omap.reaction, "neumann").matrix.matvec(temp.values) \
+        - g.mass * omap.heat_rate(gap)
+    assert np.max(np.abs(load / g.mass)) <= 1e-12 * (1.0 + omap.heat_max)
+    assert 0.0 < v_norm(temp) <= omap.temperature_bound()
 
 
 def test_temperature_is_newton_from_zero(monkeypatch):

@@ -632,3 +632,24 @@ def test_a_biactive_node_keeps_the_derivative_on_plain_steps(monkeypatch):
     assert len(report.alpha_iterates) > 3
     solve_derivative_qvi(cone, d, "max")
     assert len(solves) == 1
+
+
+def test_refinement_of_the_bundled_max_run_and_its_derivative_is_first_order_in_v():
+    # P1 obstacle problems converge at O(h) in H1 (Falk, Math. Comp. 28,
+    # 1974); each coarse result, interpolated onto the next grid (h/4),
+    # differs from it by 9.06e-4 and 2.26e-4 (u), 8.71e-4 and 2.18e-4 (alpha)
+    results = []
+    for n in (101, 401, 1601):
+        A, f, d, omap = _bundled("inverse_elliptic_max", n)
+        bracket = IntervalBracket.default(A, f)
+        u = iterate_max(A, f, omap, bracket.upper).solution
+        results.append((u, fd_validate(A, f, d, omap, bracket, "max").alpha))
+
+    def order(k):  # of u (k = 0) or alpha (k = 1), from the two successive differences
+        diffs = [v_norm(fine[k] - NodalFunction(fine[k].grid, np.interp(
+            fine[k].grid.nodes, coarse[k].grid.nodes, coarse[k].values)))
+            for coarse, fine in zip(results, results[1:])]
+        return np.log(diffs[0] / diffs[1]) / np.log(4.0)
+
+    assert 0.9 <= order(0) <= 1.1
+    assert 0.9 <= order(1) <= 1.1
