@@ -279,7 +279,8 @@ def iterate_min(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     ``ViSolution.active`` or ``ExtremalRunReport.active`` of a nearby
     problem; each later solve starts from the set its predecessor settled
     on.  A warm start as in ``solve_vi``: it changes the rounds spent, and
-    the result at most by roundoff inside ``vi.VI_TOL``.  The map keeps
+    the result only where a solve ends on the residual test from round 2
+    on (a degenerate set), by roundoff inside ``vi.VI_TOL``.  The map keeps
     the last run (``_kept_run``): the same inputs again return its report.
     """
     return _kept_run(A, f, omap, start, "min", active0)

@@ -279,6 +279,8 @@ def assemble_operator(grid: Grid, c: float, bc: BoundaryCondition) -> EllipticOp
     if bc not in ("neumann", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
     c = float(c) + 0.0  # -0.0 as 0.0, so the kept operator's c does not depend on call order
+    if not np.isfinite(c):
+        raise ValueError(f"reaction coefficient must be finite, got {c}")
     if c < 0:
         raise ValueError("reaction coefficient must be >= 0")
     if bc == "neumann" and c == 0.0:

@@ -150,9 +150,11 @@ class PlateauMap(ObstacleMap):
         levels = np.array(levels, dtype=float).reshape(-1)
         if levels.size < 1:
             raise ValueError("need at least one plateau level")
+        half_width = float(half_width)
+        if not (np.isfinite(levels).all() and np.isfinite(half_width)):
+            raise ValueError("plateau levels and half-width must be finite")
         if np.any(levels <= 0):
             raise ValueError("plateau levels must be positive")
-        half_width = float(half_width)
         if half_width <= 0:
             raise ValueError("plateau half-width must be positive")
         if np.any(np.diff(levels) <= 2 * half_width):
@@ -228,6 +230,8 @@ class ScalarNonlinearity:
     def __post_init__(self):
         if self.kind not in ("zero", "linear", "tanh"):
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+        if not np.isfinite([self.scale, self.rate]).all():
+            raise ValueError("scale and rate must be finite")
         if self.scale < 0:
             raise ValueError("scale must be >= 0 to keep the gain increasing")
         if self.rate <= 0:
@@ -298,6 +302,8 @@ class ThermoformingMap(ObstacleMap):
 
     def __init__(self, mould: NodalFunction, reaction: float, heat_max: float,
                  expansion: float):
+        if not np.isfinite([reaction, heat_max, expansion]).all():
+            raise ValueError("reaction, maximal heat transfer and expansion must be finite")
         if reaction <= 0:
             raise ValueError("reaction coefficient must be positive")
         if heat_max <= 0:

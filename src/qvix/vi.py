@@ -25,9 +25,8 @@ every level:
 - Round 1 pins the caller's set ``active0``, the settled set of the
   solve before (none for a cold solve).  If the update rule selects that
   set again, the solve ends: consecutive solves of a monotone iteration
-  mostly share their set, and then cost one round.  A cold round 1 may
-  also end on the residual test, a handed set's round 1 only on a
-  settled set.
+  mostly share their set, and then cost one round.  Round 1 ends only
+  on a settled set, whatever the start.
 - Otherwise the same problem is solved on every other node, with the
   Galerkin matrix P^T A P of linear interpolation P, the load and mass
   restricted by P^T, the target and role masks injected, and round 1's
@@ -38,13 +37,15 @@ every level:
   where the Galerkin matrix would couple two unknowns positively, so
   every level is an M-matrix; there round 2 pins round 1's selection.
 
-Rounds 2 onwards end on a settled set or on the residual test.  The
-result is that of the set the last round pins, so starts whose loops
-settle on the same set give the same bits.  A loop that ends on the
-residual test pins a set the update rule would still change, and
-another start may end elsewhere: the two results pass the ``VI_TOL``
-residual gate and differ by roundoff.  ``PDAS_MAX_ITER`` counts round 1;
-``ViSolution.iterations`` counts the rounds of every level.
+Rounds 2 onwards end on a settled set or on the residual test, since
+degenerate nodes (multipliers at roundoff) can flip forever.  The result
+is that of the set the last round pins, so starts whose loops settle on
+the same set give the same bits.  Only a loop that ends on the residual
+test from round 2 on, on a degenerate set the update rule would still
+change, can depend on its start: another start may end on another set,
+and the two results differ by roundoff inside ``VI_TOL``.
+``PDAS_MAX_ITER`` counts round 1; ``ViSolution.iterations`` counts the
+rounds of every level.
 
 ``_solve_linearised`` solves the linearisation of a pinned solve composed
 with an obstacle map, (I - J)x = r for J = S_C Phi'(u), and certifies
@@ -356,8 +357,8 @@ def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active
     """
     n = load.shape[0]
     obstacle_mask = ~(eq_mask | free_mask)
-    cold = active0 is None
-    active = np.zeros(n, dtype=bool) if cold else np.asarray(active0, dtype=bool) & obstacle_mask
+    active = np.zeros(n, dtype=bool) if active0 is None else \
+        np.asarray(active0, dtype=bool) & obstacle_mask
     coarse_iters = 0
     changed = 0
     sizes: list[int] = []
@@ -366,12 +367,9 @@ def _pdas(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask, active
         new_active = _update_rule(u, lam, target, obstacle_mask)
         if np.array_equal(new_active, active):
             return u, lam, new_active, coarse_iters + it
-        # degenerate nodes (multiplier at roundoff scale) can flip forever;
-        # a vanishing KKT residual is just as final as a settled set.  A
-        # handed set's first round ends only on a settled set: ending on
-        # the residual would keep pinned values where the loop goes on
-        if (it > 1 or cold) and \
-                complementarity_residual(u, target, lam, eq_mask, free_mask) <= VI_TOL:
+        # from round 2 on, degenerate nodes (multiplier at roundoff scale)
+        # can flip forever, so a vanishing KKT residual ends the loop too
+        if it > 1 and complementarity_residual(u, target, lam, eq_mask, free_mask) <= VI_TOL:
             return u, lam, new_active, coarse_iters + it
         changed = int(np.count_nonzero(new_active != active))
         active = new_active
@@ -400,10 +398,12 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     together with the multiplier density f - Au and the set the loop
     settled on.  ``active0`` is the set round 1 pins, mostly the
     ``active`` of the solve before, a warm start that changes the rounds
-    spent.  It keeps the bits of a loop that settles on the same set; a
-    loop that ends on the residual test can move by roundoff, inside
-    ``VI_TOL`` (see the module docstring).  A non-converged loop or an
-    invalid terminal point raises, never returns silently.
+    spent.  Round 1 ends only on a settled set, whatever the start, so
+    two starts give the same bits wherever their loops end on the same
+    set; only a loop that ends on the residual test from round 2 on, on
+    a degenerate set, can move by roundoff inside ``VI_TOL`` (see the
+    module docstring).  A non-converged loop or an invalid terminal
+    point raises, never returns silently.
     """
     grid = A.grid
     if f.grid != grid or phi.grid != grid:
@@ -415,8 +415,6 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     load, target, eq_mask, free_mask = _pose(A, f.values, phi.values)
     u_vals, lam_vals, active, iters = _pdas(A.matrix, grid.mass, load, target, eq_mask,
                                             free_mask, active0=active0)
-    if A.bc == "dirichlet":  # the equality nodes are the boundary
-        lam_vals[eq_mask] = 0.0
     residual = complementarity_residual(u_vals, target, lam_vals, eq_mask, free_mask)
     if residual > VI_TOL:
         raise ViSolveError(f"terminal complementarity residual {residual:.3e} exceeds {VI_TOL:.1e}")

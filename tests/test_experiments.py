@@ -274,6 +274,20 @@ def test_run_both_writes_the_bytes_of_separate_runs(tmp_path, name):
             assert files["both"][key].read_bytes() == files[which][key].read_bytes(), key
 
 
+def test_the_written_max_solution_is_feasible(tmp_path):
+    # toy_min's maximal solution is its obstacle 2, every node biactive; the
+    # cold solve pins every node before it ends, so none lies above
+    raw = json.loads((CONFIG_DIR / "toy_min.json").read_text())
+    raw.update(run="both", sensitivity={"enabled": False})
+    artifacts = run_experiment(parse_config(raw), out_dir=tmp_path, seed=0)
+    assert artifacts.ok, artifacts.failures
+    header, *rows = artifacts.files["solution_max"].read_text().splitlines()
+    assert header == "x,u,phi_u,lambda,class"
+    for row in rows:
+        _, u, phi, lam, _ = row.split(",")
+        assert float(u) <= float(phi) and float(lam) >= 0.0, row
+
+
 def _both_without_sensitivity(name, direction, **overrides):
     raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     raw["grid"]["n_nodes"] = 801

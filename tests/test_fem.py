@@ -65,6 +65,14 @@ def test_assemble_rejects_singular_and_bad_input():
         assemble_operator(Grid(5), 1.0, "robin")
 
 
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_assemble_refuses_a_non_finite_reaction(c, bc):
+    # refused before the memo: a NaN or infinite c passes the M-matrix checks
+    with pytest.raises(ValueError, match="reaction coefficient must be finite"):
+        assemble_operator(Grid(11), c, bc)
+
+
 def test_a_refused_assembly_raises_on_every_call():
     # the inputs are checked before the memo, and a raise is never kept
     for _ in range(3):

@@ -172,6 +172,22 @@ def test_thermoforming_newton_path_when_not_contractive():
         assert v_norm(temp) <= tmap.temperature_bound() + 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [
+    lambda g, x: ThermoformingMap(NodalFunction.constant(g, 1.0), x, 1.0, 0.1),
+    lambda g, x: ThermoformingMap(NodalFunction.constant(g, 1.0), 1.0, x, 0.1),
+    lambda g, x: ThermoformingMap(NodalFunction.constant(g, 1.0), 1.0, 1.0, x),
+    lambda g, x: PlateauMap(g, [1.0, x], 0.1),
+    lambda g, x: PlateauMap(g, [1.0], x),
+    lambda g, x: ScalarNonlinearity("tanh", x, 1.0),
+    lambda g, x: ScalarNonlinearity("tanh", 1.0, x),
+], ids=["reaction", "heat_max", "expansion", "level", "half_width", "scale", "rate"])
+def test_map_constructors_refuse_non_finite_parameters(build, bad):
+    # a NaN compares false with every bound, so the sign checks alone let it in
+    with pytest.raises(ValueError, match="must be finite"):
+        build(Grid(9), bad)
+
+
 def test_thermoforming_validation():
     g = Grid(9)
     mould = NodalFunction.constant(g, 1.0)
