@@ -44,7 +44,7 @@ GATES = (
      "an (I - J) derivative step on a cone with a biactive node"),
     ("sensitivity.py", "if sign > 0 and not check_supersolution(A, far, omap, A.solve(far)):",
      "min-run supersolution at the farthest source"),
-    ("sensitivity.py", "if sign < 0 and not check_subsolution(A, far, omap, bracket.lower):",
+    ("sensitivity.py", "if sign < 0 and not check_subsolution(A, far, omap, zero):",
      "max-run subsolution at the farthest source"),
     ("sensitivity.py", "if not fd_monotone and not cone.partition.biactive.any():",
      "quotient errors that do not shrink on a strictly complementary instance"),

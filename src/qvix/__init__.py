@@ -41,7 +41,6 @@ from .obstacle_maps import (
 from .extremal import (
     ExtremalIterationError,
     ExtremalRunReport,
-    IntervalBracket,
     check_subsolution,
     check_supersolution,
     comparison_in_f,

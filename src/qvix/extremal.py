@@ -57,6 +57,12 @@ def _sign(which: str) -> float:
     return 1.0 if which == "min" else -1.0
 
 
+def _run_start(A: EllipticOperator, f: DualElement, which: str) -> NodalFunction:
+    """Zero for "min" and A^-1 f for "max": for a load f >= 0 a subsolution and
+    the tightest supersolution, since every obstacle solve at f lies below A^-1 f."""
+    return NodalFunction.zeros(A.grid) if _sign(which) > 0 else A.solve(f)
+
+
 def _monotone_limit(step: Callable[[NodalFunction], tuple[NodalFunction, str]],
                     start: NodalFunction, sign: float, step_tol: float, max_iter: int,
                     error: type[Exception], order_text: str, cap_text: str, label: str):
@@ -112,8 +118,8 @@ def _check_direction(d: DualElement, which: str, what: str) -> float:
 @dataclass(frozen=True)
 class ExtremalRunReport:
     """History and diagnostics of one monotone run; ``obstacle`` is the map
-    evaluated at the solution, ``active`` the read-only set the last
-    obstacle solve settled on, and the delta histories hold the smallest
+    evaluated at the solution, ``active`` the ``ViSolution.active`` of the
+    last obstacle solve, and the delta histories hold the smallest
     and largest nodal change of each outer step.  ``newton_steps`` counts
     the run's Newton steps, and ``contraction_rate`` is the bound
     ``(lo, hi)`` on rho(J) from the last of them (None without one)."""
@@ -130,25 +136,6 @@ class ExtremalRunReport:
     active: np.ndarray
     newton_steps: int = 0
     contraction_rate: tuple[float, float] | None = None
-
-
-@dataclass(frozen=True)
-class IntervalBracket:
-    """Subsolution/supersolution pair enclosing the solutions of interest."""
-
-    lower: NodalFunction
-    upper: NodalFunction
-
-    @classmethod
-    def default(cls, A: EllipticOperator, f: DualElement) -> "IntervalBracket":
-        """Zero and A^-1 f, the tightest supersolution: every obstacle solve at f lies below it."""
-        return cls(lower=NodalFunction.zeros(A.grid), upper=A.solve(f))
-
-    def validate(self, A: EllipticOperator, f: DualElement, omap: ObstacleMap) -> bool:
-        if not leq(self.lower, self.upper, MONOTONE_TOL):
-            return False
-        return (check_subsolution(A, f, omap, self.lower)
-                and check_supersolution(A, f, omap, self.upper))
 
 
 def check_subsolution(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
@@ -296,15 +283,16 @@ def iterate_max(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
 
 
 def comparison_in_f(A: EllipticOperator, f: DualElement, d: DualElement, s: float,
-                    omap: ObstacleMap, bracket: IntervalBracket, which: str = "min") -> bool:
+                    omap: ObstacleMap, which: str) -> bool:
     """Order of the extremal solutions under a signed shift of the source.
 
     For the minimal map the direction must be nonnegative and the solution
     can only move up; for the maximal map the direction must be nonpositive
-    and the solution can only move down.
+    and the solution can only move down.  Both runs start at
+    ``_run_start(A, f, which)``, which bounds the shifted problem too.
     """
     sign = _check_direction(d, which, "comparison")
-    run, start = (iterate_min, bracket.lower) if sign > 0 else (iterate_max, bracket.upper)
+    run, start = iterate_min if sign > 0 else iterate_max, _run_start(A, f, which)
     base = run(A, f, omap, start).solution
     pert = run(A, f + s * d, omap, start).solution
     low, high = (base, pert) if sign > 0 else (pert, base)

@@ -130,7 +130,7 @@ class ObstacleMap(abc.ABC):
 
 @_grid_memo
 def _identity(grid: Grid) -> TridiagonalSpd:
-    """The n-node identity, the B of every plateau linearisation; nothing solves it."""
+    """The n-node identity, the B of every plateau linearisation."""
     return TridiagonalSpd(np.ones(grid.n_nodes), np.zeros(grid.n_nodes - 1))
 
 
@@ -446,19 +446,17 @@ def lipschitz_estimate(omap: ObstacleMap, lin: Linearisation, bc: BoundaryCondit
 
     ``lin = (B, w)`` is the map's linearisation at u
     (``omap.linearisation(u, phi)``); the estimate applies B^-1 (w h) to
-    every mode in one multi-column solve (none for the plateau map, whose
-    B is the identity), and solves no map equation.  Each column keeps
-    the bits of ``omap.derivative_action(lin, mode)``.  The modes and
-    their V-norms are computed once per (grid, bc) (``_lipschitz_modes``).
+    every mode in one multi-column solve, and solves no map equation.
+    Each column keeps the bits of ``omap.derivative_action(lin, mode)``,
+    up to the sign of a zero.  The modes and their V-norms are computed
+    once per (grid, bc) (``_lipschitz_modes``).
     """
     if bc not in ("neumann", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
     grid = omap.grid
     modes, mode_norms = _lipschitz_modes(grid, bc)
     B, w = lin
-    images = w[:, None] * modes
-    if not isinstance(omap, PlateauMap):
-        images = B.solve(images)
+    images = B.solve(w[:, None] * modes)
     return max((_v_norm_values(grid, images[:, j]) / norm for j, norm in enumerate(mode_norms)),
                default=0.0)
 

@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from . import extremal
-from .extremal import IntervalBracket, _check_direction, _monotone_limit, _obstacle_residual, \
-    _sign, check_subsolution, check_supersolution, iterate_max, iterate_min
+from .extremal import _check_direction, _monotone_limit, _obstacle_residual, _run_start, _sign, \
+    check_subsolution, check_supersolution, iterate_max, iterate_min
 from .fem import DualElement, EllipticOperator, NodalFunction, v_norm
 from .obstacle_maps import Linearisation, ObstacleMap
 from .vi import ActiveSetPartition, _pdas, _pose, _solve_linearised, classify_active, \
@@ -79,21 +79,17 @@ class DerivativeReport:
 
 
 def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
-               base: NodalFunction, phi: NodalFunction | None = None) -> CriticalConeData:
+               base: NodalFunction, phi: NodalFunction) -> CriticalConeData:
     """Classify the base solution and package the derivative cone data.
 
-    ``phi`` is the obstacle ``omap.evaluate(base)`` when the caller holds
-    it already, as ``ExtremalRunReport.obstacle``; it is evaluated when
-    None, and only then can the map's inner solve raise
-    (``InnerSolveError``).  The map is linearised from ``(base, phi)``
+    ``phi`` is the obstacle ``omap.evaluate(base)``, as
+    ``ExtremalRunReport.obstacle``.  The map is linearised from ``(base, phi)``
     once, for both ``deriv_map`` and ``linearisation``.  Refuses base
     points whose residual is too large for the active set to be
     trustworthy (the ``extremal.RESIDUAL_TOL`` gate of the extremal
     runs), and base points whose multiplier leaks off the strict set
     beyond classification noise.
     """
-    if phi is None:
-        phi = omap.evaluate(base)
     lam_vals = multiplier(A, f, base)
     res = _obstacle_residual(base, phi, lam_vals)
     if res > extremal.RESIDUAL_TOL:
@@ -135,8 +131,7 @@ def derivative_qvi_residual(cone: CriticalConeData, alpha: NodalFunction,
                                     eq_mask, free_mask)
 
 
-def solve_derivative_qvi(cone: CriticalConeData, d: DualElement,
-                         which: str = "min") -> DerivativeReport:
+def solve_derivative_qvi(cone: CriticalConeData, d: DualElement, which: str) -> DerivativeReport:
     """Monotone iteration of cone solves converging to the directional derivative.
 
     The first iterate solves over the unshifted cone; each subsequent one
@@ -193,18 +188,19 @@ def _observed_order(fd_table, floor) -> float | None:
 
 
 def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
-                omap: ObstacleMap, bracket: IntervalBracket, which: str) -> DerivativeReport:
+                omap: ObstacleMap, which: str) -> DerivativeReport:
     """Compare the derivative against one-sided difference quotients.
 
-    The base run is the map's kept run (``extremal._kept_run``) when the
-    caller has just run the same extremal iteration from the bracket, as
-    ``run_experiment`` does, and is computed otherwise.  Each step of
-    ``QUOTIENT_STEPS`` re-runs the extremal iteration at the
-    shifted source, warm-started at the base solution (the selection the
-    derivative describes); its first obstacle solve starts from the set
-    the base run's last solve settled on, a warm start as in ``solve_vi``.
-    At the farthest source f + max(s) d a min run checks the supersolution
-    A^-1 (f + max(s) d), the tightest there, and a max run ``bracket.lower``.
+    The base run starts where ``run_experiment``'s does
+    (``extremal._run_start``), so it is the map's kept run
+    (``extremal._kept_run``) when the caller has just made it, and is
+    computed otherwise.  Each step of ``QUOTIENT_STEPS`` re-runs the
+    extremal iteration at the shifted source, warm-started at the base
+    solution (the selection the derivative describes); its first obstacle
+    solve starts from the base run's ``active``, a warm start as in
+    ``solve_vi``.  At the farthest source f + max(s) d a min
+    run checks the supersolution A^-1 (f + max(s) d), the tightest there,
+    and a max run the subsolution zero.
     Quotient errors must shrink with the step, up to a noise floor on
     instances where the remainder vanishes identically; on biactive
     instances a non-shrinking table is flagged (``fd_monotone`` False)
@@ -212,13 +208,14 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     ``QUOTIENT_TOL`` relative to 1 + ||alpha||_V.
     """
     sign = _sign(which)
-    run, start = (iterate_min, bracket.lower) if sign > 0 else (iterate_max, bracket.upper)
-    base_run = run(A, f, omap, start)
+    run = iterate_min if sign > 0 else iterate_max
+    base_run = run(A, f, omap, _run_start(A, f, which))
     base = base_run.solution
     far = f + QUOTIENT_STEPS[0] * d
+    zero = NodalFunction.zeros(A.grid)
     if sign > 0 and not check_supersolution(A, far, omap, A.solve(far)):
         raise ValueError("bracket invalid: A^-1 (f + max(s) d) is not a supersolution there")
-    if sign < 0 and not check_subsolution(A, far, omap, bracket.lower):
+    if sign < 0 and not check_subsolution(A, far, omap, zero):
         raise ValueError("bracket invalid: lower bound is not a subsolution at f + max(s) d")
 
     cone = build_cone(A, f, omap, base, base_run.obstacle)

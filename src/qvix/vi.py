@@ -2,16 +2,16 @@
 
 ``solve_vi`` finds u <= phi with a nonnegative complementary multiplier
 via a primal-dual active set loop.  On M-matrices the loop terminates in
-finitely many set changes.  The set it settled on is returned as
-``ViSolution.active``, and it is the one warm start of the library: every
-solve of a sequence (an extremal run, a derivative iteration, a quotient
-rerun) starts from the set of the solve before.  ``classify_active``
-splits a solution's coincidence set by its multiplier f - Au into
-boolean node masks.  ``_pose`` is the one place that poses a
-complementarity problem, the obstacle solves here and the derivative's
-cone solves alike: it decides the load, the target and the node roles,
-the Dirichlet rows included.  ``oracle_vi`` re-derives the same
-solution exactly, by Chandrasekaran's pivoting in rational arithmetic;
+finitely many set changes.  The set its last round's update rule
+selected is returned as ``ViSolution.active``, and it is the one warm
+start of the library: every solve of a sequence (an extremal run, a
+derivative iteration, a quotient rerun) starts from the set of the solve
+before.  ``classify_active`` splits a solution's coincidence set by its
+multiplier f - Au into boolean node masks.  ``_pose`` is the one place
+that poses a complementarity problem, the obstacle solves here and the
+derivative's cone solves alike: it decides the load, the target and the
+node roles, the Dirichlet rows included.  ``oracle_vi`` re-derives the
+same solution exactly, by Chandrasekaran's pivoting in rational arithmetic;
 ``test_every_extremal_solve_of_the_bundled_configs_matches_the_oracle``
 (``tests/test_experiments.py``) checks every solve of the bundled runs
 against it.
@@ -43,7 +43,9 @@ is that of the set the last round pins, so starts whose loops settle on
 the same set give the same bits.  Only a loop that ends on the residual
 test from round 2 on, on a degenerate set the update rule would still
 change, can depend on its start: another start may end on another set,
-and the two results differ by roundoff inside ``VI_TOL``.
+and the two results differ by roundoff inside ``VI_TOL``.  Its
+``ViSolution.active``, the last round's selection, need not be the set
+its values solve on (``toy_max`` at A^-1 f, n = 129, either start).
 ``PDAS_MAX_ITER`` counts round 1; ``ViSolution.iterations`` counts the
 rounds of every level.
 
@@ -128,8 +130,9 @@ class ViSolution:
 
     ``iterations`` counts the active set rounds of every nested level; it
     is 1 when the first round already ended the solve.  ``active`` is the
-    read-only set the loop settled on, the warm start of the next solve of
-    a sequence.  ``classify_active`` splits a solution's coincidence set.
+    read-only set the last round selected (the pinned set of a settled
+    loop), the warm start of the next solve of a sequence.
+    ``classify_active`` splits a solution's coincidence set.
     """
 
     u: NodalFunction
@@ -395,8 +398,8 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     """Solve the upper-obstacle problem for the given load and obstacle.
 
     Returns the unique nodal solution of the complementarity system
-    together with the multiplier density f - Au and the set the loop
-    settled on.  ``active0`` is the set round 1 pins, mostly the
+    together with the multiplier density f - Au and the set the last
+    round selected.  ``active0`` is the set round 1 pins, mostly the
     ``active`` of the solve before, a warm start that changes the rounds
     spent.  Round 1 ends only on a settled set, whatever the start, so
     two starts give the same bits wherever their loops end on the same

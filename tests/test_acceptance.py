@@ -13,7 +13,6 @@ import numpy as np
 from qvix import (
     DualElement,
     Grid,
-    IntervalBracket,
     InverseEllipticMap,
     NodalFunction,
     PlateauMap,
@@ -35,6 +34,7 @@ from qvix import (
     v_norm,
 )
 from qvix.cli import main as cli_main
+from qvix.extremal import _run_start
 from qvix.sensitivity import QUOTIENT_STEPS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -99,8 +99,7 @@ def test_criterion_02_toy_sensitivity():
     t0 = time.perf_counter()
     grid, A, omap, f = toy_problem()
     d = DualElement.constant(grid, 1.0)
-    bracket = IntervalBracket.default(A, f)
-    report = fd_validate(A, f, d, omap, bracket, "min")
+    report = fd_validate(A, f, d, omap, "min")
     assert [s for s, _ in report.fd_table] == [1e-1, 1e-2, 1e-3, 1e-4]
     assert v_norm(report.alpha) <= 1e-10
     # alpha vanishes, so each table entry is the quotient norm itself
@@ -157,14 +156,13 @@ def test_criterion_05_monotone_iterates_on_bundled_configs():
         from qvix.experiments import build_problem
         problem = build_problem(cfg)
         A, f, omap = problem.operator, problem.forcing, problem.omap
-        bracket = IntervalBracket.default(A, f)
         runs = ["min", "max"] if cfg.run == "both" else [cfg.run]
         for which in runs:
             if which == "min":
-                rep = iterate_min(A, f, omap, bracket.lower)
+                rep = iterate_min(A, f, omap, _run_start(A, f, which))
                 assert min(rep.min_delta_history) >= -1e-10, name
             else:
-                rep = iterate_max(A, f, omap, bracket.upper)
+                rep = iterate_max(A, f, omap, _run_start(A, f, which))
                 assert max(rep.max_delta_history) <= 1e-10, name
             assert rep.qvi_residual <= 1e-8, name
     _report(5, "monotone iterates and residuals across bundled configs")
@@ -249,12 +247,9 @@ def test_criterion_09_positive_homogeneity_on_bundled_configs():
         problem = build_problem(cfg)
         A, f, d, omap = (problem.operator, problem.forcing, problem.direction,
                          problem.omap)
-        bracket = IntervalBracket.default(A, f)
-        if cfg.run == "min":
-            base = iterate_min(A, f, omap, bracket.lower).solution
-        else:
-            base = iterate_max(A, f, omap, bracket.upper).solution
-        cone = build_cone(A, f, omap, base)
+        run = (iterate_min if cfg.run == "min" else iterate_max)(A, f, omap,
+                                                                 _run_start(A, f, cfg.run))
+        cone = build_cone(A, f, omap, run.solution, run.obstacle)
         a1 = solve_derivative_qvi(cone, d, cfg.run).alpha
         for c in (2.0, 10.0):
             ac = solve_derivative_qvi(cone, c * d, cfg.run).alpha

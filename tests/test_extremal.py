@@ -11,7 +11,6 @@ from qvix import (
     ExtremalIterationError,
     Grid,
     GridMismatchError,
-    IntervalBracket,
     InverseEllipticMap,
     NodalFunction,
     PlateauMap,
@@ -36,7 +35,7 @@ import qvix.extremal
 import qvix.sensitivity
 from qvix import vi
 from qvix.experiments import build_problem, parse_config, run_experiment
-from qvix.extremal import _monotone_limit, _obstacle_residual
+from qvix.extremal import _monotone_limit, _obstacle_residual, _run_start
 from qvix.sensitivity import QUOTIENT_STEPS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -47,7 +46,7 @@ def test_default_supersolution_constants(toy):
     grid, A, omap, f = toy
     for s in (0.0, 0.5, 1.0):
         shifted = f + DualElement.constant(grid, s)
-        up = IntervalBracket.default(A, shifted).upper
+        up = _run_start(A, shifted, "max")
         assert up.values.tobytes() == A.solve(shifted).values.tobytes()
         assert np.max(np.abs(up.values - (2.0 + s))) <= 1e-11
         assert check_supersolution(A, shifted, omap, up)
@@ -62,7 +61,7 @@ def test_default_supersolution_dominates_plain_solve():
     for _ in range(20):
         f = DualElement(g, rng.uniform(-1, 2, g.n_nodes))
         phi = NodalFunction(g, rng.uniform(-1, 3, g.n_nodes))
-        upper = IntervalBracket.default(A, f).upper
+        upper = _run_start(A, f, "max")
         assert upper.values.tobytes() == A.solve(f).values.tobytes()
         assert leq(solve_vi(A, f, phi).u, upper, 1e-11)
 
@@ -158,7 +157,7 @@ def test_thermoforming_unconstrained_regime():
     A = assemble_operator(g, 1.0, "neumann")
     omap = ThermoformingMap(NodalFunction.constant(g, 5.0), 1.0, 1.0, 0.1)
     f = DualElement.constant(g, 1.0)
-    report = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    report = iterate_max(A, f, omap, _run_start(A, f, "max"))
     assert leq(report.solution, A.solve(f), 1e-9)
     assert report.qvi_residual <= 1e-8
 
@@ -202,43 +201,45 @@ def test_max_outer_exhaustion_reports_contraction(toy, monkeypatch):
             iterate_min(A, f, omap, NodalFunction.zeros(grid))
 
 
-def test_bracket_default_and_validate(toy):
+def test_the_run_starts_are_a_subsolution_and_a_supersolution(toy):
     grid, A, omap, f = toy
-    bracket = IntervalBracket.default(A, f)
-    assert bracket.validate(A, f, omap)
-    assert np.all(bracket.lower.values == 0.0)
-    assert np.max(np.abs(bracket.upper.values - 2.0)) <= 1e-11
+    lower, upper = _run_start(A, f, "min"), _run_start(A, f, "max")
+    assert leq(lower, upper, 1e-10)
+    assert check_subsolution(A, f, omap, lower)
+    assert check_supersolution(A, f, omap, upper)
+    assert np.all(lower.values == 0.0)
+    assert np.max(np.abs(upper.values - 2.0)) <= 1e-11
     # the point the quotient check of a min run tests at its farthest source
     far = f + QUOTIENT_STEPS[0] * DualElement.constant(grid, 1.0)
     assert np.max(np.abs(A.solve(far).values - (2.0 + QUOTIENT_STEPS[0]))) <= 1e-11
-    assert IntervalBracket.default(A, far).validate(A, far, omap)
+    assert check_subsolution(A, far, omap, _run_start(A, far, "min"))
+    assert check_supersolution(A, far, omap, _run_start(A, far, "max"))
 
 
-def _wide_bracket(A, f, d):
+def _wide_starts(A, f, d):
     """Zero and A^-1 (f + d), a top strictly above A^-1 f for d > 0."""
-    return IntervalBracket(lower=NodalFunction.zeros(A.grid), upper=A.solve(f + d))
+    return NodalFunction.zeros(A.grid), A.solve(f + d)
 
 
 def test_sandwich_property(toy):
     grid, A, omap, f = toy
-    bracket = _wide_bracket(A, f, DualElement.constant(grid, 1.0))
-    rmin = iterate_min(A, f, omap, bracket.lower)
-    rmax = iterate_max(A, f, omap, bracket.upper)
-    assert leq(bracket.lower, rmin.solution, 1e-10)
+    lower, upper = _wide_starts(A, f, DualElement.constant(grid, 1.0))
+    rmin = iterate_min(A, f, omap, lower)
+    rmax = iterate_max(A, f, omap, upper)
+    assert leq(lower, rmin.solution, 1e-10)
     assert leq(rmin.solution, rmax.solution, 1e-10)
-    assert leq(rmax.solution, bracket.upper, 1e-10)
+    assert leq(rmax.solution, upper, 1e-10)
 
 
 def test_comparison_in_f(toy):
     grid, A, omap, f = toy
     d = DualElement.constant(grid, 1.0)
-    bracket = _wide_bracket(A, f, d)
-    assert comparison_in_f(A, f, d, 0.0, omap, bracket, "min")
-    assert comparison_in_f(A, f, d, 0.1, omap, bracket, "min")
+    assert comparison_in_f(A, f, d, 0.0, omap, "min")
+    assert comparison_in_f(A, f, d, 0.1, omap, "min")
     d_neg = DualElement.constant(grid, -0.5)
-    assert comparison_in_f(A, f, d_neg, 0.1, omap, bracket, "max")
+    assert comparison_in_f(A, f, d_neg, 0.1, omap, "max")
     with pytest.raises(ValueError):
-        comparison_in_f(A, f, d_neg, 0.1, omap, bracket, "min")
+        comparison_in_f(A, f, d_neg, 0.1, omap, "min")
 
 
 def test_comparison_in_f_randomized_thermoforming():
@@ -251,8 +252,7 @@ def test_comparison_in_f_randomized_thermoforming():
                                 rng.uniform(0.05, 0.15))
         f = DualElement(g, rng.uniform(0.3, 2.8, g.n_nodes))
         d = DualElement(g, rng.uniform(0.0, 1.0, g.n_nodes))
-        bracket = IntervalBracket.default(A, f)
-        assert comparison_in_f(A, f, d, rng.uniform(0.05, 0.5), omap, bracket, "min")
+        assert comparison_in_f(A, f, d, rng.uniform(0.05, 0.5), omap, "min")
 
 
 def test_perturbed_start_matches_cold_start(toy):
@@ -275,9 +275,9 @@ def test_minimality_against_multistart_enumeration():
     omap = PlateauMap(g, [1.0, 2.0], 0.25)
     f = DualElement.constant(g, 2.0)
     d = DualElement.constant(g, 1.0)
-    bracket = _wide_bracket(A, f, d)
-    rmin = iterate_min(A, f, omap, bracket.lower)
-    rmax = iterate_max(A, f, omap, bracket.upper)
+    lower, upper = _wide_starts(A, f, d)
+    rmin = iterate_min(A, f, omap, lower)
+    rmax = iterate_max(A, f, omap, upper)
 
     found = []
     starts = [NodalFunction(g, rng.uniform(0.0, 3.0, g.n_nodes)) for _ in range(12)]
@@ -290,8 +290,7 @@ def test_minimality_against_multistart_enumeration():
                 u = nxt
                 break
             u = nxt
-        if qvi_residual(A, f, omap, u) <= 1e-8 and leq(bracket.lower, u) \
-                and leq(u, bracket.upper, 1e-9):
+        if qvi_residual(A, f, omap, u) <= 1e-8 and leq(lower, u) and leq(u, upper, 1e-9):
             found.append(u)
     assert found
     for u in found:
@@ -339,9 +338,8 @@ def test_monotone_limit_keeps_the_checks_of_the_step_difference(nxt, error, matc
 def test_limit_of_a_zero_last_step_reuses_its_obstacle(name, monkeypatch):
     problem = _bundled_problem(name)
     A, f, omap = problem.operator, problem.forcing, problem.omap
-    bracket = IntervalBracket.default(A, f)
-    run, start = (iterate_min, bracket.lower) if problem.config.run == "min" \
-        else (iterate_max, bracket.upper)
+    which = problem.config.run
+    run, start = iterate_min if which == "min" else iterate_max, _run_start(A, f, which)
     evaluate = type(omap).evaluate
     calls = []
 
@@ -365,7 +363,7 @@ def test_limit_of_a_zero_last_step_reuses_its_obstacle(name, monkeypatch):
 def test_warm_sets_come_from_the_step_without_a_partition(monkeypatch):
     problem = _bundled_problem("inverse_elliptic_max")
     A, f, omap = problem.operator, problem.forcing, problem.omap
-    start = IntervalBracket.default(A, f).upper
+    start = _run_start(A, f, "max")
     classified, solves = [], []
     tol_active, post_init, solve = vi.default_tol_active, ActiveSetPartition.__post_init__, \
         vi.solve_vi
@@ -415,7 +413,7 @@ def test_a_limit_above_the_residual_tolerance_raises(monkeypatch):
     monkeypatch.setattr("qvix.extremal.RESIDUAL_TOL", 1e-13)
     with pytest.raises(ExtremalIterationError,
                        match=r"^converged iterate has residual \S+ above tolerance 1\.0e-13$"):
-        iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+        iterate_max(A, f, omap, _run_start(A, f, "max"))
 
 
 def _counting(monkeypatch, module, name):
@@ -432,7 +430,7 @@ def _counting(monkeypatch, module, name):
 
 def test_a_repeated_run_returns_the_kept_report(toy, monkeypatch):
     grid, A, omap, f = toy
-    start = IntervalBracket.default(A, f).upper
+    start = _run_start(A, f, "max")
     first = iterate_max(A, f, omap, start)
     solves = _counting(monkeypatch, qvix.extremal, "solve_vi")
     # equal inputs in new objects: the key holds their bytes
@@ -483,10 +481,13 @@ def test_a_load_on_another_grid_is_refused_after_a_kept_run(toy):
         iterate_min(A, elsewhere, omap, start)
 
 
-def test_fd_validate_reuses_the_base_run_of_run_experiment(tmp_path, monkeypatch):
-    raw = json.loads(CONFIG_DIR.joinpath("toy_min.json").read_text())
-    base_calls = _counting(monkeypatch, qvix.experiments, "iterate_min")
-    fd_calls = _counting(monkeypatch, qvix.sensitivity, "iterate_min")
+@pytest.mark.parametrize("name", ["toy_min", "toy_max", "inverse_elliptic_max"])
+def test_fd_validate_reuses_the_base_run_of_run_experiment(tmp_path, monkeypatch, name):
+    # a max run's start A^-1 f is formed by each caller anew, with the same bytes
+    raw = json.loads(CONFIG_DIR.joinpath(f"{name}.json").read_text())
+    run_name = f"iterate_{raw['run']}"
+    base_calls = _counting(monkeypatch, qvix.experiments, run_name)
+    fd_calls = _counting(monkeypatch, qvix.sensitivity, run_name)
     runs = _counting(monkeypatch, qvix.extremal, "_iterate")
     artifacts = run_experiment(parse_config(raw), out_dir=tmp_path)
     assert artifacts.ok, artifacts.failures
@@ -497,7 +498,7 @@ def test_fd_validate_reuses_the_base_run_of_run_experiment(tmp_path, monkeypatch
 
 def test_a_reused_run_logs_one_info_line(toy, caplog):
     grid, A, omap, f = toy
-    start = IntervalBracket.default(A, f).upper
+    start = _run_start(A, f, "max")
     report = iterate_max(A, f, omap, start)
     caplog.set_level(logging.DEBUG, logger="qvix")
     assert iterate_max(A, f, omap, start) is report
@@ -520,7 +521,7 @@ def _recorded_max_run(A, f, omap, monkeypatch):
     evaluate, seen = type(omap).evaluate, []
     monkeypatch.setattr(type(omap), "evaluate",
                         lambda self, u: seen.append(u) or evaluate(self, u))
-    report = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    report = iterate_max(A, f, omap, _run_start(A, f, "max"))
     monkeypatch.undo()
     return report, seen
 
@@ -541,7 +542,7 @@ def test_newton_iterates_are_supersolutions_above_the_plain_limit(monkeypatch, b
 
     monkeypatch.setattr(InverseEllipticMap, "concave", False)
     omap._run_entry = None  # the kept run would answer the same inputs
-    plain = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    plain = iterate_max(A, f, omap, _run_start(A, f, "max"))
     assert plain.newton_steps == 0 and plain.contraction_rate is None
     assert plain.n_iters >= report.n_iters
     for u in iterates:
@@ -563,7 +564,7 @@ def test_newton_converges_at_gain_one_where_plain_steps_do_not(tmp_path, monkeyp
     problem = build_problem(config)
     A, f, omap = problem.operator, problem.forcing, problem.omap
     with pytest.raises(ExtremalIterationError, match="no convergence within 500 outer"):
-        iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+        iterate_max(A, f, omap, _run_start(A, f, "max"))
 
 
 class _SinhGain:
@@ -594,16 +595,16 @@ def test_a_convex_map_declared_concave_is_caught_by_the_order_gate(bc):
     problem = build_problem(parse_config(_inverse_elliptic_max(101, bc)))
     A, f, d = problem.operator, problem.forcing, problem.direction
     inner = assemble_operator(A.grid, 1.0, "neumann")
-    bracket = IntervalBracket.default(A, f)
+    start = _run_start(A, f, "max")
     declared = _ConvexInverseEllipticMap(inner, 0.2)
     assert declared.concave
     with pytest.raises(ExtremalIterationError,
                        match="^decreasing iteration lost monotonicity"):
-        iterate_max(A, f, declared, bracket.upper)
+        iterate_max(A, f, declared, start)
 
     undeclared = _ConvexInverseEllipticMap(inner, 0.2)
     undeclared.concave = False
-    report = iterate_max(A, f, undeclared, bracket.upper)
+    report = iterate_max(A, f, undeclared, start)
     assert report.newton_steps == 0 and report.qvi_residual <= 1e-8
 
 
@@ -611,7 +612,7 @@ def test_newton_steps_name_their_kind_in_the_log(caplog):
     problem = _bundled_problem("inverse_elliptic_max")
     A, f, omap = problem.operator, problem.forcing, problem.omap
     caplog.set_level(logging.INFO, logger="qvix")
-    report = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    report = iterate_max(A, f, omap, _run_start(A, f, "max"))
     kinds = ["newton"] * report.newton_steps + ["plain"] * (report.n_iters - report.newton_steps)
     assert report.newton_steps >= 1
     assert [r.getMessage() for r in caplog.records] == [
@@ -625,7 +626,7 @@ def test_newton_steps_need_a_max_run_of_a_concave_map_under_a_nonnegative_load()
     dipped = f.values.copy()
     dipped[50] = -0.5  # one node below zero: 0 is no subsolution there
     f_dipped = DualElement(A.grid, dipped)
-    start = IntervalBracket.default(A, f_dipped).upper
+    start = _run_start(A, f_dipped, "max")
     report = iterate_max(A, f_dipped, omap, start)
     assert report.newton_steps == 0 and report.contraction_rate is None
     assert report.n_iters > 10  # plain steps, each pinning a contact set

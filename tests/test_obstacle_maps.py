@@ -22,8 +22,8 @@ from qvix import (
     solve_vi,
     v_norm,
 )
+import qvix.experiments
 from qvix.experiments import parse_config, run_experiment
-from qvix.extremal import IntervalBracket
 from qvix.fem import TridiagonalSpd
 from qvix.obstacle_maps import LIPSCHITZ_MODES, _lipschitz_modes
 from conftest import linearise
@@ -465,8 +465,7 @@ def test_the_per_pair_stall_raises_through_evaluate_temperature_and_the_run(tmp_
     raw["grid"]["n_nodes"] = 201
     raw["run"] = "max"
     raw["sensitivity"]["enabled"] = False
-    monkeypatch.setattr(IntervalBracket, "default",
-                        classmethod(lambda cls, A, f: cls(NodalFunction.zeros(g), stall)))
+    monkeypatch.setattr(qvix.experiments, "_run_start", lambda A, f, which: stall)
     artifacts = run_experiment(parse_config(raw), out_dir=tmp_path)
     assert artifacts.failures == [f"max: {alone.value}"]
 

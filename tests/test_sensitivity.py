@@ -13,7 +13,6 @@ from qvix import (
     DerivativeSolveError,
     DualElement,
     Grid,
-    IntervalBracket,
     InverseEllipticMap,
     NodalFunction,
     PlateauMap,
@@ -30,6 +29,7 @@ from qvix import (
     v_norm,
 )
 from qvix.experiments import build_problem, parse_config
+from qvix.extremal import _run_start
 from qvix.sensitivity import ConeError, _cone_solve, derivative_qvi_residual
 from qvix.vi import _pose, default_tol_active
 
@@ -65,13 +65,14 @@ def strict_inactive_instance():
     omap = InverseEllipticMap(assemble_operator(g, 1.0, "neumann"),
                               ScalarNonlinearity("zero"))
     f = DualElement(g, np.where(np.arange(12) < 6, 2.0, -1.0))
-    base = iterate_min(A, f, omap, solve_vi(A, f, NodalFunction.zeros(g)).u).solution
-    return g, A, f, build_cone(A, f, omap, base)
+    run = iterate_min(A, f, omap, solve_vi(A, f, NodalFunction.zeros(g)).u)
+    return g, A, f, build_cone(A, f, omap, run.solution, run.obstacle)
 
 
 def test_alpha_cap_reports_unsettled_derivative(toy, monkeypatch):
     grid, A, omap, f = toy
-    cone = build_cone(A, f, omap, iterate_min(A, f, omap, NodalFunction.zeros(grid)).solution)
+    run = iterate_min(A, f, omap, NodalFunction.zeros(grid))
+    cone = build_cone(A, f, omap, run.solution, run.obstacle)
     monkeypatch.setattr("qvix.extremal.MAX_OUTER", 0)
     with pytest.raises(DerivativeSolveError, match="did not settle within 0 rounds"):
         solve_derivative_qvi(cone, DualElement.constant(grid, 1.0), "min")
@@ -80,7 +81,7 @@ def test_alpha_cap_reports_unsettled_derivative(toy, monkeypatch):
 def test_a_derivative_above_its_residual_tolerance_raises(toy, monkeypatch):
     # the toy's max-run derivative ends at residual 3.8e-12
     grid, A, omap, f = toy
-    run = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    run = iterate_max(A, f, omap, _run_start(A, f, "max"))
     cone = build_cone(A, f, omap, run.solution, run.obstacle)
     monkeypatch.setattr("qvix.sensitivity.ALPHA_RESIDUAL_TOL", 1e-13)
     with pytest.raises(DerivativeSolveError,
@@ -92,7 +93,8 @@ def test_derivative_order_violations_raise(toy):
     # the toy cone pins every node to the shift, so a map derivative that
     # points against the run's order drags the second iterate back
     grid, A, omap, f = toy
-    cone = build_cone(A, f, omap, iterate_min(A, f, omap, NodalFunction.zeros(grid)).solution)
+    run = iterate_min(A, f, omap, NodalFunction.zeros(grid))
+    cone = build_cone(A, f, omap, run.solution, run.obstacle)
     for which, level, order in (("min", -1.0, "increasing"), ("max", 1.0, "decreasing")):
         against = replace(cone, deriv_map=lambda w, level=level: NodalFunction.constant(grid, level))
         with pytest.raises(DerivativeSolveError,
@@ -104,7 +106,7 @@ def test_build_cone_toy_all_strict(toy):
     grid, A, omap, f = toy
     run = iterate_min(A, f, omap, NodalFunction.zeros(grid))
     base = run.solution
-    cone = build_cone(A, f, omap, base)
+    cone = build_cone(A, f, omap, base, omap.evaluate(base))
     assert cone.partition.strict.all()
     assert np.max(np.abs(qvix.vi.multiplier(A, f, base) - 1.0)) <= 1e-10
     # the run's obstacle in place of a fresh evaluation gives the same cone
@@ -116,9 +118,8 @@ def test_build_cone_toy_all_strict(toy):
 def test_build_cone_refuses_sloppy_base(toy):
     grid, A, omap, f = toy
     sloppy = NodalFunction.constant(grid, 1.2)
-    for phi in (None, omap.evaluate(sloppy)):
-        with pytest.raises(ConeError):
-            build_cone(A, f, omap, sloppy, phi)
+    with pytest.raises(ConeError):
+        build_cone(A, f, omap, sloppy, omap.evaluate(sloppy))
 
 
 def test_build_cone_refuses_a_multiplier_off_the_coincidence_set():
@@ -128,19 +129,21 @@ def test_build_cone_refuses_a_multiplier_off_the_coincidence_set():
     omap = PlateauMap(grid, [1.0], 0.25)
     f = DualElement.constant(grid, c + 0.1)
     base = NodalFunction.constant(grid, 1.0)
-    assert build_cone(A, f, omap, base).partition.strict.all()
+    assert build_cone(A, f, omap, base, omap.evaluate(base)).partition.strict.all()
     # one node just off the obstacle is inactive, yet keeps its multiplier;
     # lambda * gap (about 3e-9) stays under the residual gate
     moved = base.values.copy()
     moved[50] -= 1.5 * default_tol_active(omap.evaluate(base))
+    moved = NodalFunction(grid, moved)
     with pytest.raises(ConeError, match="off the coincidence set"):
-        build_cone(A, f, omap, NodalFunction(grid, moved))
+        build_cone(A, f, omap, moved, omap.evaluate(moved))
 
 
 def test_alpha_zero_on_toy(toy):
     grid, A, omap, f = toy
-    base = iterate_min(A, f, omap, NodalFunction.zeros(grid)).solution
-    cone = build_cone(A, f, omap, base)
+    run = iterate_min(A, f, omap, NodalFunction.zeros(grid))
+    base = run.solution
+    cone = build_cone(A, f, omap, base, run.obstacle)
     report = solve_derivative_qvi(cone, DualElement.constant(grid, 1.0), "min")
     assert v_norm(report.alpha) <= 1e-12
     assert all(np.min(b.values - a.values) >= -1e-10
@@ -150,8 +153,9 @@ def test_alpha_zero_on_toy(toy):
 
 def test_sign_restrictions(toy):
     grid, A, omap, f = toy
-    base = iterate_min(A, f, omap, NodalFunction.zeros(grid)).solution
-    cone = build_cone(A, f, omap, base)
+    run = iterate_min(A, f, omap, NodalFunction.zeros(grid))
+    base = run.solution
+    cone = build_cone(A, f, omap, base, run.obstacle)
     d_neg = DualElement.constant(grid, -1.0)
     with pytest.raises(ValueError):
         solve_derivative_qvi(cone, d_neg, "min")
@@ -164,8 +168,9 @@ def test_empty_coincidence_gives_linear_solve():
     A = assemble_operator(g, 1.0, "neumann")
     omap = ThermoformingMap(NodalFunction.constant(g, 5.0), 1.0, 1.0, 0.1)
     f = DualElement.constant(g, 1.0)
-    base = iterate_min(A, f, omap, NodalFunction.zeros(g)).solution
-    cone = build_cone(A, f, omap, base)
+    run = iterate_min(A, f, omap, NodalFunction.zeros(g))
+    base = run.solution
+    cone = build_cone(A, f, omap, base, run.obstacle)
     assert cone.partition.inactive.all()
     rng = np.random.default_rng(11)
     d = DualElement(g, rng.uniform(0.0, 2.0, g.n_nodes))
@@ -175,8 +180,9 @@ def test_empty_coincidence_gives_linear_solve():
 
 def test_biactive_cone_matches_reduced_oracle():
     g, A, omap, f, u_star = zero_gain_biactive_instance()
-    base = iterate_min(A, f, omap, u_star).solution
-    cone = build_cone(A, f, omap, base)
+    run = iterate_min(A, f, omap, u_star)
+    base = run.solution
+    cone = build_cone(A, f, omap, base, run.obstacle)
     assert np.array_equal(np.flatnonzero(cone.partition.biactive), np.arange(3, 7))
     assert not cone.partition.strict.any()
 
@@ -194,8 +200,9 @@ def test_biactive_cone_matches_reduced_oracle():
 
 def test_positive_homogeneity_toy_and_inverse_elliptic(toy):
     grid, A, omap, f = toy
-    base = iterate_min(A, f, omap, NodalFunction.zeros(grid)).solution
-    cone = build_cone(A, f, omap, base)
+    run = iterate_min(A, f, omap, NodalFunction.zeros(grid))
+    base = run.solution
+    cone = build_cone(A, f, omap, base, run.obstacle)
     d = DualElement.constant(grid, 1.0)
     a1 = solve_derivative_qvi(cone, d, "min").alpha
     for c in (2.0, 10.0):
@@ -208,9 +215,8 @@ def test_positive_homogeneity_toy_and_inverse_elliptic(toy):
                                ScalarNonlinearity("tanh", 2.0))
     f2 = DualElement(g, 1.0 + 3.0 * np.sin(np.pi * g.nodes))
     d2 = DualElement.constant(g, -0.5)
-    base2 = iterate_max(A2, f2, omap2,
-                        IntervalBracket.default(A2, f2).upper).solution
-    cone2 = build_cone(A2, f2, omap2, base2)
+    run2 = iterate_max(A2, f2, omap2, _run_start(A2, f2, "max"))
+    cone2 = build_cone(A2, f2, omap2, run2.solution, run2.obstacle)
     b1 = solve_derivative_qvi(cone2, d2, "max").alpha
     for c in (2.0, 10.0):
         bc = solve_derivative_qvi(cone2, c * d2, "max").alpha
@@ -220,8 +226,7 @@ def test_positive_homogeneity_toy_and_inverse_elliptic(toy):
 def test_fd_validate_toy_quotients_vanish(toy):
     grid, A, omap, f = toy
     d = DualElement.constant(grid, 1.0)
-    bracket = IntervalBracket.default(A, f)
-    report = fd_validate(A, f, d, omap, bracket, "min")
+    report = fd_validate(A, f, d, omap, "min")
     assert v_norm(report.alpha) <= 1e-10
     for _, err in report.fd_table:
         assert err <= 1e-12
@@ -234,8 +239,7 @@ def test_fd_validate_unconstrained_quotients_are_exact():
     omap = ThermoformingMap(NodalFunction.constant(g, 6.0), 1.0, 1.0, 0.1)
     f = DualElement.constant(g, 1.0)
     d = DualElement.constant(g, 1.0)
-    bracket = IntervalBracket.default(A, f)
-    report = fd_validate(A, f, d, omap, bracket, "min")
+    report = fd_validate(A, f, d, omap, "min")
     assert v_norm(report.alpha - A.solve(d)) <= 1e-9
     for _, err in report.fd_table:
         assert err <= 1e-8  # exact up to solver noise over the step
@@ -248,8 +252,7 @@ def test_fd_validate_partial_contact_thermoforming_decreases():
     omap = ThermoformingMap(NodalFunction.constant(g, 3.0), 1.0, 1.0, 0.1)
     f = DualElement(g, 2.6 + 0.8 * np.sin(np.pi * g.nodes))
     d = DualElement.constant(g, 1.0)
-    bracket = IntervalBracket.default(A, f)
-    report = fd_validate(A, f, d, omap, bracket, "min")
+    report = fd_validate(A, f, d, omap, "min")
     assert report.fd_monotone
     assert report.fd_table[-1][1] <= 1e-3 * (1.0 + v_norm(report.alpha))
 
@@ -258,35 +261,32 @@ def test_quotient_steps_and_tolerance_are_read_when_the_check_runs(monkeypatch):
     # final errors 1.5e-8 at the default last step 1e-4, 0.115 at 1e-1;
     # 1e-3 * (1 + ||alpha||_V) is 1.25e-3
     A, f, d, omap = _thermoforming_partial_contact()
-    bracket = IntervalBracket.default(A, f)
     monkeypatch.setattr("qvix.sensitivity.QUOTIENT_STEPS", (1e-1,))
     with pytest.raises(DerivativeSolveError, match="final quotient error"):
-        fd_validate(A, f, d, omap, bracket, "min")
+        fd_validate(A, f, d, omap, "min")
     monkeypatch.undo()
     monkeypatch.setattr("qvix.sensitivity.QUOTIENT_TOL", 1e-8)
     with pytest.raises(DerivativeSolveError, match="final quotient error"):
-        fd_validate(A, f, d, omap, bracket, "min")
+        fd_validate(A, f, d, omap, "min")
     monkeypatch.undo()
-    assert len(fd_validate(A, f, d, omap, bracket, "min").fd_table) == 4
+    assert len(fd_validate(A, f, d, omap, "min").fd_table) == 4
 
 
 def test_a_growing_quotient_error_raises_on_a_strictly_complementary_instance(monkeypatch):
     # no biactive node; the error grows with the step, so steps taken in
     # increasing order give a table that does not shrink
     A, f, d, omap = _thermoforming_partial_contact()
-    bracket = IntervalBracket.default(A, f)
     monkeypatch.setattr("qvix.sensitivity.QUOTIENT_STEPS", qvix.sensitivity.QUOTIENT_STEPS[::-1])
     with pytest.raises(DerivativeSolveError, match="^quotient error table does not shrink "
                                                    "on a strictly complementary instance$"):
-        fd_validate(A, f, d, omap, bracket, "min")
+        fd_validate(A, f, d, omap, "min")
 
 
 def test_fd_validate_input_checks(toy):
     grid, A, omap, f = toy
     d = DualElement.constant(grid, 1.0)
-    bracket = IntervalBracket.default(A, f)
     with pytest.raises(ValueError):
-        fd_validate(A, f, d, omap, bracket, "both")
+        fd_validate(A, f, d, omap, "both")
 
 
 def test_quotient_steps_are_positive_decreasing_and_above_the_noise():
@@ -301,26 +301,24 @@ def test_fd_validate_rejects_invalid_bracket_for_max(toy):
     grid, A, omap, f = toy
     # f + s_max * d dips below zero, so zero stops being a subsolution
     d = DualElement.constant(grid, -30.0)
-    bracket = IntervalBracket.default(A, f)
     with pytest.raises(ValueError, match="bracket invalid"):
-        fd_validate(A, f, d, omap, bracket, "max")
+        fd_validate(A, f, d, omap, "max")
 
 
 @pytest.mark.parametrize("which", ["min", "max"])
 def test_quotient_check_tests_one_bound_at_the_farthest_source(monkeypatch, toy, which):
     # a min run's check builds its own supersolution A^-1 (f + max(s) d);
-    # a max run's checks the bracket's zero bottom there
+    # a max run's checks zero there
     grid, A, omap, f = toy
     d = DualElement.constant(grid, 1.0 if which == "min" else -1.0)
     far = f + qvix.sensitivity.QUOTIENT_STEPS[0] * d
-    bracket = IntervalBracket.default(A, f)
     checks = []
     for name in ("check_subsolution", "check_supersolution"):
         def recording(A_, f_, omap_, u, name=name, check=getattr(qvix.sensitivity, name)):
             checks.append((name, f_, u))
             return check(A_, f_, omap_, u)
         monkeypatch.setattr(f"qvix.sensitivity.{name}", recording)
-    fd_validate(A, f, d, omap, bracket, which)
+    fd_validate(A, f, d, omap, which)
     [(name, source, point)] = checks
     assert source.values.tobytes() == far.values.tobytes()
     if which == "min":
@@ -328,7 +326,7 @@ def test_quotient_check_tests_one_bound_at_the_farthest_source(monkeypatch, toy,
         assert point.values.tobytes() == A.solve(far).values.tobytes()
     else:
         assert name == "check_subsolution"
-        assert point is bracket.lower
+        assert point.values.tobytes() == np.zeros(grid.n_nodes).tobytes()
 
 
 def test_strict_complementarity_collapse_to_reduced_linear_system():
@@ -359,7 +357,6 @@ def test_dirichlet_end_to_end_sensitivity(monkeypatch):
                               ScalarNonlinearity("tanh", 2.0))
     f = DualElement(g, 1.0 + 2.0 * np.sin(np.pi * g.nodes))
     d = DualElement(g, np.minimum(g.nodes, 1.0 - g.nodes))
-    bracket = IntervalBracket.default(A, f)
     runs = []
 
     def recording_run(*args, **kwargs):
@@ -367,7 +364,7 @@ def test_dirichlet_end_to_end_sensitivity(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr("qvix.sensitivity.iterate_min", recording_run)
-    report = fd_validate(A, f, d, omap, bracket, "min")
+    report = fd_validate(A, f, d, omap, "min")
     base = runs[0].solution  # the base run, before the four quotient reruns
     assert base.values[0] == 0.0 and base.values[-1] == 0.0
     assert report.alpha.values[0] == 0.0 and report.alpha.values[-1] == 0.0
@@ -432,8 +429,7 @@ def test_slow_dirichlet_derivative_shares_the_outer_budget(monkeypatch):
     monkeypatch.setattr(qvix.sensitivity, "_solve_linearised", lambda *args: None)
     problem = _slow_dirichlet_problem()
     A, f, d = problem.operator, problem.forcing, problem.direction
-    bracket = IntervalBracket.default(A, f)
-    report = fd_validate(A, f, d, problem.omap, bracket, "max")
+    report = fd_validate(A, f, d, problem.omap, "max")
     assert len(report.alpha_iterates) > 100
     assert report.fd_monotone
     errors = [err for _, err in report.fd_table]
@@ -445,9 +441,9 @@ def test_slow_dirichlet_derivative_takes_one_solve_and_one_plain_step():
     # the strict cone's (I - J) solve lands within ALPHA_STEP_TOL of the fixed point
     problem = _slow_dirichlet_problem()
     A, f, d, omap = problem.operator, problem.forcing, problem.direction, problem.omap
-    bracket = IntervalBracket.default(A, f)
-    report = fd_validate(A, f, d, omap, bracket, "max")
-    cone = build_cone(A, f, omap, iterate_max(A, f, omap, bracket.upper).solution)
+    report = fd_validate(A, f, d, omap, "max")
+    run = iterate_max(A, f, omap, _run_start(A, f, "max"))
+    cone = build_cone(A, f, omap, run.solution, run.obstacle)
     assert cone.partition.strict.any() and not cone.partition.biactive.any()
     assert len(report.alpha_iterates) <= 3
     assert report.fd_monotone
@@ -458,9 +454,10 @@ def test_slow_dirichlet_derivative_takes_one_solve_and_one_plain_step():
 
 def test_alpha_iterates_decrease_for_max(toy):
     grid, A, omap, f = toy
-    base = iterate_max(A, f, omap,
-                       IntervalBracket.default(A, f).upper).solution
-    cone = build_cone(A, f, omap, base)
+    run = iterate_max(A, f, omap,
+                       _run_start(A, f, "max"))
+    base = run.solution
+    cone = build_cone(A, f, omap, base, run.obstacle)
     report = solve_derivative_qvi(cone, DualElement.constant(grid, -1.0), "max")
     assert np.max(np.abs(report.alpha.values + 1.0)) <= 1e-10
     assert all(np.max(b.values - a.values) <= 1e-10
@@ -469,8 +466,9 @@ def test_alpha_iterates_decrease_for_max(toy):
 
 def test_derivative_residual_vanishes_at_alpha_and_flags_perturbations(toy):
     grid, A, omap, f = toy
-    base = iterate_min(A, f, omap, NodalFunction.zeros(grid)).solution
-    cone = build_cone(A, f, omap, base)
+    run = iterate_min(A, f, omap, NodalFunction.zeros(grid))
+    base = run.solution
+    cone = build_cone(A, f, omap, base, run.obstacle)
     d = DualElement.constant(grid, 1.0)
     alpha = solve_derivative_qvi(cone, d, "min").alpha
     assert derivative_qvi_residual(cone, alpha, d) <= 1e-9
@@ -510,7 +508,6 @@ def _thermoforming_partial_contact():
 def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, instance, which,
                                                                  partition):
     A, f, d, omap = instance()
-    bracket = IntervalBracket.default(A, f)
     run_name = f"iterate_{which}"
     run = getattr(qvix.sensitivity, run_name)
     seeds, runs = [], []
@@ -536,8 +533,8 @@ def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, ins
     monkeypatch.setattr(f"qvix.sensitivity.{run_name}", recording_run)
     monkeypatch.setattr("qvix.sensitivity._pdas", recording_pdas)
     monkeypatch.setattr("qvix.sensitivity._solve_linearised", recording_solve_linearised)
-    warm = fd_validate(A, f, d, omap, bracket, which)
-    cone = build_cone(A, f, omap, runs[0].solution)
+    warm = fd_validate(A, f, d, omap, which)
+    cone = build_cone(A, f, omap, runs[0].solution, runs[0].obstacle)
     assert (np.count_nonzero(cone.partition.strict), np.count_nonzero(cone.partition.biactive),
             np.count_nonzero(cone.partition.inactive)) == partition
     # the base run starts cold, the four reruns at the set its last solve settled on
@@ -555,7 +552,7 @@ def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, ins
     cold_pdas = lambda *args, active0=None: pdas(*args)
     monkeypatch.setattr("qvix.vi._pdas", cold_pdas)
     monkeypatch.setattr("qvix.sensitivity._pdas", cold_pdas)
-    cold = fd_validate(A, f, d, omap, bracket, which)
+    cold = fd_validate(A, f, d, omap, which)
 
     # runs[5] is the cold validation's base run
     assert len(runs) == 10
@@ -566,7 +563,7 @@ def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, ins
 
 def test_derivative_iteration_linearises_once_per_base(monkeypatch):
     A, f, d, omap = _bundled("inverse_elliptic_max", 201)
-    run = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    run = iterate_max(A, f, omap, _run_start(A, f, "max"))
     slopes = []
     slope = ScalarNonlinearity.slope
     monkeypatch.setattr(ScalarNonlinearity, "slope",
@@ -583,9 +580,7 @@ def test_derivative_iteration_linearises_once_per_base(monkeypatch):
                                          ("thermoforming_desk", "min")])
 def test_a_cone_forms_the_multiplier_once(multiplier_calls, name, which):
     A, f, d, omap = _bundled(name, 101)
-    bracket = IntervalBracket.default(A, f)
-    run = iterate_min(A, f, omap, bracket.lower) if which == "min" \
-        else iterate_max(A, f, omap, bracket.upper)
+    run = (iterate_min if which == "min" else iterate_max)(A, f, omap, _run_start(A, f, which))
     multiplier_calls.clear()
     cone = build_cone(A, f, omap, run.solution, run.obstacle)
     assert len(multiplier_calls) == 1
@@ -599,7 +594,7 @@ def test_a_cone_forms_the_multiplier_once(multiplier_calls, name, which):
 @pytest.mark.parametrize("n", [61, 401, 1601])
 def test_strict_cone_derivative_takes_one_solve_and_one_plain_step(monkeypatch, n):
     A, f, d, omap = _bundled("inverse_elliptic_max", n)
-    run = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    run = iterate_max(A, f, omap, _run_start(A, f, "max"))
     cone = build_cone(A, f, omap, run.solution, run.obstacle)
     assert cone.partition.strict.any() and not cone.partition.biactive.any()
     report = solve_derivative_qvi(cone, d, "max")
@@ -615,7 +610,7 @@ def test_strict_cone_derivative_takes_one_solve_and_one_plain_step(monkeypatch, 
 def test_a_biactive_node_keeps_the_derivative_on_plain_steps(monkeypatch):
     # the bundled strict cone with one strict node made biactive is no subspace
     A, f, d, omap = _bundled("inverse_elliptic_max", 101)
-    run = iterate_max(A, f, omap, IntervalBracket.default(A, f).upper)
+    run = iterate_max(A, f, omap, _run_start(A, f, "max"))
     cone = build_cone(A, f, omap, run.solution, run.obstacle)
     strict = cone.partition.strict.copy()
     node = np.flatnonzero(strict)[5]
@@ -641,9 +636,8 @@ def test_refinement_of_the_bundled_max_run_and_its_derivative_is_first_order_in_
     results = []
     for n in (101, 401, 1601):
         A, f, d, omap = _bundled("inverse_elliptic_max", n)
-        bracket = IntervalBracket.default(A, f)
-        u = iterate_max(A, f, omap, bracket.upper).solution
-        results.append((u, fd_validate(A, f, d, omap, bracket, "max").alpha))
+        u = iterate_max(A, f, omap, _run_start(A, f, "max")).solution
+        results.append((u, fd_validate(A, f, d, omap, "max").alpha))
 
     def order(k):  # of u (k = 0) or alpha (k = 1), from the two successive differences
         diffs = [v_norm(fine[k] - NodalFunction(fine[k].grid, np.interp(

@@ -8,7 +8,6 @@ import pytest
 
 from qvix import (
     ActiveSetPartition,
-    IntervalBracket,
     DualElement,
     Grid,
     GridMismatchError,
@@ -30,6 +29,7 @@ from qvix import (
     v_norm,
 )
 from qvix.experiments import build_problem, parse_config
+from qvix.extremal import _run_start
 from qvix.vi import VI_TOL, _coarse_problem, _pdas, _solve_linearised, _solve_pinned
 from conftest import block_solve, linearise, random_dual, random_nodal
 
@@ -116,7 +116,7 @@ def _first_obstacle_solve_data(n, bc):
         raw["forcing"]["sine"]["offset"] = 20.0
     problem = build_problem(parse_config(raw))
     A, f = problem.operator, problem.forcing
-    start = IntervalBracket.default(A, f).upper
+    start = _run_start(A, f, "max")
     return A, f, problem.omap.evaluate(start)
 
 
@@ -175,7 +175,7 @@ def test_cold_solve_rounds_do_not_grow_with_the_grid(bc, n):
 
 
 def test_first_fine_round_ends_only_on_a_settled_set():
-    # toy_max's obstacle at the upper bracket touches the solution with a
+    # toy_max's obstacle at the max-run start A^-1 f touches the solution with a
     # vanishing multiplier at every node.  A cold first round solves
     # unconstrained and leaves a residual at roundoff, as pinning every node
     # does, yet round 1 ends only on a settled set whatever the start: where
@@ -187,7 +187,7 @@ def test_first_fine_round_ends_only_on_a_settled_set():
         raw["grid"]["n_nodes"] = n
         problem = build_problem(parse_config(raw))
         A, f = problem.operator, problem.forcing
-        phi = problem.omap.evaluate(IntervalBracket.default(A, f).upper)
+        phi = problem.omap.evaluate(_run_start(A, f, "max"))
         cold = solve_vi(A, f, phi)
         every = solve_vi(A, f, phi, active0=np.ones(n, dtype=bool))
         assert (cold.iterations, every.iterations) == rounds
@@ -336,9 +336,8 @@ def _exact_distance(name, n):
         raw["grid"]["n_nodes"] = n
     problem = build_problem(parse_config(raw))
     A, f, omap = problem.operator, problem.forcing, problem.omap
-    bracket = IntervalBracket.default(A, f)
-    run = iterate_min(A, f, omap, bracket.lower) if raw["run"] == "min" else \
-        iterate_max(A, f, omap, bracket.upper)
+    which = raw["run"]
+    run = (iterate_min if which == "min" else iterate_max)(A, f, omap, _run_start(A, f, which))
     fast, exact = solve_vi(A, f, run.obstacle).u.values, oracle_vi(A, f, run.obstacle).u.values
     gap = np.abs(fast - exact)
     return float(gap.max()), float(np.max(gap / np.spacing(np.abs(exact))))
