@@ -1,10 +1,13 @@
 """Check that the tier-1 tests see every solver gate.
 
 A gate is the condition line of a check that refuses a result.  For each
-gate in ``GATES`` the script replaces that line by ``if False:`` in a
-temporary copy of the checkout, runs the tier-1 tests there with ``-x``
-and expects them to fail.  A gate whose tests still pass has survived:
-a change that broke it would go unseen.
+gate in ``GATES`` the script rewrites that line ``if <condition>:`` as
+``if (<condition>) and False:`` in a temporary copy of the checkout, runs
+the tier-1 tests there with ``-x`` and expects them to fail.  The
+condition still runs, calls and all, and only the refusal goes, so a
+test that merely counts the calls a gate makes does not catch it.  A
+gate whose tests still pass has survived: a change that broke it would
+go unseen.
 
     python scripts/gate_mutations.py
 
@@ -92,7 +95,8 @@ def main() -> int:
             lines = original.splitlines(keepends=True)
             at = _line_number(original, condition)
             indent = lines[at][:len(lines[at]) - len(lines[at].lstrip())]
-            lines[at] = f"{indent}if False:\n"
+            kept = condition.removeprefix("if ").removesuffix(":")
+            lines[at] = f"{indent}if ({kept}) and False:\n"
             path.write_text("".join(lines), encoding="utf-8")
             try:
                 survived = _tier1_passes(checkout)

@@ -6,6 +6,7 @@ import argparse
 import logging
 import os
 import sys
+from pathlib import Path
 
 from .experiments import ConfigError, build_problem, load_config, run_experiment
 
@@ -19,7 +20,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute an experiment config")
     run.add_argument("config", help="path to a JSON experiment config")
-    run.add_argument("--out", default=None, help="output directory (overrides the config)")
+    run.add_argument("--out", default=None,
+                     help="output directory (default: qvix_out/<config file stem>)")
 
     val = sub.add_parser("validate", help="check a config without running solvers")
     val.add_argument("config", help="path to a JSON experiment config")
@@ -50,8 +52,9 @@ def main(argv=None) -> int:
         print(f"{args.config}: valid")
         return 0
 
+    out = args.out if args.out is not None else Path("qvix_out", Path(args.config).stem)
     try:
-        artifacts = run_experiment(config, out_dir=args.out)
+        artifacts = run_experiment(config, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -140,7 +140,6 @@ class ExperimentConfig:
     direction: object
     run: str
     sensitivity: bool
-    output_dir: str | None
 
 
 def parse_config(raw: dict, path: str = "config") -> ExperimentConfig:
@@ -228,9 +227,6 @@ def parse_config(raw: dict, path: str = "config") -> ExperimentConfig:
             raise ConfigError(f"{path}.sensitivity.enabled: expected a boolean")
         _no_extras(sb, f"{path}.sensitivity")
 
-    output_dir = _take(d, "output_dir", path, False)
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError(f"{path}.output_dir: expected a string")
     _no_extras(d, path)
 
     if sensitivity and run == "both":
@@ -238,7 +234,7 @@ def parse_config(raw: dict, path: str = "config") -> ExperimentConfig:
     return ExperimentConfig(grid_nodes=n_nodes, interval=interval,
                             operator_c=c, operator_bc=bc, map_cfg=map_cfg,
                             forcing=forcing, direction=direction, run=run,
-                            sensitivity=sensitivity, output_dir=output_dir)
+                            sensitivity=sensitivity)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -283,11 +279,8 @@ def build_problem(config: ExperimentConfig) -> BuiltProblem:
             inner = assemble_operator(grid, mc["inner_c"], mc["inner_bc"])
             omap = InverseEllipticMap(inner, ScalarNonlinearity(**mc["gain"]))
         else:
-            mould_vals = _eval_expr(mc["mould"], grid.nodes, "config.map.mould")
-            if np.any(mould_vals <= 0):
-                raise ConfigError("config.map.mould: mould shape must be positive everywhere")
-            omap = ThermoformingMap(NodalFunction(grid, mould_vals), mc["reaction"],
-                                    mc["heat_max"], mc["expansion"])
+            mould = NodalFunction(grid, _eval_expr(mc["mould"], grid.nodes, "config.map.mould"))
+            omap = ThermoformingMap(mould, mc["reaction"], mc["heat_max"], mc["expansion"])
 
     f_vals = _eval_expr(config.forcing, grid.nodes, "config.forcing")
     if np.any(f_vals < 0):
@@ -306,7 +299,6 @@ def build_problem(config: ExperimentConfig) -> BuiltProblem:
 class RunArtifacts:
     """Paths and summary of one experiment invocation."""
 
-    out_dir: Path
     files: dict[str, Path] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
@@ -417,19 +409,19 @@ def _jsonable(obj):
     return obj
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, seed: int = 0) -> RunArtifacts:
-    """Execute the configured pipeline and write all artifacts.
+def run_experiment(config: ExperimentConfig, out_dir, seed: int = 0) -> RunArtifacts:
+    """Execute the configured pipeline and write all artifacts into ``out_dir``.
 
     Solver failures are recorded in the summary next to whatever partial
     artifacts were produced; the caller decides the exit status from
     ``failures``.  ``seed`` is inert: it is only written to the summary.
     """
     problem = build_problem(config)
-    target = Path(out_dir) if out_dir is not None else Path(config.output_dir or "qvix_out")
+    target = Path(out_dir)
     target.mkdir(parents=True, exist_ok=True)
 
     A, f, d, omap = problem.operator, problem.forcing, problem.direction, problem.omap
-    artifacts = RunArtifacts(out_dir=target)
+    artifacts = RunArtifacts()
     summary: dict = {
         "seed": seed,
         "constants": {

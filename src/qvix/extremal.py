@@ -64,7 +64,7 @@ def _run_start(A: EllipticOperator, f: DualElement, which: str) -> NodalFunction
 
 
 def _monotone_limit(step: Callable[[NodalFunction], tuple[NodalFunction, str]],
-                    start: NodalFunction, sign: float, step_tol: float, max_iter: int,
+                    start: NodalFunction, sign: float, step_tol: float,
                     error: type[Exception], order_text: str, cap_text: str, label: str):
     """Limit of u <- step(u) from start; each step must move every node along sign.
 
@@ -72,7 +72,7 @@ def _monotone_limit(step: Callable[[NodalFunction], tuple[NodalFunction, str]],
     with order_text, formatted with the order's name and the worst nodal
     change, when a step goes against sign by more than MONOTONE_TOL, and
     with cap_text plus the last step and the tail contraction ratio when
-    max_iter steps do not settle.  ``step`` returns the next iterate and
+    MAX_OUTER steps do not settle.  ``step`` returns the next iterate and
     the kind of step that made it.  Returns the limit and, per step, its
     V-norm, its smallest and largest nodal change, and its kind.  Logs
     each step at INFO under label, with its kind.
@@ -82,7 +82,7 @@ def _monotone_limit(step: Callable[[NodalFunction], tuple[NodalFunction, str]],
     min_deltas: list[float] = []
     max_deltas: list[float] = []
     kinds: list[str] = []
-    for _ in range(max_iter):
+    for _ in range(MAX_OUTER):
         nxt, kind = step(u)
         kinds.append(kind)
         delta = nxt.values - u.values
@@ -209,7 +209,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
 
     try:
         u, steps, min_deltas, max_deltas, kinds = _monotone_limit(
-            step, start, sign, TOL_FP, MAX_OUTER, ExtremalIterationError,
+            step, start, sign, TOL_FP, ExtremalIterationError,
             "{order} iteration lost monotonicity (worst step {worst:.3e}); "
             "the comparison principle is broken",
             f"no convergence within {MAX_OUTER} outer iterations", f"extremal {which}")

@@ -70,10 +70,6 @@ def smoothstep_deriv(r):
     return np.where(inside, 30.0 * rc * rc * (1.0 - rc) * (1.0 - rc), 0.0)
 
 
-# max slope of the smoothstep, attained at the midpoint
-_SMOOTHSTEP_MAX_SLOPE = 15.0 / 8.0
-
-
 def _ramp(xi, width):
     """Smooth slope-1 ramp: zero value/slope/curvature at 0, slope 1 past ``width``.
 
@@ -328,12 +324,6 @@ class ThermoformingMap(ObstacleMap):
     def heat_rate_slope(self, gap):
         return -self.heat_max * smoothstep_deriv(gap)
 
-    @property
-    def contraction_factor(self) -> float:
-        """Bound on the coupling of temperature and gap; the stall message quotes it."""
-        return (self.expansion * self.heat_max * _SMOOTHSTEP_MAX_SLOPE
-                / min(1.0, self.reaction))
-
     def temperature_bound(self) -> float:
         """A priori bound on the H1 norm of any admissible temperature."""
         return (self.heat_max / min(1.0, self.reaction)
@@ -378,8 +368,7 @@ class ThermoformingMap(ObstacleMap):
             t_vals, gap, residual_load, norm = accepted
         else:
             raise InnerSolveError(
-                f"temperature solve stalled at residual {res:.2e} against {res_tol:.1e} "
-                f"(contraction factor {self.contraction_factor:.3f})")
+                f"temperature solve stalled at residual {res:.2e} against {res_tol:.1e}")
         temp = NodalFunction(self.grid, t_vals)
         if v_norm(temp) > self.temperature_bound() + 1e-9:
             raise InnerSolveError(

@@ -165,11 +165,10 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement, which: str) -> 
         iterates.append(nxt)
         return nxt, "plain"
 
-    budget = extremal.MAX_OUTER
     alpha, _, _, _, _ = _monotone_limit(
-        step, iterates[0], sign, ALPHA_STEP_TOL, budget, DerivativeSolveError,
+        step, iterates[0], sign, ALPHA_STEP_TOL, DerivativeSolveError,
         "derivative iterates lost their {order} order",
-        f"derivative iteration did not settle within {budget} rounds", "derivative")
+        f"derivative iteration did not settle within {extremal.MAX_OUTER} rounds", "derivative")
     residual = derivative_qvi_residual(cone, alpha, d)
     if residual > ALPHA_RESIDUAL_TOL:
         raise DerivativeSolveError(

@@ -138,7 +138,6 @@ class ViSolution:
     u: NodalFunction
     lam: DualElement
     iterations: int
-    residual: float
     active: np.ndarray
 
     def __post_init__(self):
@@ -425,7 +424,7 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     if log.isEnabledFor(logging.DEBUG):
         log.debug("obstacle solve: %d rounds, %d nodes pinned", iters, np.count_nonzero(active))
     return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
-                      iterations=iters, residual=residual, active=active)
+                      iterations=iters, active=active)
 
 
 def _exact(values: np.ndarray) -> np.ndarray:
@@ -484,8 +483,7 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolu
     u_vals, active = u.astype(float), obstacle_mask & pinned
     lam_vals = np.where(active, r / _exact(grid.mass), 0).astype(float)
     return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
-                      iterations=rounds, active=active, residual=complementarity_residual(
-                          u_vals, target, lam_vals, eq_mask, free_mask))
+                      iterations=rounds, active=active)
 
 
 def check_comparison(A: EllipticOperator, f1: DualElement, f2: DualElement,

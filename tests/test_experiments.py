@@ -337,8 +337,7 @@ def test_temperature_stall_reports_residual_and_tolerance(tmp_path):
     # the heating band (gap < 1) of a mould at 1.5
     artifacts = run_experiment(_stall_desk(1.0, 1.5), out_dir=tmp_path, seed=0)
     [failure] = artifacts.failures
-    assert failure.startswith("min: temperature solve stalled")
-    match = re.search(r"temperature solve stalled at residual (\S+) against (\S+) ", failure)
+    match = re.fullmatch(r"min: temperature solve stalled at residual (\S+) against (\S+)", failure)
     assert match, failure
     residual, tol = map(float, match.groups())
     assert tol == 2e-12  # 1e-12 * (1 + heat_max)
@@ -358,8 +357,7 @@ def test_stall_after_the_run_is_recorded_as_its_failure(tmp_path, monkeypatch):
     # the run converges; a raise after it (here a stub estimate that
     # raises a stall's text) fails the run instead of escaping the runner
     def stalling(omap, lin, bc):
-        raise InnerSolveError("temperature solve stalled at residual 2.58e-12 against 2.0e-12 "
-                              "(contraction factor 0.188)")
+        raise InnerSolveError("temperature solve stalled at residual 2.58e-12 against 2.0e-12")
 
     monkeypatch.setattr("qvix.experiments.lipschitz_estimate", stalling)
     cfg = json.loads((CONFIG_DIR / "thermoforming_desk.json").read_text())
@@ -556,6 +554,19 @@ def test_failed_sensitivity_recorded_with_partial_artifacts(tmp_path):
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out2")]) == 1
 
 
+def test_min_run_far_source_refusal_keeps_the_run_files(tmp_path, monkeypatch):
+    # a min run's quotient check refuses A^-1 (f + 0.1 d) when it is no
+    # supersolution there; the run itself stands and keeps its tables
+    monkeypatch.setattr("qvix.sensitivity.check_supersolution", lambda A, f, omap, u: False)
+    artifacts = run_experiment(load_config(CONFIG_DIR / "toy_min.json"), out_dir=tmp_path)
+    assert artifacts.failures == ["sensitivity/min: bracket invalid: A^-1 (f + max(s) d) "
+                                  "is not a supersolution there"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "iterates_min.csv", "solution_min.csv", "summary.json"]
+    assert artifacts.summary["runs"]["min"]["sensitivity"] == {
+        "error": artifacts.failures[0][len("sensitivity/min: "):]}
+
+
 @pytest.mark.parametrize("name, level", [("BASIC_FORMAT", logging.WARNING),
                                          ("no_such_level", logging.WARNING),
                                          ("info", logging.INFO),
@@ -686,6 +697,72 @@ def test_version_must_be_the_integer_one_at_the_cli(tmp_path, capsys):
         assert cli_main(["validate", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: config.version: expected 1, got {version!r}\n"
+
+
+def _without(key):
+    raw = toy_config_dict()
+    del raw[key]
+    return raw
+
+
+def _thermoforming(**fields):
+    block = {"kind": "thermoforming", "reaction": 1.0, "heat_max": 1.0, "expansion": 0.1,
+             "mould": {"const": 1.0}}
+    return toy_config_dict(map={**block, **fields})
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_without("run"), "config.run: missing required field"),
+    (toy_config_dict(operator={"c": "1", "bc": "neumann"}), "config.operator.c: expected a number"),
+    (toy_config_dict(forcing={"poly": []}),
+     "config.forcing.poly: expected a nonempty coefficient list"),
+    (toy_config_dict(grid={"n_nodes": 1}), "config.grid.n_nodes: expected an integer >= 2"),
+    (toy_config_dict(grid={"n_nodes": 21, "interval": [0.0]}),
+     "config.grid.interval: expected [lo, hi]"),
+    (toy_config_dict(grid={"n_nodes": 21, "interval": [1.0, 0.0]}),
+     "config.grid.interval: upper end must exceed lower end"),
+    (toy_config_dict(map={"kind": "plateau", "levels": [], "half_width": 0.25}),
+     "config.map.levels: expected a nonempty list"),
+    (toy_config_dict(map={"kind": "inverse_elliptic", "operator": {"c": 1.0, "bc": "robin"},
+                          "gain": {"kind": "tanh"}}),
+     "config.map.operator.bc: expected 'neumann' or 'dirichlet'"),
+    (_inverse_elliptic_gain(kind="exp"), "config.map.gain.kind: expected zero/linear/tanh"),
+    (toy_config_dict(map={"kind": "bump"}), "config.map.kind: unknown kind 'bump'"),
+    (toy_config_dict(sensitivity={"enabled": 1}), "config.sensitivity.enabled: expected a boolean"),
+    (_inverse_elliptic_gain(kind="tanh", rate=0.0), "config.map: rate must be positive"),
+    (_thermoforming(expansion=0.0), "config.map: expansion factor must be positive"),
+    (_thermoforming(mould={"const": 0.0}), "config.map: mould shape must be positive"),
+    (_thermoforming(mould={"sine": {"offset": 0.5, "amplitude": 1.0}}),
+     "config.map: mould shape must be positive"),
+    (toy_config_dict(output_dir="qvix_out/toy_min"), "config: unknown field(s) ['output_dir']"),
+], ids=["missing-run", "c-string", "empty-poly", "one-node", "interval-one-end",
+        "interval-reversed", "no-levels", "inner-bc", "gain-kind", "map-kind",
+        "enabled-not-bool", "gain-rate-zero", "expansion-zero", "mould-zero", "mould-dips",
+        "output-dir"])
+def test_every_config_refusal_exits_2_with_its_message(tmp_path, capsys, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_config_without_a_direction_block_takes_the_zero_direction(tmp_path, capsys):
+    path = tmp_path / "undirected.json"
+    path.write_text(json.dumps(_without("direction")))
+    assert cli_main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: valid\n"
+    config = load_config(path)
+    assert config.direction == {"const": 0.0}
+    assert np.all(build_problem(config).direction.values == 0.0)
+
+
+def test_run_without_out_writes_under_qvix_out_by_config_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", str(CONFIG_DIR / "toy_min.json")]) == 0
+    summary = Path("qvix_out", "toy_min", "summary.json")
+    assert capsys.readouterr().out == f"wrote {summary}\n"
+    assert sorted(p.name for p in (tmp_path / "qvix_out").iterdir()) == ["toy_min"]
+    assert json.loads((tmp_path / summary).read_text())["failures"] == []
 
 
 def _solves_compared_with(monkeypatch, oracle=oracle_vi):

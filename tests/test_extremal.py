@@ -313,8 +313,8 @@ def test_monotone_limit_step_norms_keep_the_bits_of_v_norm():
     path.append(path[-1])  # an exactly-zero last step ends the loop
     feed = iter(path[1:])
     u, steps, mins, maxs, kinds = _monotone_limit(lambda _: (next(feed), "plain"), path[0], 1.0,
-                                                  0.0, 10, ExtremalIterationError, "{order}",
-                                                  "cap", "test")
+                                                  0.0, ExtremalIterationError, "{order}", "cap",
+                                                  "test")
     assert u is path[-1]
     assert kinds == ("plain",) * (len(path) - 1)
     assert steps == tuple(v_norm(b - a) for a, b in zip(path, path[1:]))
@@ -330,7 +330,7 @@ def test_monotone_limit_step_norms_keep_the_bits_of_v_norm():
 def test_monotone_limit_keeps_the_checks_of_the_step_difference(nxt, error, match):
     start = NodalFunction.constant(Grid(11), -1e308)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
-        _monotone_limit(lambda _: (nxt, "plain"), start, 1.0, 0.0, 10, ExtremalIterationError,
+        _monotone_limit(lambda _: (nxt, "plain"), start, 1.0, 0.0, ExtremalIterationError,
                         "{order}", "cap", "test")
 
 

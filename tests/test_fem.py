@@ -186,6 +186,8 @@ def test_leq():
     g = Grid(2)
     u = NodalFunction(g, [0.0, 1.0])
     assert leq(u, u, 0.0)
+    with pytest.raises(GridMismatchError, match="^cannot compare functions on different grids$"):
+        leq(u, NodalFunction(Grid(2, (0.0, 2.0)), [0.0, 1.0]))
     t = 0.1
     assert not leq(u, NodalFunction(g, [0.0, 1.0 - 2 * t]), t)
     rng = np.random.default_rng(9)
@@ -318,6 +320,21 @@ def test_tridiagonal_refuses_a_1x1_matrix():
         TridiagonalSpd([2.0], [])
     with pytest.raises(ValueError, match="need at least 2 rows, got 0"):
         TridiagonalSpd([], [])
+
+
+def test_tridiagonal_refuses_an_upper_band_of_another_length():
+    for upper in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="^upper band must have length n-1$"):
+            TridiagonalSpd([4.0, 4.0, 4.0], upper)
+
+
+def test_operator_refuses_a_function_or_load_on_another_grid():
+    g, other = Grid(8), Grid(8, (0.0, 2.0))
+    A = assemble_operator(g, 1.0, "neumann")
+    with pytest.raises(GridMismatchError, match="^function grid does not match operator grid$"):
+        A.apply(NodalFunction.zeros(other))
+    with pytest.raises(GridMismatchError, match="^load grid does not match operator grid$"):
+        A.solve(DualElement.constant(other, 1.0))
 
 
 def test_tridiagonal_solve_rejects_indefinite_matrix():

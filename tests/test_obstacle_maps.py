@@ -7,6 +7,7 @@ import pytest
 from qvix import (
     DualElement,
     Grid,
+    GridMismatchError,
     InnerSolveError,
     InverseEllipticMap,
     NodalFunction,
@@ -156,12 +157,14 @@ def test_a_temperature_above_its_a_priori_bound_raises(monkeypatch):
 
 
 def test_thermoforming_newton_path_when_not_contractive():
-    # expansion large enough that the coupling bound exceeds 0.9, where a
+    # expansion large enough that the coupling bound, expansion times the
+    # steepest heat-rate slope over min(1, reaction), exceeds 0.9, where a
     # fixed-point iteration need not contract: Newton from zero still
     # converges, and the problem stays monotone and unique
     g = Grid(30)
     tmap = ThermoformingMap(NodalFunction.constant(g, 3.0), 1.0, 1.0, 0.6)
-    assert tmap.contraction_factor >= 0.9
+    steepest = np.max(np.abs(tmap.heat_rate_slope(np.linspace(0.0, 1.0, 101))))
+    assert tmap.expansion * steepest / min(1.0, tmap.reaction) >= 0.9
     rng = np.random.default_rng(17)
     for _ in range(10):
         u = NodalFunction(g, rng.uniform(1.0, 4.0, g.n_nodes))
@@ -220,6 +223,38 @@ def test_increasing_property(kind, toy):
 def test_check_increasing_vacuous_trials(toy):
     _, _, omap, _ = toy
     assert check_increasing(omap, 0)
+
+
+class _BelowZero(PlateauMap):
+    def evaluate(self, u):  # increasing, but -1 at zero
+        return NodalFunction(self.grid, u.values - 1.0)
+
+
+class _Decreasing(PlateauMap):
+    def evaluate(self, u):  # zero at zero, then decreasing
+        return NodalFunction(self.grid, -u.values)
+
+
+def test_check_increasing_refuses_a_map_below_zero_or_decreasing(toy):
+    grid = toy[0]
+    # the value at zero is checked before any trial
+    assert not check_increasing(_BelowZero(grid, [1.0, 2.0], 0.25), 0)
+    assert check_increasing(_Decreasing(grid, [1.0, 2.0], 0.25), 0)
+    assert not check_increasing(_Decreasing(grid, [1.0, 2.0], 0.25), 1)
+
+
+@pytest.mark.parametrize("kind", ["plateau", "inverse_elliptic", "thermoforming"])
+def test_maps_refuse_a_state_on_another_grid(kind):
+    g, other = Grid(30), Grid(30, (0.0, 2.0))
+    if kind == "plateau":
+        omap = PlateauMap(g, [1.0, 2.0], 0.25)
+    elif kind == "inverse_elliptic":
+        omap = InverseEllipticMap(assemble_operator(g, 1.0, "neumann"),
+                                  ScalarNonlinearity("tanh", 1.5))
+    else:
+        omap = ThermoformingMap(NodalFunction.constant(g, 3.0), 1.0, 1.0, 0.1)
+    with pytest.raises(GridMismatchError, match="^state grid does not match map grid$"):
+        omap.evaluate(NodalFunction.zeros(other))
 
 
 @pytest.mark.parametrize("kind", ["plateau", "inverse_elliptic", "thermoforming"])

@@ -30,10 +30,16 @@ from qvix import (
 )
 from qvix.experiments import build_problem, parse_config
 from qvix.extremal import _run_start
-from qvix.vi import VI_TOL, _coarse_problem, _pdas, _solve_linearised, _solve_pinned
+from qvix.vi import VI_TOL, _coarse_problem, _pdas, _pose, _solve_linearised, _solve_pinned
 from conftest import block_solve, linearise, random_dual, random_nodal
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def kkt_residual(A, f, phi, sol):
+    """The complementarity residual of a solve, formed again from its (u, lam)."""
+    _, target, eq_mask, free_mask = _pose(A, f.values, phi.values)
+    return complementarity_residual(sol.u.values, target, sol.lam.values, eq_mask, free_mask)
 
 
 def test_unconstrained_constant():
@@ -54,7 +60,7 @@ def test_fully_clamped_constant():
     assert np.all(sol.u.values == 1.0)
     assert np.max(np.abs(sol.lam.values - 1.0)) <= 1e-10
     assert classify_active(f, sol.u, phi, multiplier(A, f, sol.u)).strict.all()
-    assert sol.residual <= 1e-10
+    assert kkt_residual(A, f, phi, sol) <= 1e-10
 
 
 def test_pdas_cap_reports_unsettled_active_set(monkeypatch):
@@ -191,7 +197,7 @@ def test_first_fine_round_ends_only_on_a_settled_set():
         cold = solve_vi(A, f, phi)
         every = solve_vi(A, f, phi, active0=np.ones(n, dtype=bool))
         assert (cold.iterations, every.iterations) == rounds
-        assert max(cold.residual, every.residual) <= VI_TOL
+        assert max(kkt_residual(A, f, phi, cold), kkt_residual(A, f, phi, every)) <= VI_TOL
         assert np.array_equal(every.u.values, cold.u.values)
         assert np.array_equal(every.lam.values, cold.lam.values)
         if n == 101:
@@ -213,7 +219,7 @@ def test_nested_start_skips_levels_that_lose_the_m_matrix_sign(monkeypatch):
             fine_only = solve_vi(A, f, phi)
         assert np.array_equal(nested.u.values, fine_only.u.values)
         assert (nested.iterations != fine_only.iterations) == coarsens
-        assert nested.residual <= 1e-10
+        assert kkt_residual(A, f, phi, nested) <= 1e-10
 
 
 def test_galerkin_coarse_matrix_matches_dense_product():
@@ -432,8 +438,21 @@ def test_check_comparison_rejects_unordered_input():
     f_hi = DualElement.constant(g, 1.0)
     f_lo = DualElement.constant(g, 0.0)
     phi = NodalFunction.constant(g, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^precondition violated: f1 <= f2 required$"):
         check_comparison(A, f_hi, f_lo, phi, phi)
+    with pytest.raises(ValueError, match="^precondition violated: phi1 <= phi2 required$"):
+        check_comparison(A, f_lo, f_hi, phi + phi, phi)
+
+
+@pytest.mark.parametrize("solve", [solve_vi, oracle_vi])
+def test_obstacle_solves_refuse_a_load_or_obstacle_on_another_grid(solve):
+    g, other = Grid(8), Grid(8, (0.0, 2.0))
+    A = assemble_operator(g, 1.0, "neumann")
+    f, phi = DualElement.constant(g, 1.0), NodalFunction.constant(g, 1.0)
+    message = "^load/obstacle grid does not match operator grid$"
+    for args in ((DualElement.constant(other, 1.0), phi), (f, NodalFunction.constant(other, 1.0))):
+        with pytest.raises(GridMismatchError, match=message):
+            solve(A, *args)
 
 
 def test_continuous_dependence_on_obstacle():
@@ -461,9 +480,9 @@ def test_accepted_solves_have_tiny_residuals():
     g = Grid(25)
     A = assemble_operator(g, 1.0, "neumann")
     for _ in range(40):
-        phi = random_nodal(g, rng, -1, 2)
-        sol = solve_vi(A, random_dual(g, rng, -3, 3), phi)
-        assert sol.residual <= 1e-10
+        phi, f = random_nodal(g, rng, -1, 2), random_dual(g, rng, -3, 3)
+        sol = solve_vi(A, f, phi)
+        assert kkt_residual(A, f, phi, sol) <= 1e-10
         assert np.all(sol.u.values <= phi.values + 1e-10)
         assert np.all(sol.lam.values >= -1e-10)
         assert np.max(np.abs(sol.lam.values * (phi.values - sol.u.values))) <= 1e-10
