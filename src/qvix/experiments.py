@@ -283,8 +283,10 @@ def build_problem(config: ExperimentConfig) -> BuiltProblem:
             omap = ThermoformingMap(mould, mc["reaction"], mc["heat_max"], mc["expansion"])
 
     f_vals = _eval_expr(config.forcing, grid.nodes, "config.forcing")
-    if np.any(f_vals < 0):
-        raise ConfigError("config.forcing: must be nonnegative so zero is a subsolution")
+    # a max run starts at A^-1 f, above every solution for any f
+    if config.run != "max" and np.any(f_vals < 0):
+        raise ConfigError("config.forcing: a min run needs a nonnegative forcing, "
+                          "so zero is a subsolution")
     direction = DualElement(grid, _eval_expr(config.direction, grid.nodes, "config.direction.expr"))
     if config.sensitivity:
         # the run decides the sign a derivative direction must have

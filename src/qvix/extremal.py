@@ -58,8 +58,9 @@ def _sign(which: str) -> float:
 
 
 def _run_start(A: EllipticOperator, f: DualElement, which: str) -> NodalFunction:
-    """Zero for "min" and A^-1 f for "max": for a load f >= 0 a subsolution and
-    the tightest supersolution, since every obstacle solve at f lies below A^-1 f."""
+    """Zero for "min" and A^-1 f for "max": zero is a subsolution for a load
+    f >= 0, and A^-1 f is a supersolution for any f, the tightest, since
+    every obstacle solve at f lies below A^-1 f."""
     return NodalFunction.zeros(A.grid) if _sign(which) > 0 else A.solve(f)
 
 

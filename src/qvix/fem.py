@@ -301,17 +301,6 @@ def _assemble(grid: Grid, c: float, bc: str) -> EllipticOperator:
         diag[0] = diag[-1] = 1.0
         upper[0] = upper[-1] = 0.0
 
-    # M-matrix checks: positive diagonal, nonpositive off-diagonals, weak
-    # row dominance.  These guarantee inverse positivity and hence the
-    # discrete comparison principle.
-    if np.any(upper > 0) or np.any(diag <= 0):
-        raise AssertionError("assembled matrix lost the M-matrix sign pattern")
-    row_sums = diag.copy()
-    row_sums[:-1] += upper
-    row_sums[1:] += upper
-    if np.any(row_sums < -1e-12 * max(1.0, diag.max())):
-        raise AssertionError("assembled matrix is not weakly diagonally dominant")
-
     rho_lo, rho_hi = _pencil_extremes(grid, bc)
     lam = lambda rho: (rho + c) / (rho + 1.0)
     c_a = min(lam(rho_lo), lam(rho_hi))

@@ -129,6 +129,29 @@ def test_negative_forcing_rejected_at_build():
         build_problem(parse_config(cfg))
 
 
+@pytest.mark.parametrize("n_nodes", [101, 401])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_a_sign_changing_forcing_serves_a_max_run_only(tmp_path, bc, n_nodes):
+    # a max run starts at A^-1 f, above every solution for any f, and takes
+    # plain steps under a load with a negative node; a min run starts at
+    # zero, a subsolution only for a forcing >= 0
+    raw = json.loads((CONFIG_DIR / "inverse_elliptic_max.json").read_text())
+    raw["grid"]["n_nodes"] = n_nodes
+    raw["operator"]["bc"] = bc
+    raw["forcing"] = {"sine": {"offset": -1.0, "amplitude": 3.0, "frequency": 0.5}}
+    artifacts = run_experiment(parse_config(raw), out_dir=tmp_path / "max")
+    assert artifacts.ok and "sensitivity_max" in artifacts.files
+    assert "newton_steps" not in artifacts.summary["runs"]["max"]
+    assert np.min(build_problem(parse_config(raw)).forcing.values) < 0.0
+    message = "config.forcing: a min run needs a nonnegative forcing, so zero is a subsolution"
+    for run in ("min", "both"):
+        raw.update(run=run, sensitivity={"enabled": False})
+        with pytest.raises(ConfigError) as info:
+            run_experiment(parse_config(raw), out_dir=tmp_path / run)
+        assert str(info.value) == message
+        assert not (tmp_path / run).exists()
+
+
 def test_run_experiment_toy(tmp_path):
     cfg = load_config(CONFIG_DIR / "toy_min.json")
     artifacts = run_experiment(cfg, out_dir=tmp_path / "out", seed=0)
@@ -426,7 +449,7 @@ def test_matrices_and_maps_assign_nothing_after_construction(tmp_path, monkeypat
     assert assigned == {(ObstacleMap, "_run_entry")}
 
 
-def test_bundled_runs_take_22_temperature_solves_and_36_linearisations(tmp_path, monkeypatch):
+def test_bundled_runs_take_20_temperature_solves_and_36_linearisations(tmp_path, monkeypatch):
     # a bound on the work of the bundled runs at their own grid and at 401:
     # thermoforming temperature solves (one in each evaluation; the summary
     # reads its temperature back from the run's obstacle) and map
@@ -446,7 +469,7 @@ def test_bundled_runs_take_22_temperature_solves_and_36_linearisations(tmp_path,
             work[label] = Counter()
     per_config = {label: (c["temperature"], c["linearisation"]) for label, c in work.items()}
     totals = tuple(sum(column) for column in zip(*per_config.values()))
-    assert totals == (22, 36), f"(temperature solves, linearisations) per run: {per_config}"
+    assert totals == (20, 36), f"(temperature solves, linearisations) per run: {per_config}"
 
 
 def _c_phi_estimates(tmp_path, name, **grid_and_bc):
@@ -538,33 +561,37 @@ def test_biactive_warning_is_a_non_shrinking_table(tmp_path, name):
         assert isinstance(sens["fd_monotone"], bool)
 
 
-def test_failed_sensitivity_recorded_with_partial_artifacts(tmp_path):
-    # direction so strongly negative that zero stops being a subsolution at
-    # the largest quotient step: the run itself succeeds, the validation is
-    # recorded as a failure, and the CLI reports it through the exit code
-    cfg = toy_config_dict(run="max")
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_max_sensitivity_needs_no_subsolution_at_the_farthest_source(tmp_path, bc):
+    # d = -30 takes f + 0.1 d to -1, where zero is no subsolution; the
+    # quotient reruns start at the base, above every solution there, and
+    # the sensitivity passes and keeps its table
+    cfg = toy_config_dict(run="max", operator={"c": 1.0, "bc": bc})
     cfg["direction"] = {"expr": {"const": -30.0}}
-    path = tmp_path / "doomed.json"
-    path.write_text(json.dumps(cfg))
-    artifacts = run_experiment(load_config(path), out_dir=tmp_path / "out")
-    assert not artifacts.ok
-    assert any("bracket invalid" in f for f in artifacts.failures)
-    assert (tmp_path / "out" / "solution_max.csv").exists()
-    assert "error" in artifacts.summary["runs"]["max"]["sensitivity"]
-    assert cli_main(["run", str(path), "--out", str(tmp_path / "out2")]) == 1
-
-
-def test_min_run_far_source_refusal_keeps_the_run_files(tmp_path, monkeypatch):
-    # a min run's quotient check refuses A^-1 (f + 0.1 d) when it is no
-    # supersolution there; the run itself stands and keeps its tables
-    monkeypatch.setattr("qvix.sensitivity.check_supersolution", lambda A, f, omap, u: False)
-    artifacts = run_experiment(load_config(CONFIG_DIR / "toy_min.json"), out_dir=tmp_path)
-    assert artifacts.failures == ["sensitivity/min: bracket invalid: A^-1 (f + max(s) d) "
-                                  "is not a supersolution there"]
+    artifacts = run_experiment(parse_config(cfg), out_dir=tmp_path)
+    assert artifacts.ok
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "iterates_min.csv", "solution_min.csv", "summary.json"]
-    assert artifacts.summary["runs"]["min"]["sensitivity"] == {
-        "error": artifacts.failures[0][len("sensitivity/min: "):]}
+        "iterates_max.csv", "sensitivity_max.csv", "solution_max.csv", "summary.json"]
+
+
+def test_failed_sensitivity_recorded_with_partial_artifacts(tmp_path):
+    # under Dirichlet, d = -50 drives a quotient rerun to an obstacle below
+    # zero at a boundary node: the run itself succeeds and keeps its
+    # tables, the sensitivity is recorded as a failure, and the CLI reports
+    # it through the exit code
+    raw = json.loads((CONFIG_DIR / "inverse_elliptic_max.json").read_text())
+    raw["operator"]["bc"] = "dirichlet"
+    raw["direction"] = {"expr": {"const": -50.0}}
+    path = tmp_path / "doomed.json"
+    path.write_text(json.dumps(raw))
+    artifacts = run_experiment(load_config(path), out_dir=tmp_path / "out")
+    assert artifacts.failures == ["sensitivity/max: obstacle below zero at a Dirichlet "
+                                  "boundary node: empty constraint set"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "iterates_max.csv", "solution_max.csv", "summary.json"]
+    assert artifacts.summary["runs"]["max"]["sensitivity"] == {
+        "error": artifacts.failures[0][len("sensitivity/max: "):]}
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out2")]) == 1
 
 
 @pytest.mark.parametrize("name, level", [("BASIC_FORMAT", logging.WARNING),

@@ -1,5 +1,6 @@
 import json
 import logging
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from qvix import (
     ExtremalIterationError,
     Grid,
     GridMismatchError,
+    InnerSolveError,
     InverseEllipticMap,
     NodalFunction,
     PlateauMap,
@@ -201,6 +203,15 @@ def test_max_outer_exhaustion_reports_contraction(toy, monkeypatch):
             iterate_min(A, f, omap, NodalFunction.zeros(grid))
 
 
+def _maps_of_each_kind(grid, bc):
+    """A map of each kind, the inverse elliptic one with two gains."""
+    return (PlateauMap(grid, [1.0, 2.0], 0.25),
+            InverseEllipticMap(assemble_operator(grid, 1.0, "neumann"),
+                               ScalarNonlinearity("tanh", 2.0, 1.0)),
+            InverseEllipticMap(assemble_operator(grid, 1.0, bc), ScalarNonlinearity("linear", 0.5)),
+            ThermoformingMap(NodalFunction.constant(grid, 3.0), 1.0, 1.0, 0.1))
+
+
 def test_the_run_starts_are_a_subsolution_and_a_supersolution(toy):
     grid, A, omap, f = toy
     lower, upper = _run_start(A, f, "min"), _run_start(A, f, "max")
@@ -209,11 +220,41 @@ def test_the_run_starts_are_a_subsolution_and_a_supersolution(toy):
     assert check_supersolution(A, f, omap, upper)
     assert np.all(lower.values == 0.0)
     assert np.max(np.abs(upper.values - 2.0)) <= 1e-11
-    # the point the quotient check of a min run tests at its farthest source
+    # the starts bound the farthest source of a min run's quotient reruns too
     far = f + QUOTIENT_STEPS[0] * DualElement.constant(grid, 1.0)
     assert np.max(np.abs(A.solve(far).values - (2.0 + QUOTIENT_STEPS[0]))) <= 1e-11
     assert check_subsolution(A, far, omap, _run_start(A, far, "min"))
     assert check_supersolution(A, far, omap, _run_start(A, far, "max"))
+
+    # S(g, phi) <= A^-1 g for every obstacle phi, so A^-1 g is a
+    # supersolution at any load g, signed or sign-changing, and a min run's
+    # quotient reruns from the base are bracketed with no check.  A map
+    # evaluation that raises gives no obstacle to test: the Dirichlet
+    # empty constraint set, and the temperature solve's roundoff stall
+    rng = np.random.default_rng(19)
+    checked = Counter()
+    for n in (17, 101, 401):
+        grid = Grid(n)
+        for bc in ("neumann", "dirichlet"):
+            A = assemble_operator(grid, 1.0, bc)
+            for omap in _maps_of_each_kind(grid, bc):
+                for k in range(25):
+                    lo, hi = ((0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0))[k % 3]
+                    g = DualElement(grid, rng.uniform(0.1, 10.0) * rng.uniform(lo, hi, n))
+                    try:
+                        assert check_supersolution(A, g, omap, A.solve(g)), (n, bc, omap, k)
+                        checked["supersolution"] += 1
+                    except vi.ViSolveError as exc:
+                        assert bc == "dirichlet"
+                        assert str(exc) == ("obstacle below zero at a Dirichlet boundary "
+                                            "node: empty constraint set")
+                        checked["dirichlet"] += 1
+                    except InnerSolveError as exc:
+                        assert isinstance(omap, ThermoformingMap)
+                        assert str(exc).startswith("temperature solve stalled at residual")
+                        checked["stall"] += 1
+    assert sum(checked.values()) == 600
+    assert checked["supersolution"] >= 500, checked
 
 
 def _wide_starts(A, f, d):

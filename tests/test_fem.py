@@ -54,6 +54,24 @@ def test_assemble_row_sums_neumann():
     assert np.allclose(dense.sum(axis=1), g.mass)
 
 
+@pytest.mark.parametrize("n", [3, 101, 25601])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_assembled_matrix_is_an_m_matrix(bc, n):
+    # every admitted c >= 0 gives a positive diagonal 2/h + c m, couplings
+    # -1/h <= 0 and row sums >= 0 up to rounding: the sign pattern and weak
+    # row dominance behind the discrete comparison principle
+    for c in (0.0, 1e-3, 1.0, 1e3):
+        if bc == "neumann" and c == 0.0:
+            continue  # refused as singular
+        matrix = assemble_operator(Grid(n), c, bc).matrix
+        assert np.all(matrix.diag > 0)
+        assert np.all(matrix.upper <= 0)
+        row_sums = matrix.diag.copy()
+        row_sums[:-1] += matrix.upper
+        row_sums[1:] += matrix.upper
+        assert np.all(row_sums >= -1e-12 * max(1.0, matrix.diag.max())), c
+
+
 def test_assemble_rejects_singular_and_bad_input():
     with pytest.raises(SingularOperatorError):
         assemble_operator(Grid(2), 0.0, "neumann")
@@ -68,7 +86,7 @@ def test_assemble_rejects_singular_and_bad_input():
 @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_assemble_refuses_a_non_finite_reaction(c, bc):
-    # refused before the memo: a NaN or infinite c passes the M-matrix checks
+    # refused before the memo, with a text that names it
     with pytest.raises(ValueError, match="reaction coefficient must be finite"):
         assemble_operator(Grid(11), c, bc)
 
