@@ -45,6 +45,10 @@ GATES = (
     ("sensitivity.py", "if residual > ALPHA_RESIDUAL_TOL:", "residual of the derivative"),
     ("sensitivity.py", "if cone.partition.biactive.any():",
      "an (I - J) derivative step on a cone with a biactive node"),
+    ("sensitivity.py", "if sign > 0 and not check_subsolution(A, far, omap, base):",
+     "a min rerun start that is no subsolution at the farthest source"),
+    ("sensitivity.py", "if sign < 0 and not check_supersolution(A, far, omap, base):",
+     "a max rerun start that is no supersolution at the farthest source"),
     ("sensitivity.py", "if not fd_monotone and not cone.partition.biactive.any():",
      "quotient errors that do not shrink on a strictly complementary instance"),
     ("sensitivity.py", "if final_err > tol:", "final difference-quotient error"),

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import extremal
 from .extremal import _check_direction, _monotone_limit, _obstacle_residual, _run_start, _sign, \
-    iterate_max, iterate_min
+    check_subsolution, check_supersolution, iterate_max, iterate_min
 from .fem import DualElement, EllipticOperator, NodalFunction, v_norm
 from .obstacle_maps import Linearisation, ObstacleMap
 from .vi import ActiveSetPartition, _pdas, _pose, _solve_linearised, classify_active, \
@@ -202,7 +202,9 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     A^-1 (f + s d) a supersolution above it.  A max rerun starts above
     every solution at f + s d, since d <= 0 places each of them below
     u_max(f) (the signed-direction comparison), so the rerun's own gates
-    certify its limit or refuse it.
+    certify its limit or refuse it.  At the farthest source f + max(s) d
+    the base is checked as the start it is there: a subsolution for a min
+    run, a supersolution for a max run.
     Quotient errors must shrink with the step, up to a noise floor on
     instances where the remainder vanishes identically; on biactive
     instances a non-shrinking table is flagged (``fd_monotone`` False)
@@ -213,6 +215,11 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     run = iterate_min if sign > 0 else iterate_max
     base_run = run(A, f, omap, _run_start(A, f, which))
     base = base_run.solution
+    far = f + QUOTIENT_STEPS[0] * d
+    if sign > 0 and not check_subsolution(A, far, omap, base):
+        raise ValueError("rerun start: the base is not a subsolution at f + max(s) d")
+    if sign < 0 and not check_supersolution(A, far, omap, base):
+        raise ValueError("rerun start: the base is not a supersolution at f + max(s) d")
     cone = build_cone(A, f, omap, base, base_run.obstacle)
     report = solve_derivative_qvi(cone, d, which)
     alpha = report.alpha

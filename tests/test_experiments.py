@@ -449,7 +449,7 @@ def test_matrices_and_maps_assign_nothing_after_construction(tmp_path, monkeypat
     assert assigned == {(ObstacleMap, "_run_entry")}
 
 
-def test_bundled_runs_take_20_temperature_solves_and_36_linearisations(tmp_path, monkeypatch):
+def test_bundled_runs_take_22_temperature_solves_and_36_linearisations(tmp_path, monkeypatch):
     # a bound on the work of the bundled runs at their own grid and at 401:
     # thermoforming temperature solves (one in each evaluation; the summary
     # reads its temperature back from the run's obstacle) and map
@@ -469,7 +469,7 @@ def test_bundled_runs_take_20_temperature_solves_and_36_linearisations(tmp_path,
             work[label] = Counter()
     per_config = {label: (c["temperature"], c["linearisation"]) for label, c in work.items()}
     totals = tuple(sum(column) for column in zip(*per_config.values()))
-    assert totals == (20, 36), f"(temperature solves, linearisations) per run: {per_config}"
+    assert totals == (22, 36), f"(temperature solves, linearisations) per run: {per_config}"
 
 
 def _c_phi_estimates(tmp_path, name, **grid_and_bc):
@@ -592,6 +592,19 @@ def test_failed_sensitivity_recorded_with_partial_artifacts(tmp_path):
     assert artifacts.summary["runs"]["max"]["sensitivity"] == {
         "error": artifacts.failures[0][len("sensitivity/max: "):]}
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out2")]) == 1
+
+
+def test_min_run_far_source_refusal_keeps_the_run_files(tmp_path, monkeypatch):
+    # a min run's quotient check refuses the base when it is no
+    # subsolution at f + 0.1 d; the run itself stands and keeps its tables
+    monkeypatch.setattr("qvix.sensitivity.check_subsolution", lambda A, f, omap, u: False)
+    artifacts = run_experiment(load_config(CONFIG_DIR / "toy_min.json"), out_dir=tmp_path)
+    assert artifacts.failures == ["sensitivity/min: rerun start: the base is not a "
+                                  "subsolution at f + max(s) d"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "iterates_min.csv", "solution_min.csv", "summary.json"]
+    assert artifacts.summary["runs"]["min"]["sensitivity"] == {
+        "error": artifacts.failures[0][len("sensitivity/min: "):]}
 
 
 @pytest.mark.parametrize("name, level", [("BASIC_FORMAT", logging.WARNING),

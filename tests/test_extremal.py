@@ -228,8 +228,8 @@ def test_the_run_starts_are_a_subsolution_and_a_supersolution(toy):
 
     # S(g, phi) <= A^-1 g for every obstacle phi, so A^-1 g is a
     # supersolution at any load g, signed or sign-changing, and a min run's
-    # quotient reruns from the base are bracketed with no check.  A map
-    # evaluation that raises gives no obstacle to test: the Dirichlet
+    # quotient reruns from the base are bounded above with no check.  A
+    # map evaluation that raises gives no obstacle to test: the Dirichlet
     # empty constraint set, and the temperature solve's roundoff stall
     rng = np.random.default_rng(19)
     checked = Counter()
@@ -253,8 +253,7 @@ def test_the_run_starts_are_a_subsolution_and_a_supersolution(toy):
                         assert isinstance(omap, ThermoformingMap)
                         assert str(exc).startswith("temperature solve stalled at residual")
                         checked["stall"] += 1
-    assert sum(checked.values()) == 600
-    assert checked["supersolution"] >= 500, checked
+    assert checked == Counter(supersolution=552, dirichlet=39, stall=9)
 
 
 def _wide_starts(A, f, d):

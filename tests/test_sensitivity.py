@@ -317,17 +317,41 @@ def _reruns_match_runs_from_the_plain_solve(A, f, d, omap):
             assert v_norm(rerun.solution - plain.solution) <= 10 * qvix.extremal.TOL_FP, s
 
 
-@pytest.mark.parametrize("n, bc", [(101, "neumann"), (21, "neumann"), (21, "dirichlet")])
-def test_max_reruns_from_the_base_need_no_subsolution_at_the_farthest_source(n, bc):
-    # the conftest toy and its n = 21 config: f + 0.1 d dips to -1, so
-    # zero is no subsolution there; each rerun still starts above every
-    # solution, and its own gates certify it.  The derivative is not
-    # pinned: at n = 101 it misses ALPHA_RESIDUAL_TOL by a factor of about 3.5
-    grid = Grid(n)
-    A = assemble_operator(grid, 1.0, bc)
-    omap = PlateauMap(grid, [1.0, 2.0], 0.25)
-    f, d = DualElement.constant(grid, 2.0), DualElement.constant(grid, -30.0)
-    _reruns_match_runs_from_the_plain_solve(A, f, d, omap)
+def test_max_reruns_from_the_base_need_no_subsolution_at_the_farthest_source(toy):
+    # f + 0.1 d dips to -1, so zero is no subsolution there; each rerun
+    # still starts above every solution, and its own gates certify it.  The
+    # derivative is not pinned: it misses ALPHA_RESIDUAL_TOL by a factor of
+    # about 3.5
+    grid, A, omap, f = toy
+    _reruns_match_runs_from_the_plain_solve(A, f, DualElement.constant(grid, -30.0), omap)
+
+
+@pytest.mark.parametrize("which", ["min", "max"])
+def test_quotient_check_tests_one_bound_at_the_farthest_source(monkeypatch, toy, which):
+    # the reruns start at the base, so the check at the farthest source
+    # tests the base there: a subsolution for a min run, a supersolution
+    # for a max run; a check that fails refuses the sensitivity
+    grid, A, omap, f = toy
+    d = DualElement.constant(grid, 1.0 if which == "min" else -1.0)
+    far = f + qvix.sensitivity.QUOTIENT_STEPS[0] * d
+    base = (iterate_min if which == "min" else iterate_max)(A, f, omap, _run_start(A, f, which))
+    checks = []
+    for name in ("check_subsolution", "check_supersolution"):
+        def recording(A_, f_, omap_, u, name=name, check=getattr(qvix.sensitivity, name)):
+            checks.append((name, f_, u))
+            return check(A_, f_, omap_, u)
+        monkeypatch.setattr(f"qvix.sensitivity.{name}", recording)
+    fd_validate(A, f, d, omap, which)
+    [(name, source, point)] = checks
+    assert source.values.tobytes() == far.values.tobytes()
+    assert point.values.tobytes() == base.solution.values.tobytes()
+    kind = "subsolution" if which == "min" else "supersolution"
+    assert name == f"check_{kind}"
+
+    monkeypatch.setattr(f"qvix.sensitivity.{name}", lambda A_, f_, omap_, u: False)
+    with pytest.raises(ValueError) as info:
+        fd_validate(A, f, d, omap, which)
+    assert str(info.value) == f"rerun start: the base is not a {kind} at f + max(s) d"
 
 
 @pytest.mark.parametrize("n", [101, 401])
