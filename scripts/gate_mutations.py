@@ -33,7 +33,6 @@ ROOT = Path(__file__).resolve().parent.parent
 GATES = (
     ("vi.py", 'if A.bc == "dirichlet" and np.any(phi.values[A.boundary] < -VI_TOL):',
      "obstacle below zero at a Dirichlet boundary node"),
-    ("vi.py", "if residual > VI_TOL:", "terminal complementarity residual of an obstacle solve"),
     ("vi.py", "if info or not np.all(e > 0):", "an (I - J) solve without a rate certificate"),
     ("extremal.py", "if sign * worst < -MONOTONE_TOL:", "a monotone loop that lost its order"),
     ("extremal.py", "if residuals[-1] > RESIDUAL_TOL:", "residual of an extremal limit"),

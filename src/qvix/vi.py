@@ -11,10 +11,14 @@ multiplier f - Au into boolean node masks.  ``_pose`` is the one place
 that poses a complementarity problem, the obstacle solves here and the
 derivative's cone solves alike: it decides the load, the target and the
 node roles, the Dirichlet rows included.  ``oracle_vi`` re-derives the
-same solution exactly, by Chandrasekaran's pivoting in rational arithmetic;
-``test_every_extremal_solve_of_the_bundled_configs_matches_the_oracle``
-(``tests/test_experiments.py``) checks every solve of the bundled runs
-against it.
+same solution exactly, by Chandrasekaran's pivoting in rational
+arithmetic, as the obstacle-only wrapper of ``_oracle``, which solves any
+posed problem.  ``_pdas`` ends on a settled set or on its residual test,
+and its point is not checked again at run time.  The tier-1 tests check
+the exit of every ``_pdas`` call of the bundled runs (obstacle, cone and
+nested coarse solves) at their own grids and at 401 nodes under both
+boundary conditions, and compare every call of the runs as bundled with
+``_oracle`` (``tests/test_vi.py``, ``tests/test_experiments.py``).
 
 A cold loop needs more set changes the finer the grid, because the front
 of the active set moves a few nodes per round.  So the loop takes its
@@ -404,8 +408,13 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     two starts give the same bits wherever their loops end on the same
     set; only a loop that ends on the residual test from round 2 on, on
     a degenerate set, can move by roundoff inside ``VI_TOL`` (see the
-    module docstring).  A non-converged loop or an invalid terminal
-    point raises, never returns silently.
+    module docstring).  Raises ``ViSolveError`` on an obstacle below zero
+    at a Dirichlet boundary node (an empty constraint set) and on a loop
+    that does not settle within ``PDAS_MAX_ITER`` rounds, and
+    ``NonFiniteError`` on a non-finite point.  Any other point ``_pdas``
+    returns ends on a settled set, whose complementarity residual is
+    exactly 0, or on the residual test, at most ``VI_TOL``, so it is
+    returned without a second check, as the derivative's cone solves are.
     """
     grid = A.grid
     if f.grid != grid or phi.grid != grid:
@@ -417,10 +426,6 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     load, target, eq_mask, free_mask = _pose(A, f.values, phi.values)
     u_vals, lam_vals, active, iters = _pdas(A.matrix, grid.mass, load, target, eq_mask,
                                             free_mask, active0=active0)
-    residual = complementarity_residual(u_vals, target, lam_vals, eq_mask, free_mask)
-    if residual > VI_TOL:
-        raise ViSolveError(f"terminal complementarity residual {residual:.3e} exceeds {VI_TOL:.1e}")
-
     if log.isEnabledFor(logging.DEBUG):
         log.debug("obstacle solve: %d rounds, %d nodes pinned", iters, np.count_nonzero(active))
     return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
@@ -445,44 +450,54 @@ def _exact_solve(system: TridiagonalSpd, rhs: np.ndarray) -> np.ndarray:
     return np.array(x, dtype=object)
 
 
-def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolution:
-    """Exact reference solve: Chandrasekaran's pivoting in rational arithmetic.
+def _oracle(matrix: TridiagonalSpd, mass, load, target, eq_mask, free_mask):
+    """Exact solve of the problem ``_pose`` poses: Chandrasekaran's pivoting
+    in rational arithmetic, with the arguments and returns of ``_pdas``.
 
-    The problem ``_pose`` returns is a linear complementarity problem with
-    an M-matrix.  Every obstacle node starts pinned; each round solves the
+    The problem is a linear complementarity problem with an M-matrix.
+    Round 1 pins every node but the free ones; each round solves the
     identity-row system (``TridiagonalSpd._identity_rows``) exactly and
     frees the pinned obstacle nodes whose multiplier load - Ku is
-    negative.  The iterate only falls, so a freed node is never pinned
-    again: at most n + 1 rounds, counted in ``iterations`` (Opsearch 7,
-    1970; Cottle, Pang and Stone, *The Linear Complementarity Problem*,
-    1992, section 4.7).  ``u`` and ``lam``
-    are the exact values correctly rounded, ``active`` is the final pinned
-    obstacle set.  On ``inverse_elliptic_max``'s final obstacle (2-core
-    host): 8 rounds in 0.04 s at n = 61, 42 in 2.5 s at 401, 83 in 17 s at 801.
+    negative.  Equality nodes stay pinned and free nodes never pin.  The
+    iterate only falls, so a freed node is never pinned again: at most
+    n + 1 rounds (Opsearch 7, 1970; Cottle, Pang and Stone, *The Linear
+    Complementarity Problem*, 1992, section 4.7).  Returns the exact
+    values and multiplier densities (zero on solved rows) correctly
+    rounded, the final pinned obstacle set and the rounds.
     """
-    grid = A.grid
-    if f.grid != grid or phi.grid != grid:
-        raise GridMismatchError("load/obstacle grid does not match operator grid")
-
-    load, target, eq_mask, free_mask = _pose(A, f.values, phi.values)
     obstacle_mask = ~(eq_mask | free_mask)
-    b, d, e = _exact(load), _exact(A.matrix.diag), _exact(A.matrix.upper)
+    b, d, e, t = _exact(load), _exact(matrix.diag), _exact(matrix.upper), _exact(target)
 
     def residual(x):  # load - Kx
         return b - d * x - np.r_[e * x[1:], 0] - np.r_[0, e * x[:-1]]
 
-    # round 1 pins every node (no node is free here); freed rows solve to r == 0
-    pinned, t = np.ones_like(obstacle_mask), _exact(target)
-    u, r, rounds = t, residual(t), 1
-    while (release := obstacle_mask & (r < 0).astype(bool)).any():
-        pinned &= ~release
-        rhs = np.where(pinned, t, residual(np.where(pinned, t, Fraction(0))))
-        # identity rows keep t
-        u = _exact_solve(A.matrix._identity_rows(pinned), rhs)
+    pinned, rounds = ~free_mask, 0
+    while True:
+        system = matrix._identity_rows(pinned)
+        # identity rows keep t; freed rows solve to r == 0
+        u = t if system is None else \
+            _exact_solve(system, np.where(pinned, t, residual(np.where(pinned, t, Fraction(0)))))
         r, rounds = residual(u), rounds + 1
-    u_vals, active = u.astype(float), obstacle_mask & pinned
-    lam_vals = np.where(active, r / _exact(grid.mass), 0).astype(float)
-    return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
+        release = obstacle_mask & pinned & (r < 0).astype(bool)
+        if not release.any():
+            break
+        pinned &= ~release
+    lam = np.where(pinned, r / _exact(mass), 0)
+    return u.astype(float), lam.astype(float), obstacle_mask & pinned, rounds
+
+
+def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolution:
+    """Exact reference for ``solve_vi``: ``_oracle`` on the obstacle problem.
+
+    ``iterations`` counts the pivoting rounds.  On
+    ``inverse_elliptic_max``'s final obstacle (2-core host): 8 rounds in
+    0.04 s at n = 61, 42 in 2.5 s at 401, 83 in 17 s at 801.
+    """
+    grid = A.grid
+    if f.grid != grid or phi.grid != grid:
+        raise GridMismatchError("load/obstacle grid does not match operator grid")
+    u, lam, active, rounds = _oracle(A.matrix, grid.mass, *_pose(A, f.values, phi.values))
+    return ViSolution(u=NodalFunction(grid, u), lam=DualElement(grid, lam),
                       iterations=rounds, active=active)
 
 

@@ -13,6 +13,7 @@ from qvix import (
     PlateauMap,
     assemble_operator,
 )
+from qvix.vi import VI_TOL, _solve_pinned, _update_rule, complementarity_residual
 
 
 def random_nodal(grid, rng, lo=-1.0, hi=1.0, bc=None):
@@ -77,3 +78,41 @@ def multiplier_calls(monkeypatch):
     for module in (qvix.vi, qvix.extremal, qvix.sensitivity, qvix.experiments):
         monkeypatch.setattr(module, "multiplier", counting)
     return calls
+
+
+def record_pdas_calls(monkeypatch):
+    """A list that gains ``(module, args, result)`` at every call of
+    ``vi._pdas``, wherever qvix binds it: the obstacle solves (``qvix.vi``,
+    the nested coarse solves included) and the derivative's cone solves
+    (``qvix.sensitivity``).  ``args`` is the posed problem ``(matrix,
+    mass, load, target, eq_mask, free_mask)``."""
+    calls = []
+    pdas = qvix.vi._pdas
+    for module in (qvix.vi, qvix.sensitivity):
+        def recording(*args, _module=module.__name__, **kwargs):
+            result = pdas(*args, **kwargs)
+            calls.append((_module, args[:6], result))
+            return result
+
+        monkeypatch.setattr(module, "_pdas", recording)
+    return calls
+
+
+def assert_valid_exit(args, result):
+    """Check one ``_pdas`` exit on its posed problem and name its kind.
+
+    A point that is the pinned solve of the returned set, which the
+    update rule selects again, ended on a settled set: its
+    complementarity residual is exactly 0.0.  Any other point ended on
+    the residual test: at most ``VI_TOL``.
+    """
+    matrix, mass, load, target, eq_mask, free_mask = args
+    u, lam, active, _ = result
+    residual = complementarity_residual(u, target, lam, eq_mask, free_mask)
+    pinned_u, pinned_lam = _solve_pinned(matrix, mass, load, target, eq_mask | active)
+    if np.array_equal(pinned_u, u) and np.array_equal(pinned_lam, lam) and \
+            np.array_equal(_update_rule(u, lam, target, ~(eq_mask | free_mask)), active):
+        assert residual == 0.0, f"settled exit at residual {residual:.3e}"
+        return "settled"
+    assert residual <= VI_TOL, f"residual exit at residual {residual:.3e}"
+    return "residual"

@@ -3,7 +3,6 @@ import logging
 import re
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +11,8 @@ import pytest
 import qvix.experiments
 import qvix.extremal
 import qvix.obstacle_maps
-from qvix import (ConfigError, Grid, InnerSolveError, NodalFunction, iterate_max, iterate_min,
-                  load_config, oracle_vi, run_experiment)
+from qvix import (ConfigError, Grid, InnerSolveError, iterate_max, iterate_min, load_config,
+                  run_experiment)
 from qvix.cli import main as cli_main
 from qvix.experiments import (
     _column_text,
@@ -27,6 +26,8 @@ from qvix.experiments import (
 from qvix.extremal import _run_start
 from qvix.fem import TridiagonalSpd
 from qvix.obstacle_maps import InverseEllipticMap, ObstacleMap, PlateauMap, ThermoformingMap
+from qvix.vi import _oracle
+from conftest import record_pdas_calls
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -805,47 +806,41 @@ def test_run_without_out_writes_under_qvix_out_by_config_name(tmp_path, monkeypa
     assert json.loads((tmp_path / summary).read_text())["failures"] == []
 
 
-def _solves_compared_with(monkeypatch, oracle=oracle_vi):
-    """Wrap ``qvix.extremal.solve_vi``: every obstacle solve of a run is
-    compared with ``oracle`` on the same (A, f, phi) and must lie within
-    1e-9 of it.  Covers the outer steps, the quotient reruns and the
-    bracket checks; the cone solves call ``_pdas`` and stay out.  Returns
-    the list of gaps seen."""
-    solve, gaps = qvix.extremal.solve_vi, []
-
-    def checked(A, f, phi, **kwargs):
-        sol = solve(A, f, phi, **kwargs)
-        gaps.append(float(np.max(np.abs(sol.u.values - oracle(A, f, phi).u.values))))
-        if gaps[-1] > 1e-9:
-            raise AssertionError(f"fast solve disagrees with the exact oracle by {gaps[-1]:.3e}")
-        return sol
-
-    monkeypatch.setattr(qvix.extremal, "solve_vi", checked)
-    return gaps
+def _compare_with_the_oracle(calls, oracle=_oracle):
+    """Fail unless each recorded ``_pdas`` call lies within 1e-9 of
+    ``oracle`` on the same posed problem."""
+    for _, args, (u, *_) in calls:
+        gap = float(np.max(np.abs(u - oracle(*args)[0])))
+        if gap > 1e-9:
+            raise AssertionError(f"fast solve disagrees with the exact oracle by {gap:.3e}")
 
 
-def test_every_extremal_solve_of_the_bundled_configs_matches_the_oracle(tmp_path, monkeypatch):
+def test_every_solve_of_the_bundled_configs_matches_the_oracle(tmp_path, monkeypatch):
+    # every _pdas call: the outer steps, the quotient reruns, the rerun-start
+    # checks and the cone solves
     for path in sorted(CONFIG_DIR.glob("*.json")):
         config, out = load_config(path), tmp_path / path.stem
         assert run_experiment(config, out_dir=out / "plain").ok
         with monkeypatch.context() as m:
-            gaps = _solves_compared_with(m)
+            calls = record_pdas_calls(m)
             assert run_experiment(config, out_dir=out / "oracle").ok
-        assert gaps, path.stem
+        assert {module for module, _, _ in calls} == {"qvix.vi", "qvix.sensitivity"}, path.stem
+        _compare_with_the_oracle(calls)
         plain, checked = ({p.name: p.read_bytes() for p in (out / run).glob("*.csv")}
                           for run in ("plain", "oracle"))
         assert checked == plain, path.stem
 
 
 def test_the_oracle_wrapper_fails_a_solve_off_the_oracle(tmp_path, monkeypatch):
-    def shifted(A, f, phi):
-        ref = oracle_vi(A, f, phi)
-        return replace(ref, u=ref.u + NodalFunction.constant(A.grid, 2e-9))
+    def shifted(*args):
+        u, *rest = _oracle(*args)
+        return u + 2e-9, *rest
 
-    _solves_compared_with(monkeypatch, shifted)
+    calls = record_pdas_calls(monkeypatch)
+    assert run_experiment(load_config(CONFIG_DIR / "toy_min.json"), out_dir=tmp_path).ok
     with pytest.raises(AssertionError,
                        match="^fast solve disagrees with the exact oracle by 2.000e-09$"):
-        run_experiment(load_config(CONFIG_DIR / "toy_min.json"), out_dir=tmp_path)
+        _compare_with_the_oracle(calls, shifted)
 
 
 @pytest.mark.parametrize("name", ["toy_min", "toy_max", "inverse_elliptic_max",

@@ -1,11 +1,13 @@
 import functools
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qvix.vi
 from qvix import (
     ActiveSetPartition,
     DualElement,
@@ -28,10 +30,12 @@ from qvix import (
     solve_vi,
     v_norm,
 )
-from qvix.experiments import build_problem, parse_config
+from qvix.experiments import build_problem, parse_config, run_experiment
 from qvix.extremal import _run_start
-from qvix.vi import VI_TOL, _coarse_problem, _pdas, _pose, _solve_linearised, _solve_pinned
-from conftest import block_solve, linearise, random_dual, random_nodal
+from qvix.fem import TridiagonalSpd
+from qvix.vi import VI_TOL, _coarse_problem, _oracle, _pose, _solve_linearised, _solve_pinned
+from conftest import (assert_valid_exit, block_solve, linearise, random_dual, random_nodal,
+                      record_pdas_calls)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -90,22 +94,6 @@ def test_pdas_cap_reports_active_set_history(monkeypatch):
     sizes = [int(k) for k in tail.group(1).split(", ")]
     assert len(sizes) == 3 and sizes == sorted(sizes, reverse=True)
     assert len(set(sizes)) == 3  # the front moved in every round
-
-
-def test_a_terminal_residual_above_vi_tol_raises(toy, monkeypatch):
-    # a settled set has residual exactly 0 and a loop that ends on the
-    # residual test stays within VI_TOL, so only a faulty loop trips the
-    # gate: here one that returns its point 1e-9 above the obstacle
-    grid, A, omap, f = toy
-
-    def lifted(*args, **kwargs):
-        u, lam, active, iters = _pdas(*args, **kwargs)
-        return u + 1e-9, lam, active, iters
-
-    monkeypatch.setattr("qvix.vi._pdas", lifted)
-    with pytest.raises(ViSolveError,
-                       match=r"^terminal complementarity residual 1\.0\d\de-09 exceeds 1\.0e-10$"):
-        solve_vi(A, f, omap.evaluate(A.solve(f)))
 
 
 def _first_obstacle_solve_data(n, bc):
@@ -368,6 +356,65 @@ def test_solve_vi_is_within_four_ulps_of_the_exact_solve_at_bundled_grids():
     wide = {f"{name}@{n}": ulps for name, n in BUNDLED_CASES
             if (ulps := _exact_distance(name, n)[1]) > 4}
     assert not wide
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("name, n", BUNDLED_CASES)
+def test_both_exits_of_every_pdas_call_of_the_bundled_runs_are_valid(tmp_path, monkeypatch,
+                                                                     name, n, bc):
+    # the obstacle solves of the runs and of the rerun-start checks, their
+    # nested coarse solves and the derivative's cone solves
+    raw = json.loads(CONFIG_DIR.joinpath(f"{name}.json").read_text())
+    if n is not None:
+        raw["grid"]["n_nodes"] = n
+    raw["operator"]["bc"] = bc
+    calls = record_pdas_calls(monkeypatch)
+    assert run_experiment(parse_config(raw), out_dir=tmp_path).ok
+    assert {module for module, _, _ in calls} == {"qvix.vi", "qvix.sensitivity"}
+    for _, args, result in calls:
+        assert_valid_exit(args, result)
+
+
+def _random_posed_problem(rng, n, degenerate):
+    """A posed problem on a random tridiagonal M-matrix with about 10 %
+    equality and 20 % free nodes.  A degenerate one takes the
+    unconstrained solution as the target on about half the nodes, so its
+    multipliers there vanish up to roundoff."""
+    upper = -rng.uniform(0.5, 2.0, n - 1)
+    diag = np.r_[0.0, -upper] + np.r_[-upper, 0.0] + rng.uniform(0.01, 0.1, n)
+    matrix = TridiagonalSpd(diag, upper)
+    load, role = rng.uniform(-1.0, 1.0, n), rng.uniform(size=n)
+    target = rng.uniform(-1.0, 1.0, n)
+    if degenerate:
+        x = matrix.solve(load)
+        target = np.where(rng.uniform(size=n) < 0.5, x, x + rng.uniform(0.0, 1.0, n))
+    return matrix, rng.uniform(0.5, 1.5, n), load, target, role < 0.1, role > 0.8
+
+
+def test_both_exits_of_random_posed_problems_are_valid_and_match_the_oracle(monkeypatch):
+    calls = record_pdas_calls(monkeypatch)
+    rng = np.random.default_rng(7)
+    exits = Counter()
+    for k in range(40):
+        # 30 small problems, then 10 that take the nested start
+        n = int(rng.integers(2, 40)) if k < 30 else int(rng.choice([129, 131, 257]))
+        problem = _random_posed_problem(rng, n, degenerate=k % 2 == 1)
+        calls.clear()
+        u = qvix.vi._pdas(*problem)[0]
+        exits.update(assert_valid_exit(args, result) for _, args, result in calls)
+        assert np.max(np.abs(u - _oracle(*problem)[0])) <= 1e-9
+    # measured: the largest gap from the oracle is 4.9e-15
+    assert exits == Counter(settled=40, residual=12)
+
+
+def test_a_point_lifted_above_its_target_fails_the_exit_check(toy, monkeypatch):
+    grid, A, omap, f = toy
+    calls = record_pdas_calls(monkeypatch)
+    solve_vi(A, f, omap.evaluate(A.solve(f)))
+    [(_, args, (u, lam, active, iters))] = calls
+    assert assert_valid_exit(args, (u, lam, active, iters)) == "settled"
+    with pytest.raises(AssertionError, match=r"^residual exit at residual 1\.0\d\de-09"):
+        assert_valid_exit(args, (u + 1e-9, lam, active, iters))
 
 
 def test_partition_rejects_overlapping_sets():
