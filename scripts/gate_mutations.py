@@ -53,6 +53,8 @@ GATES = (
     ("sensitivity.py", "if final_err > tol:", "final difference-quotient error"),
     ("obstacle_maps.py", "if v_norm(temp) > self.temperature_bound() + 1e-9:",
      "temperature above its a priori bound"),
+    ("obstacle_maps.py", "if taken == TEMPERATURE_MAX_STEPS:",
+     "a temperature whose last Newton state fails the residual test"),
 )
 
 TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")

@@ -387,7 +387,7 @@ def write_solution_csv(path: Path, problem: BuiltProblem, report: ExtremalRunRep
 def write_iterates_csv(path: Path, report: ExtremalRunReport) -> None:
     steps = report.step_history
     _write_csv(path, {"iter": np.arange(1, len(steps) + 1), "step_vnorm": steps,
-                      "qvi_residual": report.residual_history[1:],
+                      "qvi_residual": report.residual_history,
                       "min_node_delta": report.min_delta_history})
 
 
@@ -404,8 +404,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         return x if np.isfinite(x) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, np.bool_):
         return bool(obj)
     return obj
@@ -465,7 +463,7 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int = 0) -> RunArtif
 
         run_summary.update({
             "n_iters": report.n_iters,
-            "final_step_vnorm": report.final_step_vnorm,
+            "final_step_vnorm": report.step_history[-1],
             "qvi_residual": report.qvi_residual,
             "solution_vnorm": v_norm(u),
             "solution_min": float(np.min(u.values)),

@@ -120,15 +120,15 @@ def _check_direction(d: DualElement, which: str, what: str) -> float:
 class ExtremalRunReport:
     """History and diagnostics of one monotone run; ``obstacle`` is the map
     evaluated at the solution, ``active`` the ``ViSolution.active`` of the
-    last obstacle solve, and the delta histories hold the smallest
-    and largest nodal change of each outer step.  ``newton_steps`` counts
-    the run's Newton steps, and ``contraction_rate`` is the bound
+    last obstacle solve.  Each history holds one entry per outer step: its
+    V-norm, the residual of the state it made against that state's own
+    obstacle, and its smallest and largest nodal change.  ``newton_steps``
+    counts the run's Newton steps, and ``contraction_rate`` is the bound
     ``(lo, hi)`` on rho(J) from the last of them (None without one)."""
 
     solution: NodalFunction
     obstacle: NodalFunction
     n_iters: int
-    final_step_vnorm: float
     qvi_residual: float
     step_history: tuple[float, ...]
     residual_history: tuple[float, ...]
@@ -170,7 +170,6 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
              start: NodalFunction, which: str, active0: np.ndarray | None) -> ExtremalRunReport:
     sign = _sign(which)
     residuals: list[float] = []
-    last_step = None  # input and obstacle of the latest step
     newton = True
     # a load >= 0 makes 0 a subsolution, so u_max >= 0, where the map is concave
     if sign > 0 or not omap.concave or np.any(f.values < 0):
@@ -193,32 +192,29 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
                 return NodalFunction(u.grid, u.values - x), "newton"
         return v, "plain"
 
-    # Evaluates the obstacle of each accepted iterate once, at the start of
-    # the step that leaves it; the limit reuses the last step's obstacle
-    # when that step moved no bit, and evaluates its own otherwise.  PDAS
-    # warm start: the caller's set, then the set the last solve settled on.
+    # Solves at the obstacle of its input u, then evaluates the obstacle and
+    # residual of the state it makes, once; a state with u's bytes keeps
+    # u's obstacle (bytes, not ==: -0.0 and 0.0 compare equal but may map
+    # apart).  PDAS warm start: the caller's set, then the set the last
+    # solve settled on.
     def step(u: NodalFunction) -> tuple[NodalFunction, str]:
-        nonlocal active0, last_step, latest
-        phi = omap.evaluate(u)
-        last_step = (u, phi)
-        residuals.append(_obstacle_residual(u, phi, multiplier(A, f, u)))
+        nonlocal active0, phi, latest
         sol = solve_vi(A, f, phi, active0=active0)
         active0 = sol.active
         nxt, kind = newton_step(u, phi, sol.u, sol.active) if newton else (sol.u, "plain")
         latest = (nxt, latest[1] + 1, kind)
+        if nxt.values.tobytes() != u.values.tobytes():
+            phi = omap.evaluate(nxt)
+        residuals.append(_obstacle_residual(nxt, phi, multiplier(A, f, nxt)))
         return nxt, kind
 
     try:
+        phi = omap.evaluate(start)
         u, steps, min_deltas, max_deltas, kinds = _monotone_limit(
             step, start, sign, TOL_FP, ExtremalIterationError,
             "{order} iteration lost monotonicity (worst step {worst:.3e}); "
             "the comparison principle is broken",
             f"no convergence within {MAX_OUTER} outer iterations", f"extremal {which}")
-        # bytes, not ==: -0.0 and 0.0 compare equal but may map apart
-        prev, phi = last_step
-        if u.values.tobytes() != prev.values.tobytes():
-            phi = omap.evaluate(u)
-        residuals.append(_obstacle_residual(u, phi, multiplier(A, f, u)))
     except NonFiniteError as exc:  # an overflow names the state it came from
         state, number, kind = latest
         raise ExtremalIterationError(
@@ -229,10 +225,10 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
             f"converged iterate has residual {residuals[-1]:.3e} "
             f"above tolerance {RESIDUAL_TOL:.1e}")
     return ExtremalRunReport(
-        solution=u, obstacle=phi, n_iters=len(steps), final_step_vnorm=steps[-1],
-        qvi_residual=residuals[-1], step_history=steps, residual_history=tuple(residuals),
-        min_delta_history=min_deltas, max_delta_history=max_deltas, active=active0,
-        newton_steps=kinds.count("newton"), contraction_rate=rate)
+        solution=u, obstacle=phi, n_iters=len(steps), qvi_residual=residuals[-1],
+        step_history=steps, residual_history=tuple(residuals), min_delta_history=min_deltas,
+        max_delta_history=max_deltas, active=active0, newton_steps=kinds.count("newton"),
+        contraction_rate=rate)
 
 
 def _kept_run(A: EllipticOperator, f: DualElement, omap: ObstacleMap,

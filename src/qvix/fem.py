@@ -128,9 +128,6 @@ class _GridVector:
         self._check_same(other)
         return type(self)(self.grid, self.values - other.values)
 
-    def __neg__(self):
-        return type(self)(self.grid, -self.values)
-
     def __mul__(self, scalar):
         return type(self)(self.grid, self.values * float(scalar))
 

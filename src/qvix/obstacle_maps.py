@@ -54,6 +54,8 @@ class InnerSolveError(RuntimeError):
 
 # slack on the sampled order checks of check_increasing
 INCREASING_TOL = 1e-9
+# Newton steps a temperature solve may take before it is refused
+TEMPERATURE_MAX_STEPS = 60
 
 
 def smoothstep(r):
@@ -97,7 +99,6 @@ class ObstacleMap(abc.ABC):
     (``extremal._iterate``).
     """
 
-    kind: str
     concave = False
     # (key, report) of the last extremal run; None until the first
     _run_entry = None
@@ -139,8 +140,6 @@ class PlateauMap(ObstacleMap):
     below the first and above the last plateau.  The construction keeps
     the curve C2, increasing, and nonnegative at zero.
     """
-
-    kind = "plateau"
 
     def __init__(self, grid: Grid, levels, half_width: float):
         levels = np.array(levels, dtype=float).reshape(-1)
@@ -258,7 +257,6 @@ class InverseEllipticMap(ObstacleMap):
     concave there, and the inverse of the inner M-matrix is nonnegative.
     """
 
-    kind = "inverse_elliptic"
     concave = True
 
     def __init__(self, inner: EllipticOperator, gain: ScalarNonlinearity):
@@ -293,8 +291,6 @@ class ThermoformingMap(ObstacleMap):
     zero once the gap exceeds one.  The mould is the reference shape plus
     a scalar expansion multiple of the temperature.
     """
-
-    kind = "thermoforming"
 
     def __init__(self, mould: NodalFunction, reaction: float, heat_max: float,
                  expansion: float):
@@ -339,8 +335,10 @@ class ThermoformingMap(ObstacleMap):
 
         A step is the full Newton step if that lowers ||F/m||_2, else the
         first of 20 halvings lambda that lowers it by 1 - 1e-4 lambda, else
-        the full step.  Raises ``InnerSolveError`` when 60 steps do not
-        reach the residual test, and when T leaves its a priori bound.
+        the full step.  Every state is put to the residual test, the start
+        and the state of each step.  Raises ``InnerSolveError`` when the
+        state of step ``TEMPERATURE_MAX_STEPS`` fails it, and when T leaves
+        its a priori bound.
         """
         self._check_grid(u)
         mass = self.grid.mass
@@ -353,10 +351,13 @@ class ThermoformingMap(ObstacleMap):
 
         t_vals, gap, residual_load, norm = state(np.zeros(self.grid.n_nodes))
         res_tol = 1e-12 * (1.0 + self.heat_max)
-        for _ in range(60):
+        for taken in range(TEMPERATURE_MAX_STEPS + 1):  # steps taken to this state
             res = float(np.max(np.abs(residual_load / mass)))
             if res <= res_tol:
                 break
+            if taken == TEMPERATURE_MAX_STEPS:
+                raise InnerSolveError(
+                    f"temperature solve stalled at residual {res:.2e} against {res_tol:.1e}")
             step = self._jacobian(self.heat_rate_slope(gap)).solve(residual_load)
             accepted = state(t_vals - step)
             if not accepted[3] < norm:  # kept unless a halving passes; a NaN norm passes none
@@ -366,9 +367,6 @@ class ThermoformingMap(ObstacleMap):
                         accepted = trial
                         break
             t_vals, gap, residual_load, norm = accepted
-        else:
-            raise InnerSolveError(
-                f"temperature solve stalled at residual {res:.2e} against {res_tol:.1e}")
         temp = NodalFunction(self.grid, t_vals)
         if v_norm(temp) > self.temperature_bound() + 1e-9:
             raise InnerSolveError(

@@ -130,17 +130,17 @@ class ActiveSetPartition:
 
 @dataclass(frozen=True)
 class ViSolution:
-    """Solution, multiplier and diagnostics of one obstacle solve.
+    """Solution and diagnostics of one obstacle solve.
 
     ``iterations`` counts the active set rounds of every nested level; it
     is 1 when the first round already ended the solve.  ``active`` is the
     read-only set the last round selected (the pinned set of a settled
-    loop), the warm start of the next solve of a sequence.
-    ``classify_active`` splits a solution's coincidence set.
+    loop), the warm start of the next solve of a sequence.  The
+    solution's multiplier is ``multiplier(A, f, sol.u)``, and
+    ``classify_active`` splits its coincidence set.
     """
 
     u: NodalFunction
-    lam: DualElement
     iterations: int
     active: np.ndarray
 
@@ -401,7 +401,7 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     """Solve the upper-obstacle problem for the given load and obstacle.
 
     Returns the unique nodal solution of the complementarity system
-    together with the multiplier density f - Au and the set the last
+    together with its rounds and the set the last
     round selected.  ``active0`` is the set round 1 pins, mostly the
     ``active`` of the solve before, a warm start that changes the rounds
     spent.  Round 1 ends only on a settled set, whatever the start, so
@@ -424,12 +424,11 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
         raise ViSolveError("obstacle below zero at a Dirichlet boundary node: empty constraint set")
 
     load, target, eq_mask, free_mask = _pose(A, f.values, phi.values)
-    u_vals, lam_vals, active, iters = _pdas(A.matrix, grid.mass, load, target, eq_mask,
-                                            free_mask, active0=active0)
+    u_vals, _, active, iters = _pdas(A.matrix, grid.mass, load, target, eq_mask, free_mask,
+                                     active0=active0)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("obstacle solve: %d rounds, %d nodes pinned", iters, np.count_nonzero(active))
-    return ViSolution(u=NodalFunction(grid, u_vals), lam=DualElement(grid, lam_vals),
-                      iterations=iters, active=active)
+    return ViSolution(u=NodalFunction(grid, u_vals), iterations=iters, active=active)
 
 
 def _exact(values: np.ndarray) -> np.ndarray:
@@ -496,9 +495,8 @@ def oracle_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction) -> ViSolu
     grid = A.grid
     if f.grid != grid or phi.grid != grid:
         raise GridMismatchError("load/obstacle grid does not match operator grid")
-    u, lam, active, rounds = _oracle(A.matrix, grid.mass, *_pose(A, f.values, phi.values))
-    return ViSolution(u=NodalFunction(grid, u), lam=DualElement(grid, lam),
-                      iterations=rounds, active=active)
+    u, _, active, rounds = _oracle(A.matrix, grid.mass, *_pose(A, f.values, phi.values))
+    return ViSolution(u=NodalFunction(grid, u), iterations=rounds, active=active)
 
 
 def check_comparison(A: EllipticOperator, f1: DualElement, f2: DualElement,

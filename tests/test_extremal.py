@@ -137,7 +137,7 @@ def test_iterate_from_fixed_point_stops_immediately(toy):
     one = NodalFunction.constant(grid, 1.0)
     report = iterate_min(A, f, omap, one)
     assert report.n_iters == 1
-    assert report.final_step_vnorm <= 1e-12
+    assert report.step_history[-1] <= 1e-12
     report2 = iterate_max(A, f, omap, NodalFunction.constant(grid, 2.0))
     assert report2.n_iters == 1
 
@@ -390,14 +390,49 @@ def test_limit_of_a_zero_last_step_reuses_its_obstacle(name, monkeypatch):
     monkeypatch.setattr(type(omap), "evaluate", counting_evaluate)
     report = run(A, f, omap, start)
     monkeypatch.undo()
-    assert report.final_step_vnorm == 0.0
-    assert len(calls) == report.n_iters  # one per step, none for the limit
+    assert report.step_history[-1] == 0.0
+    # the start's and each state's but the limit, which keeps its input's obstacle
+    assert len(calls) == report.n_iters
     # what evaluating the limit's obstacle anew would have reported
     phi = omap.evaluate(report.solution)
     assert report.obstacle.values.tobytes() == phi.values.tobytes()
     u = report.solution
     assert report.residual_history[-1] == _obstacle_residual(u, phi, multiplier(A, f, u))
     assert report.qvi_residual == report.residual_history[-1]
+
+
+@pytest.mark.parametrize("name, moved", [
+    ("toy_min", False), ("thermoforming_desk", False), ("toy_max", True),
+    ("inverse_elliptic_max", True),
+])
+def test_each_step_makes_its_state_obstacle_and_residual_once(name, moved, monkeypatch,
+                                                              multiplier_calls):
+    # the bundled runs, each as configured; a last step that moved a bit
+    # makes a new obstacle, one that moved none keeps its input's
+    problem = _bundled_problem(name)
+    A, f, omap = problem.operator, problem.forcing, problem.omap
+    which = problem.config.run
+    run, start = iterate_min if which == "min" else iterate_max, _run_start(A, f, which)
+    evaluate = type(omap).evaluate
+    evaluated = []
+
+    def counting_evaluate(self, u):
+        evaluated.append(u)
+        return evaluate(self, u)
+
+    monkeypatch.setattr(type(omap), "evaluate", counting_evaluate)
+    report = run(A, f, omap, start)
+    iterates = [args[2] for args in multiplier_calls]
+    monkeypatch.undo()
+    assert len(iterates) == report.n_iters and iterates[-1] is report.solution
+    last = iterates[-2] if report.n_iters > 1 else start
+    assert (report.solution.values.tobytes() != last.values.tobytes()) == moved
+    assert len(evaluated) == report.n_iters + moved
+    assert evaluated[0] is start
+    assert all(u is v for u, v in zip(evaluated[1:], iterates))
+    assert len(report.residual_history) == len(report.step_history)
+    assert report.residual_history == tuple(
+        _obstacle_residual(u, omap.evaluate(u), multiplier(A, f, u)) for u in iterates)
 
 
 def test_warm_sets_come_from_the_step_without_a_partition(monkeypatch):
@@ -517,7 +552,8 @@ def test_a_load_on_another_grid_is_refused_after_a_kept_run(toy):
     # the same bytes on a grid of the same size: the key holds the grids too
     elsewhere = DualElement(Grid(grid.n_nodes, (0.0, 2.0)), f.values)
     # a ValueError other than an overflow leaves the run unchanged
-    with pytest.raises(GridMismatchError, match="^operands live on different grids$"):
+    with pytest.raises(GridMismatchError,
+                       match="^load/obstacle grid does not match operator grid$"):
         iterate_min(A, elsewhere, omap, start)
 
 

@@ -24,6 +24,7 @@ from qvix import (
     v_norm,
 )
 import qvix.experiments
+import qvix.obstacle_maps
 from qvix.experiments import parse_config, run_experiment
 from qvix.fem import TridiagonalSpd
 from qvix.obstacle_maps import LIPSCHITZ_MODES, _lipschitz_modes
@@ -591,6 +592,27 @@ def test_a_temperature_stall_is_not_kept(monkeypatch):
             assert len(calls) == 60
     calls.clear()
     assert np.any(omap.temperature(u).values != 0.0) and calls
+
+
+def test_the_state_of_the_last_temperature_step_is_tested(monkeypatch):
+    # this solve passes the residual test at the state of its third Newton
+    # step: with a cap of 3 steps it returns that state, which a loop that
+    # tests a state only before stepping from it never tests
+    g = Grid(41)
+    omap = ThermoformingMap(NodalFunction.constant(g, 1.5), 1.0, 1.0, 0.1)
+    u = NodalFunction(g, 1.0 + 0.1 * np.sin(3 * g.nodes))
+    calls = _counting_solves(monkeypatch)
+    temp = omap.temperature(u)
+    assert len(calls) == 3
+    monkeypatch.setattr(qvix.obstacle_maps, "TEMPERATURE_MAX_STEPS", 3)
+    assert omap.temperature(u).values.tobytes() == temp.values.tobytes()
+    # the stall quotes the residual of the state its last step made
+    monkeypatch.setattr(qvix.obstacle_maps, "TEMPERATURE_MAX_STEPS", 2)
+    calls.clear()
+    stall = r"^temperature solve stalled at residual 2\.08e-08 against 2\.0e-12$"
+    with pytest.raises(InnerSolveError, match=stall):
+        omap.temperature(u)
+    assert len(calls) == 2
 
 
 def test_a_temperature_whose_full_newton_steps_diverge_converges_damped():

@@ -33,17 +33,27 @@ from qvix import (
 from qvix.experiments import build_problem, parse_config, run_experiment
 from qvix.extremal import _run_start
 from qvix.fem import TridiagonalSpd
-from qvix.vi import VI_TOL, _coarse_problem, _oracle, _pose, _solve_linearised, _solve_pinned
+from qvix.vi import (VI_TOL, _coarse_problem, _oracle, _pdas, _pose, _solve_linearised,
+                     _solve_pinned)
 from conftest import (assert_valid_exit, block_solve, linearise, random_dual, random_nodal,
                       record_pdas_calls)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def kkt_residual(A, f, phi, sol):
-    """The complementarity residual of a solve, formed again from its (u, lam)."""
-    _, target, eq_mask, free_mask = _pose(A, f.values, phi.values)
-    return complementarity_residual(sol.u.values, target, sol.lam.values, eq_mask, free_mask)
+def posed(A, f, phi):
+    """The problem ``solve_vi`` poses for ``_pdas`` and ``_oracle``."""
+    return (A.matrix, A.grid.mass, *_pose(A, f.values, phi.values))
+
+
+def kkt_residual(A, f, phi, sol, active0=None):
+    """The complementarity residual of a solve from active0, formed again from
+    its values and the multiplier density of its loop (zero on solved rows)."""
+    problem = posed(A, f, phi)
+    u, lam, _, _ = _pdas(*problem, active0=active0)
+    assert np.array_equal(u, sol.u.values)
+    _, _, _, target, eq_mask, free_mask = problem
+    return complementarity_residual(u, target, lam, eq_mask, free_mask)
 
 
 def test_unconstrained_constant():
@@ -53,7 +63,7 @@ def test_unconstrained_constant():
     sol = solve_vi(A, f, phi)
     assert np.max(np.abs(sol.u.values - 1.5)) <= 1e-10
     assert classify_active(f, sol.u, phi, multiplier(A, f, sol.u)).inactive.all()
-    assert np.all(sol.lam.values == 0.0)
+    assert np.all(_pdas(*posed(A, f, phi))[1] == 0.0)  # the loop's own density
 
 
 def test_fully_clamped_constant():
@@ -62,7 +72,7 @@ def test_fully_clamped_constant():
     f, phi = DualElement.constant(g, 2.0), NodalFunction.constant(g, 1.0)
     sol = solve_vi(A, f, phi)
     assert np.all(sol.u.values == 1.0)
-    assert np.max(np.abs(sol.lam.values - 1.0)) <= 1e-10
+    assert np.max(np.abs(multiplier(A, f, sol.u) - 1.0)) <= 1e-10
     assert classify_active(f, sol.u, phi, multiplier(A, f, sol.u)).strict.all()
     assert kkt_residual(A, f, phi, sol) <= 1e-10
 
@@ -133,32 +143,34 @@ def test_cold_solve_rounds_do_not_grow_with_the_grid(bc, n):
     partition = classify_active(f, cold.u, phi, multiplier(A, f, cold.u))
     assert 0 < np.count_nonzero(partition.coincidence) < n
 
-    def assert_cold_bits(sol):
+    problem = posed(A, f, phi)
+    cold_lam = _pdas(*problem)[1]
+
+    def solve_with_cold_bits(active0):
+        """solve_vi from active0, with the cold values and the loop's cold density."""
+        sol = solve_vi(A, f, phi, active0=active0)
         assert np.array_equal(sol.u.values, cold.u.values)
-        assert np.array_equal(sol.lam.values, cold.lam.values)
+        assert np.array_equal(_pdas(*problem, active0=active0)[1], cold_lam)
+        return sol
 
     # the set the loop settled on: pinned rows carry the multiplier, solved rows none
     settled = cold.active
-    assert np.array_equal(settled, cold.lam.values > 0)
-    warm = solve_vi(A, f, phi, active0=settled)
+    assert np.array_equal(settled, cold_lam > 0)
+    warm = solve_with_cold_bits(settled)
     assert warm.iterations == 1
-    assert_cold_bits(warm)
     assert np.array_equal(warm.active, settled)
     # the coincidence set holds nodes within the active tolerance of the
     # obstacle, which the settled set lacks at n >= 6401
-    assert_cold_bits(solve_vi(A, f, phi, active0=partition.coincidence))
+    solve_with_cold_bits(partition.coincidence)
 
     # a wrong set's first round selects the seed of the coarse levels; an
     # empty set pins what a cold first round pins
-    none = solve_vi(A, f, phi, active0=np.zeros(n, dtype=bool))
-    assert_cold_bits(none)
+    none = solve_with_cold_bits(np.zeros(n, dtype=bool))
     assert none.iterations == cold.iterations
     for shift in (3, -3):
-        shifted = solve_vi(A, f, phi, active0=np.roll(settled, shift))
-        assert_cold_bits(shifted)
+        shifted = solve_with_cold_bits(np.roll(settled, shift))
         assert shifted.iterations <= cold.iterations + 1
-    every = solve_vi(A, f, phi, active0=np.ones(n, dtype=bool))
-    assert_cold_bits(every)
+    every = solve_with_cold_bits(np.ones(n, dtype=bool))
     if bc == "neumann":
         assert every.iterations <= cold.iterations + 1
     else:
@@ -185,9 +197,12 @@ def test_first_fine_round_ends_only_on_a_settled_set():
         cold = solve_vi(A, f, phi)
         every = solve_vi(A, f, phi, active0=np.ones(n, dtype=bool))
         assert (cold.iterations, every.iterations) == rounds
-        assert max(kkt_residual(A, f, phi, cold), kkt_residual(A, f, phi, every)) <= VI_TOL
+        every_residual = kkt_residual(A, f, phi, every, np.ones(n, dtype=bool))
+        assert max(kkt_residual(A, f, phi, cold), every_residual) <= VI_TOL
         assert np.array_equal(every.u.values, cold.u.values)
-        assert np.array_equal(every.lam.values, cold.lam.values)
+        problem = posed(A, f, phi)
+        assert np.array_equal(_pdas(*problem, active0=np.ones(n, dtype=bool))[1],
+                              _pdas(*problem)[1])
         if n == 101:
             assert np.all(cold.u.values <= phi.values)
 
@@ -272,7 +287,7 @@ def test_oracle_two_node_instance_by_hand():
     phi = NodalFunction(g, [1.0, 2.0])
     ref = oracle_vi(A, f, phi)
     assert np.allclose(ref.u.values, [1.0, 2.0 / 3.0], atol=1e-12)
-    assert np.allclose(ref.lam.values, [4.0 / 3.0, 0.0], atol=1e-12)
+    assert np.allclose(_oracle(*posed(A, f, phi))[1], [4.0 / 3.0, 0.0], atol=1e-12)
     fast = solve_vi(A, f, phi)
     assert np.max(np.abs(fast.u.values - ref.u.values)) <= 1e-12
 
@@ -310,12 +325,12 @@ def test_oracle_matches_solve_vi_on_random_instances_up_to_60_nodes():
     @hypothesis.given(instances())
     def check(instance):
         A, f, phi = instance
-        ref = oracle_vi(A, f, phi)
-        assert np.max(np.abs(solve_vi(A, f, phi).u.values - ref.u.values)) <= 1e-9
-        assert not (ref.active & A.boundary).any()
-        assert np.all(ref.lam.values[ref.active] >= 0.0)
-        assert np.all(ref.u.values <= phi.values)
-        assert ref.iterations <= A.grid.n_nodes + 1
+        u, lam, active, rounds = _oracle(*posed(A, f, phi))
+        assert np.max(np.abs(solve_vi(A, f, phi).u.values - u)) <= 1e-9
+        assert not (active & A.boundary).any()
+        assert np.all(lam[active] >= 0.0)
+        assert np.all(u <= phi.values)
+        assert rounds <= A.grid.n_nodes + 1
 
     check()
 
@@ -531,8 +546,9 @@ def test_accepted_solves_have_tiny_residuals():
         sol = solve_vi(A, f, phi)
         assert kkt_residual(A, f, phi, sol) <= 1e-10
         assert np.all(sol.u.values <= phi.values + 1e-10)
-        assert np.all(sol.lam.values >= -1e-10)
-        assert np.max(np.abs(sol.lam.values * (phi.values - sol.u.values))) <= 1e-10
+        lam = multiplier(A, f, sol.u)
+        assert np.all(lam >= -1e-10)
+        assert np.max(np.abs(lam * (phi.values - sol.u.values))) <= 1e-10
 
 
 def test_dirichlet_infeasible_boundary_obstacle():
