@@ -42,8 +42,7 @@ GATES = (
     ("sensitivity.py", "if res > extremal.RESIDUAL_TOL:", "residual of the cone's base point"),
     ("sensitivity.py", "if leak > 10 * tol_lam:", "multiplier off the coincidence set"),
     ("sensitivity.py", "if residual > ALPHA_RESIDUAL_TOL:", "residual of the derivative"),
-    ("sensitivity.py", "if cone.partition.biactive.any():",
-     "an (I - J) derivative step on a cone with a biactive node"),
+    ("sensitivity.py", "if sign > 0:", "an (I - J) derivative step on a min cone"),
     ("sensitivity.py", "if sign > 0 and not check_subsolution(A, far, omap, base):",
      "a min rerun start that is no subsolution at the farthest source"),
     ("sensitivity.py", "if sign < 0 and not check_supersolution(A, far, omap, base):",

@@ -58,6 +58,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output directory or file it cannot make
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"wrote {artifacts.files['summary']}")
     if not artifacts.ok:

@@ -245,8 +245,6 @@ def load_config(path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class BuiltProblem:
-    config: ExperimentConfig
-    grid: Grid
     operator: EllipticOperator
     omap: ObstacleMap
     forcing: DualElement
@@ -266,7 +264,8 @@ def _config_block(path: str):
 
 def build_problem(config: ExperimentConfig) -> BuiltProblem:
     """Instantiate grid, operator, map and nodal data; check the value-level rules."""
-    grid = Grid(config.grid_nodes, config.interval)
+    with _config_block("config.grid"):
+        grid = Grid(config.grid_nodes, config.interval)
     with _config_block("config.operator"):
         operator = assemble_operator(grid, config.operator_c, config.operator_bc)
 
@@ -293,7 +292,7 @@ def build_problem(config: ExperimentConfig) -> BuiltProblem:
         with _config_block("config.direction"):
             _check_direction(direction, config.run, "sensitivity")
 
-    return BuiltProblem(config=config, grid=grid, operator=operator, omap=omap,
+    return BuiltProblem(operator=operator, omap=omap,
                         forcing=DualElement(grid, f_vals), direction=direction)
 
 
@@ -380,7 +379,7 @@ def write_solution_csv(path: Path, problem: BuiltProblem, report: ExtremalRunRep
     u, phi = report.solution, report.obstacle
     lam = multiplier(problem.operator, problem.forcing, u)
     partition = classify_active(problem.forcing, u, phi, lam)
-    _write_csv(path, {"x": _node_cells(problem.grid), "u": u.values, "phi_u": phi.values,
+    _write_csv(path, {"x": _node_cells(problem.operator.grid), "u": u.values, "phi_u": phi.values,
                       "lambda": lam, "class": partition.labels()})
 
 
@@ -464,7 +463,7 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int = 0) -> RunArtif
         run_summary.update({
             "n_iters": report.n_iters,
             "final_step_vnorm": report.step_history[-1],
-            "qvi_residual": report.qvi_residual,
+            "qvi_residual": report.residual_history[-1],
             "solution_vnorm": v_norm(u),
             "solution_min": float(np.min(u.values)),
             "solution_max": float(np.max(u.values)),

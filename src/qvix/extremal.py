@@ -129,7 +129,6 @@ class ExtremalRunReport:
     solution: NodalFunction
     obstacle: NodalFunction
     n_iters: int
-    qvi_residual: float
     step_history: tuple[float, ...]
     residual_history: tuple[float, ...]
     min_delta_history: tuple[float, ...]
@@ -225,7 +224,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
             f"converged iterate has residual {residuals[-1]:.3e} "
             f"above tolerance {RESIDUAL_TOL:.1e}")
     return ExtremalRunReport(
-        solution=u, obstacle=phi, n_iters=len(steps), qvi_residual=residuals[-1],
+        solution=u, obstacle=phi, n_iters=len(steps),
         step_history=steps, residual_history=tuple(residuals), min_delta_history=min_deltas,
         max_delta_history=max_deltas, active=active0, newton_steps=kinds.count("newton"),
         contraction_rate=rate)

@@ -53,8 +53,10 @@ class Grid:
         # + 0.0 turns -0.0 into 0.0: equal grids have equal nodes, so a
         # memo keyed on the grid hands each grid its own node text
         lo, hi = float(self.span[0]) + 0.0, float(self.span[1]) + 0.0
-        if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-            raise ValueError(f"invalid interval {self.span!r}")
+        # a finite width needs finite ends, and h = width / (n - 1) is then finite too
+        if not np.isfinite(hi - lo) or hi <= lo:
+            raise ValueError(f"invalid interval {self.span!r}: needs lo < hi and a finite "
+                             f"width hi - lo")
         object.__setattr__(self, "span", (lo, hi))
 
     @property
@@ -269,7 +271,8 @@ def assemble_operator(grid: Grid, c: float, bc: BoundaryCondition) -> EllipticOp
 
     Neumann requires c > 0 (otherwise constants are in the kernel);
     Dirichlet eliminates the two boundary rows/columns and needs at least
-    one interior node.  The inputs are checked on every call; the
+    one interior node.  The mesh width's square must be a normal float.
+    The inputs are checked on every call; the
     operator, factored, comes from ``_grid_memo`` keyed on
     ``(grid, float(c), bc)``, so equal inputs share one operator.
     """
@@ -284,6 +287,10 @@ def assemble_operator(grid: Grid, c: float, bc: BoundaryCondition) -> EllipticOp
         raise SingularOperatorError("Neumann with c = 0 is singular (constants in the kernel)")
     if bc == "dirichlet" and grid.n_nodes < 3:
         raise SingularOperatorError("Dirichlet needs at least one interior node")
+    # the pencil's extremes scale as 4 / h^2, which a subnormal or overflowing h^2 breaks
+    if not np.finfo(float).tiny <= grid.h * grid.h < np.inf:
+        raise ValueError(f"mesh width h = {grid.h!r} has a square outside the normal "
+                         f"float range")
     return _assemble(grid, c, bc)
 
 

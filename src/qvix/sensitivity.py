@@ -8,10 +8,14 @@ quasi-variational problem over that cone shifted by the obstacle map's
 derivative; it is computed here as the monotone limit of cone-constrained
 obstacle solves and validated against one-sided difference quotients of
 the extremal runs, which are warm-started at the base solution exactly as
-the underlying selection mechanism prescribes.  On a cone with no
-biactive node the derivative problem is linear, (I - J) alpha = alpha_0
-with J = S_C Phi'(base) and C the strict set, and the loop's second
-iterate is its solution from one banded solve (``vi._solve_linearised``).
+the underlying selection mechanism prescribes.  A max derivative takes
+its second iterate by one Newton-Fourier step, the rule of the extremal
+max runs (Ortega and Rheinboldt, 1970, ch. 13): for d <= 0 the cone step
+alpha -> S_cone(d, Phi'(base) alpha) is increasing and concave, so the
+linear solve (I - J_P) x = alpha_1 of the pinned set P its first cone
+solve settled on, J_P = S_P Phi'(base), lands between the derivative and
+alpha_1 (``vi._solve_linearised``).  A min derivative rises from below,
+where that step overshoots, and takes plain cone steps only.
 """
 
 from __future__ import annotations
@@ -137,27 +141,37 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement, which: str) -> 
     The first iterate solves over the unshifted cone; each subsequent one
     shifts the cone by the map derivative at the previous iterate.  For
     the minimal map the direction must be nonnegative and the iterates
-    increase; for the maximal map the direction must be nonpositive and
-    they decrease.  On a cone with no biactive node, the second iterate
-    is (I - J)^-1 alpha_0, J = S_C Phi'(base) with C the strict set, when
-    ``vi._solve_linearised`` certifies rho(J) < 1 and J != 0 (a
-    ``newton`` step); (I - J)^-1 >= 0 keeps the order, and the plain
-    steps that follow end the loop.
+    increase by plain cone steps; for the maximal map the direction must
+    be nonpositive and they decrease.  A max derivative's second iterate
+    is (I - J_P)^-1 alpha_1, J_P = S_P Phi'(base), where P is the strict
+    set together with the set alpha_1's cone solve settled on, when
+    ``vi._solve_linearised`` certifies rho(J_P) < 1 and J_P != 0 (a
+    ``newton`` step); plain steps follow to the end.  It is sound because
+    the cone step T(alpha) = S_cone(d, Phi'(base) alpha) is increasing
+    and concave for d <= 0, and S_cone <= S_P for every P between the
+    strict set and the coincidence set, with equality at alpha_1 for the
+    set its solve settled on.  So J_P is a supergradient of T, and the
+    step lands between the derivative and alpha_1.  alpha_1 is
+    S_P(d, 0) bit for bit when its solve ends on a settled set; after a
+    residual-test exit of ``vi._pdas`` the two differ by roundoff inside
+    ``vi.VI_TOL``.  On a cone with no biactive node, P is the strict set
+    and the problem is linear, so the step is its solution.
     """
     sign = _check_direction(d, which, "derivative")
-    A, strict = cone.operator, cone.partition.strict
+    A = cone.operator
     first, active0 = _cone_solve(cone, d.values, np.zeros(A.grid.n_nodes))
     iterates = [first]
-    linear = True
-    # a biactive node makes the cone no subspace, and the problem not linear
-    if cone.partition.biactive.any():
-        linear = False
+    pinned = cone.partition.strict | active0
+    newton = True
+    # a min derivative rises from below, where a Newton-Fourier step overshoots
+    if sign > 0:
+        newton = False
 
     # consecutive cone solves mostly share their set: each starts from the last one's
     def step(alpha: NodalFunction) -> tuple[NodalFunction, str]:
         nonlocal active0
-        if linear and len(iterates) == 1:
-            solved = _solve_linearised(A, strict, *cone.linearisation, alpha.values)
+        if newton and len(iterates) == 1:
+            solved = _solve_linearised(A, pinned, *cone.linearisation, alpha.values)
             if solved is not None:
                 iterates.append(NodalFunction(A.grid, solved[0]))
                 return iterates[-1], "newton"

@@ -55,8 +55,8 @@ rounds of every level.
 
 ``_solve_linearised`` solves the linearisation of a pinned solve composed
 with an obstacle map, (I - J)x = r for J = S_C Phi'(u), and certifies
-that the spectral radius of J lies below 1: the Newton steps of the
-extremal max runs and the derivative on a subspace cone take it.
+that the spectral radius of J lies below 1: the Newton-Fourier steps of
+the extremal max runs and of the max derivatives take it.
 """
 
 from __future__ import annotations

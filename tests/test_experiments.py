@@ -153,6 +153,29 @@ def test_a_sign_changing_forcing_serves_a_max_run_only(tmp_path, bc, n_nodes):
         assert not (tmp_path / run).exists()
 
 
+@pytest.mark.parametrize("name", ["toy_min", "toy_max", "inverse_elliptic_max",
+                                  "thermoforming_desk"])
+def test_summary_run_keys_are_the_last_row_of_the_iterates_table(tmp_path, name):
+    # n_iters, qvi_residual and final_step_vnorm restate the table, digit for digit
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    for n in (raw["grid"]["n_nodes"], 401):
+        for bc in ("neumann", "dirichlet"):
+            for run in (raw["run"], "both"):
+                cfg = {**raw, "grid": {**raw["grid"], "n_nodes": n},
+                       "operator": {**raw["operator"], "bc": bc}, "run": run}
+                if run == "both":
+                    cfg["sensitivity"] = {"enabled": False}
+                out = tmp_path / f"{n}-{bc}-{run}"
+                assert run_experiment(parse_config(cfg), out_dir=out).ok
+                summary = json.loads((out / "summary.json").read_text(),
+                                     parse_float=str, parse_int=str)
+                for which, keys in summary["runs"].items():
+                    rows = (out / f"iterates_{which}.csv").read_text().splitlines()
+                    last = dict(zip(rows[0].split(","), rows[-1].split(",")))
+                    assert (keys["n_iters"], keys["qvi_residual"], keys["final_step_vnorm"]) == (
+                        str(len(rows) - 1), last["qvi_residual"], last["step_vnorm"])
+
+
 def test_run_experiment_toy(tmp_path):
     cfg = load_config(CONFIG_DIR / "toy_min.json")
     artifacts = run_experiment(cfg, out_dir=tmp_path / "out", seed=0)
@@ -672,6 +695,48 @@ def test_cli_value_errors_exit_2(tmp_path, capsys, overrides, block):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {block}: ")
         assert "Traceback" not in err
+
+
+def _toy_min_on(interval):
+    raw = json.loads((CONFIG_DIR / "toy_min.json").read_text())
+    raw["grid"]["interval"] = interval
+    return raw
+
+
+@pytest.mark.parametrize("interval, message", [
+    ([0.0, 1e-160], "config.operator: mesh width h = 1e-162 has a square outside"),
+    ([0.0, 1e160], "config.operator: mesh width h = 1e+158 has a square outside"),
+    ([-1e308, 1e308], "config.grid: invalid interval"),
+], ids=["h-squared-underflows", "h-squared-overflows", "width-overflows"])
+def test_grid_intervals_outside_the_float_range_are_config_errors(tmp_path, capsys, interval,
+                                                                  message):
+    # 4 / h^2 once raised ZeroDivisionError and OverflowError, and an
+    # infinite width validated and failed its first run step
+    raw = _toy_min_on(interval)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_problem(parse_config(raw))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(raw))
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "x")]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_grid_interval_of_width_1e155_builds_and_runs(tmp_path):
+    assert run_experiment(parse_config(_toy_min_on([0.0, 1e155])), out_dir=tmp_path).ok
+
+
+def test_an_output_directory_the_cli_cannot_create_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "below"):
+        assert cli_main(["run", str(CONFIG_DIR / "toy_min.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert str(taken) in err
+    assert taken.read_text() == ""
 
 
 @pytest.mark.parametrize("field, value", [

@@ -586,9 +586,12 @@ def test_warm_cone_solves_and_reruns_keep_the_bits_of_cold_ones(monkeypatch, ins
     for seed in seeds[1:]:
         assert seed is runs[0].active
     # each cone solve after the first starts from its predecessor's settled set;
-    # on a strict cone the second iterate comes from the certified (I - J) solve
+    # a min derivative makes no (I - J) solve, and a max one's second iterate
+    # comes from the certified one where J != 0 (toy_max has Phi' = 0)
+    if which == "min":
+        assert not linear_solves
     steps_solved = len([x for x in linear_solves if x is not None])
-    assert steps_solved == (partition[0] > 0 and partition[1] == 0)
+    assert steps_solved == (which == "max" and partition[0] > 0)
     assert len(rounds) + steps_solved == len(warm.alpha_iterates)
     assert rounds[1:] == [1] * (len(rounds) - 1)
 
@@ -651,9 +654,15 @@ def test_strict_cone_derivative_takes_one_solve_and_one_plain_step(monkeypatch, 
     assert np.max(np.abs(report.alpha.values - plain.alpha.values)) <= 1e-11
 
 
-def test_a_biactive_node_keeps_the_derivative_on_plain_steps(monkeypatch):
-    # the bundled strict cone with one strict node made biactive is no subspace
-    A, f, d, omap = _bundled("inverse_elliptic_max", 101)
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_a_biactive_max_cone_steps_from_its_first_settled_set(monkeypatch, bc):
+    # a bundled strict cone with one strict node made biactive is no subspace;
+    # the Dirichlet one is the slow regime, where plain steps take 188 iterates
+    if bc == "neumann":
+        A, f, d, omap = _bundled("inverse_elliptic_max", 101)
+    else:
+        problem = _slow_dirichlet_problem()
+        A, f, d, omap = problem.operator, problem.forcing, problem.direction, problem.omap
     run = iterate_max(A, f, omap, _run_start(A, f, "max"))
     cone = build_cone(A, f, omap, run.solution, run.obstacle)
     strict = cone.partition.strict.copy()
@@ -662,15 +671,28 @@ def test_a_biactive_node_keeps_the_derivative_on_plain_steps(monkeypatch):
     biactive = np.zeros_like(strict)
     biactive[node] = True
     mixed = replace(cone, partition=ActiveSetPartition(strict=strict, biactive=biactive))
-    solves = []
-    solve_linearised = qvix.sensitivity._solve_linearised
+    settled, solves = [], []  # the set each cone solve settled on, the (I - J) solves
+    pdas, solve_linearised = qvix.sensitivity._pdas, qvix.sensitivity._solve_linearised
+
+    def recording_pdas(*args, active0=None):
+        out = pdas(*args, active0=active0)
+        settled.append(out[2])
+        return out
+
+    monkeypatch.setattr(qvix.sensitivity, "_pdas", recording_pdas)
     monkeypatch.setattr(qvix.sensitivity, "_solve_linearised",
                         lambda *args: solves.append(args) or solve_linearised(*args))
     report = solve_derivative_qvi(mixed, d, "max")
-    assert not solves
-    assert len(report.alpha_iterates) > 3
-    solve_derivative_qvi(cone, d, "max")
+    # one (I - J) solve, pinned where alpha_1's cone solve settled
     assert len(solves) == 1
+    assert np.array_equal(solves[0][1], strict | settled[0])
+    assert len(report.alpha_iterates) <= 4
+
+    # the plain loop, which stops at ALPHA_STEP_TOL, lands within its stop error
+    monkeypatch.setattr(qvix.sensitivity, "_solve_linearised", lambda *args: None)
+    plain = solve_derivative_qvi(mixed, d, "max")
+    assert len(plain.alpha_iterates) > 4
+    assert np.max(np.abs(report.alpha.values - plain.alpha.values)) <= 1e-10
 
 
 def test_refinement_of_the_bundled_max_run_and_its_derivative_is_first_order_in_v():
