@@ -418,6 +418,10 @@ def run_experiment(config: ExperimentConfig, out_dir, seed: int = 0) -> RunArtif
     problem = build_problem(config)
     target = Path(out_dir)
     target.mkdir(parents=True, exist_ok=True)
+    # a reused directory keeps no table of an earlier run; other files stay
+    for which in ("min", "max"):
+        for table in ("solution", "iterates", "sensitivity"):
+            (target / f"{table}_{which}.csv").unlink(missing_ok=True)
 
     A, f, d, omap = problem.operator, problem.forcing, problem.direction, problem.omap
     artifacts = RunArtifacts()

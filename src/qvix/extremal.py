@@ -90,7 +90,7 @@ def _monotone_limit(step: Callable[[NodalFunction], tuple[NodalFunction, str]],
         min_deltas.append(float(delta.min()))
         max_deltas.append(float(delta.max()))
         worst = min_deltas[-1] if sign > 0 else max_deltas[-1]
-        if sign * worst < -MONOTONE_TOL:
+        if sign * worst < -MONOTONE_TOL:  # gate: extremal.order
             order = "increasing" if sign > 0 else "decreasing"
             raise error(order_text.format(order=order, worst=worst))
         # v_norm(nxt - u) on the delta at hand, with the checks of nxt - u
@@ -110,7 +110,7 @@ def _monotone_limit(step: Callable[[NodalFunction], tuple[NodalFunction, str]],
 def _check_direction(d: DualElement, which: str, what: str) -> float:
     """Sign of the run; raises unless d points along it (nonnegative for min, nonpositive for max)."""
     sign = _sign(which)
-    if np.any(sign * d.values < 0):
+    if np.any(sign * d.values < 0):  # gate: extremal.direction_sign
         kind, wanted = ("minimal", "nonnegative") if sign > 0 else ("maximal", "nonpositive")
         raise ValueError(f"{kind}-map {what} needs a {wanted} direction")
     return sign
@@ -171,7 +171,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     residuals: list[float] = []
     newton = True
     # a load >= 0 makes 0 a subsolution, so u_max >= 0, where the map is concave
-    if sign > 0 or not omap.concave or np.any(f.values < 0):
+    if sign > 0 or not omap.concave or np.any(f.values < 0):  # gate: extremal.newton_rule
         newton = False
     rate = None  # of the last certified solve
     latest = (start, 0, "start")  # the newest state, the step that made it and its kind
@@ -219,7 +219,7 @@ def _iterate(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
         raise ExtremalIterationError(
             f"non-finite nodal values from the state of step {number} ({kind}), "
             f"in [{state.values.min():.3e}, {state.values.max():.3e}]") from exc
-    if residuals[-1] > RESIDUAL_TOL:
+    if residuals[-1] > RESIDUAL_TOL:  # gate: extremal.residual
         raise ExtremalIterationError(
             f"converged iterate has residual {residuals[-1]:.3e} "
             f"above tolerance {RESIDUAL_TOL:.1e}")

@@ -355,7 +355,7 @@ class ThermoformingMap(ObstacleMap):
             res = float(np.max(np.abs(residual_load / mass)))
             if res <= res_tol:
                 break
-            if taken == TEMPERATURE_MAX_STEPS:
+            if taken == TEMPERATURE_MAX_STEPS:  # gate: temperature.steps
                 raise InnerSolveError(
                     f"temperature solve stalled at residual {res:.2e} against {res_tol:.1e}")
             step = self._jacobian(self.heat_rate_slope(gap)).solve(residual_load)
@@ -368,7 +368,7 @@ class ThermoformingMap(ObstacleMap):
                         break
             t_vals, gap, residual_load, norm = accepted
         temp = NodalFunction(self.grid, t_vals)
-        if v_norm(temp) > self.temperature_bound() + 1e-9:
+        if v_norm(temp) > self.temperature_bound() + 1e-9:  # gate: temperature.bound
             raise InnerSolveError(
                 "temperature violates its a priori bound; assembly is suspect")
         return temp

@@ -96,13 +96,13 @@ def build_cone(A: EllipticOperator, f: DualElement, omap: ObstacleMap,
     """
     lam_vals = multiplier(A, f, base)
     res = _obstacle_residual(base, phi, lam_vals)
-    if res > extremal.RESIDUAL_TOL:
+    if res > extremal.RESIDUAL_TOL:  # gate: cone.base_residual
         raise ConeError(f"base residual {res:.3e} too large to classify the active set")
     partition = classify_active(f, base, phi, lam_vals)
     tol_lam = default_tol_multiplier(f)
     if partition.inactive.any():
         leak = float(np.max(np.abs(lam_vals[partition.inactive])))
-        if leak > 10 * tol_lam:
+        if leak > 10 * tol_lam:  # gate: cone.multiplier_leak
             raise ConeError(f"multiplier of size {leak:.3e} off the coincidence set")
     lin = omap.linearisation(base, phi)
     return CriticalConeData(partition=partition,
@@ -164,7 +164,7 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement, which: str) -> 
     pinned = cone.partition.strict | active0
     newton = True
     # a min derivative rises from below, where a Newton-Fourier step overshoots
-    if sign > 0:
+    if sign > 0:  # gate: derivative.newton_rule
         newton = False
 
     # consecutive cone solves mostly share their set: each starts from the last one's
@@ -184,7 +184,7 @@ def solve_derivative_qvi(cone: CriticalConeData, d: DualElement, which: str) -> 
         "derivative iterates lost their {order} order",
         f"derivative iteration did not settle within {extremal.MAX_OUTER} rounds", "derivative")
     residual = derivative_qvi_residual(cone, alpha, d)
-    if residual > ALPHA_RESIDUAL_TOL:
+    if residual > ALPHA_RESIDUAL_TOL:  # gate: derivative.residual
         raise DerivativeSolveError(
             f"derivative fixed-point residual {residual:.3e} above {ALPHA_RESIDUAL_TOL:.1e}")
     return DerivativeReport(alpha=alpha, alpha_iterates=tuple(iterates),
@@ -230,9 +230,9 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     base_run = run(A, f, omap, _run_start(A, f, which))
     base = base_run.solution
     far = f + QUOTIENT_STEPS[0] * d
-    if sign > 0 and not check_subsolution(A, far, omap, base):
+    if sign > 0 and not check_subsolution(A, far, omap, base):  # gate: quotient.min_rerun_start
         raise ValueError("rerun start: the base is not a subsolution at f + max(s) d")
-    if sign < 0 and not check_supersolution(A, far, omap, base):
+    if sign < 0 and not check_supersolution(A, far, omap, base):  # gate: quotient.max_rerun_start
         raise ValueError("rerun start: the base is not a supersolution at f + max(s) d")
     cone = build_cone(A, f, omap, base, base_run.obstacle)
     report = solve_derivative_qvi(cone, d, which)
@@ -252,12 +252,12 @@ def fd_validate(A: EllipticOperator, f: DualElement, d: DualElement,
     floor = lambda s: max(alpha_floor, noise_scale / s)
     fd_monotone = all(eb <= max(ea, floor(sb))
                       for (_, ea), (sb, eb) in zip(fd_table, fd_table[1:]))
-    if not fd_monotone and not cone.partition.biactive.any():
+    if not fd_monotone and not cone.partition.biactive.any():  # gate: quotient.shrink
         raise DerivativeSolveError(
             "quotient error table does not shrink on a strictly complementary instance")
     tol = QUOTIENT_TOL * (1.0 + v_norm(alpha))
     final_err = fd_table[-1][1]
-    if final_err > tol:
+    if final_err > tol:  # gate: quotient.final_error
         raise DerivativeSolveError(
             f"final quotient error {final_err:.3e} above tolerance {tol:.3e}")
 

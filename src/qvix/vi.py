@@ -344,7 +344,7 @@ def _solve_linearised(A: EllipticOperator, pinned: np.ndarray, B: TridiagonalSpd
     rhs[1::2, 1] = w
     _, _, x, info = dgbsv(2, 2, ab, rhs, overwrite_ab=1, overwrite_b=1)
     e = x[0::2, 1] + 1.0
-    if info or not np.all(e > 0):
+    if info or not np.all(e > 0):  # gate: vi.rate_certificate
         return None
     e = e[inside]
     return x[0::2, 0] + r, (1.0 - 1.0 / float(e.min()), 1.0 - 1.0 / float(e.max()))
@@ -420,7 +420,7 @@ def solve_vi(A: EllipticOperator, f: DualElement, phi: NodalFunction, *,
     if f.grid != grid or phi.grid != grid:
         raise GridMismatchError("load/obstacle grid does not match operator grid")
 
-    if A.bc == "dirichlet" and np.any(phi.values[A.boundary] < -VI_TOL):
+    if A.bc == "dirichlet" and np.any(phi.values[A.boundary] < -VI_TOL):  # gate: vi.dirichlet_obstacle
         raise ViSolveError("obstacle below zero at a Dirichlet boundary node: empty constraint set")
 
     load, target, eq_mask, free_mask = _pose(A, f.values, phi.values)

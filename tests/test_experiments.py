@@ -631,6 +631,39 @@ def test_min_run_far_source_refusal_keeps_the_run_files(tmp_path, monkeypatch):
         "error": artifacts.failures[0][len("sensitivity/min: "):]}
 
 
+@pytest.mark.parametrize("entry", ["run_experiment", "cli"])
+@pytest.mark.parametrize("second, written", [
+    ("failing", ["summary.json"]),
+    ("min", ["iterates_min.csv", "sensitivity_min.csv", "solution_min.csv", "summary.json"]),
+], ids=["failing", "min"])
+def test_a_reused_output_directory_keeps_no_table_of_the_run_before(tmp_path, entry, second,
+                                                                    written):
+    # toy_max passes at its own grid and fails its residual gate at 6401
+    # nodes; the min variant writes the other run's three tables.  After
+    # each run the directory holds that run's files, with the bytes of a
+    # fresh directory's, beside a file the runner does not write
+    first = json.loads((CONFIG_DIR / "toy_max.json").read_text())
+    then = {"failing": {**first, "grid": {**first["grid"], "n_nodes": 6401}},
+            "min": {**first, "run": "min", "direction": {"expr": {"const": 1.0}}}}[second]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    for k, raw in enumerate((first, then)):
+        fresh = run_experiment(parse_config(raw), tmp_path / f"fresh{k}")
+        if entry == "cli":
+            path = tmp_path / f"config{k}.json"
+            path.write_text(json.dumps(raw))
+            assert cli_main(["run", str(path), "--out", str(out)]) == (0 if fresh.ok else 1)
+        else:
+            assert run_experiment(parse_config(raw), out).failures == fresh.failures
+        names = sorted(p.name for p in fresh.files.values())
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names, "notes.txt"])
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / f"fresh{k}" / name).read_bytes()
+    assert names == written
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("name, level", [("BASIC_FORMAT", logging.WARNING),
                                          ("no_such_level", logging.WARNING),
                                          ("info", logging.INFO),

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -31,8 +32,9 @@ from qvix import (
 )
 from qvix.experiments import build_problem, parse_config
 from qvix.extremal import _run_start
-from qvix.sensitivity import ConeError, _cone_solve, derivative_qvi_residual
-from qvix.vi import _oracle, _pdas, _pose, default_tol_active
+from qvix.fem import sup_embedding_constant
+from qvix.sensitivity import ALPHA_STEP_TOL, ConeError, _cone_solve, derivative_qvi_residual
+from qvix.vi import _oracle, _pdas, _pose, _solve_linearised, _solve_pinned, default_tol_active
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -693,6 +695,91 @@ def test_a_biactive_max_cone_steps_from_its_first_settled_set(monkeypatch, bc):
     plain = solve_derivative_qvi(mixed, d, "max")
     assert len(plain.alpha_iterates) > 4
     assert np.max(np.abs(report.alpha.values - plain.alpha.values)) <= 1e-10
+
+
+def _pieces(cone, d):
+    """The affine pieces alpha_P(d) = (I - J_P)^-1 S_P(d, 0) of a max cone, one
+    row per pin set strict <= P <= strict | biactive, and the largest upper
+    bound on rho(J_P) that their rate certificates give.
+
+    S_P(d, 0) solves with P pinned at 0 and every other node free.  Each
+    cone here has a strict node off the boundary and a map with w != 0, so
+    J_P != 0 and ``_solve_linearised`` returns None only for a piece
+    without a certificate.
+    """
+    A = cone.operator
+    zeros = np.zeros(A.grid.n_nodes)
+    biactive = np.flatnonzero(cone.partition.biactive)
+    pieces, rate = [], 0.0
+    for k in range(len(biactive) + 1):
+        for extra in itertools.combinations(biactive, k):
+            pinned = cone.partition.strict.copy()
+            pinned[list(extra)] = True
+            load, target, eq_mask, _ = _pose(A, d.values, zeros, pinned, ~pinned)
+            r, _ = _solve_pinned(A.matrix, A.grid.mass, load, target, eq_mask)
+            solved = _solve_linearised(A, pinned, *cone.linearisation, r)
+            assert solved is not None, f"piece {extra} has no rate certificate"
+            pieces.append(solved[0])
+            rate = max(rate, solved[1][1])
+    return np.array(pieces), rate
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_a_biactive_max_derivative_is_the_least_of_its_affine_pieces(bc):
+    # ROADMAP item 23: on a max cone whose pieces all certify, alpha(d) is
+    # min_P alpha_P(d).  The bundled strict cone with three strict nodes made
+    # biactive has 8 pieces; the Dirichlet one is the slow regime
+    if bc == "neumann":
+        A, f, d, omap = _bundled("inverse_elliptic_max", 101)
+    else:
+        problem = _slow_dirichlet_problem()
+        A, f, d, omap = problem.operator, problem.forcing, problem.direction, problem.omap
+    run = iterate_max(A, f, omap, _run_start(A, f, "max"))
+    cone = build_cone(A, f, omap, run.solution, run.obstacle)
+    strict = cone.partition.strict.copy()
+    nodes = np.flatnonzero(strict)
+    picked = nodes[[4, len(nodes) // 2, -6]]
+    strict[picked] = False
+    biactive = np.zeros_like(strict)
+    biactive[picked] = True
+    cone = replace(cone, partition=ActiveSetPartition(strict=strict, biactive=biactive))
+
+    def alpha(direction):
+        return solve_derivative_qvi(cone, direction, "max").alpha.values
+
+    def scale(values):
+        return 1.0 + np.max(np.abs(values))
+
+    # the bundled direction: the minimum up to roundoff, and one piece is least at every node
+    pieces, rate = _pieces(cone, d)
+    least = pieces.min(axis=0)
+    a = alpha(d)
+    assert np.max(np.abs(a - least)) <= 1e-12 * scale(a)
+    assert any(np.array_equal(piece, least) for piece in pieces)
+
+    # a random direction d <= 0 ends where the loop's stop leaves it: a V-norm
+    # step under ALPHA_STEP_TOL, with about rate / (1 - rate) such steps left
+    # at the pieces' certified rate, in max norm through the sup-embedding
+    # constant.  The tail reaches the spectral radius only asymptotically,
+    # and the factor 10 covers that: 2.3e-11 (Neumann) and 1.4e-9
+    # (Dirichlet) against measured gaps up to 1.8e-12 and 3.1e-11
+    stop = 10 * sup_embedding_constant(A.grid) * ALPHA_STEP_TOL * rate / (1 - rate)
+    rng = np.random.default_rng(7)
+    n = A.grid.n_nodes
+    directions = [DualElement(A.grid, -rng.uniform(0, 1, n) * rng.integers(0, 2, n))
+                  for _ in range(10)]
+    alphas = []
+    for direction in directions:
+        pieces, _ = _pieces(cone, direction)
+        a = alpha(direction)
+        assert np.max(np.abs(a - pieces.min(axis=0))) <= stop * scale(a)
+        alphas.append(a)
+    # concave and positively homogeneous in d, so superadditive, up to the
+    # stop error of the three derivatives
+    for k, (d1, a1) in enumerate(zip(directions, alphas)):
+        d2, a2 = directions[k - 1], alphas[k - 1]
+        total = alpha(d1 + d2)
+        assert np.min(total - a1 - a2) >= -3 * stop * scale(total)
 
 
 def test_refinement_of_the_bundled_max_run_and_its_derivative_is_first_order_in_v():
